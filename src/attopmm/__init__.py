@@ -40,7 +40,7 @@ from .model import (
     VolumetricGrid,
     WavePacket,
 )
-from .momentum import MomentumError, TransformCache, build_hemisphere, build_sphere
+from .momentum import MomentumError, build_hemisphere, build_sphere
 from .signal import (
     PMM,
     SignalError,
@@ -66,8 +66,8 @@ __all__ = [
     "TableFormatError", "default_scenario_path", "load_scenario", "read_cube",
     "read_final_state_table", "write_cube", "ElectronicState",
     "GaussianPrimitive", "ModelError", "MolecularOrbital", "ProbePulse",
-    "VolumetricGrid", "WavePacket", "MomentumError", "TransformCache",
-    "build_hemisphere", "build_sphere", "PMM", "SignalError", "Spectrum",
+    "VolumetricGrid", "WavePacket", "MomentumError", "build_hemisphere",
+    "build_sphere", "PMM", "SignalError", "Spectrum",
     "angle_integrated_spectrum", "energy_average_pmm", "envelope_long",
     "envelope_short", "ground_state_scenario", "pmm_cut", "probability_long",
     "probability_short", "__version__",

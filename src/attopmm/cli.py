@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import re
 import sys
 from dataclasses import replace
@@ -26,7 +27,7 @@ from . import io as io_mod
 from . import signal as signal_mod
 from .algebra import AlgebraError, assemble_dyson
 from .model import DOWN, UP, ModelError, offset_label
-from .momentum import MomentumError, TransformCache
+from .momentum import MomentumError
 
 log = logging.getLogger("attopmm.cli")
 
@@ -43,9 +44,13 @@ def parse_time_token(token, period_fs):
     '0.5T', '3T/8'."""
     text = str(token).strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise io_mod.ConfigError(f"time {token!r} is not finite")
+        return value
     match = _PERIOD_TOKEN.match(text)
     if not match:
         raise io_mod.ConfigError(
@@ -74,7 +79,8 @@ def _add_common(sp):
     sp.add_argument("--out", type=Path, default=Path("attopmm-out"),
                     help="output directory")
     sp.add_argument("--threads", type=int, default=1,
-                    help="grid-evaluation threads (results independent of N)")
+                    help="accepted for compatibility; grids are evaluated on one "
+                         "thread in fixed sample blocks, so results never depend on N")
     sp.add_argument("--validate", action="store_true",
                     help="validate the config, print derived quantities, exit")
 
@@ -205,7 +211,6 @@ def cmd_pmm(args):
     resolution = args.grid or scenario.outputs["map_resolution"]
     times = _resolve_times(args.tp, scenario.period_fs)
     args.out.mkdir(parents=True, exist_ok=True)
-    cache = TransformCache()
     written = []
     for energy in energies:
         for token, t_fs in times:
@@ -214,12 +219,11 @@ def cmd_pmm(args):
                 pmm = signal_mod.energy_average_pmm(
                     energy, args.average, n_avg, t_fs, pulse,
                     scenario.wave_packet, scenario.finals, scenario.mos,
-                    resolution, args.qmax, args.mode, cache, args.threads)
+                    resolution, args.qmax, args.mode)
             else:
                 pmm = signal_mod.pmm_cut(
                     energy, t_fs, pulse, scenario.wave_packet, scenario.finals,
-                    scenario.mos, resolution, args.qmax, args.mode, cache,
-                    args.threads)
+                    scenario.mos, resolution, args.qmax, args.mode)
             name = f"pmm_e{energy:g}_tp{time_label(token)}.dat"
             written.append(io_mod.export_pmm(args.out / name, pmm,
                                              digest=scenario.digest))
@@ -246,21 +250,18 @@ def cmd_spectrum(args):
     energies = _spectrum_energies(args, scenario)
     times = _resolve_times(args.tp, scenario.period_fs)
     args.out.mkdir(parents=True, exist_ok=True)
-    cache = TransformCache()
     written = []
     for token, t_fs in times:
         spectra = []
         if args.states in ("excited", "both"):
             spectra.append(signal_mod.angle_integrated_spectrum(
                 energies, t_fs, pulse, scenario.wave_packet, scenario.finals,
-                scenario.mos, mode=args.mode, cache=cache,
-                n_threads=args.threads, scenario="excited"))
+                scenario.mos, mode=args.mode, scenario="excited"))
         if args.states in ("s0", "both"):
             wp0, finals0 = scenario.ground_state()
             spectra.append(signal_mod.angle_integrated_spectrum(
                 energies, t_fs, pulse, wp0, finals0, scenario.mos,
-                mode=args.mode, cache=cache, n_threads=args.threads,
-                scenario="s0"))
+                mode=args.mode, scenario="s0"))
         for s in spectra:
             s.metadata["t_p_fs"] = t_fs
         name = f"spectrum_tp{time_label(token)}.dat"
@@ -335,7 +336,6 @@ def cmd_reproduce(args):
     quarter_times = ["0", "T/4", "T/2", "3T/4"]
     out = args.out / args.target
     out.mkdir(parents=True, exist_ok=True)
-    cache = TransformCache()
     written = []
 
     if args.target == "fig2":
@@ -356,12 +356,11 @@ def cmd_reproduce(args):
         t_fs = parse_time_token((args.tp or ["0"])[0], period)
         excited = signal_mod.angle_integrated_spectrum(
             energies, t_fs, scenario.pulse, scenario.wave_packet,
-            scenario.finals, scenario.mos, cache=cache,
-            n_threads=args.threads, scenario="excited")
+            scenario.finals, scenario.mos, scenario="excited")
         wp0, finals0 = scenario.ground_state()
         ground = signal_mod.angle_integrated_spectrum(
             energies, t_fs, scenario.pulse, wp0, finals0, scenario.mos,
-            cache=cache, n_threads=args.threads, scenario="s0")
+            scenario="s0")
         written.append(io_mod.export_spectra(out / "spectra.dat",
                                              [excited, ground],
                                              digest=scenario.digest))
@@ -377,8 +376,7 @@ def cmd_reproduce(args):
             for token, t_fs in times:
                 pmm = signal_mod.pmm_cut(
                     float(energy), t_fs, scenario.pulse, scenario.wave_packet,
-                    scenario.finals, scenario.mos, resolution, cache=cache,
-                    n_threads=args.threads)
+                    scenario.finals, scenario.mos, resolution)
                 written.append(io_mod.export_pmm(
                     out / f"pmm_e{energy:g}_tp{time_label(token)}.dat", pmm,
                     digest=scenario.digest))
@@ -396,8 +394,7 @@ def cmd_reproduce(args):
                 pmm = signal_mod.energy_average_pmm(
                     float(energy), width, n_avg, t_fs, pulse,
                     scenario.wave_packet, scenario.finals, scenario.mos,
-                    resolution, mode="long", cache=cache,
-                    n_threads=args.threads)
+                    resolution, mode="long")
                 written.append(io_mod.export_pmm(
                     out / (f"pmm_tau{time_label(tau_token)}"
                            f"_tp{time_label(token)}.dat"),

@@ -104,8 +104,7 @@ class TwoStateDensity:
         missing = sorted(o for o in needed if o not in table)
         if missing:
             raise DensityError(f"no orbital supplied for offsets {missing}")
-        pts = grid.points()
-        self._orb = {o: evaluate_orbital(table[o], pts) for o in sorted(needed)}
+        self._orb = {o: evaluate_orbital(table[o], grid) for o in sorted(needed)}
 
     def frame(self, t_fs):
         st = self.structure
@@ -133,6 +132,10 @@ class DensityFrame:
     t_fs: float
     charge_gained: float
     charge_lost: float
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.grid.values)):
+            raise DensityError("non-finite value in density change")
 
     @classmethod
     def from_values(cls, grid, values, t_fs):

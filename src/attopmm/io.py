@@ -45,13 +45,12 @@ from .model import (
     VolumetricGrid,
     WavePacket,
     angstrom_to_bohr,
+    occupied_offsets,
     orbital_offset,
 )
 from .signal import PMM, Spectrum
 
 log = logging.getLogger(__name__)
-
-PENTACENE_OCCUPIED = tuple(range(-10, 1))
 
 
 class CubeFormatError(ValueError):
@@ -247,8 +246,9 @@ def _parse_expansion(text, occupied, lineno):
     return terms
 
 
-def read_final_state_table(path, occupied=PENTACENE_OCCUPIED, normalize=False):
-    """Parse the TSV table -> list of TableRow.
+def read_final_state_table(path, occupied, normalize=False):
+    """Parse the TSV table -> list of TableRow; occupied lists the offsets
+    of the closed-shell orbitals the expansions refer to.
 
     normalize=True rescales each expansion to unit norm (for truncated
     published coefficients); the default keeps coefficients as printed,
@@ -279,9 +279,10 @@ def read_final_state_table(path, occupied=PENTACENE_OCCUPIED, normalize=False):
             energy = float(cols[1])
         except ValueError:
             raise TableFormatError(f"line {lineno}: bad energy {cols[1]!r}") from None
-        if not energy > 0:
+        if not 0 < energy < math.inf:
             raise TableFormatError(
-                f"line {lineno}: final-state energy must be positive, got {energy}")
+                f"line {lineno}: final-state energy must be positive and finite, "
+                f"got {energy}")
         center = None
         if len(cols) == 4:
             try:
@@ -289,6 +290,9 @@ def read_final_state_table(path, occupied=PENTACENE_OCCUPIED, normalize=False):
             except ValueError:
                 raise TableFormatError(
                     f"line {lineno}: bad energy center {cols[2]!r}") from None
+            if not math.isfinite(center):
+                raise TableFormatError(
+                    f"line {lineno}: energy center must be finite, got {center}")
         terms = _parse_expansion(cols[-1], occupied, lineno)
         norm_sq = sum(c * c for c, _ in terms)
         if norm_sq > 1.0 + 1e-6:
@@ -373,17 +377,21 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _is_finite(value):
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _as_complex(value, where):
-    if isinstance(value, (int, float)):
+    if _is_finite(value):
         return complex(value)
     if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
+            and all(_is_finite(v) for v in value)):
         return complex(value[0], value[1])
-    raise ConfigError(f"{where}: coefficient must be a number or [re, im]")
+    raise ConfigError(f"{where}: coefficient must be a finite number or [re, im]")
 
 
 def _positive(value, where):
-    if not isinstance(value, (int, float)) or not value > 0:
+    if not _is_finite(value) or not value > 0:
         raise ConfigError(f"{where}: must be a positive number, got {value!r}")
     return float(value)
 
@@ -397,8 +405,8 @@ def _load_lcao_file(path):
     exponent = _positive(_require(data, "exponent", str(path)),
                          f"{path}: exponent")
     centers = np.asarray(_require(data, "centers_angstrom", str(path)), dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != 3:
-        raise ConfigError(f"{path}: centers_angstrom must be an (N,3) list")
+    if centers.ndim != 2 or centers.shape[1] != 3 or not np.all(np.isfinite(centers)):
+        raise ConfigError(f"{path}: centers_angstrom must be a finite (N,3) list")
     prims = tuple(
         GaussianPrimitive(center=angstrom_to_bohr(c), exponent=exponent,
                           powers=(0, 0, 1))
@@ -408,8 +416,8 @@ def _load_lcao_file(path):
         where = f"{path}: orbitals[{k}]"
         _reject_unknown(entry, {"label", "coefficients", "energy"}, where)
         coeff = np.asarray(_require(entry, "coefficients", where), dtype=float)
-        if coeff.shape != (len(centers),):
-            raise ConfigError(f"{where}: need {len(centers)} coefficients")
+        if coeff.shape != (len(centers),) or not np.all(np.isfinite(coeff)):
+            raise ConfigError(f"{where}: need {len(centers)} finite coefficients")
         mos.append(MolecularOrbital(
             label=str(_require(entry, "label", where)), coefficients=coeff,
             primitives=prims, energy=entry.get("energy")))
@@ -450,8 +458,8 @@ def _build_member_state(member, occupied, where):
         t_where = f"{where}.terms[{k}]"
         _reject_unknown(term, _TERM_KEYS, t_where)
         coeff = _require(term, "coefficient", t_where)
-        if not isinstance(coeff, (int, float)):
-            raise ConfigError(f"{t_where}.coefficient: must be a real number")
+        if not _is_finite(coeff):
+            raise ConfigError(f"{t_where}.coefficient: must be a finite real number")
         try:
             hole = orbital_offset(str(_require(term, "hole", t_where)))
             particle = orbital_offset(str(_require(term, "particle", t_where)))
@@ -465,16 +473,16 @@ def _build_member_state(member, occupied, where):
     scale = 1.0 / math.sqrt(norm_sq)
     expansion = tuple((c * scale, csf) for c, csf in expansion)
     energy = _require(member, "energy_ev", where)
-    if not isinstance(energy, (int, float)) or energy < 0:
-        raise ConfigError(f"{where}.energy_ev: must be a non-negative number")
+    if not _is_finite(energy) or energy < 0:
+        raise ConfigError(f"{where}.energy_ev: must be a finite non-negative number")
     return ElectronicState(energy_ev=float(energy), expansion=expansion)
 
 
 def _build_wave_packet(section, occupied):
     _reject_unknown(section, _WP_KEYS, "wave_packet")
     t0 = section.get("t0_fs", 0.0)
-    if not isinstance(t0, (int, float)):
-        raise ConfigError("wave_packet.t0_fs: must be a number")
+    if not _is_finite(t0):
+        raise ConfigError("wave_packet.t0_fs: must be a finite number")
     members_in = _require(section, "members", "wave_packet")
     if not isinstance(members_in, list) or not members_in:
         raise ConfigError("wave_packet.members: need a non-empty list")
@@ -484,7 +492,7 @@ def _build_wave_packet(section, occupied):
         _reject_unknown(member, _MEMBER_KEYS, where)
         c = _as_complex(_require(member, "coefficient", where),
                         f"{where}.coefficient")
-        state = _build_member_state(member, PENTACENE_OCCUPIED, where)
+        state = _build_member_state(member, occupied, where)
         members.append((c, state.energy_ev, state))
     total = sum(abs(c) ** 2 for c, _, _ in members)
     if abs(total - 1.0) > 1e-6:
@@ -502,14 +510,15 @@ def _build_pulse(section):
     tau = _positive(_require(section, "duration_fwhm_fs", "pulse"),
                     "pulse.duration_fwhm_fs")
     pol = np.asarray(_require(section, "polarization", "pulse"), dtype=float)
-    if pol.shape != (3,) or not np.linalg.norm(pol) > 0:
-        raise ConfigError("pulse.polarization: need a non-zero 3-vector")
+    if (pol.shape != (3,) or not np.all(np.isfinite(pol))
+            or not np.linalg.norm(pol) > 0):
+        raise ConfigError("pulse.polarization: need a finite non-zero 3-vector")
     pol = pol / np.linalg.norm(pol)
     intensity = section.get("peak_intensity", 1.0)
     times = section.get("arrival_times_fs", [0.0])
     if (not isinstance(times, list) or not times
-            or not all(isinstance(t, (int, float)) for t in times)):
-        raise ConfigError("pulse.arrival_times_fs: need a non-empty number list")
+            or not all(_is_finite(t) for t in times)):
+        raise ConfigError("pulse.arrival_times_fs: need a non-empty finite number list")
     pulse = ProbePulse(photon_energy_ev=omega, polarization=pol,
                        duration_fwhm_fs=tau,
                        peak_intensity=_positive(intensity, "pulse.peak_intensity"),
@@ -529,12 +538,12 @@ def _validate_outputs(section):
         merged[key] = _positive(merged[key], f"outputs.{key}")
     window = merged["spectrum_window_ev"]
     if (not isinstance(window, list) or len(window) != 3
-            or not all(isinstance(v, (int, float)) for v in window)
+            or not all(_is_finite(v) for v in window)
             or not 0 < window[0] < window[1] or not int(window[2]) >= 2):
         raise ConfigError("outputs.spectrum_window_ev: need [lo_ev, hi_ev, n>=2]")
     energies = merged["map_energies_ev"]
     if (not isinstance(energies, list) or not energies
-            or not all(isinstance(e, (int, float)) and e > 0 for e in energies)):
+            or not all(_is_finite(e) and e > 0 for e in energies)):
         raise ConfigError("outputs.map_energies_ev: need positive energies")
     allowed_obs = {"pmm", "spectrum", "density"}
     if (not isinstance(merged["observables"], list)
@@ -567,6 +576,11 @@ class Scenario:
             return None
         return self.wave_packet.beat_period_fs()
 
+    @property
+    def occupied(self):
+        """Offsets of the closed-shell occupied orbitals of the molecule."""
+        return occupied_offsets(self.mos)
+
     def ground_state(self):
         """(wave packet, finals) for the closed-shell Koopmans scenario."""
         return signal.ground_state_scenario(self.mos, self.binding_energies_ev)
@@ -594,12 +608,18 @@ def load_scenario(path):
             f"coefficient_mode: expected 'as-printed' or 'normalized', got {mode!r}")
     mos = _build_orbitals(raw.get("molecule", {"source": "builtin-huckel"}),
                           path.parent)
-    wp = _build_wave_packet(_require(raw, "wave_packet", "config"), PENTACENE_OCCUPIED)
+    try:
+        occupied = occupied_offsets(mos)
+    except ModelError as exc:
+        raise ConfigError(f"molecule: {exc}") from exc
+    if not occupied:
+        raise ConfigError("molecule: no occupied orbital (offset <= 0)")
+    wp = _build_wave_packet(_require(raw, "wave_packet", "config"), occupied)
     pulse, times = _build_pulse(_require(raw, "pulse", "config"))
     finals_section = _require(raw, "final_states", "config")
     _reject_unknown(finals_section, _FINALS_KEYS, "final_states")
     table_path = path.parent / _require(finals_section, "table", "final_states")
-    rows = read_final_state_table(table_path, occupied=PENTACENE_OCCUPIED,
+    rows = read_final_state_table(table_path, occupied=occupied,
                                   normalize=(mode == "normalized"))
     validate_channel_energies(rows, wp, pulse)
     be = raw.get("ground_state_binding_energies_ev", {})

@@ -324,11 +324,33 @@ class MolecularOrbital:
         return self.coefficients is not None
 
 
+def _axis_factors(mo: MolecularOrbital, grid: VolumetricGrid, axis):
+    """(n_axis, P): (u - c_a)^l_a exp(-alpha_a (u - c_a)^2) of every primitive
+    along one diagonal grid axis."""
+    u = grid.origin[axis] + np.arange(grid.counts[axis]) * grid.axes[axis, axis]
+    d = u[:, None] - np.array([p.center[axis] for p in mo.primitives])[None, :]
+    powers = np.array([p.powers[axis] for p in mo.primitives])
+    exponents = np.array([p.exponent for p in mo.primitives])
+    return d ** powers * np.exp(-exponents * d * d)
+
+
 def evaluate_orbital(mo: MolecularOrbital, r):
-    """Orbital value at r (bohr), shape (3,) -> float or (N,3) -> (N,) array.
+    """Orbital value at r (bohr), shape (3,) -> float or (N,3) -> (N,) array,
+    or at every point of a VolumetricGrid r -> array of shape r.counts.
 
     Grid-backed orbitals interpolate trilinearly and are zero outside the grid.
+    On a grid with diagonal axes an LCAO orbital is the per-axis product
+    X[i,a] Y[j,a] Z[k,a] contracted with its coefficients, so no voxel x
+    primitive array is ever built.
     """
+    if isinstance(r, VolumetricGrid):
+        if mo.is_lcao and not np.any(r.axes - np.diag(np.diag(r.axes))):
+            x, y, z = (_axis_factors(mo, r, axis) for axis in range(3))
+            scale = mo.coefficients * np.array([p.norm for p in mo.primitives])
+            n0, n1, n2 = r.counts
+            xy = (x * scale)[:, None, :] * y[None, :, :]
+            return (xy.reshape(n0 * n1, -1) @ z.T).reshape(r.counts)
+        return evaluate_orbital(mo, r.points()).reshape(r.counts)
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r)):
         raise ModelError("orbital evaluation point is not finite")
@@ -344,14 +366,18 @@ def evaluate_orbital(mo: MolecularOrbital, r):
 
 
 def orbital_overlap(mo1: MolecularOrbital, mo2: MolecularOrbital):
-    """Analytic <mo1|mo2> for LCAO orbitals."""
+    """Analytic <mo1|mo2> = c1^T S c2 for LCAO orbitals, with S the
+    primitive overlap matrix."""
     if not (mo1.is_lcao and mo2.is_lcao):
         raise ModelError("analytic overlap needs LCAO orbitals on both sides")
-    s = 0.0
-    for c1, p1 in zip(mo1.coefficients, mo1.primitives):
-        for c2, p2 in zip(mo2.coefficients, mo2.primitives):
-            s += c1 * c2 * primitive_overlap(p1, p2)
-    return s
+    s = np.array([[primitive_overlap(p1, p2) for p2 in mo2.primitives]
+                  for p1 in mo1.primitives])
+    return float(mo1.coefficients @ s @ mo2.coefficients)
+
+
+def occupied_offsets(mos):
+    """Offsets of the closed-shell occupied orbitals: every offset <= 0."""
+    return tuple(sorted(mo.offset for mo in mos if mo.offset <= 0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Momentum-space machinery: closed-form Fourier transforms of Gaussian
-primitives, numeric transforms of grid-backed orbitals, momentum grids, and
-a transform cache.
+primitives, numeric transforms of grid-backed orbitals, and momentum grids.
 
 Transform convention:  F[phi](q) = (2 pi)^{-3/2} Integral d^3r e^{-i q.r} phi(r).
 (The sign matches the photoemission matrix element; for real orbitals |F|^2
@@ -14,17 +13,19 @@ For a Cartesian power u^l along one axis the 1D factor is
 with H_l the physicists' Hermite polynomial (derivative rule applied to the
 s-type transform in closed form).
 
-Determinism: all per-sample accumulations run as sequential loops over
-primitives/orbitals with elementwise vector arithmetic, and threaded
-evaluation splits samples into fixed-size blocks independent of the thread
-count, so results are byte-identical for any number of threads.
+LCAO orbitals are coefficient columns C (P primitives x M orbitals) over one
+shared primitive list, so their transforms are the matrix product B(q) @ C,
+with B the (N, P) matrix of primitive transforms: the shape factor of each
+distinct (exponent, powers) times the phase exp(-i q.R_a) of each center.
+
+Determinism: samples are split into fixed-size blocks, and each block is
+one fixed sequence of vector operations and small matrix products, so
+results are byte-identical from run to run and for any BLAS thread count.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +34,15 @@ from numpy.polynomial.hermite import hermval
 from .model import (
     BOHR_ANGSTROM,
     GaussianPrimitive,
-    MolecularOrbital,
     ModelError,
     ev_to_hartree,
     inv_angstrom_to_au,
+    primitive_norm,
 )
 
-_THREAD_BLOCK = 4096  # fixed work-unit size; partitioning never depends on thread count
+# Samples are transformed in fixed blocks: the (block, P) phase matrix stays
+# small, and each sample's arithmetic never depends on the grid size.
+_SAMPLE_BLOCK = 4096
 
 
 class MomentumError(ValueError):
@@ -72,6 +75,25 @@ def gaussian_ft(prim: GaussianPrimitive, q):
     for axis, l in enumerate(prim.powers):
         out *= _axis_factor(l, qs[:, axis], prim.exponent)
     return out[0] if single else out
+
+
+def _shape_factor(exponent, powers, q):
+    """Transform at q (N, 3) of the normalized primitive of one shape centered
+    at the origin; a primitive at R_a adds the phase exp(-i q.R_a)."""
+    out = np.full(len(q), primitive_norm(exponent, powers) * (2.0 * math.pi) ** -1.5,
+                  dtype=complex)
+    for axis, l in enumerate(powers):
+        out *= _axis_factor(l, q[:, axis], exponent)
+    return out
+
+
+def _phases(angles):
+    """exp(-i angles), elementwise."""
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +139,6 @@ class MomentumGrid:
     def n_samples(self):
         return len(self.samples)
 
-    @property
-    def fingerprint(self):
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self.mode.encode())
-        h.update(np.ascontiguousarray(self.samples).tobytes())
-        h.update(np.ascontiguousarray(self.valid).tobytes())
-        return h.hexdigest()
-
 
 def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
     """Constant-energy hemisphere raster at photoelectron energy eps (eV).
@@ -153,18 +167,14 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
                         shape=(int(nx), int(ny)), axis_x=axis_x, axis_y=axis_y)
 
 
-def build_sphere(energy_ev, n_polar=48, n_azimuth=96):
-    """Full-sphere product quadrature at fixed |q| = sqrt(2 eps).
+def sphere_quadrature(n_polar=48, n_azimuth=96):
+    """Unit directions (n_polar * n_azimuth, 3) and weights (sum 4 pi).
 
-    Gauss-Legendre nodes in cos(theta) x uniform azimuth (weights sum to
-    4 pi). An even n_azimuth makes the node set exactly symmetric under
-    q_x -> -q_x and q_y -> -q_y.
+    Gauss-Legendre nodes in cos(theta) x uniform azimuth. An even n_azimuth
+    makes the node set exactly symmetric under q_x -> -q_x and q_y -> -q_y.
     """
-    if not energy_ev > 0:
-        raise MomentumError(f"photoelectron energy must be positive, got {energy_ev}")
     if n_polar < 2 or n_azimuth < 4:
         raise MomentumError(f"unsupported quadrature order ({n_polar}, {n_azimuth})")
-    q = math.sqrt(2.0 * ev_to_hartree(energy_ev))
     u, w_u = np.polynomial.legendre.leggauss(int(n_polar))
     phi = 2.0 * math.pi * np.arange(int(n_azimuth)) / int(n_azimuth)
     st = np.sqrt(1.0 - u ** 2)
@@ -174,6 +184,19 @@ def build_sphere(energy_ev, n_polar=48, n_azimuth=96):
         (u[:, None] * np.ones(len(phi))[None, :]).ravel(),
     ], axis=1)
     weights = (w_u[:, None] * np.full(len(phi), 2.0 * math.pi / len(phi))[None, :]).ravel()
+    return dirs, weights
+
+
+def build_sphere(energy_ev, n_polar=48, n_azimuth=96, quadrature=None):
+    """Full-sphere product quadrature at fixed |q| = sqrt(2 eps).
+
+    quadrature: sphere_quadrature(n_polar, n_azimuth), when the caller
+    reuses it across energies; built here when None.
+    """
+    if not energy_ev > 0:
+        raise MomentumError(f"photoelectron energy must be positive, got {energy_ev}")
+    dirs, weights = quadrature or sphere_quadrature(n_polar, n_azimuth)
+    q = math.sqrt(2.0 * ev_to_hartree(energy_ev))
     samples = q * dirs
     return MomentumGrid(mode="full-sphere", samples=samples,
                         valid=np.ones(len(samples), dtype=bool),
@@ -193,103 +216,87 @@ def build_slab(q_max_au, n):
 # ---------------------------------------------------------------------------
 # orbital transforms
 
-@dataclass(frozen=True)
-class MomentumAmplitude:
-    """Complex transform of one orbital sampled on one momentum grid."""
+def _lcao_basis(mos):
+    """Distinct primitives of LCAO orbitals and their coefficient matrix.
 
-    orbital_label: str
-    values: np.ndarray
-    grid_fingerprint: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
-def _blocks(n):
-    return [(s, min(s + _THREAD_BLOCK, n)) for s in range(0, n, _THREAD_BLOCK)]
-
-
-def _run_blocks(fn, n, n_threads):
-    """Apply fn(start, stop) over fixed-size sample blocks, optionally threaded.
-
-    The block partition is independent of n_threads, and fn writes disjoint
-    output rows, so results are byte-identical for every thread count.
+    Returns (centers (P, 3), coefficients (P, M) with column m expanding
+    mos[m], [(exponent, powers, rows)]): primitives are sorted by shape, so
+    the rows of each shape form one slice.
     """
-    blocks = _blocks(n)
-    if n_threads and n_threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=int(n_threads)) as pool:
-            list(pool.map(lambda b: fn(*b), blocks))
-    else:
-        for b in blocks:
-            fn(*b)
+    centers = {}
+    entries = []
+    for m, mo in enumerate(mos):
+        for c, prim in zip(mo.coefficients, mo.primitives):
+            key = (prim.exponent, prim.powers, prim.center.tobytes())
+            centers.setdefault(key, prim.center)
+            entries.append((key, m, c))
+    keys = sorted(centers)
+    row = {key: a for a, key in enumerate(keys)}
+    coeffs = np.zeros((len(keys), len(mos)))
+    for key, m, c in entries:
+        coeffs[row[key], m] += c
+    first = {}
+    for a, (exponent, powers, _) in enumerate(keys):
+        first.setdefault((exponent, powers), a)
+    bounds = list(first.values()) + [len(keys)]
+    shapes = [(exponent, powers, slice(lo, hi))
+              for (exponent, powers), lo, hi in zip(first, bounds, bounds[1:])]
+    return np.array([centers[key] for key in keys]).reshape(-1, 3), coeffs, shapes
 
 
-def orbital_ft(mo: MolecularOrbital, grid: MomentumGrid, n_threads=1):
-    """Transform of an orbital on a grid: LCAO in closed form, volumetric
-    grids by Riemann sum with voxel-volume weights (same continuum
-    normalization), evaluated at exactly the requested q samples."""
+def _center_phases(grid: MomentumGrid, centers, start, stop):
+    """exp(-i q.R_a) for the grid samples [start, stop), shape (stop - start, P).
+
+    On a hemisphere raster with every center at one height z0 the phase
+    separates as exp(-i q_x X_a) exp(-i q_y Y_a) exp(-i q_z z0): one
+    exponential per raster line and column instead of one per sample.
+    """
     q = grid.samples
-    out = np.zeros(len(q), dtype=complex)
-    if mo.is_lcao:
-        def run(start, stop):
-            acc = np.zeros(stop - start, dtype=complex)
-            for c, prim in zip(mo.coefficients, mo.primitives):
-                acc += c * gaussian_ft(prim, q[start:stop])
-            out[start:stop] = acc
-    else:
+    z0 = centers[0, 2] if len(centers) else 0.0
+    if grid.mode != "constant-energy-hemisphere" or np.any(centers[:, 2] != z0):
+        return _phases(q[start:stop] @ centers.T)
+    ny = grid.shape[1]
+    i, j = np.divmod(np.arange(start, stop), ny)
+    ex = _phases(np.outer(q[i[0] * ny:stop:ny, 0], centers[:, 0]))
+    ey = _phases(np.outer(q[:ny, 1], centers[:, 1]))
+    out = ex[i - i[0]] * ey[j]
+    if z0:
+        out *= _phases(q[start:stop, 2] * z0)[:, None]
+    return out
+
+
+def orbital_ft(mos, grid: MomentumGrid):
+    """Transforms of orbitals on a grid, shape (M, N): row m for mos[m].
+
+    LCAO orbitals in closed form over their shared primitives: B(q) @ C,
+    evaluated as sum over shapes of shape_factor(q) * (exp(-i q.R) @ C) so
+    B itself is never stored. Volumetric grids by Riemann sum with
+    voxel-volume weights (same continuum normalization), evaluated at
+    exactly the requested q samples.
+    """
+    q = grid.samples
+    out = np.empty((len(mos), len(q)), dtype=complex)
+    lcao = [m for m, mo in enumerate(mos) if mo.is_lcao]
+    centers, coeffs, shapes = _lcao_basis([mos[m] for m in lcao])
+    voxel = []
+    for m, mo in enumerate(mos):
+        if mo.is_lcao:
+            continue
         g = mo.grid
         off = g.axes @ g.axes.T
         if np.max(np.abs(off - np.diag(np.diag(off)))) > 1e-12:
             raise MomentumError("numeric transform supports orthogonal grid axes only")
-        pts = g.points()
-        vals = np.asarray(g.values).ravel()
-        w = g.voxel_volume * (2.0 * math.pi) ** -1.5
+        voxel.append((m, g.points(), np.asarray(g.values).ravel(),
+                      g.voxel_volume * (2.0 * math.pi) ** -1.5))
 
-        def run(start, stop):
-            block = q[start:stop]
-            out[start:stop] = w * (np.exp(-1j * (block @ pts.T)) @ vals)
-
-    _run_blocks(run, len(q), n_threads)
-    return MomentumAmplitude(orbital_label=mo.label, values=out,
-                             grid_fingerprint=grid.fingerprint)
-
-
-def orbital_fingerprint(mo: MolecularOrbital):
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(mo.label).encode())
-    if mo.is_lcao:
-        h.update(np.ascontiguousarray(mo.coefficients).tobytes())
-        for p in mo.primitives:
-            h.update(np.ascontiguousarray(p.center).tobytes())
-            h.update(np.float64(p.exponent).tobytes())
-            h.update(bytes(p.powers))
-    else:
-        g = mo.grid
-        h.update(np.ascontiguousarray(g.origin).tobytes())
-        h.update(np.ascontiguousarray(g.axes).tobytes())
-        h.update(np.ascontiguousarray(g.values).tobytes())
-    return h.hexdigest()
-
-
-class TransformCache:
-    """Memoizes orbital transforms keyed on (orbital, grid) fingerprints.
-
-    Amplitudes can be reused across all probe times: time enters the signal
-    only through Dyson coefficients, never through the transforms.
-    """
-
-    def __init__(self):
-        self._store = {}
-
-    def get(self, mo: MolecularOrbital, grid: MomentumGrid, n_threads=1):
-        key = (orbital_fingerprint(mo), grid.fingerprint)
-        hit = self._store.get(key)
-        if hit is None:
-            hit = orbital_ft(mo, grid, n_threads=n_threads)
-            self._store[key] = hit
-        return hit
-
-    def __len__(self):
-        return len(self._store)
+    for start in range(0, len(q), _SAMPLE_BLOCK):
+        stop = min(start + _SAMPLE_BLOCK, len(q))
+        block = q[start:stop]
+        if lcao:
+            e = _center_phases(grid, centers, start, stop)
+            amp = sum(_shape_factor(exponent, powers, block)[:, None]
+                      * (e[:, rows] @ coeffs[rows]) for exponent, powers, rows in shapes)
+            out[lcao, start:stop] = amp.T
+        for m, pts, vals, w in voxel:
+            out[m, start:stop] = w * (np.exp(-1j * (block @ pts.T)) @ vals)
+    return out

@@ -40,10 +40,11 @@ from .model import (
     WavePacket,
     ev_to_hartree,
     fs_to_au,
+    occupied_offsets,
     wave_packet_phase,
 )
-from .momentum import MomentumGrid, TransformCache, build_hemisphere, build_sphere
-from . import algebra
+from .momentum import MomentumGrid, build_hemisphere, build_sphere, sphere_quadrature
+from . import algebra, momentum
 
 log = logging.getLogger(__name__)
 
@@ -137,8 +138,7 @@ class _GridAmplitudes:
     coeff * F[orbital](q); None when the member does not feed the spin.
     """
 
-    def __init__(self, channels, mos, grid: MomentumGrid, cache: TransformCache,
-                 n_threads=1):
+    def __init__(self, channels, mos, grid: MomentumGrid):
         table = _orbital_lookup(mos)
         needed = sorted({orb for ch in channels
                          for member in ch.dyson.per_member
@@ -146,8 +146,7 @@ class _GridAmplitudes:
         missing = [o for o in needed if o not in table]
         if missing:
             raise SignalError(f"no orbital supplied for offsets {missing}")
-        ft = {orb: cache.get(table[orb], grid, n_threads=n_threads).values
-              for orb in needed}
+        ft = dict(zip(needed, momentum.orbital_ft([table[o] for o in needed], grid)))
         self.rows = []
         for ch in channels:
             by_spin = {}
@@ -225,8 +224,7 @@ def _free_grid(q):
                         valid=np.ones(len(q), dtype=bool))
 
 
-def probability_short(q, t_p_fs, pulse, wp, finals, mos, cache=None, n_threads=1,
-                      normalization="relative"):
+def probability_short(q, t_p_fs, pulse, wp, finals, mos, normalization="relative"):
     """Sudden-limit probability at momentum q (a.u.), shape (3,) or (N,3).
 
     q = 0 is a degenerate input (no photoelectron): the polarization
@@ -236,27 +234,22 @@ def probability_short(q, t_p_fs, pulse, wp, finals, mos, cache=None, n_threads=1
         raise SignalError("empty final-state list")
     single = np.asarray(q, dtype=float).ndim == 1
     grid = _free_grid(q)
-    if cache is None:
-        cache = TransformCache()
     channels = build_channels(wp, finals, pulse)
-    amps = _GridAmplitudes(channels, mos, grid, cache, n_threads)
+    amps = _GridAmplitudes(channels, mos, grid)
     out = _evaluate_on_samples(channels, amps, grid.samples, wp, pulse, t_p_fs,
                                "short", normalization)
     return float(out[0]) if single else out
 
 
-def probability_long(q, t_p_fs, pulse, wp, finals, mos, cache=None, n_threads=1,
-                     normalization="relative"):
+def probability_long(q, t_p_fs, pulse, wp, finals, mos, normalization="relative"):
     """Finite-duration probability at momentum q (a.u.); per-member envelopes
     inside the coherent sum."""
     if not list(finals):
         raise SignalError("empty final-state list")
     single = np.asarray(q, dtype=float).ndim == 1
     grid = _free_grid(q)
-    if cache is None:
-        cache = TransformCache()
     channels = build_channels(wp, finals, pulse)
-    amps = _GridAmplitudes(channels, mos, grid, cache, n_threads)
+    amps = _GridAmplitudes(channels, mos, grid)
     out = _evaluate_on_samples(channels, amps, grid.samples, wp, pulse, t_p_fs,
                                "long", normalization)
     return float(out[0]) if single else out
@@ -282,6 +275,8 @@ class PMM:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise SignalError("non-finite probability in momentum map")
         if np.any(values < 0):
             raise SignalError("negative probability in momentum map")
         if values.shape != (len(self.axis_x), len(self.axis_y)):
@@ -306,6 +301,8 @@ class Spectrum:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if not np.all(np.isfinite(self.values)):
+            raise SignalError("non-finite probability in spectrum")
         if np.any(self.values < 0):
             raise SignalError("negative probability in spectrum")
 
@@ -342,21 +339,25 @@ def _channel_records(channels, skip, energy_ev, pulse):
 
 
 def pmm_cut(energy_ev, t_p_fs, pulse, wp, finals, mos, resolution=201,
-            q_max_inv_angstrom=None, mode="short", cache=None, n_threads=1,
-            normalization="relative",
+            q_max_inv_angstrom=None, mode="short", normalization="relative",
             channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
     """Hemispherical constant-energy cut at photoelectron energy eps (eV)."""
-    if cache is None:
-        cache = TransformCache()
-    grid = build_hemisphere(energy_ev, resolution, resolution, q_max_inv_angstrom)
     channels = build_channels(wp, finals, pulse)
+    return _hemisphere_cut(energy_ev, t_p_fs, pulse, wp, channels, mos,
+                           resolution, q_max_inv_angstrom, mode, normalization,
+                           channel_min_envelope)
+
+
+def _hemisphere_cut(energy_ev, t_p_fs, pulse, wp, channels, mos, resolution,
+                    q_max_inv_angstrom, mode, normalization, channel_min_envelope):
+    grid = build_hemisphere(energy_ev, resolution, resolution, q_max_inv_angstrom)
     skip = _channel_skip_mask(channels, energy_ev, pulse, mode, wp,
                               channel_min_envelope)
     skipped = [ch.index for ch, s in zip(channels, skip) if s]
     if skipped:
         log.info("map at %.3f eV skips channels %s (envelope < %g)",
                  energy_ev, skipped, channel_min_envelope)
-    amps = _GridAmplitudes(channels, mos, grid, cache, n_threads)
+    amps = _GridAmplitudes(channels, mos, grid)
     vals = _evaluate_on_samples(channels, amps, grid.samples, wp, pulse,
                                 t_p_fs, mode, normalization, skip=skip)
     vals = np.where(grid.valid, vals, 0.0).reshape(grid.shape)
@@ -377,8 +378,7 @@ def pmm_cut(energy_ev, t_p_fs, pulse, wp, finals, mos, resolution=201,
 
 def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
                        wp, finals, mos, resolution=201, q_max_inv_angstrom=None,
-                       mode="short", cache=None, n_threads=1,
-                       normalization="relative",
+                       mode="short", normalization="relative",
                        channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
     """Uniform average of pmm_cut over [center - w/2, center + w/2].
 
@@ -390,19 +390,18 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
         raise SignalError("averaging width must be positive")
     if n_energies < 2:
         raise SignalError("energy averaging needs at least 2 samples")
-    if cache is None:
-        cache = TransformCache()
     if q_max_inv_angstrom is None:
         e_au = ev_to_hartree(energy_center_ev)
         q_max_inv_angstrom = math.sqrt(2.0 * e_au) / BOHR_ANGSTROM
     energies = np.linspace(energy_center_ev - 0.5 * width_ev,
                            energy_center_ev + 0.5 * width_ev, int(n_energies))
+    channels = build_channels(wp, finals, pulse)
     acc = None
     base = None
     for e in energies:
-        m = pmm_cut(float(e), t_p_fs, pulse, wp, finals, mos, resolution,
-                    q_max_inv_angstrom, mode, cache, n_threads, normalization,
-                    channel_min_envelope)
+        m = _hemisphere_cut(float(e), t_p_fs, pulse, wp, channels, mos,
+                            resolution, q_max_inv_angstrom, mode, normalization,
+                            channel_min_envelope)
         acc = m.values.copy() if acc is None else acc + m.values
         base = m
     vals = acc / float(len(energies))
@@ -419,24 +418,23 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
 
 def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
                               n_polar=48, n_azimuth=96, mode="short",
-                              cache=None, n_threads=1, normalization="relative",
+                              normalization="relative",
                               scenario="excited",
                               channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
     """S(eps) = q * Integral P dOmega on the listed photoelectron energies."""
     energies = np.asarray(energies_ev, dtype=float).reshape(-1)
     if not len(energies) or np.any(energies <= 0):
         raise SignalError("photoelectron energies must be positive")
-    if cache is None:
-        cache = TransformCache()
     channels = build_channels(wp, finals, pulse)
+    quadrature = sphere_quadrature(n_polar, n_azimuth)
     out = np.zeros(len(energies))
     for k, e in enumerate(energies):
-        grid = build_sphere(float(e), n_polar, n_azimuth)
+        grid = build_sphere(float(e), n_polar, n_azimuth, quadrature)
         skip = _channel_skip_mask(channels, float(e), pulse, mode, wp,
                                   channel_min_envelope)
         if all(skip):
             continue
-        amps = _GridAmplitudes(channels, mos, grid, cache, n_threads)
+        amps = _GridAmplitudes(channels, mos, grid)
         p = _evaluate_on_samples(channels, amps, grid.samples, wp, pulse,
                                  t_p_fs, mode, normalization, skip=skip)
         q_au = math.sqrt(2.0 * ev_to_hartree(float(e)))
@@ -465,7 +463,7 @@ def ground_state_scenario(mos, binding_energies_ev):
     """
     if not binding_energies_ev:
         raise SignalError("missing binding energies for ground-state channels")
-    occupied = sorted(mo.offset for mo in mos if mo.offset <= 0)
+    occupied = occupied_offsets(mos)
     if not occupied:
         raise SignalError("no occupied orbitals supplied")
     ground = ElectronicState(

@@ -1,19 +1,11 @@
 import pytest
 
 from attopmm.io import default_scenario_path, load_scenario
-from attopmm.momentum import TransformCache
 
 
 @pytest.fixture(scope="session")
 def scenario():
     return load_scenario(default_scenario_path())
-
-
-@pytest.fixture(scope="session")
-def shared_cache():
-    # one transform cache for the whole run: amplitudes depend only on
-    # (orbital, grid), never on probe time, so reuse is exact
-    return TransformCache()
 
 
 def pytest_runtest_logreport(report):

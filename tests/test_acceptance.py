@@ -169,10 +169,10 @@ def test_transform_oracle_randomized():
 
 # --- 4. constant-energy map symmetries at 99 eV -------------------------------
 
-def test_momentum_map_symmetries(scenario, shared_cache):
+def test_momentum_map_symmetries(scenario):
     t0 = time.perf_counter()
     period = scenario.period_fs
-    kw = dict(resolution=201, cache=shared_cache)
+    kw = dict(resolution=201)
 
     def cut(t_fs):
         return pmm_cut(99.0, t_fs, scenario.pulse, scenario.wave_packet,
@@ -219,12 +219,12 @@ def test_momentum_map_symmetries(scenario, shared_cache):
 
 # --- 5. angle-integrated spectrum ignores the probe time ----------------------
 
-def test_spectrum_time_invariance(scenario, shared_cache):
+def test_spectrum_time_invariance(scenario):
     t0 = time.perf_counter()
     lo, hi, n = scenario.outputs["spectrum_window_ev"]
     energies = np.linspace(float(lo), float(hi), int(n))
     period = scenario.period_fs
-    kw = dict(cache=shared_cache)
+    kw = dict()
     ref = angle_integrated_spectrum(energies, 0.0, scenario.pulse,
                                     scenario.wave_packet, scenario.finals,
                                     scenario.mos, **kw)
@@ -241,14 +241,14 @@ def test_spectrum_time_invariance(scenario, shared_cache):
 
 # --- 6. ground-state spectrum above 97 eV -------------------------------------
 
-def test_ground_state_window(scenario, shared_cache):
+def test_ground_state_window(scenario):
     t0 = time.perf_counter()
     wp0, finals0 = ground_state_scenario(scenario.mos,
                                          scenario.binding_energies_ev)
     lo, hi, n = scenario.outputs["spectrum_window_ev"]
     energies = np.linspace(float(lo), float(hi), int(n))
     s = angle_integrated_spectrum(energies, 0.0, scenario.pulse, wp0, finals0,
-                                  scenario.mos, cache=shared_cache,
+                                  scenario.mos,
                                   scenario="s0")
     peak = s.values.max()
     peak_ev = energies[int(np.argmax(s.values))]
@@ -267,10 +267,10 @@ def test_ground_state_window(scenario, shared_cache):
 
 # --- 7. locations of the strongest beat features -------------------------------
 
-def test_oscillation_peak_positions(scenario, shared_cache):
+def test_oscillation_peak_positions(scenario):
     t0 = time.perf_counter()
     period = scenario.period_fs
-    kw = dict(resolution=201, cache=shared_cache)
+    kw = dict(resolution=201)
     m0 = pmm_cut(99.0, 0.0, scenario.pulse, scenario.wave_packet,
                  scenario.finals, scenario.mos, **kw)
     mh = pmm_cut(99.0, period / 2.0, scenario.pulse, scenario.wave_packet,
@@ -296,12 +296,12 @@ def _unit_l2_difference(a, b):
     return np.linalg.norm(a / np.linalg.norm(a) - b / np.linalg.norm(b))
 
 
-def test_broadening_limits(scenario, shared_cache):
+def test_broadening_limits(scenario):
     t0 = time.perf_counter()
     period = scenario.period_fs
     # broadband limit: per-channel envelopes collapse onto the common window
     short_pulse = dataclasses.replace(scenario.pulse, duration_fwhm_fs=0.1)
-    kw = dict(resolution=201, cache=shared_cache)
+    kw = dict(resolution=201)
     a = pmm_cut(99.0, 0.4, short_pulse, scenario.wave_packet, scenario.finals,
                 scenario.mos, mode="short", **kw)
     b = pmm_cut(99.0, 0.4, short_pulse, scenario.wave_packet, scenario.finals,

@@ -1,9 +1,14 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from attopmm.cli import main, parse_time_token, time_label
-from attopmm.io import ConfigError
+from attopmm.io import ConfigError, default_scenario_path, load_scenario
 
 
 PERIOD = 5.730054868251615
@@ -21,6 +26,9 @@ def test_parse_time_token():
         parse_time_token("quarter", PERIOD)
     with pytest.raises(ConfigError):
         parse_time_token("T/4", None)
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError):
+            parse_time_token(bad, PERIOD)
 
 
 def test_time_label():
@@ -107,3 +115,48 @@ def test_density_command_writes_cubes(tmp_path):
     assert len(cubes) == 2
     assert all(name.endswith(".cube") for name in cubes)
     assert any("T2" in name for name in cubes)
+
+
+@pytest.mark.parametrize("field", ["t0_fs", "coefficient", "energy_ev"])
+def test_non_finite_config_value_exits_1(tmp_path, capsys, field):
+    # json writes float("nan") as NaN, which the standard parser reads back
+    raw = json.loads(json.dumps(load_scenario(default_scenario_path()).raw))
+    packet = raw["wave_packet"]
+    if field == "t0_fs":
+        packet["t0_fs"] = float("nan")
+    elif field == "coefficient":
+        packet["members"][0]["coefficient"] = [float("nan"), 0.0]
+    else:
+        packet["members"][1]["energy_ev"] = float("nan")
+    shutil.copy(default_scenario_path().parent / raw["final_states"]["table"], tmp_path)
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["pmm", "--energy", "97", "--grid", "11", "--config", str(config),
+                 "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError"
+    assert field in record["message"] and "finite" in record["message"]
+    assert not out.exists()
+
+
+def _artifacts_with_blas_threads(tmp_path, blas_threads, argv):
+    out = tmp_path / f"blas{blas_threads}"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               OMP_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "attopmm.cli", *argv, "--out", str(out)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmm", "--tp", "0", "T/4", "--energy", "99", "--grid", "41", "--threads", "2"],
+    ["spectrum", "--tp", "0", "--window", "94", "100", "4", "--states", "both"],
+], ids=["pmm", "spectrum"])
+def test_artifacts_independent_of_blas_threads(tmp_path, argv):
+    # amplitudes are BLAS products: the bytes must not depend on its threads
+    one = _artifacts_with_blas_threads(tmp_path, 1, argv)
+    two = _artifacts_with_blas_threads(tmp_path, 2, argv)
+    assert one and one == two

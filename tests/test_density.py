@@ -6,6 +6,7 @@ import pytest
 from attopmm.algebra import singlet_excitation_csf
 from attopmm.density import (
     DensityError,
+    DensityFrame,
     TwoStateDensity,
     default_density_grid,
     density_change,
@@ -68,6 +69,13 @@ def test_missing_orbital_detected(scenario, coarse_grid):
     frontier = [mo for mo in scenario.mos if mo.offset in (0, 1, 3)]  # no H-2
     with pytest.raises(DensityError):
         TwoStateDensity(scenario.wave_packet, frontier, coarse_grid)
+
+
+def test_frame_rejects_non_finite_values(coarse_grid):
+    values = np.zeros(coarse_grid.counts)
+    values[1, 2, 3] = np.nan
+    with pytest.raises(DensityError, match="non-finite"):
+        DensityFrame.from_values(coarse_grid, values, 0.0)
 
 
 def test_charge_conservation(engine, scenario):

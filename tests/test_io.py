@@ -28,6 +28,8 @@ from attopmm.io import (
 from attopmm.model import VolumetricGrid
 from attopmm.signal import angle_integrated_spectrum, pmm_cut
 
+OCCUPIED = tuple(range(-10, 1))  # the bundled pentacene's closed shell, H-10 ... H
+
 
 # --- cube files -------------------------------------------------------------
 
@@ -86,7 +88,7 @@ def test_cube_error_reporting(tmp_path):
 
 def test_shipped_table_parses(scenario):
     rows = read_final_state_table(
-        default_scenario_path().parent / "final_states_pentacene.tsv")
+        default_scenario_path().parent / "final_states_pentacene.tsv", OCCUPIED)
     assert [r.index for r in rows] == [1, 2, 3, 4, 5, 6]
     assert rows[0].state.energy_ev == 5.0
     assert rows[0].center_ev == 98.9
@@ -103,7 +105,7 @@ def _table_error(tmp_path, body, needle):
     path = tmp_path / "t.tsv"
     path.write_text(body)
     with pytest.raises(TableFormatError) as err:
-        read_final_state_table(path)
+        read_final_state_table(path, OCCUPIED)
     assert needle in str(err.value)
 
 
@@ -113,6 +115,8 @@ def test_table_error_reporting(tmp_path):
     _table_error(tmp_path, "1\t5.0\n", "3 or 4 tab-separated columns")
     _table_error(tmp_path, "x\t5.0\t0.5 h(H)\n", "bad index")
     _table_error(tmp_path, "1\t-5.0\t0.5 h(H)\n", "must be positive")
+    _table_error(tmp_path, "1\tinf\t0.5 h(H)\n", "finite")
+    _table_error(tmp_path, "1\t5.0\tnan\t0.5 h(H)\n", "finite")
     _table_error(tmp_path, "1\t5.0\t0.5 h(H)\n1\t6.0\t0.5 h(H-1)\n",
                  "duplicate index")
     _table_error(tmp_path, "1\t5.0\t0.99 h(H) + 0.99 h(H-1)\n", "norm")
@@ -126,7 +130,7 @@ def test_table_error_reporting(tmp_path):
 def test_table_normalize_mode(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("1\t5.0\t-0.6 h(H)\n2\t6.0\t0.3 h(H,H) p(L) + 0.4 h(H-2)\n")
-    rows = read_final_state_table(path, normalize=True)
+    rows = read_final_state_table(path, OCCUPIED, normalize=True)
     for row in rows:
         norm = sum(c * c for c, _ in row.state.expansion)
         assert norm == pytest.approx(1.0, abs=1e-12)
@@ -141,13 +145,16 @@ def test_validate_channel_energies(tmp_path, scenario):
     path = tmp_path / "t.tsv"
     # stated center 98.9 vs computed 100 + 3.9 - 5.0 = 98.9 -> consistent
     path.write_text("1\t5.0\t98.9\t-0.95 h(H)\n")
-    assert validate_channel_energies(read_final_state_table(path), wp, pulse) == []
+    rows = read_final_state_table(path, OCCUPIED)
+    assert validate_channel_energies(rows, wp, pulse) == []
     path.write_text("1\t5.0\t98.5\t-0.95 h(H)\n")
-    bad = validate_channel_energies(read_final_state_table(path), wp, pulse)
+    bad = validate_channel_energies(read_final_state_table(path, OCCUPIED),
+                                    wp, pulse)
     assert bad == [(1, 98.5, pytest.approx(98.9))]
     # rows without a stated center are never flagged
     path.write_text("1\t5.0\t-0.95 h(H)\n")
-    assert validate_channel_energies(read_final_state_table(path), wp, pulse) == []
+    rows = read_final_state_table(path, OCCUPIED)
+    assert validate_channel_energies(rows, wp, pulse) == []
 
 
 # --- scenario configs -----------------------------------------------------------
@@ -226,13 +233,40 @@ def test_config_table_requires_finals_section(tmp_path, scenario):
     _config_error(tmp_path, raw, "final_states")
 
 
+def test_occupied_set_from_molecule(tmp_path, scenario):
+    # the bundled Hueckel pentacene keeps its closed shell H-10 ... H
+    assert scenario.occupied == OCCUPIED
+    # a four-site LCAO-file molecule gets the closed shell of its own orbitals
+    (tmp_path / "butadiene.json").write_text(json.dumps({
+        "exponent": 1.0,
+        "centers_angstrom": [[-1.9, 0.0, 0.0], [-0.7, 0.0, 0.0],
+                             [0.7, 0.0, 0.0], [1.9, 0.0, 0.0]],
+        "orbitals": [
+            {"label": "H-1", "coefficients": [0.37, 0.60, 0.60, 0.37]},
+            {"label": "H", "coefficients": [0.60, 0.37, -0.37, -0.60]},
+            {"label": "L", "coefficients": [0.60, -0.37, -0.37, 0.60]},
+            {"label": "L+1", "coefficients": [0.37, -0.60, 0.60, -0.37]}]}))
+    (tmp_path / "finals.tsv").write_text("1\t5.0\t-0.9 h(H)\n2\t6.0\t0.8 h(H-1)\n")
+    raw = json.loads(json.dumps(scenario.raw))
+    raw["molecule"] = {"source": "lcao-file", "path": "butadiene.json"}
+    raw["final_states"] = {"table": "finals.tsv"}
+    raw["wave_packet"] = {"members": [{"coefficient": 1.0, "energy_ev": 4.0, "terms": [
+        {"coefficient": 1.0, "hole": "H", "particle": "L"}]}]}
+    raw["ground_state_binding_energies_ev"] = {"H": 5.0}
+    path = tmp_path / "butadiene-config.json"
+    path.write_text(json.dumps(raw))
+    small = load_scenario(path)
+    assert small.occupied == (-1, 0)
+    assert small.wave_packet.n_electrons == 4
+    assert [state.n_electrons for _, state in small.finals] == [3, 3]
+
+
 # --- result exports ---------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def small_map(scenario, shared_cache):
+def small_map(scenario):
     return pmm_cut(99.0, 0.0, scenario.pulse, scenario.wave_packet,
-                   scenario.finals, scenario.mos, resolution=31,
-                   cache=shared_cache)
+                   scenario.finals, scenario.mos, resolution=31)
 
 
 def test_export_pmm_round_trip(tmp_path, small_map, scenario):
@@ -270,9 +304,9 @@ def test_read_pmm_rejects_foreign_and_corrupt(tmp_path, small_map):
     assert "3 columns" in str(err.value)
 
 
-def test_export_spectra_round_trip(tmp_path, scenario, shared_cache):
+def test_export_spectra_round_trip(tmp_path, scenario):
     energies = np.linspace(94.0, 100.0, 5)
-    kw = dict(cache=shared_cache, n_polar=16, n_azimuth=32)
+    kw = dict(n_polar=16, n_azimuth=32)
     s0 = angle_integrated_spectrum(energies, 0.0, scenario.pulse,
                                    scenario.wave_packet, scenario.finals,
                                    scenario.mos, **kw)
@@ -290,8 +324,8 @@ def test_export_spectra_round_trip(tmp_path, scenario, shared_cache):
         assert parsed.metadata["t_p_fs"] == orig.metadata["t_p_fs"]
 
 
-def test_export_spectra_grid_mismatch(tmp_path, scenario, shared_cache):
-    kw = dict(cache=shared_cache, n_polar=16, n_azimuth=32)
+def test_export_spectra_grid_mismatch(tmp_path, scenario):
+    kw = dict(n_polar=16, n_azimuth=32)
     a = angle_integrated_spectrum(np.array([94.0, 99.0]), 0.0, scenario.pulse,
                                   scenario.wave_packet, scenario.finals,
                                   scenario.mos, **kw)

@@ -152,6 +152,29 @@ def test_evaluate_orbital_matches_direct_sum():
                        rtol=0, atol=1e-13)
 
 
+def test_grid_evaluation_matches_direct_sum():
+    # per-axis factors on a non-cubic diagonal grid against evaluate_orbital
+    # at the same points; mixed shapes and off-grid centers
+    rng = np.random.default_rng(9)
+    prims = tuple(GaussianPrimitive(center=rng.uniform(-2, 2, 3),
+                                    exponent=float(rng.uniform(0.5, 1.5)),
+                                    powers=tuple(rng.integers(0, 3, size=3)))
+                  for _ in range(7))
+    mo = MolecularOrbital(label="t", coefficients=rng.uniform(-1, 1, 7),
+                          primitives=prims)
+    grid = VolumetricGrid(origin=(-3.1, -2.4, -1.7), axes=np.diag([0.21, 0.17, 0.29]),
+                          counts=(31, 29, 13))
+    direct = evaluate_orbital(mo, grid.points()).reshape(grid.counts)
+    got = evaluate_orbital(mo, grid)
+    assert got.shape == grid.counts
+    assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(np.abs(direct))
+    # sheared axes have no per-axis factorization: the direct sum is used
+    sheared = VolumetricGrid(origin=grid.origin, axes=[[0.2, 0.05, 0.0], [0.0, 0.2, 0.0],
+                                                       [0.0, 0.0, 0.2]], counts=(9, 8, 7))
+    assert np.array_equal(evaluate_orbital(mo, sheared),
+                          evaluate_orbital(mo, sheared.points()).reshape(sheared.counts))
+
+
 def _two_state_packet():
     occ = range(-10, 1)
     s1 = ElectronicState(energy_ev=3.539125, expansion=(

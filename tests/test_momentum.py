@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +11,13 @@ from attopmm.huckel import huckel_orbitals, orbitals_by_label
 from attopmm.model import GaussianPrimitive, MolecularOrbital, VolumetricGrid, evaluate_orbital
 from attopmm.momentum import (
     MomentumError,
-    TransformCache,
+    MomentumGrid,
     build_hemisphere,
     build_slab,
     build_sphere,
     gaussian_ft,
-    orbital_fingerprint,
     orbital_ft,
+    sphere_quadrature,
 )
 
 from oracles import quadrature_ft
@@ -67,9 +71,9 @@ def test_orbital_ft_linear_in_coefficients():
              GaussianPrimitive(center=(1.5, 0.0, 0.0), exponent=1.0, powers=(0, 0, 1)))
     grid = build_sphere(10.0, n_polar=6, n_azimuth=8)
     mo = MolecularOrbital(label="pair", coefficients=(0.3, -1.1), primitives=prims)
-    combo = orbital_ft(mo, grid).values
-    parts = [orbital_ft(MolecularOrbital(label=f"p{i}", coefficients=(1.0,),
-                                         primitives=(prims[i],)), grid).values
+    (combo,) = orbital_ft([mo], grid)
+    parts = [orbital_ft([MolecularOrbital(label=f"p{i}", coefficients=(1.0,),
+                                          primitives=(prims[i],))], grid)[0]
              for i in range(2)]
     assert np.allclose(combo, 0.3 * parts[0] - 1.1 * parts[1], atol=1e-14)
 
@@ -146,38 +150,88 @@ def test_grid_backed_transform_matches_lcao():
     values = evaluate_orbital(lcao, sampling.points()).reshape(n, n, n)
     numeric = MolecularOrbital(label="dimer-grid", grid=sampling.with_values(values))
     q = build_sphere(8.0, n_polar=4, n_azimuth=8)
-    a = orbital_ft(lcao, q).values
-    b = orbital_ft(numeric, q).values
+    a, b = orbital_ft([lcao, numeric], q)
     assert np.max(np.abs(a - b)) < 1e-3 * np.max(np.abs(a))
 
 
+_TRANSFORM_BYTES = """
+import hashlib, sys
+from attopmm.huckel import huckel_orbitals
+from attopmm.momentum import build_hemisphere, build_sphere, orbital_ft
+mos = huckel_orbitals()
+for grid in (build_hemisphere(99.0, 101, 101), build_sphere(97.0)):
+    sys.stdout.write(hashlib.sha256(orbital_ft(mos, grid).tobytes()).hexdigest())
+"""
+
+
 def test_thread_determinism():
-    mos = orbitals_by_label(huckel_orbitals())
-    grid = build_hemisphere(99.0, 101, 101)
-    ref = orbital_ft(mos["H"], grid, n_threads=1).values
-    for n in (2, 4, 8):
-        assert orbital_ft(mos["H"], grid, n_threads=n).values.tobytes() == ref.tobytes()
+    # the transforms are BLAS products: their bytes must not depend on the
+    # number of BLAS threads, which is fixed when the process starts
+    src = Path(__file__).resolve().parents[1] / "src"
+    digests = set()
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _TRANSFORM_BYTES], env=env,
+                             check=True, capture_output=True, text=True, timeout=120)
+        digests.add(run.stdout)
+    assert len(digests) == 1
 
 
-def test_transform_cache_memoizes():
-    mos = orbitals_by_label(huckel_orbitals())
-    grid = build_hemisphere(50.0, 21, 21)
-    cache = TransformCache()
-    first = cache.get(mos["H"], grid)
-    assert len(cache) == 1
-    assert cache.get(mos["H"], grid) is first
-    assert len(cache) == 1
-    cache.get(mos["L"], grid)
-    assert len(cache) == 2
-    other = build_hemisphere(50.0, 23, 23)
-    cache.get(mos["H"], other)
-    assert len(cache) == 3
+def _free_grid(q):
+    return MomentumGrid(mode="free-samples", samples=q, valid=np.ones(len(q), dtype=bool))
 
 
-def test_fingerprints_distinguish_orbitals_and_grids():
-    mos = orbitals_by_label(huckel_orbitals())
-    assert orbital_fingerprint(mos["H"]) != orbital_fingerprint(mos["L"])
-    g1 = build_hemisphere(99.0, 21, 21)
-    g2 = build_hemisphere(99.0, 23, 23)
-    g3 = build_sphere(99.0, n_polar=6, n_azimuth=8)
-    assert len({g1.fingerprint, g2.fingerprint, g3.fingerprint}) == 3
+def _grids():
+    rng = np.random.default_rng(17)
+    return {"hemisphere": build_hemisphere(99.0, 61, 61),
+            "sphere": build_sphere(97.0, n_polar=12, n_azimuth=24),
+            "free": _free_grid(rng.uniform(-4.0, 4.0, size=(5000, 3)))}
+
+
+@pytest.mark.parametrize("kind", ["hemisphere", "sphere", "free"])
+def test_basis_product_matches_primitive_sum(kind):
+    # B @ C over the shared p_z basis against the per-primitive oracle
+    mos = huckel_orbitals()
+    grid = _grids()[kind]
+    got = orbital_ft(mos, grid)
+    for mo, row in zip(mos, got):
+        ref = sum(c * gaussian_ft(p, grid.samples)
+                  for c, p in zip(mo.coefficients, mo.primitives))
+        assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_mixed_shapes_and_primitive_sets():
+    # distinct (exponent, powers) shapes, orbitals over different primitive
+    # lists and a duplicated primitive
+    prims = (GaussianPrimitive(center=(0.3, -0.2, 0.1), exponent=0.7, powers=(1, 0, 0)),
+             GaussianPrimitive(center=(-1.0, 0.4, 0.0), exponent=1.3, powers=(0, 0, 1)),
+             GaussianPrimitive(center=(0.5, 0.5, -0.5), exponent=0.7, powers=(0, 2, 1)))
+    one = MolecularOrbital(label="a", coefficients=(0.4, -0.9), primitives=prims[:2])
+    two = MolecularOrbital(label="b", coefficients=(1.1, 0.2, -0.3),
+                           primitives=prims[1:] + prims[1:2])
+    grids = _grids()
+    ft = {a: gaussian_ft(p, grids["free"].samples) for a, p in enumerate(prims)}
+    got = orbital_ft([one, two], grids["free"])
+    peak = max(np.max(np.abs(v)) for v in ft.values())
+    assert np.max(np.abs(got[0] - (0.4 * ft[0] - 0.9 * ft[1]))) <= 1e-14 * peak
+    assert np.max(np.abs(got[1] - (0.8 * ft[1] + 0.2 * ft[2]))) <= 1e-14 * peak
+    # hemisphere: centers at different heights, and all at one height z0 != 0
+    grid = grids["hemisphere"]
+    lifted = tuple(GaussianPrimitive(center=(x, y, 0.4), exponent=1.0, powers=(0, 0, 1))
+                   for x, y in ((0.7, 0.2), (-0.7, -0.2)))
+    flat = MolecularOrbital(label="c", coefficients=(0.6, 0.8), primitives=lifted)
+    for mo in (one, flat):
+        (row,) = orbital_ft([mo], grid)
+        ref = sum(c * gaussian_ft(p, grid.samples)
+                  for c, p in zip(mo.coefficients, mo.primitives))
+        assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_sphere_quadrature_reuse_is_bit_identical():
+    quad = sphere_quadrature(12, 24)
+    for energy in (85.0, 97.3):
+        fresh = build_sphere(energy, 12, 24)
+        reused = build_sphere(energy, 12, 24, quad)
+        assert fresh.samples.tobytes() == reused.samples.tobytes()
+        assert fresh.weights.tobytes() == reused.weights.tobytes()

@@ -12,7 +12,7 @@ from attopmm.algebra import (
 )
 from attopmm.huckel import huckel_orbitals
 from attopmm.model import HARTREE_EV, ElectronicState, ProbePulse, WavePacket, fs_to_au
-from attopmm.momentum import TransformCache, gaussian_ft
+from attopmm.momentum import gaussian_ft
 from attopmm.signal import (
     PMM,
     SignalError,
@@ -31,15 +31,15 @@ from attopmm.signal import (
 
 
 @pytest.fixture(scope="module")
-def ctx(scenario, shared_cache):
+def ctx(scenario):
     return dict(wp=scenario.wave_packet, pulse=scenario.pulse,
-                finals=scenario.finals, mos=scenario.mos, cache=shared_cache,
+                finals=scenario.finals, mos=scenario.mos,
                 period=scenario.wave_packet.beat_period_fs())
 
 
 def _map(ctx, t_p, energy=99.0, resolution=41, **kw):
     return pmm_cut(energy, t_p, ctx["pulse"], ctx["wp"], ctx["finals"],
-                   ctx["mos"], resolution=resolution, cache=ctx["cache"], **kw)
+                   ctx["mos"], resolution=resolution, **kw)
 
 
 # --- envelopes ------------------------------------------------------------
@@ -98,7 +98,7 @@ def test_polarization_projection_zero(ctx):
     qs = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.3, -0.4, 0.0],
                    [0.0, 0.0, 0.0]])
     p = probability_short(qs, 0.0, ctx["pulse"], ctx["wp"], ctx["finals"],
-                          ctx["mos"], cache=ctx["cache"])
+                          ctx["mos"])
     assert np.allclose(p, 0.0, atol=1e-30)
 
 
@@ -107,11 +107,11 @@ def test_tilted_polarization_nodal_plane(ctx):
     pulse = dataclasses.replace(ctx["pulse"], polarization=(1.0, 0.0, 0.0))
     qs = np.array([[0.0, 0.7, 1.9], [0.0, -1.2, 0.3]])
     p = probability_short(qs, 0.0, pulse, ctx["wp"], ctx["finals"],
-                          ctx["mos"], cache=ctx["cache"])
+                          ctx["mos"])
     assert np.allclose(p, 0.0, atol=1e-30)
     q_on = np.array([[0.8, 0.7, 1.9]])
     p_on = probability_short(q_on, 0.0, pulse, ctx["wp"], ctx["finals"],
-                             ctx["mos"], cache=ctx["cache"])
+                             ctx["mos"])
     assert p_on[0] > 0.0
 
 
@@ -120,9 +120,9 @@ def test_probability_even_in_qz(ctx):
     q = rng.uniform(-2.0, 2.0, size=(6, 3))
     mirrored = q * np.array([1.0, 1.0, -1.0])
     a = probability_short(q, 0.3, ctx["pulse"], ctx["wp"], ctx["finals"],
-                          ctx["mos"], cache=ctx["cache"])
+                          ctx["mos"])
     b = probability_short(mirrored, 0.3, ctx["pulse"], ctx["wp"], ctx["finals"],
-                          ctx["mos"], cache=ctx["cache"])
+                          ctx["mos"])
     assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
@@ -132,10 +132,8 @@ def test_single_member_packet_time_independent(ctx):
         (1.0, singlet_excitation_csf(occ, 0, 1)),))
     wp = WavePacket(members=((1.0 + 0.0j, 3.9, state),))
     q = np.array([[0.5, 0.9, 1.7], [-1.1, 0.2, 0.8]])
-    a = probability_short(q, 0.0, ctx["pulse"], wp, ctx["finals"], ctx["mos"],
-                          cache=ctx["cache"])
-    b = probability_short(q, 1.234, ctx["pulse"], wp, ctx["finals"], ctx["mos"],
-                          cache=ctx["cache"])
+    a = probability_short(q, 0.0, ctx["pulse"], wp, ctx["finals"], ctx["mos"])
+    b = probability_short(q, 1.234, ctx["pulse"], wp, ctx["finals"], ctx["mos"])
     assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
@@ -149,7 +147,7 @@ def test_long_pulse_approaches_short_at_small_tau(ctx):
     diffs = []
     for tau in (0.1, 0.05):
         pulse = dataclasses.replace(ctx["pulse"], duration_fwhm_fs=tau)
-        kw = dict(resolution=31, cache=ctx["cache"])
+        kw = dict(resolution=31)
         a = pmm_cut(99.0, 0.4, pulse, ctx["wp"], ctx["finals"], ctx["mos"],
                     mode="short", **kw)
         b = pmm_cut(99.0, 0.4, pulse, ctx["wp"], ctx["finals"], ctx["mos"],
@@ -213,22 +211,14 @@ def test_map_metadata_and_channel_skipping(ctx):
     assert diff < 2e-2 * m.values.max()
 
 
-def test_map_fills_supplied_cache(ctx):
-    # a passed-in empty cache must be used, not silently replaced
-    cache = TransformCache()
-    pmm_cut(99.0, 0.0, ctx["pulse"], ctx["wp"], ctx["finals"], ctx["mos"],
-            resolution=11, cache=cache)
-    assert len(cache) > 0
-
-
 def test_energy_average_keeps_mirror_relation(ctx):
     kw = dict(resolution=31, n_energies=5)
     a = energy_average_pmm(99.0, 1.0, kw["n_energies"], 0.0, ctx["pulse"],
                            ctx["wp"], ctx["finals"], ctx["mos"],
-                           resolution=kw["resolution"], cache=ctx["cache"])
+                           resolution=kw["resolution"])
     b = energy_average_pmm(99.0, 1.0, kw["n_energies"], ctx["period"] / 2.0,
                            ctx["pulse"], ctx["wp"], ctx["finals"], ctx["mos"],
-                           resolution=kw["resolution"], cache=ctx["cache"])
+                           resolution=kw["resolution"])
     assert np.allclose(b.values, a.values[::-1, :],
                        rtol=0.0, atol=1e-10 * a.values.max())
     assert a.metadata["energy_average"] == {
@@ -246,7 +236,7 @@ def test_half_period_pulse_plus_averaging_keeps_contrast(ctx):
     # contrast above the 10 % level when envelopes act per member
     period = ctx["period"]
     pulse = dataclasses.replace(ctx["pulse"], duration_fwhm_fs=period / 2.0)
-    kw = dict(resolution=31, mode="long", cache=ctx["cache"])
+    kw = dict(resolution=31, mode="long")
     a = energy_average_pmm(99.0, 1.0, 5, 0.0, pulse, ctx["wp"], ctx["finals"],
                            ctx["mos"], **kw)
     b = energy_average_pmm(99.0, 1.0, 5, period / 2.0, pulse, ctx["wp"],
@@ -260,8 +250,7 @@ def test_half_period_pulse_plus_averaging_keeps_contrast(ctx):
 
 def _spectrum(ctx, t_p, energies=(94.0, 97.0, 99.0, 101.0), **kw):
     return angle_integrated_spectrum(np.array(energies), t_p, ctx["pulse"],
-                                     ctx["wp"], ctx["finals"], ctx["mos"],
-                                     cache=ctx["cache"], **kw)
+                                     ctx["wp"], ctx["finals"], ctx["mos"], **kw)
 
 
 def test_spectrum_time_invariant(ctx):
@@ -319,6 +308,10 @@ def test_pmm_validation():
     with pytest.raises(SignalError):
         PMM(energy_ev=10.0, t_p_fs=0.0, values=np.ones((2, 3)),
             axis_x=axis, axis_y=axis, metadata={})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SignalError, match="non-finite"):
+            PMM(energy_ev=10.0, t_p_fs=0.0, values=np.full((3, 3), bad),
+                axis_x=axis, axis_y=axis, metadata={})
     good = PMM(energy_ev=10.0, t_p_fs=0.0, values=np.ones((3, 3)),
                axis_x=axis, axis_y=axis, metadata={})
     assert not good.values.flags.writeable
@@ -328,6 +321,10 @@ def test_spectrum_validation():
     with pytest.raises(SignalError):
         Spectrum(energies_ev=np.array([1.0, 2.0]), values=np.array([1.0, -2.0]),
                  scenario="excited", metadata={})
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SignalError, match="non-finite"):
+            Spectrum(energies_ev=np.array([1.0, 2.0]), values=np.array([1.0, bad]),
+                     scenario="excited", metadata={})
 
 
 # --- full-formula cross-check ----------------------------------------------------
@@ -354,8 +351,7 @@ def test_three_channel_manual_reconstruction(ctx):
     vec /= np.linalg.norm(vec, axis=1)[:, None]
     eps_ev = rng.uniform(90.0, 108.0, size=n_pts)
     qs = vec * np.sqrt(2.0 * eps_ev / HARTREE_EV)[:, None]
-    got = probability_short(qs, t_p, pulse, wp, finals, ctx["mos"],
-                            cache=ctx["cache"])
+    got = probability_short(qs, t_p, pulse, wp, finals, ctx["mos"])
 
     def lcao_ft(offset, q):
         mo = mo_by_offset[offset]
