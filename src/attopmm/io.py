@@ -70,15 +70,106 @@ class ExportFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# numeric text tables
+#
+# Every exporter writes its numbers through _write_table, which produces the
+# bytes '%'-formatting would, a block of lines at a time. A value v becomes
+# the integer rint(|v| * 10^k) with `digits` decimal digits; its digits,
+# sign and exponent are placed into a fixed-width uint8 record per value, and
+# the zero bytes left in unused sign and exponent slots are dropped by one
+# mask. The product |v| * 10^k carries a relative error of at most ~2 eps
+# (four correctly rounded steps), so rint reproduces the correctly rounded
+# mantissa unless the scaled value lies within 16 eps of a half-integer.
+# Those near-ties, subnormals and non-finite values go through '%' itself.
+
+_BLOCK_LINES = 8192
+_TIE_BAND = 16.0 * np.finfo(float).eps
+_POW10_MIN = -170
+# correctly rounded powers of ten (the float parser rounds exactly)
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, -_POW10_MIN + 1)])
+
+
+def _format_lines(flat, per_line, digits, upper, space_sign, sep):
+    """Bytes of len(flat) // per_line LF-terminated lines (len(flat) must be a
+    multiple of per_line)."""
+    n = len(flat)
+    width = digits + 7                      # s d . ddd E s h t o
+    rec = np.zeros((n, width + 1), dtype=np.uint8)
+    a = np.abs(flat)
+    bad = ~np.isfinite(a) | ((a < np.finfo(float).tiny) & (a != 0.0))
+    zero = a == 0.0
+    safe = np.where(bad | zero, 1.0, a)
+    exp10 = np.floor(np.log10(safe)).astype(np.int64)
+    y = _scaled(safe, digits - 1 - exp10)
+    # log10 can miss the decade by one next to a power of ten
+    shift = (y >= 10.0 ** digits).astype(np.int64) - (y < 10.0 ** (digits - 1))
+    moved = np.flatnonzero(shift)
+    exp10[moved] += shift[moved]
+    y[moved] = _scaled(safe[moved], digits - 1 - exp10[moved])
+    frac = y - np.floor(y)
+    fallback = bad | (~zero & (np.abs(frac - 0.5) <= _TIE_BAND * y))
+    mant = np.rint(y).astype(np.int64)
+    carry = mant == 10 ** digits            # 9.99...95 rounds up a decade
+    mant[carry] = 10 ** (digits - 1)
+    exp10 += carry
+    mant[zero] = 0
+    exp10[zero] = 0
+
+    rec[:, 0] = np.where(np.signbit(flat), ord("-"), ord(" ") if space_sign else 0)
+    for col in range(digits + 1, 2, -1):   # mantissa digits after the point
+        quot = mant // 10
+        rec[:, col] = mant - 10 * quot + ord("0")
+        mant = quot
+    rec[:, 1] = mant + ord("0")
+    rec[:, 2] = ord(".")
+    rec[:, digits + 2] = ord("E" if upper else "e")
+    rec[:, digits + 3] = np.where(exp10 < 0, ord("-"), ord("+"))
+    mag = np.abs(exp10)
+    rec[:, digits + 4] = np.where(mag >= 100, mag // 100 + ord("0"), 0)
+    rec[:, digits + 5] = mag // 10 % 10 + ord("0")
+    rec[:, digits + 6] = mag % 10 + ord("0")
+    rec[:, width] = ord(sep)
+    rec.reshape(n // per_line, per_line, width + 1)[:, -1, width] = ord("\n")
+
+    fmt = f"%{' ' if space_sign else ''}.{digits - 1}{'E' if upper else 'e'}"
+    redo = np.flatnonzero(fallback)
+    if len(redo):
+        texts = [(fmt % v).encode("ascii") for v in flat[redo].tolist()]
+        rec[redo, :width] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    out = rec.reshape(-1)
+    return out[out != 0]
+
+
+def _scaled(a, k):
+    """a * 10^k as two products of table powers; no intermediate over- or
+    underflows for normal a and |k| <= 2 * 170."""
+    half = k // 2
+    return a * _POW10[half - _POW10_MIN] * _POW10[k - half - _POW10_MIN]
+
+
+def _write_table(fh, values, per_line, digits, upper, space_sign, sep):
+    """Write `values` (flattened in C order) to the binary file `fh` as lines
+    of `per_line` numbers joined by `sep`, each byte-identical to
+    '%[ ].{digits-1}{E|e}' % value; a last partial line holds the remainder.
+    Only one block of _BLOCK_LINES lines is held in memory at a time."""
+    flat = np.asarray(values, dtype=float).ravel()
+    full = len(flat) - len(flat) % per_line
+    step = _BLOCK_LINES * per_line
+    for start in range(0, full, step):
+        fh.write(_format_lines(flat[start:min(start + step, full)], per_line,
+                               digits, upper, space_sign, sep))
+    if full < len(flat):
+        fh.write(_format_lines(flat[full:], len(flat) - full,
+                               digits, upper, space_sign, sep))
+
+
+# ---------------------------------------------------------------------------
 # Gaussian cube
-
-_CUBE_VALUE_FMT = "% .8E"
-
 
 def write_cube(path, grid: VolumetricGrid, atoms=(), comments=("", "")):
     """Standard cube layout: 2 comment lines, natoms+origin, three axis
     lines (count + step vector, bohr), atom lines (Z, charge, position
-    bohr), values z-fastest, six per line."""
+    bohr), values z-fastest, six per line as '% .8E'."""
     if grid.values is None:
         raise CubeFormatError("grid carries no values to write")
     path = Path(path)
@@ -92,10 +183,10 @@ def write_cube(path, grid: VolumetricGrid, atoms=(), comments=("", "")):
     for z, charge, pos in atoms:
         lines.append("%5d %12.6f %12.6f %12.6f %12.6f"
                      % (int(z), float(charge), pos[0], pos[1], pos[2]))
-    flat = np.asarray(grid.values, dtype=float).ravel()
-    for start in range(0, len(flat), 6):
-        lines.append(" ".join(_CUBE_VALUE_FMT % v for v in flat[start:start + 6]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        _write_table(fh, grid.values, per_line=6, digits=9, upper=True,
+                     space_sign=True, sep=" ")
     return path
 
 
@@ -110,6 +201,8 @@ def _cube_numbers(tokens, lineno, kind=float):
             out.append(kind(t))
         except ValueError:
             _cube_fail(lineno, f"expected {kind.__name__}, got {t!r}")
+        if not math.isfinite(out[-1]):
+            _cube_fail(lineno, f"non-finite value {t!r}")
     return out
 
 
@@ -439,7 +532,11 @@ def _build_orbitals(molecule, base_dir):
             raise ConfigError("molecule.orbitals: need a {label: cube-path} map")
         mos = []
         for label in sorted(table):
-            grid, _, _ = read_cube(base_dir / table[label])
+            path = base_dir / table[label]
+            try:
+                grid, _, _ = read_cube(path)
+            except CubeFormatError as exc:
+                raise CubeFormatError(f"{path}: {exc}") from None
             mos.append(MolecularOrbital(label=str(label), grid=grid))
         return mos
     if source == "lcao-file":
@@ -703,15 +800,22 @@ def export_pmm(path, pmm: PMM, digest=None):
     lines.append("# columns: q_x_inv_angstrom q_y_inv_angstrom probability")
     limit = float(disc) if disc is not None else float("inf")
     limit_sq = limit * limit * (1.0 + 1e-12)
-    for i, x in enumerate(pmm.axis_x):
-        for j, y in enumerate(pmm.axis_y):
-            if x * x + y * y <= limit_sq:
-                lines.append("\t".join(_NUM % v for v in (x, y, pmm.values[i, j])))
+    x, y = np.meshgrid(pmm.axis_x, pmm.axis_y, indexing="ij")
+    inside = x * x + y * y <= limit_sq
+    _write_export(path, lines, np.column_stack(
+        (x[inside], y[inside], pmm.values[inside])))
+    return path
+
+
+def _write_export(path, header_lines, rows):
+    """'#' header, then one %.12e tab-separated line per row of `rows`."""
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with path.open("wb") as fh:
+            fh.write(("\n".join(header_lines) + "\n").encode("utf-8"))
+            _write_table(fh, rows, per_line=rows.shape[1], digits=13,
+                         upper=False, space_sign=False, sep="\t")
     except OSError as exc:
         raise ExportFormatError(f"{path}: {exc}") from exc
-    return path
 
 
 def _parse_headers(raw, path):
@@ -794,8 +898,8 @@ def export_spectra(path, spectra, digest=None):
     if not spectra:
         raise ExportFormatError(f"{path}: nothing to export")
     energies = spectra[0].energies_ev
-    for s in spectra[1:]:
-        if (len(s.energies_ev) != len(energies)
+    for s in spectra:
+        if (len(s.energies_ev) != len(energies) or len(s.values) != len(energies)
                 or not np.allclose(s.energies_ev, energies, rtol=0, atol=1e-12)):
             raise ExportFormatError(f"{path}: spectra have different energy grids")
     meta = {"format": "attopmm-spectrum-1", "n_energies": len(energies)}
@@ -812,13 +916,8 @@ def export_spectra(path, spectra, digest=None):
         lines.append(f"# column {k + 2}: " + " ".join(parts))
     lines.append("# columns: energy_ev "
                  + " ".join(s.scenario for s in spectra))
-    for row in range(len(energies)):
-        vals = [energies[row]] + [s.values[row] for s in spectra]
-        lines.append("\t".join(_NUM % v for v in vals))
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise ExportFormatError(f"{path}: {exc}") from exc
+    _write_export(path, lines, np.column_stack(
+        [energies] + [s.values for s in spectra]))
     return path
 
 

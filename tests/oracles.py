@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 Deliberately written in a different formalism from the package code:
-numeric Gauss-Legendre quadrature instead of closed-form transforms, and
+numeric Gauss-Legendre quadrature instead of closed-form transforms,
 occupation-number (bitstring) second quantization instead of ordered
-spin-orbital tuples, so agreement is evidence rather than tautology.
+spin-orbital tuples, and text writers that call '%' once per value instead
+of formatting blocks of digits with numpy, so agreement is evidence rather
+than tautology.
 """
 
 import numpy as np
@@ -106,3 +108,90 @@ def lcao_value(mo, points):
         total += c * prim.norm * poly * np.exp(
             -prim.exponent * np.einsum("ij,ij->i", d, d))
     return total
+
+
+# ---------------------------------------------------------------------------
+# reference text writers: one '%'-formatted value at a time
+
+def reference_write_cube(path, grid, atoms=(), comments=("", "")):
+    """Gaussian cube with every value formatted by '% .8E' in a Python loop."""
+    lines = []
+    for c in (comments + ("", ""))[:2]:
+        lines.append(str(c).replace("\n", " "))
+    lines.append("%5d %12.6f %12.6f %12.6f" % ((len(atoms),) + tuple(grid.origin)))
+    for ax in range(3):
+        lines.append("%5d %12.6f %12.6f %12.6f"
+                     % ((grid.counts[ax],) + tuple(grid.axes[ax])))
+    for z, charge, pos in atoms:
+        lines.append("%5d %12.6f %12.6f %12.6f %12.6f"
+                     % (int(z), float(charge), pos[0], pos[1], pos[2]))
+    flat = np.asarray(grid.values, dtype=float).ravel()
+    for start in range(0, len(flat), 6):
+        lines.append(" ".join("% .8E" % v for v in flat[start:start + 6]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def reference_export_pmm(path, pmm, digest=None):
+    """Momentum-map export with a per-sample disc test and '%.12e' loop."""
+    from attopmm.io import _header_lines
+
+    meta = {
+        "format": "attopmm-pmm-1",
+        "energy_ev": float(pmm.energy_ev),
+        "t_p_fs": float(pmm.t_p_fs),
+        "tau_fs": float(pmm.metadata.get("tau_fs", 0.0)),
+        "omega_in_ev": float(pmm.metadata.get("omega_in_ev", 0.0)),
+        "mode": pmm.metadata.get("mode", "short"),
+        "normalization": pmm.metadata.get("normalization", "relative"),
+        "polarization": [float(v) for v in pmm.metadata.get("polarization",
+                                                            (0.0, 0.0, 1.0))],
+        "axis_x": [float(pmm.axis_x[0]), float(pmm.axis_x[-1]), len(pmm.axis_x)],
+        "axis_y": [float(pmm.axis_y[0]), float(pmm.axis_y[-1]), len(pmm.axis_y)],
+        "units": "q in 1/angstrom; probability relative",
+    }
+    disc = pmm.metadata.get("q_disc_inv_angstrom")
+    if disc is not None:
+        meta["q_disc_inv_angstrom"] = float(disc)
+    avg = pmm.metadata.get("energy_average")
+    if avg is not None:
+        meta["energy_average"] = [avg["center_ev"], avg["width_ev"],
+                                  avg["n_energies"]]
+    if digest is not None:
+        meta["config_digest"] = digest
+    lines = _header_lines(meta)
+    lines.append("# columns: q_x_inv_angstrom q_y_inv_angstrom probability")
+    limit = float(disc) if disc is not None else float("inf")
+    limit_sq = limit * limit * (1.0 + 1e-12)
+    for i, x in enumerate(pmm.axis_x):
+        for j, y in enumerate(pmm.axis_y):
+            if x * x + y * y <= limit_sq:
+                lines.append("\t".join("%.12e" % v for v in (x, y, pmm.values[i, j])))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def reference_export_spectra(path, spectra, digest=None):
+    """Spectrum export with one '%.12e' call per table cell."""
+    from attopmm.io import _header_lines
+
+    energies = spectra[0].energies_ev
+    meta = {"format": "attopmm-spectrum-1", "n_energies": len(energies)}
+    if digest is not None:
+        meta["config_digest"] = digest
+    lines = _header_lines(meta)
+    for k, s in enumerate(spectra):
+        parts = [f"scenario={s.scenario}"]
+        for key in ("t_p_fs", "tau_fs", "omega_in_ev", "mode"):
+            if key in s.metadata:
+                value = s.metadata[key]
+                parts.append(f"{key}=%.12e" % value if isinstance(value, float)
+                             else f"{key}={value}")
+        lines.append(f"# column {k + 2}: " + " ".join(parts))
+    lines.append("# columns: energy_ev "
+                 + " ".join(s.scenario for s in spectra))
+    for row in range(len(energies)):
+        vals = [energies[row]] + [s.values[row] for s in spectra]
+        lines.append("\t".join("%.12e" % v for v in vals))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path

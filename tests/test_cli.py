@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from attopmm.cli import main, parse_time_token, time_label
-from attopmm.io import ConfigError, default_scenario_path, load_scenario
+from attopmm.density import default_density_grid
+from attopmm.io import ConfigError, default_scenario_path, load_scenario, write_cube
+from attopmm.model import evaluate_orbital
 
 
 PERIOD = 5.730054868251615
@@ -138,6 +141,40 @@ def test_non_finite_config_value_exits_1(tmp_path, capsys, field):
     assert record["error"] == "ConfigError"
     assert field in record["message"] and "finite" in record["message"]
     assert not out.exists()
+
+
+def _cube_files_scenario(tmp_path):
+    """The bundled scenario with every orbital read from a coarse cube file."""
+    scenario = load_scenario(default_scenario_path())
+    grid = default_density_grid(scenario.mos, spacing_angstrom=1.0)
+    orbitals = {}
+    for mo in scenario.mos:
+        orbitals[mo.label] = f"{mo.label}.cube"
+        write_cube(tmp_path / orbitals[mo.label],
+                   dataclasses.replace(grid, values=evaluate_orbital(mo, grid)))
+    raw = json.loads(json.dumps(scenario.raw))
+    raw["molecule"] = {"source": "cube-files", "orbitals": orbitals}
+    shutil.copy(default_scenario_path().parent / raw["final_states"]["table"], tmp_path)
+    config = tmp_path / "cubes.json"
+    config.write_text(json.dumps(raw))
+    return config
+
+
+def test_non_finite_cube_voxel_exits_1(tmp_path, capsys):
+    config = _cube_files_scenario(tmp_path)
+    assert main(["validate", "--config", str(config)]) == 0
+    lines = (tmp_path / "H.cube").read_text().splitlines()
+    lineno = len(lines) - 3
+    values = lines[lineno - 1].split()
+    values[2] = "nan"
+    lines[lineno - 1] = " ".join(values)
+    (tmp_path / "H.cube").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", "--config", str(config)]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "CubeFormatError"
+    assert "H.cube" in record["message"]
+    assert f"line {lineno}: non-finite" in record["message"]
 
 
 def _artifacts_with_blas_threads(tmp_path, blas_threads, argv):

@@ -26,7 +26,7 @@ from attopmm.io import (
     write_scenario,
 )
 from attopmm.model import VolumetricGrid
-from attopmm.signal import angle_integrated_spectrum, pmm_cut
+from attopmm.signal import Spectrum, angle_integrated_spectrum, pmm_cut
 
 OCCUPIED = tuple(range(-10, 1))  # the bundled pentacene's closed shell, H-10 ... H
 
@@ -82,6 +82,13 @@ def test_cube_error_reporting(tmp_path):
     _cube_error(tmp_path, good_head + "1 2 3 4 5 6 7\n8\n", "more than 6 values")
     _cube_error(tmp_path, good_head + "1 2 3 4 5 6\n", "expected 8 values")
     _cube_error(tmp_path, good_head + "1 2 3 4 5 6\n7 eight\n", "expected float")
+    _cube_error(tmp_path, good_head + "1 2 3 4 5 6\n7 nan\n", "line 8: non-finite")
+    _cube_error(tmp_path, good_head.replace(" 1.0 0.0 0.0", " inf 0.0 0.0"),
+                "line 4: non-finite")
+    _cube_error(tmp_path, good_head.replace("0 0.0 0.0 0.0", "0 -Infinity 0.0 0.0"),
+                "line 3: non-finite")
+    atom_head = good_head.replace("    0 0.0", "    1 0.0") + "6 6.0 0.0 NaN 0.0\n"
+    _cube_error(tmp_path, atom_head + "1 2 3 4 5 6 7 8\n", "line 7: non-finite")
 
 
 # --- final-state tables -------------------------------------------------------
@@ -336,3 +343,7 @@ def test_export_spectra_grid_mismatch(tmp_path, scenario):
         export_spectra(tmp_path / "s.tsv", [a, b])
     with pytest.raises(ExportFormatError):
         export_spectra(tmp_path / "s.tsv", [])
+    short = Spectrum(energies_ev=a.energies_ev, values=a.values[:1],
+                     scenario="short", metadata={})
+    with pytest.raises(ExportFormatError):
+        export_spectra(tmp_path / "s.tsv", [a, short])

@@ -1,0 +1,168 @@
+"""The block text writer against '%'-formatting and the per-value reference
+writers in oracles.py: every file must be byte-identical."""
+
+import dataclasses
+import io
+
+import numpy as np
+import pytest
+
+from attopmm.density import default_density_grid, density_change
+from attopmm.huckel import pentacene_atoms
+from attopmm.io import (
+    _BLOCK_LINES,
+    _write_table,
+    export_density,
+    export_pmm,
+    export_spectra,
+    write_cube,
+)
+from attopmm.model import VolumetricGrid, angstrom_to_bohr
+from attopmm.signal import PMM, angle_integrated_spectrum, energy_average_pmm, pmm_cut
+from oracles import reference_export_pmm, reference_export_spectra, reference_write_cube
+
+CUBE = dict(digits=9, upper=True, space_sign=True)      # '% .8E'
+EXPORT = dict(digits=13, upper=False, space_sign=False)  # '%.12e'
+FORMATS = [("% .8E", CUBE), ("%.12e", EXPORT)]
+
+
+def _table(values, per_line, sep, spec):
+    fh = io.BytesIO()
+    _write_table(fh, values, per_line=per_line, sep=sep, **spec)
+    return fh.getvalue()
+
+
+def _reference_table(values, per_line, sep, fmt):
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return "".join(sep.join(fmt % v for v in flat[i:i + per_line]) + "\n"
+                   for i in range(0, len(flat), per_line)).encode("ascii")
+
+
+def _hard_values(rng, n):
+    """>= n doubles: random bit patterns, the whole exponent range, decimal
+    ties at 9 and 13 digits with their neighbours 1 ulp away, exact binary
+    ties, decade round-ups, 3-digit exponents and the special values."""
+    quarter = n // 4
+    bits = rng.integers(0, 2 ** 64, quarter, dtype=np.uint64).view(np.float64)
+    spread = (rng.uniform(1.0, 10.0, quarter)
+              * np.ldexp(1.0, rng.integers(-1074, 1020, quarter)))
+    parts = [bits, spread, -spread]
+    for digits in (9, 13):
+        m = rng.integers(10 ** (digits - 1), 10 ** digits, quarter // 6)
+        e = rng.integers(-330, 300, len(m))
+        ties = np.array([float(f"{a}5e{b}") for a, b in zip(m.tolist(), e.tolist())])
+        parts += [ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf), -ties]
+        # exact binary ties: odd k / 2^digits in [1, 10) and integers ending in 5
+        odd = rng.integers(2 ** digits, 10 * 2 ** digits, quarter // 12) | 1
+        parts.append(odd / 2.0 ** digits)
+        tail5 = rng.integers(10 ** digits, 10 ** (digits + 1), quarter // 12) * 10 + 5
+        parts.append(tail5.astype(float))
+    nines = np.array([9.9999999995, 9.99999999995, 9.9999999999995, 9.99999999999995,
+                      99999.9999995, 9.9999999995e-300, 9.9999999999995e+300])
+    parts.append(np.concatenate([nines, np.nextafter(nines, np.inf),
+                                 np.nextafter(nines, -np.inf)]))
+    parts.append(np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                           2.2250738585072014e-308, 2.225073858507201e-308,
+                           1.7976931348623157e308, 1e-100, 1e100, 1e-99, 1e99,
+                           1e-5, 1e22, 1e23, 0.5, 1.0, 10.0]))
+    return np.concatenate(parts)
+
+
+@pytest.fixture(scope="module")
+def hard_values():
+    return _hard_values(np.random.default_rng(20231), 1_000_000)
+
+
+@pytest.mark.parametrize("fmt, spec", FORMATS, ids=["cube", "export"])
+def test_formatter_matches_percent_on_hard_doubles(hard_values, fmt, spec):
+    values = hard_values
+    assert len(values) >= 1_000_000
+    with np.errstate(all="ignore"):
+        assert np.isnan(values).any() and (values == np.inf).any()
+    got = _table(values, 1, " ", spec)
+    want = _reference_table(values, 1, " ", fmt)
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split(b"\n"),
+                                            want.split(b"\n")) if g != w]
+        pytest.fail(f"{len(bad)} values differ from {fmt!r}, e.g. {bad[:3]}")
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 6, 7, 6 * _BLOCK_LINES - 1, 6 * _BLOCK_LINES,
+                               6 * _BLOCK_LINES + 1, 6 * (_BLOCK_LINES + 1)])
+@pytest.mark.parametrize("fmt, spec", FORMATS, ids=["cube", "export"])
+def test_formatter_line_layout(n, fmt, spec):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+    for sep in (" ", "\t"):
+        assert _table(values, 6, sep, spec) == _reference_table(values, 6, sep, fmt)
+
+
+def test_cube_matches_reference_writer(tmp_path):
+    # 105 values: the last line holds 3
+    counts = (3, 5, 7)
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(counts) * 10.0 ** rng.integers(-9, 3, counts)
+    values[0, 0, :2] = (0.0, -0.0)
+    grid = VolumetricGrid(origin=(-1.5, 2.0, -3.25), axes=np.diag((0.5, 0.4, 0.3)),
+                          counts=counts, values=values)
+    atoms = [(6, 6.0, (0.1, -0.2, 0.3)), (1, 1.0, (1.0, 2.0, 3.0))]
+    got = write_cube(tmp_path / "new.cube", grid, atoms=atoms, comments=("a", "b\nc"))
+    want = reference_write_cube(tmp_path / "ref.cube", grid, atoms=atoms,
+                                comments=("a", "b\nc"))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_density_frame_matches_reference_writer(tmp_path, scenario):
+    frame = density_change(scenario.wave_packet, scenario.mos,
+                           default_density_grid(scenario.mos), 0.7)
+    atoms = [(z, float(z), tuple(angstrom_to_bohr(np.asarray(p))))
+             for z, p in pentacene_atoms()]
+    got = export_density(tmp_path / "new.cube", frame, atoms=atoms, digest="d")
+    comments = tuple(got.read_text(encoding="utf-8").split("\n", 2)[:2])
+    want = reference_write_cube(tmp_path / "ref.cube", frame.grid, atoms=atoms,
+                                comments=comments)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def _same_pmm(tmp_path, pmm, digest=None):
+    got = export_pmm(tmp_path / "new.dat", pmm, digest=digest)
+    want = reference_export_pmm(tmp_path / "ref.dat", pmm, digest=digest)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_short_mode_map_matches_reference_writer(tmp_path, scenario):
+    pmm = pmm_cut(97.3, 1.1, scenario.pulse, scenario.wave_packet, scenario.finals,
+                  scenario.mos, resolution=201)
+    _same_pmm(tmp_path, pmm, digest=scenario.digest)
+
+
+def test_energy_averaged_long_mode_map_matches_reference_writer(tmp_path, scenario):
+    pulse = dataclasses.replace(scenario.pulse,
+                                duration_fwhm_fs=scenario.period_fs / 4.0)
+    pmm = energy_average_pmm(99.0, 1.0, 5, 0.3, pulse, scenario.wave_packet,
+                             scenario.finals, scenario.mos, resolution=101, mode="long")
+    assert pmm.metadata["energy_average"]["n_energies"] == 5
+    _same_pmm(tmp_path, pmm)
+
+
+def test_map_without_disc_matches_reference_writer(tmp_path):
+    axis = np.linspace(-2.0, 2.0, 41)
+    values = np.random.default_rng(3).random((41, 41)) ** 4
+    pmm = PMM(energy_ev=98.0, t_p_fs=0.0, values=values, axis_x=axis,
+              axis_y=axis * 0.9, metadata={"mode": "short"})
+    _same_pmm(tmp_path, pmm)
+    rows = [line for line in (tmp_path / "new.dat").read_text().splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == 41 * 41
+
+
+def test_spectra_match_reference_writer(tmp_path, scenario):
+    energies = np.linspace(94.0, 100.0, 13)
+    spectra = [angle_integrated_spectrum(energies, t, scenario.pulse,
+                                         scenario.wave_packet, scenario.finals,
+                                         scenario.mos, n_polar=12, n_azimuth=24)
+               for t in (0.0, 1.3)]
+    got = export_spectra(tmp_path / "new.dat", spectra, digest=scenario.digest)
+    want = reference_export_spectra(tmp_path / "ref.dat", spectra,
+                                    digest=scenario.digest)
+    assert got.read_bytes() == want.read_bytes()
