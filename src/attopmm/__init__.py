@@ -51,8 +51,7 @@ from .signal import (
     envelope_short,
     ground_state_scenario,
     pmm_cut,
-    probability_long,
-    probability_short,
+    probability,
 )
 
 __version__ = "0.1.0"
@@ -69,6 +68,6 @@ __all__ = [
     "VolumetricGrid", "WavePacket", "MomentumError", "build_hemisphere",
     "build_sphere", "PMM", "SignalError", "Spectrum",
     "angle_integrated_spectrum", "energy_average_pmm", "envelope_long",
-    "envelope_short", "ground_state_scenario", "pmm_cut", "probability_long",
-    "probability_short", "__version__",
+    "envelope_short", "ground_state_scenario", "pmm_cut", "probability",
+    "__version__",
 ]

@@ -2,8 +2,11 @@
 
 Subcommands: pmm, spectrum, density, dyson, validate, reproduce-figure.
 Every run loads one scenario config (default: the bundled pentacene
-two-state scenario), logs the derived beat period, mean wave-packet energy
-and channel table, and writes deterministic text artifacts to --out.
+two-state scenario), logs the derived beat period and mean wave-packet
+energy (map and spectrum runs also the channel table of their first
+result), and writes deterministic text artifacts to --out. The figure
+targets of reproduce-figure write through the same loops as pmm, spectrum
+and density.
 
 Time-valued options accept either numbers (fs) or tokens in units of the
 wave-packet beat period T, e.g. "T/4", "3T/4", "0.5T".
@@ -152,42 +155,31 @@ def _load(args):
     return io_mod.load_scenario(config)
 
 
-def _describe(scenario, stream=None):
-    # late binding keeps output redirectable after import
-    stream = stream if stream is not None else sys.stdout
+def _describe(scenario, emit):
+    """Scenario summary, one emit(line) call per line."""
     wp = scenario.wave_packet
     pulse = scenario.pulse
-    period = scenario.period_fs
-    print(f"scenario: {scenario.name}", file=stream)
-    print(f"config digest: {scenario.digest}", file=stream)
-    if period is not None:
-        print(f"beat period T = {period:.6f} fs", file=stream)
-    print(f"mean wave-packet energy <E> = {wp.mean_energy_ev:.6f} eV", file=stream)
-    pol = " ".join("%g" % v for v in pulse.polarization)
-    print(f"pulse: omega_in = {pulse.photon_energy_ev:g} eV, "
-          f"tau = {pulse.duration_fwhm_fs:g} fs, polarization = [{pol}]",
-          file=stream)
-    channels = signal_mod.build_channels(wp, scenario.finals, pulse)
-    stated = {row.index: row.center_ev for row in scenario.table_rows}
-    print("F  E_F(eV)  center(eV)  stated(eV)  time-dep  |dyson|", file=stream)
-    for ch in channels:
-        given = stated.get(ch.index)
-        given_txt = f"{given:10.3f}" if given is not None else "         -"
-        print(f"{ch.index:<2d} {ch.final_energy_ev:7.3f}  {ch.omega_ev:10.3f} "
-              f"{given_txt}  {'yes' if ch.time_dependent else 'no ':<8s} "
-              f"{ch.dyson.norm():.6f}", file=stream)
-
-
-def _log_run(scenario):
-    wp = scenario.wave_packet
-    log.info("scenario %s (digest %s)", scenario.name, scenario.digest[:12])
-    log.info("mean wave-packet energy <E> = %.6f eV", wp.mean_energy_ev)
+    emit(f"scenario: {scenario.name}")
+    emit(f"config digest: {scenario.digest}")
     if scenario.period_fs is not None:
-        log.info("beat period T = %.6f fs", scenario.period_fs)
-    channels = signal_mod.build_channels(wp, scenario.finals, scenario.pulse)
-    for ch in channels:
-        log.info("channel F=%d: E_F=%.3f eV, center=%.3f eV, time-dependent=%s",
-                 ch.index, ch.final_energy_ev, ch.omega_ev, ch.time_dependent)
+        emit(f"beat period T = {scenario.period_fs:.6f} fs")
+    emit(f"mean wave-packet energy <E> = {wp.mean_energy_ev:.6f} eV")
+    pol = " ".join("%g" % v for v in pulse.polarization)
+    emit(f"pulse: omega_in = {pulse.photon_energy_ev:g} eV, "
+         f"tau = {pulse.duration_fwhm_fs:g} fs, polarization = [{pol}]")
+
+
+def _channel_table(scenario, records, emit):
+    """Channel table from signal.channel_records dicts (a map's or spectrum's
+    "channels" metadata), one emit(line) call per line."""
+    stated = {row.index: row.center_ev for row in scenario.table_rows}
+    emit("F  E_F(eV)  center(eV)  stated(eV)  time-dep  |dyson|")
+    for rec in records:
+        given = stated.get(rec["index"])
+        given_txt = f"{given:10.3f}" if given is not None else "         -"
+        emit(f"{rec['index']:<2d} {rec['final_energy_ev']:7.3f}  {rec['omega_ev']:10.3f} "
+             f"{given_txt}  {'yes' if rec['time_dependent'] else 'no ':<8s} "
+             f"{rec['dyson_norm']:.6f}")
 
 
 def _resolve_times(tokens, period_fs):
@@ -200,36 +192,89 @@ def _with_tau(pulse, tau_token, period_fs):
     return replace(pulse, duration_fwhm_fs=parse_time_token(tau_token, period_fs))
 
 
-def cmd_pmm(args):
-    scenario = _load(args)
-    if args.validate:
-        _describe(scenario)
-        return 0
-    _log_run(scenario)
-    pulse = _with_tau(scenario.pulse, args.tau, scenario.period_fs)
-    energies = args.energy or scenario.outputs["map_energies_ev"]
-    resolution = args.grid or scenario.outputs["map_resolution"]
-    times = _resolve_times(args.tp, scenario.period_fs)
-    args.out.mkdir(parents=True, exist_ok=True)
+def _default(value, fallback):
+    return fallback if value is None else value
+
+
+def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
+                mode="short", average=None):
+    """One map file per (row, delay), one signal call per row.
+
+    rows: (file tag, energy eV, pulse); average: (width eV, samples) for
+    energy-averaged maps, None for plain cuts.
+    """
+    times = _resolve_times(tokens, scenario.period_fs)
+    delays = [t for _, t in times]
+    wp, finals, mos = scenario.wave_packet, scenario.finals, scenario.mos
+    out.mkdir(parents=True, exist_ok=True)
     written = []
-    for energy in energies:
-        for token, t_fs in times:
-            if args.average:
-                n_avg = args.average_samples or scenario.outputs["average_samples"]
-                pmm = signal_mod.energy_average_pmm(
-                    energy, args.average, n_avg, t_fs, pulse,
-                    scenario.wave_packet, scenario.finals, scenario.mos,
-                    resolution, args.qmax, args.mode)
-            else:
-                pmm = signal_mod.pmm_cut(
-                    energy, t_fs, pulse, scenario.wave_packet, scenario.finals,
-                    scenario.mos, resolution, args.qmax, args.mode)
-            name = f"pmm_e{energy:g}_tp{time_label(token)}.dat"
-            written.append(io_mod.export_pmm(args.out / name, pmm,
-                                             digest=scenario.digest))
-    for path in written:
-        print(path)
-    return 0
+    for tag, energy, pulse in rows:
+        if average is None:
+            maps = signal_mod.pmm_cut(energy, delays, pulse, wp, finals, mos,
+                                      resolution, q_max, mode)
+        else:
+            maps = signal_mod.energy_average_pmm(
+                energy, average[0], average[1], delays, pulse, wp, finals, mos,
+                resolution, q_max, mode)
+        if not written:
+            _channel_table(scenario, maps[0].metadata["channels"], log.info)
+        for (token, _), pmm in zip(times, maps):
+            written.append(io_mod.export_pmm(
+                out / f"pmm_{tag}_tp{time_label(token)}.dat", pmm,
+                digest=scenario.digest))
+    return written
+
+
+def _write_spectra(scenario, out, names, tokens, energies, pulse, mode, states):
+    """One spectra file per delay (names[k] for tokens[k]), one column per
+    requested initial state, one signal call per state."""
+    delays = [t for _, t in _resolve_times(tokens, scenario.period_fs)]
+    columns = []
+    if states in ("excited", "both"):
+        columns.append(signal_mod.angle_integrated_spectrum(
+            energies, delays, pulse, scenario.wave_packet, scenario.finals,
+            scenario.mos, mode=mode, scenario="excited"))
+    if states in ("s0", "both"):
+        wp0, finals0 = scenario.ground_state()
+        columns.append(signal_mod.angle_integrated_spectrum(
+            energies, delays, pulse, wp0, finals0, scenario.mos, mode=mode,
+            scenario="s0"))
+    _channel_table(scenario, columns[0][0].metadata["channels"], log.info)
+    out.mkdir(parents=True, exist_ok=True)
+    return [io_mod.export_spectra(out / name, [column[k] for column in columns],
+                                  digest=scenario.digest)
+            for k, name in enumerate(names)]
+
+
+def _write_density(scenario, out, tokens, padding, spacing):
+    """One cube per time, all frames sharing one orbital evaluation."""
+    times = _resolve_times(tokens, scenario.period_fs)
+    grid = density_mod.default_density_grid(scenario.mos, padding, spacing)
+    frames = density_mod.density_timeseries(
+        scenario.wave_packet, scenario.mos, grid, [t for _, t in times])
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    for (token, _), frame in zip(times, frames):
+        written.append(io_mod.export_density(
+            out / f"density_tp{time_label(token)}.cube", frame,
+            digest=scenario.digest))
+        log.info("t = %s: charge gained %.3e e, lost %.3e e (net %.1e)",
+                 token, frame.charge_gained, frame.charge_lost, frame.net_charge)
+    return written
+
+
+def cmd_pmm(args, scenario):
+    outputs = scenario.outputs
+    pulse = _with_tau(scenario.pulse, args.tau, scenario.period_fs)
+    energies = _default(args.energy, outputs["map_energies_ev"])
+    average = None
+    if args.average is not None:
+        average = (args.average,
+                   _default(args.average_samples, outputs["average_samples"]))
+    return _write_maps(
+        scenario, args.out, [(f"e{e:g}", e, pulse) for e in energies], args.tp,
+        _default(args.grid, outputs["map_resolution"]), args.qmax, args.mode,
+        average)
 
 
 def _spectrum_energies(args, scenario):
@@ -240,70 +285,51 @@ def _spectrum_energies(args, scenario):
     return np.linspace(lo, hi, n)
 
 
-def cmd_spectrum(args):
-    scenario = _load(args)
-    if args.validate:
-        _describe(scenario)
-        return 0
-    _log_run(scenario)
+def cmd_spectrum(args, scenario):
     pulse = _with_tau(scenario.pulse, args.tau, scenario.period_fs)
-    energies = _spectrum_energies(args, scenario)
-    times = _resolve_times(args.tp, scenario.period_fs)
-    args.out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for token, t_fs in times:
-        spectra = []
-        if args.states in ("excited", "both"):
-            spectra.append(signal_mod.angle_integrated_spectrum(
-                energies, t_fs, pulse, scenario.wave_packet, scenario.finals,
-                scenario.mos, mode=args.mode, scenario="excited"))
-        if args.states in ("s0", "both"):
-            wp0, finals0 = scenario.ground_state()
-            spectra.append(signal_mod.angle_integrated_spectrum(
-                energies, t_fs, pulse, wp0, finals0, scenario.mos,
-                mode=args.mode, scenario="s0"))
-        for s in spectra:
-            s.metadata["t_p_fs"] = t_fs
-        name = f"spectrum_tp{time_label(token)}.dat"
-        written.append(io_mod.export_spectra(args.out / name, spectra,
-                                             digest=scenario.digest))
-    for path in written:
-        print(path)
-    return 0
+    names = [f"spectrum_tp{time_label(tok)}.dat" for tok in args.tp]
+    return _write_spectra(scenario, args.out, names, args.tp,
+                          _spectrum_energies(args, scenario), pulse, args.mode,
+                          args.states)
 
 
-def cmd_density(args, out_subdir=None):
-    scenario = _load(args)
-    if args.validate:
-        _describe(scenario)
-        return 0
-    _log_run(scenario)
-    tokens = args.tp or scenario.outputs["density_times"]
-    times = _resolve_times(tokens, scenario.period_fs)
-    spacing = args.spacing or scenario.outputs["density_spacing_angstrom"]
-    padding = args.padding or scenario.outputs["density_padding_angstrom"]
-    out = args.out if out_subdir is None else args.out / out_subdir
-    out.mkdir(parents=True, exist_ok=True)
-    grid = density_mod.default_density_grid(scenario.mos, padding, spacing)
-    frames = density_mod.density_timeseries(
-        scenario.wave_packet, scenario.mos, grid, [t for _, t in times])
-    written = []
-    for (token, _), frame in zip(times, frames):
-        name = f"density_tp{time_label(token)}.cube"
-        written.append(io_mod.export_density(out / name, frame,
-                                             digest=scenario.digest))
-        log.info("t = %s: charge gained %.3e e, lost %.3e e (net %.1e)",
-                 token, frame.charge_gained, frame.charge_lost, frame.net_charge)
-    for path in written:
-        print(path)
-    return 0
+def cmd_density(args, scenario):
+    outputs = scenario.outputs
+    return _write_density(
+        scenario, args.out, _default(args.tp, outputs["density_times"]),
+        _default(args.padding, outputs["density_padding_angstrom"]),
+        _default(args.spacing, outputs["density_spacing_angstrom"]))
 
 
-def cmd_dyson(args):
-    scenario = _load(args)
-    if args.validate:
-        _describe(scenario)
-        return 0
+def cmd_reproduce(args, scenario):
+    outputs = scenario.outputs
+    out = args.out / args.target
+    tokens = args.tp or ["0", "T/4", "T/2", "3T/4"]
+    resolution = _default(args.grid, outputs["map_resolution"])
+    if args.target == "fig2":
+        return _write_density(scenario, out, tokens,
+                              outputs["density_padding_angstrom"],
+                              outputs["density_spacing_angstrom"])
+    if args.target == "fig3":
+        lo, hi, n = outputs["spectrum_window_ev"]
+        return _write_spectra(scenario, out, ["spectra.dat"], (args.tp or ["0"])[:1],
+                              np.linspace(float(lo), float(hi), int(n)),
+                              scenario.pulse, "short", "both")
+    if args.target == "fig6":
+        energy = float(_default(args.energy, [99.0])[0])
+        rows = [(f"tau{time_label(tau)}", energy,
+                 _with_tau(scenario.pulse, tau, scenario.period_fs))
+                for tau in args.tau or ["0.5", "T/4", "T/2"]]
+        return _write_maps(scenario, out, rows, tokens, resolution, mode="long",
+                           average=(outputs["average_width_ev"],
+                                    outputs["average_samples"]))
+    default = [99.0] if args.target == "fig4" else [90.0, 93.0, 96.0, 99.0]
+    rows = [(f"e{e:g}", float(e), scenario.pulse)
+            for e in _default(args.energy, default)]
+    return _write_maps(scenario, out, rows, tokens, resolution)
+
+
+def cmd_dyson(args, scenario):
     t_fs = parse_time_token(args.tp, scenario.period_fs)
     match = [s for i, s in scenario.finals if i == args.final]
     if not match:
@@ -317,101 +343,34 @@ def cmd_dyson(args):
         print(f"orbital {offset_label(orb):<5s} spin {spin_name[spin]:<4s} "
               f"|c| = {abs(coeff):.12e}")
     print(f"norm = {dyson.norm():.12e}")
-    return 0
 
 
-def cmd_validate(args):
-    scenario = _load(args)
-    _describe(scenario)
-    return 0
-
-
-def cmd_reproduce(args):
-    scenario = _load(args)
-    if args.validate:
-        _describe(scenario)
-        return 0
-    _log_run(scenario)
-    period = scenario.period_fs
-    quarter_times = ["0", "T/4", "T/2", "3T/4"]
-    out = args.out / args.target
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    if args.target == "fig2":
-        tokens = args.tp or quarter_times
-        times = _resolve_times(tokens, period)
-        grid = density_mod.default_density_grid(
-            scenario.mos, scenario.outputs["density_padding_angstrom"],
-            scenario.outputs["density_spacing_angstrom"])
-        frames = density_mod.density_timeseries(
-            scenario.wave_packet, scenario.mos, grid, [t for _, t in times])
-        for (token, _), frame in zip(times, frames):
-            written.append(io_mod.export_density(
-                out / f"density_tp{time_label(token)}.cube", frame,
-                digest=scenario.digest))
-    elif args.target == "fig3":
-        lo, hi, n = scenario.outputs["spectrum_window_ev"]
-        energies = np.linspace(float(lo), float(hi), int(n))
-        t_fs = parse_time_token((args.tp or ["0"])[0], period)
-        excited = signal_mod.angle_integrated_spectrum(
-            energies, t_fs, scenario.pulse, scenario.wave_packet,
-            scenario.finals, scenario.mos, scenario="excited")
-        wp0, finals0 = scenario.ground_state()
-        ground = signal_mod.angle_integrated_spectrum(
-            energies, t_fs, scenario.pulse, wp0, finals0, scenario.mos,
-            scenario="s0")
-        written.append(io_mod.export_spectra(out / "spectra.dat",
-                                             [excited, ground],
-                                             digest=scenario.digest))
-    elif args.target in ("fig4", "fig5"):
-        if args.target == "fig4":
-            energies = args.energy or [99.0]
-        else:
-            energies = args.energy or [90.0, 93.0, 96.0, 99.0]
-        resolution = args.grid or scenario.outputs["map_resolution"]
-        tokens = args.tp or quarter_times
-        times = _resolve_times(tokens, period)
-        for energy in energies:
-            for token, t_fs in times:
-                pmm = signal_mod.pmm_cut(
-                    float(energy), t_fs, scenario.pulse, scenario.wave_packet,
-                    scenario.finals, scenario.mos, resolution)
-                written.append(io_mod.export_pmm(
-                    out / f"pmm_e{energy:g}_tp{time_label(token)}.dat", pmm,
-                    digest=scenario.digest))
-    elif args.target == "fig6":
-        energy = (args.energy or [99.0])[0]
-        resolution = args.grid or scenario.outputs["map_resolution"]
-        tau_tokens = args.tau or ["0.5", "T/4", "T/2"]
-        tokens = args.tp or quarter_times
-        times = _resolve_times(tokens, period)
-        width = scenario.outputs["average_width_ev"]
-        n_avg = scenario.outputs["average_samples"]
-        for tau_token in tau_tokens:
-            pulse = _with_tau(scenario.pulse, tau_token, period)
-            for token, t_fs in times:
-                pmm = signal_mod.energy_average_pmm(
-                    float(energy), width, n_avg, t_fs, pulse,
-                    scenario.wave_packet, scenario.finals, scenario.mos,
-                    resolution, mode="long")
-                written.append(io_mod.export_pmm(
-                    out / (f"pmm_tau{time_label(tau_token)}"
-                           f"_tp{time_label(token)}.dat"),
-                    pmm, digest=scenario.digest))
-    for path in written:
-        print(path)
-    return 0
-
-
-_COMMANDS = {
+# artifact writers: each returns the paths it wrote
+_WRITERS = {
     "pmm": cmd_pmm,
     "spectrum": cmd_spectrum,
     "density": cmd_density,
-    "dyson": cmd_dyson,
-    "validate": cmd_validate,
     "reproduce-figure": cmd_reproduce,
 }
+
+
+def _dispatch(args):
+    """Load the scenario; validate (or --validate) prints its summary and
+    channel table, dyson prints coefficients, every other command logs the
+    summary, writes its artifacts and prints their paths."""
+    scenario = _load(args)
+    if args.command == "validate" or args.validate:
+        _describe(scenario, print)
+        channels = signal_mod.build_channels(scenario.wave_packet, scenario.finals,
+                                             scenario.pulse)
+        _channel_table(scenario, signal_mod.channel_records(channels), print)
+    elif args.command == "dyson":
+        cmd_dyson(args, scenario)
+    else:
+        _describe(scenario, log.info)
+        for path in _WRITERS[args.command](args, scenario):
+            print(path)
+    return 0
 
 
 def main(argv=None):
@@ -421,7 +380,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _dispatch(args)
     except _HANDLED as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

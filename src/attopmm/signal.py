@@ -1,24 +1,38 @@
 """Observable synthesis: photoelectron probabilities for sudden (short
-pulse) and finite-duration probes, spectral envelopes, constant-energy
-momentum maps, angle-integrated spectra, and energy-resolution averaging.
+pulse) and finite-duration (long) probes, spectral envelopes,
+constant-energy momentum maps, angle-integrated spectra, and
+energy-resolution averaging.
 
 Physics conventions:
-  * photoelectron probability (short pulse, sudden limit):
-        P(q, t_p) = pref * |eps_in . q|^2 * sum_{F,sigma}
-                    exp(-(Omega_F - eps_e)^2 tau^2 / (4 ln2))
-                    * | sum_terms coeff(t_p) * F[phi](q) |^2
-    with eps_e = |q|^2 / 2 and Omega_F = omega_in + <E> - E_F;
-  * finite-duration probe: the per-member Gaussian envelope
-    exp(-(omega_in + E_I - E_F - eps_e)^2 tau^2 / (8 ln2)) moves inside the
-    coherent member sum (amplitude level), same prefactor;
+  * the probe delay t_p enters only through the wave-packet member phases
+    z_I(t_p) = C_I exp(-i E_I (t_p - t0)), so every probability is the
+    bilinear form
+        P(q, t_p) = pref * sum_IJ Re[z_I*(t_p) z_J(t_p) K_IJ(q)],
+        K_IJ(q)   = |eps_in . q|^2 sum_{F,sigma} W_FIJ(eps_e)
+                    conj(R_FsigmaI(q)) R_FsigmaJ(q),
+    with eps_e = |q|^2 / 2 and R_FsigmaI = D_FsigmaI @ F[orbitals](q) the
+    transform of member I's un-phased Dyson orbital (D: member x orbital
+    coefficient matrix of channel F and spin sigma). A delay series costs
+    one kernel per grid, then M^2 products per sample and delay;
+  * pair weights: short pulse (sudden limit) W_FIJ = envelope_short, the
+    probability-level window exp(-(Omega_F - eps_e)^2 tau^2 / (4 ln2)) with
+    Omega_F = omega_in + <E> - E_F, for every member pair; finite-duration
+    probe W_FIJ = g_FI g_FJ with the amplitude-level member envelope
+    g_FI = envelope_long = exp(-(omega_in + E_I - E_F - eps_e)^2 tau^2
+    / (8 ln2)), i.e. the envelopes sit inside the coherent member sum;
+  * a channel whose largest diagonal weight max_I W_FII at the map or
+    spectrum energy is below the threshold is left out of that kernel;
   * default intensity normalization sets the overall prefactor
-    tau^2 I0 / (8 pi ln2 omega_in^2 c) to one ("relative", matching
+    pref = tau^2 I0 / (8 pi ln2 omega_in^2 c) to one ("relative", matching
     arbitrary-unit maps); "absolute" evaluates it in atomic units;
   * angle integration uses the density-of-states measure
-    S(eps) = q * Integral P dOmega with q = sqrt(2 eps).
+    S(eps) = q * Integral P dOmega with q = sqrt(2 eps), so each energy's
+    kernel is integrated over the sphere into one M x M matrix.
 
 All momenta entering ops in this module are atomic units; energies and
-times cross the interface in eV/fs.
+times cross the interface in eV/fs. Map, spectrum and probability
+functions take one delay t_p_fs (one result) or a 1-D sequence of delays
+(a list with one result per delay).
 """
 
 from __future__ import annotations
@@ -29,12 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraError, assemble_dyson
+from .algebra import assemble_dyson
 from .model import (
     BOHR_ANGSTROM,
-    DOWN,
     HARTREE_EV,
-    UP,
     ElectronicState,
     ProbePulse,
     WavePacket,
@@ -124,48 +136,106 @@ def build_channels(wp: WavePacket, finals, pulse: ProbePulse):
     return channels
 
 
-def _orbital_lookup(mos):
-    table = {}
-    for mo in mos:
-        table[mo.offset] = mo
-    return table
+def channel_records(channels):
+    """Plain-dict summary per channel: index, final and center energies
+    (eV), time dependence and Dyson norm."""
+    return [{"index": ch.index, "final_energy_ev": ch.final_energy_ev,
+             "omega_ev": ch.omega_ev, "time_dependent": ch.time_dependent,
+             "dyson_norm": ch.dyson.norm()} for ch in channels]
 
 
-class _GridAmplitudes:
-    """Per (channel, spin, member) complex amplitude rows on one grid.
+# ---------------------------------------------------------------------------
+# member-pair coherence kernels
 
-    row[c][spin][i] = sum over the member-i Dyson terms of that spin of
-    coeff * F[orbital](q); None when the member does not feed the spin.
-    """
+def _pair_weights(ch, eps_ev, pulse, wp, mode):
+    """W_IJ of one channel at photoelectron energies eps_ev (eV), shape
+    (M, M) + shape(eps_ev); the short-mode window is shared by all pairs."""
+    tau = pulse.duration_fwhm_fs
+    if mode == "short":
+        env = envelope_short(ch.omega_ev, eps_ev, tau)
+        return np.broadcast_to(env, (wp.n_members,) * 2 + np.shape(env))
+    if mode == "long":
+        env = np.array([envelope_long(pulse.photon_energy_ev, e_i,
+                                      ch.final_energy_ev, eps_ev, tau)
+                        for _, e_i, _ in wp.members])
+        return env[:, None] * env[None, :]
+    raise SignalError(f"unknown probe mode {mode!r}")
 
-    def __init__(self, channels, mos, grid: MomentumGrid):
-        table = _orbital_lookup(mos)
-        needed = sorted({orb for ch in channels
-                         for member in ch.dyson.per_member
-                         for _, orb, _ in member})
-        missing = [o for o in needed if o not in table]
-        if missing:
-            raise SignalError(f"no orbital supplied for offsets {missing}")
-        ft = dict(zip(needed, momentum.orbital_ft([table[o] for o in needed], grid)))
-        self.rows = []
-        for ch in channels:
-            by_spin = {}
-            for spin in (UP, DOWN):
-                members = []
-                hit = False
-                for member in ch.dyson.per_member:
-                    terms = [(c, orb) for c, orb, s in member if s == spin]
-                    if terms:
-                        row = np.zeros(grid.n_samples, dtype=complex)
-                        for c, orb in terms:
-                            row += c * ft[orb]
-                        members.append(row)
-                        hit = True
-                    else:
-                        members.append(None)
-                if hit:
-                    by_spin[spin] = members
-            self.rows.append(by_spin)
+
+def _screen(channels, energy_ev, pulse, wp, mode, min_envelope):
+    """Per channel max_I W_II at energy_ev, and whether it is under
+    min_envelope (the channel is then skipped)."""
+    peaks = [float(np.max(np.diagonal(_pair_weights(ch, energy_ev, pulse, wp, mode))))
+             for ch in channels]
+    return peaks, [peak < min_envelope for peak in peaks]
+
+
+def _dyson_matrices(channels, mos):
+    """The orbitals the channels ionize, and per channel the un-phased Dyson
+    coefficient matrices D[member, orbital] of each spin it feeds."""
+    table = {mo.offset: mo for mo in mos}
+    needed = sorted({orb for ch in channels
+                     for member in ch.dyson.per_member
+                     for _, orb, _ in member})
+    missing = [o for o in needed if o not in table]
+    if missing:
+        raise SignalError(f"no orbital supplied for offsets {missing}")
+    column = {orb: k for k, orb in enumerate(needed)}
+    matrices = []
+    for ch in channels:
+        by_spin = {}
+        for i, member in enumerate(ch.dyson.per_member):
+            for c, orb, spin in member:
+                d = by_spin.setdefault(spin, np.zeros(
+                    (len(ch.dyson.per_member), len(needed)), dtype=complex))
+                d[i, column[orb]] += c
+        matrices.append([by_spin[spin] for spin in sorted(by_spin)])
+    return [table[o] for o in needed], matrices
+
+
+def _kernel(grid: MomentumGrid, basis, channels, matrices, skip, pulse, wp, mode,
+            out=None):
+    """K[I, J, n] at the grid samples (module docstring), shape
+    (M, M, n_samples), added to `out` when given. Invalid samples and the
+    channels flagged in skip add nothing; one member pair of one
+    channel-spin term is held at a time, and a new kernel is allocated only
+    after the orbital transforms."""
+    n_members = wp.n_members
+    shape = (n_members, n_members, grid.n_samples)
+    if all(skip):
+        return np.zeros(shape, dtype=complex) if out is None else out
+    ft = momentum.orbital_ft(basis, grid)
+    q = grid.samples
+    eps_ev = 0.5 * np.einsum("ij,ij->i", q, q) * HARTREE_EV
+    scale = (q @ pulse.polarization) ** 2 * grid.valid
+    if out is None:
+        out = np.zeros(shape, dtype=complex)
+    for ch, mats, s in zip(channels, matrices, skip):
+        if s:
+            continue
+        weights = _pair_weights(ch, eps_ev, pulse, wp, mode)
+        for d in mats:
+            rows = d @ ft
+            for i, j in np.ndindex(n_members, n_members):
+                out[i, j] += rows[i].conj() * rows[j] * weights[i, j] * scale
+    return out
+
+
+def _delays(t_p_fs):
+    """Delays as a 1-D float array, and whether a single number was given."""
+    times = np.asarray(t_p_fs, dtype=float)
+    if times.ndim > 1 or not times.size:
+        raise SignalError("probe delay must be a number or a non-empty 1-D sequence")
+    return times.reshape(-1), times.ndim == 0
+
+
+def _at_delays(kernel, wp, times, prefactor):
+    """prefactor * Re[z(t)^H K z(t)] for each delay t; K is (M, M, ...)."""
+    out = []
+    for t in times:
+        z = np.array([wave_packet_phase(wp, i, t) for i in range(wp.n_members)])
+        out.append(np.einsum("i,ij...,j->...", z.conj(), kernel, z).real * prefactor)
+    return out
 
 
 def _prefactor(pulse: ProbePulse, normalization):
@@ -179,80 +249,28 @@ def _prefactor(pulse: ProbePulse, normalization):
     raise SignalError(f"unknown normalization mode {normalization!r}")
 
 
-def _member_phases(wp: WavePacket, t_p_fs):
-    return [wave_packet_phase(wp, i, t_p_fs) for i in range(wp.n_members)]
-
-
-def _evaluate_on_samples(channels, amps: _GridAmplitudes, samples, wp, pulse,
-                         t_p_fs, mode, normalization, skip=None):
-    """Probability at each sample row. skip: boolean per channel."""
-    eps_au = 0.5 * np.einsum("ij,ij->i", samples, samples)
-    eps_ev = eps_au * HARTREE_EV
-    proj = (samples @ pulse.polarization) ** 2
-    phases = _member_phases(wp, t_p_fs)
-    total = np.zeros(len(samples))
-    for k, (ch, by_spin) in enumerate(zip(channels, amps.rows)):
-        if skip is not None and skip[k]:
-            continue
-        if mode == "short":
-            env = envelope_short(ch.omega_ev, eps_ev, pulse.duration_fwhm_fs)
-            for spin in sorted(by_spin):
-                amp = np.zeros(len(samples), dtype=complex)
-                for i, row in enumerate(by_spin[spin]):
-                    if row is not None:
-                        amp += phases[i] * row
-                total += env * (amp.real ** 2 + amp.imag ** 2)
-        elif mode == "long":
-            member_env = [envelope_long(pulse.photon_energy_ev, wp.members[i][1],
-                                        ch.final_energy_ev, eps_ev,
-                                        pulse.duration_fwhm_fs)
-                          for i in range(wp.n_members)]
-            for spin in sorted(by_spin):
-                amp = np.zeros(len(samples), dtype=complex)
-                for i, row in enumerate(by_spin[spin]):
-                    if row is not None:
-                        amp += phases[i] * member_env[i] * row
-                total += amp.real ** 2 + amp.imag ** 2
-        else:
-            raise SignalError(f"unknown probe mode {mode!r}")
-    return total * proj * _prefactor(pulse, normalization)
-
-
-def _free_grid(q):
-    q = np.asarray(q, dtype=float).reshape(-1, 3)
-    return MomentumGrid(mode="free-samples", samples=q,
-                        valid=np.ones(len(q), dtype=bool))
-
-
-def probability_short(q, t_p_fs, pulse, wp, finals, mos, normalization="relative"):
-    """Sudden-limit probability at momentum q (a.u.), shape (3,) or (N,3).
+def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short",
+                normalization="relative"):
+    """Photoelectron probability at momentum q (a.u.), shape (3,) -> float
+    or (N, 3) -> (N,) array; mode "short" (sudden limit) or "long"
+    (per-member envelopes inside the coherent sum).
 
     q = 0 is a degenerate input (no photoelectron): the polarization
     projection zeroes it and the value is 0.
     """
-    if not list(finals):
-        raise SignalError("empty final-state list")
-    single = np.asarray(q, dtype=float).ndim == 1
-    grid = _free_grid(q)
+    times, single = _delays(t_p_fs)
+    q = np.asarray(q, dtype=float)
+    samples = q.reshape(-1, 3)
+    grid = MomentumGrid(mode="free-samples", samples=samples,
+                        valid=np.ones(len(samples), dtype=bool))
     channels = build_channels(wp, finals, pulse)
-    amps = _GridAmplitudes(channels, mos, grid)
-    out = _evaluate_on_samples(channels, amps, grid.samples, wp, pulse, t_p_fs,
-                               "short", normalization)
-    return float(out[0]) if single else out
-
-
-def probability_long(q, t_p_fs, pulse, wp, finals, mos, normalization="relative"):
-    """Finite-duration probability at momentum q (a.u.); per-member envelopes
-    inside the coherent sum."""
-    if not list(finals):
-        raise SignalError("empty final-state list")
-    single = np.asarray(q, dtype=float).ndim == 1
-    grid = _free_grid(q)
-    channels = build_channels(wp, finals, pulse)
-    amps = _GridAmplitudes(channels, mos, grid)
-    out = _evaluate_on_samples(channels, amps, grid.samples, wp, pulse, t_p_fs,
-                               "long", normalization)
-    return float(out[0]) if single else out
+    basis, matrices = _dyson_matrices(channels, mos)
+    kernel = _kernel(grid, basis, channels, matrices, [False] * len(channels),
+                     pulse, wp, mode)
+    out = _at_delays(kernel, wp, times, _prefactor(pulse, normalization))
+    if q.ndim == 1:
+        out = [float(v[0]) for v in out]
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -307,60 +325,33 @@ class Spectrum:
             raise SignalError("negative probability in spectrum")
 
 
-def _channel_skip_mask(channels, energy_ev, pulse, mode, wp,
-                       min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
-    """Channels whose envelope at the map energy stays under the threshold."""
-    skip = []
-    for ch in channels:
-        if mode == "short":
-            env = envelope_short(ch.omega_ev, energy_ev, pulse.duration_fwhm_fs)
-        else:
-            env = max(envelope_long(pulse.photon_energy_ev, e_i,
-                                    ch.final_energy_ev, energy_ev,
-                                    pulse.duration_fwhm_fs) ** 2
-                      for _, e_i, _ in wp.members)
-        skip.append(env < min_envelope)
-    return skip
+def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
+                     resolution, q_max_inv_angstrom, mode, normalization,
+                     min_envelope, average=None):
+    """Maps labeled energy_ev, averaged uniformly over the hemisphere cuts
+    at `energies` (one energy: a plain cut), one per delay.
 
-
-def _channel_records(channels, skip, energy_ev, pulse):
-    recs = []
-    for ch, s in zip(channels, skip):
-        recs.append({
-            "index": ch.index,
-            "final_energy_ev": ch.final_energy_ev,
-            "omega_ev": ch.omega_ev,
-            "envelope": envelope_short(ch.omega_ev, energy_ev,
-                                       pulse.duration_fwhm_fs),
-            "time_dependent": ch.time_dependent,
-            "skipped": bool(s),
-        })
-    return recs
-
-
-def pmm_cut(energy_ev, t_p_fs, pulse, wp, finals, mos, resolution=201,
-            q_max_inv_angstrom=None, mode="short", normalization="relative",
-            channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
-    """Hemispherical constant-energy cut at photoelectron energy eps (eV)."""
+    The cuts share one (q_x, q_y) raster; a raster sample outside a given
+    energy's kinematic disc contributes zero at that energy. Channel
+    records and the disc radius are those of the last energy.
+    """
+    times, single = _delays(t_p_fs)
     channels = build_channels(wp, finals, pulse)
-    return _hemisphere_cut(energy_ev, t_p_fs, pulse, wp, channels, mos,
-                           resolution, q_max_inv_angstrom, mode, normalization,
-                           channel_min_envelope)
-
-
-def _hemisphere_cut(energy_ev, t_p_fs, pulse, wp, channels, mos, resolution,
-                    q_max_inv_angstrom, mode, normalization, channel_min_envelope):
-    grid = build_hemisphere(energy_ev, resolution, resolution, q_max_inv_angstrom)
-    skip = _channel_skip_mask(channels, energy_ev, pulse, mode, wp,
-                              channel_min_envelope)
-    skipped = [ch.index for ch, s in zip(channels, skip) if s]
-    if skipped:
-        log.info("map at %.3f eV skips channels %s (envelope < %g)",
-                 energy_ev, skipped, channel_min_envelope)
-    amps = _GridAmplitudes(channels, mos, grid)
-    vals = _evaluate_on_samples(channels, amps, grid.samples, wp, pulse,
-                                t_p_fs, mode, normalization, skip=skip)
-    vals = np.where(grid.valid, vals, 0.0).reshape(grid.shape)
+    basis, matrices = _dyson_matrices(channels, mos)
+    total, valid = None, False
+    for e in energies:
+        grid = build_hemisphere(e, resolution, resolution, q_max_inv_angstrom)
+        valid = valid | grid.valid
+        peaks, skip = _screen(channels, e, pulse, wp, mode, min_envelope)
+        skipped = [ch.index for ch, s in zip(channels, skip) if s]
+        if skipped:
+            log.info("map at %.3f eV skips channels %s (envelope < %g)",
+                     e, skipped, min_envelope)
+        total = _kernel(grid, basis, channels, matrices, skip, pulse, wp, mode,
+                        total)
+    total /= float(len(energies))
+    records = [dict(rec, envelope=peak, skipped=s)
+               for rec, peak, s in zip(channel_records(channels), peaks, skip)]
     meta = {
         "tau_fs": pulse.duration_fwhm_fs,
         "omega_in_ev": pulse.photon_energy_ev,
@@ -368,12 +359,27 @@ def _hemisphere_cut(energy_ev, t_p_fs, pulse, wp, channels, mos, resolution,
         "mode": mode,
         "normalization": normalization,
         "t0_fs": wp.t0_fs,
-        "q_disc_inv_angstrom": math.sqrt(2.0 * ev_to_hartree(energy_ev))
-                               / BOHR_ANGSTROM,
-        "channels": _channel_records(channels, skip, energy_ev, pulse),
+        "q_disc_inv_angstrom": math.sqrt(2.0 * ev_to_hartree(e)) / BOHR_ANGSTROM,
+        "channels": records,
     }
-    return PMM(energy_ev=float(energy_ev), t_p_fs=float(t_p_fs), values=vals,
-               axis_x=grid.axis_x, axis_y=grid.axis_y, metadata=meta)
+    if average is not None:
+        meta["energy_average"] = average
+    values = _at_delays(total, wp, times, _prefactor(pulse, normalization))
+    maps = [PMM(energy_ev=float(energy_ev), t_p_fs=float(t),
+                values=np.where(valid, v, 0.0).reshape(grid.shape),
+                axis_x=grid.axis_x, axis_y=grid.axis_y, metadata=dict(meta))
+            for t, v in zip(times, values)]
+    return maps[0] if single else maps
+
+
+def pmm_cut(energy_ev, t_p_fs, pulse, wp, finals, mos, resolution=201,
+            q_max_inv_angstrom=None, mode="short", normalization="relative",
+            channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
+    """Hemispherical constant-energy cut at photoelectron energy eps (eV):
+    a PMM for one delay t_p_fs, a list of PMMs for a 1-D delay sequence."""
+    return _hemisphere_maps(energy_ev, [float(energy_ev)], t_p_fs, pulse, wp,
+                            finals, mos, resolution, q_max_inv_angstrom, mode,
+                            normalization, channel_min_envelope)
 
 
 def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
@@ -384,7 +390,8 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
 
     Every energy keeps its own hemisphere (its own q_z), all sharing one
     (q_x, q_y) raster; raster samples outside a given energy's kinematic
-    disc contribute zero at that energy.
+    disc contribute zero at that energy. The average is taken over the
+    kernels, so a delay series costs one kernel per energy.
     """
     if not width_ev > 0:
         raise SignalError("averaging width must be positive")
@@ -395,25 +402,12 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
         q_max_inv_angstrom = math.sqrt(2.0 * e_au) / BOHR_ANGSTROM
     energies = np.linspace(energy_center_ev - 0.5 * width_ev,
                            energy_center_ev + 0.5 * width_ev, int(n_energies))
-    channels = build_channels(wp, finals, pulse)
-    acc = None
-    base = None
-    for e in energies:
-        m = _hemisphere_cut(float(e), t_p_fs, pulse, wp, channels, mos,
-                            resolution, q_max_inv_angstrom, mode, normalization,
-                            channel_min_envelope)
-        acc = m.values.copy() if acc is None else acc + m.values
-        base = m
-    vals = acc / float(len(energies))
-    meta = dict(base.metadata)
-    meta["energy_average"] = {"center_ev": float(energy_center_ev),
-                              "width_ev": float(width_ev),
-                              "n_energies": int(n_energies)}
-    meta["q_disc_inv_angstrom"] = (math.sqrt(2.0 * ev_to_hartree(energies[-1]))
-                                   / BOHR_ANGSTROM)
-    return PMM(energy_ev=float(energy_center_ev), t_p_fs=float(t_p_fs),
-               values=vals, axis_x=base.axis_x, axis_y=base.axis_y,
-               metadata=meta)
+    average = {"center_ev": float(energy_center_ev), "width_ev": float(width_ev),
+               "n_energies": int(n_energies)}
+    return _hemisphere_maps(energy_center_ev, [float(e) for e in energies],
+                            t_p_fs, pulse, wp, finals, mos, resolution,
+                            q_max_inv_angstrom, mode, normalization,
+                            channel_min_envelope, average)
 
 
 def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
@@ -421,35 +415,38 @@ def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
                               normalization="relative",
                               scenario="excited",
                               channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
-    """S(eps) = q * Integral P dOmega on the listed photoelectron energies."""
+    """S(eps) = q * Integral P dOmega on the listed photoelectron energies:
+    a Spectrum for one delay t_p_fs, a list for a 1-D delay sequence."""
     energies = np.asarray(energies_ev, dtype=float).reshape(-1)
     if not len(energies) or np.any(energies <= 0):
         raise SignalError("photoelectron energies must be positive")
+    times, single = _delays(t_p_fs)
     channels = build_channels(wp, finals, pulse)
+    basis, matrices = _dyson_matrices(channels, mos)
     quadrature = sphere_quadrature(n_polar, n_azimuth)
-    out = np.zeros(len(energies))
+    integrated = np.zeros((wp.n_members, wp.n_members, len(energies)), dtype=complex)
     for k, e in enumerate(energies):
-        grid = build_sphere(float(e), n_polar, n_azimuth, quadrature)
-        skip = _channel_skip_mask(channels, float(e), pulse, mode, wp,
-                                  channel_min_envelope)
+        _, skip = _screen(channels, float(e), pulse, wp, mode, channel_min_envelope)
         if all(skip):
             continue
-        amps = _GridAmplitudes(channels, mos, grid)
-        p = _evaluate_on_samples(channels, amps, grid.samples, wp, pulse,
-                                 t_p_fs, mode, normalization, skip=skip)
+        grid = build_sphere(float(e), n_polar, n_azimuth, quadrature)
+        kernel = _kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
         q_au = math.sqrt(2.0 * ev_to_hartree(float(e)))
-        out[k] = q_au * float(np.dot(grid.weights, p))
+        integrated[..., k] = q_au * (kernel * grid.weights).sum(axis=-1)
     meta = {
         "tau_fs": pulse.duration_fwhm_fs,
         "omega_in_ev": pulse.photon_energy_ev,
         "polarization": tuple(pulse.polarization),
-        "t_p_fs": float(t_p_fs),
         "mode": mode,
         "quadrature": (int(n_polar), int(n_azimuth)),
         "normalization": normalization,
+        "channels": channel_records(channels),
     }
-    return Spectrum(energies_ev=energies, values=out, scenario=scenario,
-                    metadata=meta)
+    values = _at_delays(integrated, wp, times, _prefactor(pulse, normalization))
+    spectra = [Spectrum(energies_ev=energies, values=v, scenario=scenario,
+                        metadata=dict(meta, t_p_fs=float(t)))
+               for t, v in zip(times, values)]
+    return spectra[0] if single else spectra
 
 
 # ---------------------------------------------------------------------------

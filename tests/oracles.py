@@ -3,12 +3,18 @@
 Deliberately written in a different formalism from the package code:
 numeric Gauss-Legendre quadrature instead of closed-form transforms,
 occupation-number (bitstring) second quantization instead of ordered
-spin-orbital tuples, and text writers that call '%' once per value instead
-of formatting blocks of digits with numpy, so agreement is evidence rather
-than tautology.
+spin-orbital tuples, text writers that call '%' once per value instead
+of formatting blocks of digits with numpy, and probabilities squared from
+phased member amplitudes one delay at a time instead of member-pair
+kernels, so agreement is evidence rather than tautology.
 """
 
 import numpy as np
+
+from attopmm import momentum
+from attopmm.model import DOWN, HARTREE_EV, UP, WavePacket, wave_packet_phase
+from attopmm.momentum import MomentumGrid
+from attopmm.signal import SignalError, _prefactor, envelope_long, envelope_short
 
 TWO_PI = 2.0 * np.pi
 
@@ -195,3 +201,91 @@ def reference_export_spectra(path, spectra, digest=None):
         lines.append("\t".join("%.12e" % v for v in vals))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+# ---------------------------------------------------------------------------
+# probabilities one delay at a time
+#
+# Per channel and spin the member amplitudes are summed with explicit
+# phases, then squared; the long mode puts the member envelopes inside that
+# sum, one branch per mode. The package forms member-pair kernels instead.
+
+
+class ReferenceAmplitudes:
+    """Per (channel, spin, member) complex amplitude rows on one grid.
+
+    row[c][spin][i] = sum over the member-i Dyson terms of that spin of
+    coeff * F[orbital](q); None when the member does not feed the spin.
+    """
+
+    def __init__(self, channels, mos, grid: MomentumGrid):
+        table = {}
+        for mo in mos:
+            table[mo.offset] = mo
+        needed = sorted({orb for ch in channels
+                         for member in ch.dyson.per_member
+                         for _, orb, _ in member})
+        missing = [o for o in needed if o not in table]
+        if missing:
+            raise SignalError(f"no orbital supplied for offsets {missing}")
+        ft = dict(zip(needed, momentum.orbital_ft([table[o] for o in needed], grid)))
+        self.rows = []
+        for ch in channels:
+            by_spin = {}
+            for spin in (UP, DOWN):
+                members = []
+                hit = False
+                for member in ch.dyson.per_member:
+                    terms = [(c, orb) for c, orb, s in member if s == spin]
+                    if terms:
+                        row = np.zeros(grid.n_samples, dtype=complex)
+                        for c, orb in terms:
+                            row += c * ft[orb]
+                        members.append(row)
+                        hit = True
+                    else:
+                        members.append(None)
+                if hit:
+                    by_spin[spin] = members
+            self.rows.append(by_spin)
+
+
+def _member_phases(wp: WavePacket, t_p_fs):
+    return [wave_packet_phase(wp, i, t_p_fs) for i in range(wp.n_members)]
+
+
+def reference_probability(channels, amps: ReferenceAmplitudes, samples, wp, pulse,
+                          t_p_fs, mode, normalization, skip=None):
+    """Probability at each sample row. skip: boolean per channel."""
+    eps_au = 0.5 * np.einsum("ij,ij->i", samples, samples)
+    eps_ev = eps_au * HARTREE_EV
+    proj = (samples @ pulse.polarization) ** 2
+    phases = _member_phases(wp, t_p_fs)
+    total = np.zeros(len(samples))
+    for k, (ch, by_spin) in enumerate(zip(channels, amps.rows)):
+        if skip is not None and skip[k]:
+            continue
+        if mode == "short":
+            env = envelope_short(ch.omega_ev, eps_ev, pulse.duration_fwhm_fs)
+            for spin in sorted(by_spin):
+                amp = np.zeros(len(samples), dtype=complex)
+                for i, row in enumerate(by_spin[spin]):
+                    if row is not None:
+                        amp += phases[i] * row
+                total += env * (amp.real ** 2 + amp.imag ** 2)
+        elif mode == "long":
+            member_env = [envelope_long(pulse.photon_energy_ev, wp.members[i][1],
+                                        ch.final_energy_ev, eps_ev,
+                                        pulse.duration_fwhm_fs)
+                          for i in range(wp.n_members)]
+            for spin in sorted(by_spin):
+                amp = np.zeros(len(samples), dtype=complex)
+                for i, row in enumerate(by_spin[spin]):
+                    if row is not None:
+                        amp += phases[i] * member_env[i] * row
+                total += amp.real ** 2 + amp.imag ** 2
+        else:
+            raise SignalError(f"unknown probe mode {mode!r}")
+    return total * proj * _prefactor(pulse, normalization)
+
+

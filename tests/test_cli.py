@@ -197,3 +197,35 @@ def test_artifacts_independent_of_blas_threads(tmp_path, argv):
     one = _artifacts_with_blas_threads(tmp_path, 1, argv)
     two = _artifacts_with_blas_threads(tmp_path, 2, argv)
     assert one and one == two
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["pmm", "--energy", "99", "--grid", "0"], "MomentumError"),
+    (["pmm", "--energy", "99", "--grid", "1"], "MomentumError"),
+    (["reproduce-figure", "fig4", "--grid", "0"], "MomentumError"),
+    (["pmm", "--energy", "99", "--grid", "11", "--qmax", "0"], "MomentumError"),
+    (["pmm", "--energy", "99", "--grid", "11", "--qmax", "-2"], "MomentumError"),
+    (["pmm", "--energy", "99", "--grid", "11", "--qmax", "nan"], "MomentumError"),
+    (["pmm", "--energy", "99", "--grid", "11", "--qmax", "inf"], "MomentumError"),
+    (["pmm", "--energy", "99", "--grid", "11", "--average", "0"], "SignalError"),
+    (["pmm", "--energy", "99", "--grid", "11", "--average", "1",
+      "--average-samples", "0"], "SignalError"),
+    (["density", "--spacing", "0"], "DensityError"),
+    (["density", "--padding", "0"], "DensityError"),
+], ids=["grid-0", "grid-1", "fig4-grid-0", "qmax-0", "qmax-negative", "qmax-nan",
+        "qmax-inf", "average-0", "average-samples-0", "spacing-0", "padding-0"])
+def test_zero_or_invalid_numeric_option_exits_1(tmp_path, capsys, argv, error):
+    # 0 is a value, not "unset": it must be rejected, never replaced by a default
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == error
+
+
+def test_pmm_and_fig4_write_identical_maps(tmp_path):
+    args = ["--energy", "99", "--tp", "0", "T/4", "--grid", "41"]
+    assert main(["pmm", *args, "--out", str(tmp_path / "pmm")]) == 0
+    assert main(["reproduce-figure", "fig4", *args, "--out", str(tmp_path)]) == 0
+    pmm = {p.name: p.read_bytes() for p in sorted((tmp_path / "pmm").iterdir())}
+    fig4 = {p.name: p.read_bytes() for p in sorted((tmp_path / "fig4").iterdir())}
+    assert sorted(pmm) == ["pmm_e99_tp0.dat", "pmm_e99_tpT4.dat"]
+    assert pmm == fig4

@@ -12,7 +12,7 @@ from attopmm.algebra import (
 )
 from attopmm.huckel import huckel_orbitals
 from attopmm.model import HARTREE_EV, ElectronicState, ProbePulse, WavePacket, fs_to_au
-from attopmm.momentum import gaussian_ft
+from attopmm.momentum import build_hemisphere, gaussian_ft
 from attopmm.signal import (
     PMM,
     SignalError,
@@ -25,9 +25,10 @@ from attopmm.signal import (
     envelope_short,
     ground_state_scenario,
     pmm_cut,
-    probability_long,
-    probability_short,
+    probability,
 )
+
+from oracles import ReferenceAmplitudes, reference_probability
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +98,8 @@ def test_polarization_projection_zero(ctx):
     # q orthogonal to the z polarization (and q = 0) gives no signal
     qs = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [1.3, -0.4, 0.0],
                    [0.0, 0.0, 0.0]])
-    p = probability_short(qs, 0.0, ctx["pulse"], ctx["wp"], ctx["finals"],
-                          ctx["mos"])
+    p = probability(qs, 0.0, ctx["pulse"], ctx["wp"], ctx["finals"],
+                    ctx["mos"])
     assert np.allclose(p, 0.0, atol=1e-30)
 
 
@@ -106,12 +107,12 @@ def test_tilted_polarization_nodal_plane(ctx):
     # x-polarized probe: products of even/odd pi orbitals all vanish at q_x=0
     pulse = dataclasses.replace(ctx["pulse"], polarization=(1.0, 0.0, 0.0))
     qs = np.array([[0.0, 0.7, 1.9], [0.0, -1.2, 0.3]])
-    p = probability_short(qs, 0.0, pulse, ctx["wp"], ctx["finals"],
-                          ctx["mos"])
+    p = probability(qs, 0.0, pulse, ctx["wp"], ctx["finals"],
+                    ctx["mos"])
     assert np.allclose(p, 0.0, atol=1e-30)
     q_on = np.array([[0.8, 0.7, 1.9]])
-    p_on = probability_short(q_on, 0.0, pulse, ctx["wp"], ctx["finals"],
-                             ctx["mos"])
+    p_on = probability(q_on, 0.0, pulse, ctx["wp"], ctx["finals"],
+                       ctx["mos"])
     assert p_on[0] > 0.0
 
 
@@ -119,10 +120,10 @@ def test_probability_even_in_qz(ctx):
     rng = np.random.default_rng(3)
     q = rng.uniform(-2.0, 2.0, size=(6, 3))
     mirrored = q * np.array([1.0, 1.0, -1.0])
-    a = probability_short(q, 0.3, ctx["pulse"], ctx["wp"], ctx["finals"],
-                          ctx["mos"])
-    b = probability_short(mirrored, 0.3, ctx["pulse"], ctx["wp"], ctx["finals"],
-                          ctx["mos"])
+    a = probability(q, 0.3, ctx["pulse"], ctx["wp"], ctx["finals"],
+                    ctx["mos"])
+    b = probability(mirrored, 0.3, ctx["pulse"], ctx["wp"], ctx["finals"],
+                    ctx["mos"])
     assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
@@ -132,8 +133,8 @@ def test_single_member_packet_time_independent(ctx):
         (1.0, singlet_excitation_csf(occ, 0, 1)),))
     wp = WavePacket(members=((1.0 + 0.0j, 3.9, state),))
     q = np.array([[0.5, 0.9, 1.7], [-1.1, 0.2, 0.8]])
-    a = probability_short(q, 0.0, ctx["pulse"], wp, ctx["finals"], ctx["mos"])
-    b = probability_short(q, 1.234, ctx["pulse"], wp, ctx["finals"], ctx["mos"])
+    a = probability(q, 0.0, ctx["pulse"], wp, ctx["finals"], ctx["mos"])
+    b = probability(q, 1.234, ctx["pulse"], wp, ctx["finals"], ctx["mos"])
     assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
@@ -329,14 +330,17 @@ def test_spectrum_validation():
 
 # --- full-formula cross-check ----------------------------------------------------
 
-def test_three_channel_manual_reconstruction(ctx):
-    """probability_short rebuilt term by term for the one-hole channels.
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_three_channel_manual_reconstruction(ctx, mode):
+    """probability rebuilt term by term for the one-hole channels.
 
     Restricts the finals to channels 1-3 and recomputes the signal from
     scratch: algebra-level overlap maps per wave-packet member, explicit
     C_I exp(-i E_I (t - t0)) phases, per-primitive Gaussian transforms,
-    the Gaussian energy window, and the polarization projection. Nothing
-    from the channel/amplitude assembly path is reused.
+    the energy window (short mode: one probability-level window per
+    channel; long mode: the amplitude-level envelope of each member inside
+    the coherent sum), and the polarization projection. Nothing from the
+    channel/kernel assembly path is reused.
     """
     wp, pulse = ctx["wp"], ctx["pulse"]
     finals = [(i, s) for i, s in ctx["finals"] if i in (1, 2, 3)]
@@ -351,12 +355,16 @@ def test_three_channel_manual_reconstruction(ctx):
     vec /= np.linalg.norm(vec, axis=1)[:, None]
     eps_ev = rng.uniform(90.0, 108.0, size=n_pts)
     qs = vec * np.sqrt(2.0 * eps_ev / HARTREE_EV)[:, None]
-    got = probability_short(qs, t_p, pulse, wp, finals, ctx["mos"])
+    got = probability(qs, t_p, pulse, wp, finals, ctx["mos"], mode=mode)
 
     def lcao_ft(offset, q):
         mo = mo_by_offset[offset]
         return sum(c * gaussian_ft(p, q)
                    for c, p in zip(mo.coefficients, mo.primitives))
+
+    def window(delta_ev, ln2_factor):
+        delta = delta_ev / HARTREE_EV
+        return math.exp(-delta * delta * tau_au * tau_au / (ln2_factor * math.log(2.0)))
 
     t_au = fs_to_au(t_p - wp.t0_fs)
     tau_au = fs_to_au(pulse.duration_fwhm_fs)
@@ -367,15 +375,103 @@ def test_three_channel_manual_reconstruction(ctx):
         total = 0.0
         for index, state in finals:
             omega = pulse.photon_energy_ev + wp.mean_energy_ev - state.energy_ev
-            delta = (eps - omega) / HARTREE_EV
-            window = math.exp(-delta * delta * tau_au * tau_au
-                              / (4.0 * math.log(2.0)))
             amp = {}
             for c_i, e_i, member in wp.members:
                 phase = c_i * cmath.exp(-1j * (e_i / HARTREE_EV) * t_au)
+                if mode == "long":
+                    phase *= window(eps - (pulse.photon_energy_ev + e_i - state.energy_ev), 8.0)
                 for (orb, spin), coeff in state_overlap_map(state, member).items():
                     amp[spin] = amp.get(spin, 0.0 + 0.0j) \
                         + phase * coeff * lcao_ft(orb, q)
-            total += window * sum(abs(a) ** 2 for a in amp.values())
+            weight = window(eps - omega, 4.0) if mode == "short" else 1.0
+            total += weight * sum(abs(a) ** 2 for a in amp.values())
         manual[k] = proj * total
     assert np.max(np.abs(got - manual)) <= 1e-12 * got.max()
+
+
+# --- member-pair kernels against the per-delay reference -----------------------
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_kernel_matches_per_delay_reference(ctx, mode):
+    # one delay-series call per energy (and one energy average) against the
+    # per-delay, per-mode amplitude evaluation of tests/oracles.py, on the
+    # same skipped channels
+    period = ctx["period"]
+    pulse = ctx["pulse"] if mode == "short" else dataclasses.replace(
+        ctx["pulse"], duration_fwhm_fs=period / 2.0)
+    delays = [0.0, 0.13 * period, period / 4.0, 0.37 * period, 0.81 * period]
+    channels = build_channels(ctx["wp"], ctx["finals"], pulse)
+    for energy in (95.6, 97.7, 99.0):
+        maps = pmm_cut(energy, delays, pulse, ctx["wp"], ctx["finals"],
+                       ctx["mos"], resolution=61, mode=mode)
+        assert [m.t_p_fs for m in maps] == delays
+        skip = [r["skipped"] for r in maps[0].metadata["channels"]]
+        grid = build_hemisphere(energy, 61, 61)
+        amps = ReferenceAmplitudes(channels, ctx["mos"], grid)
+        for t, m in zip(delays, maps):
+            ref = reference_probability(channels, amps, grid.samples, ctx["wp"],
+                                        pulse, t, mode, "relative", skip=skip)
+            ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
+            assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), (energy, t)
+        # a delay series is the same numbers as one call per delay
+        single = pmm_cut(energy, delays[3], pulse, ctx["wp"], ctx["finals"],
+                         ctx["mos"], resolution=61, mode=mode)
+        assert np.array_equal(single.values, maps[3].values)
+    # energy average: the mean of the masked per-energy reference maps
+    avg = energy_average_pmm(99.0, 1.0, 3, delays[:2], pulse, ctx["wp"],
+                             ctx["finals"], ctx["mos"], resolution=61, mode=mode,
+                             channel_min_envelope=0.0)
+    grids = [build_hemisphere(e, 61, 61, avg[0].axis_x[-1]) for e in (98.5, 99.0, 99.5)]
+    for t, m in zip(delays[:2], avg):
+        ref = sum(np.where(g.valid, reference_probability(
+            channels, ReferenceAmplitudes(channels, ctx["mos"], g), g.samples,
+            ctx["wp"], pulse, t, mode, "relative"), 0.0) for g in grids) / 3.0
+        ref = ref.reshape(m.values.shape)
+        assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), t
+    q = np.array([[0.4, -1.1, 2.4], [1.3, 0.2, 2.3]])
+    series = probability(q, delays, pulse, ctx["wp"], ctx["finals"], ctx["mos"],
+                         mode=mode)
+    assert len(series) == len(delays) and series[2].shape == (2,)
+    point = probability(q[0], delays[2], pulse, ctx["wp"], ctx["finals"],
+                        ctx["mos"], mode=mode)
+    assert isinstance(point, float)
+    assert point == pytest.approx(series[2][0], rel=1e-14, abs=0.0)
+
+
+def test_delay_sequence_results(ctx):
+    period = ctx["period"]
+    delays = (0.0, period / 2.0)
+    avg = energy_average_pmm(99.0, 1.0, 3, delays, ctx["pulse"], ctx["wp"],
+                             ctx["finals"], ctx["mos"], resolution=21)
+    assert [m.t_p_fs for m in avg] == list(delays)
+    one = energy_average_pmm(99.0, 1.0, 3, delays[1], ctx["pulse"], ctx["wp"],
+                             ctx["finals"], ctx["mos"], resolution=21)
+    assert np.array_equal(one.values, avg[1].values)
+    spectra = _spectrum(ctx, list(delays))
+    assert [s.metadata["t_p_fs"] for s in spectra] == list(delays)
+    assert np.array_equal(_spectrum(ctx, delays[1]).values, spectra[1].values)
+    for bad in ([], [[0.0, 1.0]]):
+        with pytest.raises(SignalError):
+            _map(ctx, bad)
+
+
+def test_long_mode_channel_record_holds_compared_value(ctx):
+    # the record's envelope is the value the skip rule compares:
+    # max_I W_II, i.e. max_I envelope_long^2 in long mode
+    period = ctx["period"]
+    pulse = dataclasses.replace(ctx["pulse"], duration_fwhm_fs=period / 2.0)
+    threshold = 1e-2
+    records = pmm_cut(97.7, 0.0, pulse, ctx["wp"], ctx["finals"], ctx["mos"],
+                      resolution=11, mode="long",
+                      channel_min_envelope=threshold).metadata["channels"]
+    for rec in records:
+        expected = max(envelope_long(pulse.photon_energy_ev, e_i,
+                                     rec["final_energy_ev"], 97.7, period / 2.0) ** 2
+                       for _, e_i, _ in ctx["wp"].members)
+        assert rec["envelope"] == pytest.approx(expected, rel=1e-12)
+        assert rec["skipped"] == (rec["envelope"] < threshold)
+    first = records[0]
+    assert first["index"] == 1 and first["envelope"] == pytest.approx(8.1e-3, rel=0.01)
+    short = _map(ctx, 0.0, energy=97.7, resolution=11).metadata["channels"]
+    for rec in short:
+        assert rec["envelope"] == envelope_short(rec["omega_ev"], 97.7, 0.5)
