@@ -1,5 +1,6 @@
 """Momentum-space machinery: closed-form Fourier transforms of Gaussian
-primitives, numeric transforms of grid-backed orbitals, and momentum grids.
+primitives, numeric transforms of grid-backed orbitals, momentum grids, and
+closed-form angle integrals of primitive pairs over a sphere |q| = k.
 
 Transform convention:  F[phi](q) = (2 pi)^{-3/2} Integral d^3r e^{-i q.r} phi(r).
 (The sign matches the photoemission matrix element; for real orbitals |F|^2
@@ -304,3 +305,124 @@ def orbital_ft(mos, grid: MomentumGrid):
         for m, pts, vals, w in voxel:
             out[m, start:stop] = w * (np.exp(-1j * (block @ pts.T)) @ vals)
     return out
+
+
+# ---------------------------------------------------------------------------
+# angle integrals on the sphere |q| = k
+
+# Below this argument the power series of j_l replaces the closed forms, whose
+# sin/cos terms cancel to x^l / (2l+1)!! and lose ~1e-16 (105 / x^4) for j_4.
+_BESSEL_SERIES_BELOW = 4.0
+# j_l(x) = x^l sum_m c[m, l] x^(2m) with c[m, l] = (-1/2)^m / (m! (2l+2m+1)!!);
+# for m < 20 the first omitted term is below 1e-25 at x = 4.
+_BESSEL_SERIES = np.array([[
+    (-0.5) ** m / (math.factorial(m) * math.prod(range(1, 2 * l + 2 * m + 2, 2)))
+    for l in range(5)] for m in range(20)])
+
+
+def spherical_bessel(x):
+    """Spherical Bessel functions j_0 ... j_4 at x >= 0, shape (5,) + x.shape.
+
+    For x >= 4: j_0 = sin x / x, j_1 = (j_0 - cos x) / x and the upward
+    recurrence j_{l+1} = (2l + 1) j_l / x - j_{l-1}, stable for x > l. Below:
+    the power series j_l = x^l sum_m (-x^2/2)^m / (m! (2l+2m+1)!!), summed
+    by Horner's rule in x^2. The absolute error stays below 1e-15.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((5,) + x.shape)
+    small = x < _BESSEL_SERIES_BELOW
+    xs, xl = x[small], x[~small]
+    x2 = xs * xs
+    total = np.repeat(_BESSEL_SERIES[-1][:, None], len(xs), axis=1)
+    for row in _BESSEL_SERIES[-2::-1]:
+        total = total * x2 + row[:, None]
+    power = np.ones_like(xs)
+    for l in range(5):
+        out[l][small] = power * total[l]
+        power = power * xs
+    r = 1.0 / xl
+    j0 = np.sin(xl) * r
+    large = [j0, (j0 - np.cos(xl)) * r]
+    for l in range(1, 4):
+        large.append((2 * l + 1) * r * large[l] - large[l - 1])
+    for l in range(5):
+        out[l][~small] = large[l]
+    return out
+
+
+def sphere_pair_matrices(mos, polarization):
+    """Closed-form angle integrals of primitive pairs for LCAO orbitals over
+    s and p primitives; None for any other orbital set.
+
+    Returns (C, pair_matrix): C (P, M) are the coefficient columns of mos
+    over their shared primitives B_a, and pair_matrix(energy_ev) is the real
+    symmetric (P, P) matrix
+
+        A_ab(k) = Integral dOmega (eps.q)^2 conj(B_a(q)) B_b(q),  |q| = k,
+
+    so that Integral dOmega (eps.q)^2 conj(F_m) F_n = (C^T A C)_mn.
+
+    On the sphere B_a = rho_a(k) (-i)^l_a P_a(n) exp(-i k n.R_a), with
+    P_a = 1 (s, l_a = 0) or n_i (p along axis i, l_a = 1) and
+    rho_a = N_a (2 pi)^{-3/2} (pi / alpha_a)^{3/2} exp(-k^2 / (4 alpha_a))
+    (k / (2 alpha_a))^l_a. The Rayleigh expansion integrates
+    n_i ... n_l exp(i k n.d), d = R_a - R_b, over angles exactly; with
+    u = d / |d|, x = k |d| and (4 pi) dropped the rank-2, 3 and 4 tensors are
+
+        delta_ij (j0 + j2)/3 - u_i u_j j2,
+        i [sym(delta_ij u_k) (j1 + j3)/5 - u_i u_j u_k j3],
+        sym(delta_ij delta_kl) (7 j0 + 10 j2 + 3 j4)/105
+            - sym(delta_ij u_k u_l) (j2 + j4)/7 + u_i u_j u_k u_l j4.
+
+    Contracted with eps_i eps_j and the p axes they give one geometric
+    weight per j_l and pair, fixed for all energies. For p_z pairs in a
+    plane z = const and eps along z the sum is (4 pi / 35)(7 j0 + 10 j2 + 3 j4).
+    """
+    if not all(mo.is_lcao for mo in mos):
+        return None
+    centers, coeffs, shapes = _lcao_basis(mos)
+    n_prims = len(centers)
+    alpha, scale = np.empty(n_prims), np.empty(n_prims)
+    axis = np.zeros((n_prims, 3))
+    for exponent, powers, rows in shapes:
+        if sum(powers) > 1:
+            return None
+        alpha[rows] = exponent
+        scale[rows] = (primitive_norm(exponent, powers) * (2.0 * math.pi) ** -1.5
+                       * (math.pi / exponent) ** 1.5)
+        axis[rows] = powers
+    s = 1.0 - axis.sum(axis=1)               # 1 for s, 0 for p primitives
+    d = centers[:, None, :] - centers[None, :, :]
+    dist = np.sqrt(np.einsum("abk,abk->ab", d, d))
+    u = d / np.where(dist > 0, dist, 1.0)[..., None]
+    eps = np.asarray(polarization, dtype=float)
+    ee = float(eps @ eps)
+    eu = u @ eps                               # eps.u
+    ua = np.einsum("abk,ak->ab", u, axis)      # u.v_a
+    ub = np.einsum("abk,bk->ab", u, axis)      # u.v_b
+    ev = axis @ eps
+    ea, eb = ev[:, None], ev[None, :]
+    sa, sb = s[:, None], s[None, :]
+    # every product below is formed so that swapping a and b (u -> -u)
+    # gives bit for bit the same value: A is exactly symmetric
+    eu2, uu, vv = eu * eu, ua * ub, axis @ axis.T
+    xa = ee * ua + 2.0 * eu * ea
+    xb = ee * ub + 2.0 * eu * eb
+    y = ee * vv + 2.0 * ea * eb
+    z = ee * uu + 2.0 * eu * (ea * ub + eb * ua) + eu2 * vv
+    weights = 4.0 * math.pi * np.stack([
+        sa * sb * ee / 3.0 + y / 15.0,
+        (sa * xb - sb * xa) / 5.0,
+        sa * sb * (ee / 3.0 - eu2) + 2.0 * y / 21.0 - z / 7.0,
+        sa * (xb / 5.0 - eu2 * ub) - sb * (xa / 5.0 - eu2 * ua),
+        y / 35.0 - z / 7.0 + eu2 * uu,
+    ])
+    degree = 1.0 - s
+
+    def pair_matrix(energy_ev):
+        k = math.sqrt(2.0 * ev_to_hartree(energy_ev))
+        rho = scale * np.exp(-(k * k) / (4.0 * alpha)) * (k / (2.0 * alpha)) ** degree
+        angular = np.einsum("lab,lab->ab", weights, spherical_bessel(k * dist))
+        return rho[:, None] * rho[None, :] * (k * k * angular)
+
+    return coeffs, pair_matrix

@@ -27,7 +27,16 @@ Physics conventions:
     arbitrary-unit maps); "absolute" evaluates it in atomic units;
   * angle integration uses the density-of-states measure
     S(eps) = q * Integral P dOmega with q = sqrt(2 eps), so each energy's
-    kernel is integrated over the sphere into one M x M matrix.
+    kernel is integrated over the sphere into one M x M matrix. For LCAO
+    orbitals over s and p primitives that integral is exact: with G = D C^T
+    the member rows over the shared primitives, it is
+    sum_{F,sigma} W_FIJ (conj(G) A(q) G^T)_IJ, where the primitive pair
+    matrix A_ab(q) = Integral dOmega (eps_in . q)^2 conj(B_a) B_b is a sum of
+    spherical Bessel functions j_0..j_4 of q |R_a - R_b|
+    (momentum.sphere_pair_matrices; it matches a 96 x 192 quadrature to
+    2e-14 of the peak). Grid-backed orbitals, and primitives beyond p, are
+    integrated on an n_polar x n_azimuth Gauss-Legendre x uniform-azimuth
+    sphere quadrature instead.
 
 All momenta entering ops in this module are atomic units; energies and
 times cross the interface in eV/fs. Map, spectrum and probability
@@ -55,7 +64,13 @@ from .model import (
     occupied_offsets,
     wave_packet_phase,
 )
-from .momentum import MomentumGrid, build_hemisphere, build_sphere, sphere_quadrature
+from .momentum import (
+    MomentumError,
+    MomentumGrid,
+    build_hemisphere,
+    build_sphere,
+    sphere_quadrature,
+)
 from . import algebra, momentum
 
 log = logging.getLogger(__name__)
@@ -410,35 +425,76 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
                             channel_min_envelope, average)
 
 
+def _sphere_kernels(energies, channels, basis, matrices, pulse, wp, mode,
+                    min_envelope, n_polar, n_azimuth):
+    """q * Integral K dOmega at each energy, shape (M, M, n_energies), and
+    the angular method used: "closed-form" for LCAO orbitals over s and p
+    primitives, the (n_polar, n_azimuth) sphere quadrature otherwise.
+
+    Closed form: with G = D C^T the member rows over the shared primitives
+    and A(k) their angle-integrated pair matrix from
+    momentum.sphere_pair_matrices, Integral K_IJ dOmega =
+    sum_{F,sigma} W_FIJ (conj(G) A G^T)_IJ, a few M x P products per energy.
+    """
+    integrated = np.zeros((wp.n_members, wp.n_members, len(energies)), dtype=complex)
+    weights = [_pair_weights(ch, energies, pulse, wp, mode) for ch in channels]
+    # the _screen rule for all energies at once: skip[k, F] = max_I W_FII < min
+    skips = np.array([np.max(np.diagonal(w), axis=-1) < min_envelope
+                      for w in weights]).T
+    closed = momentum.sphere_pair_matrices(basis, pulse.polarization)
+    if closed is None:
+        quadrature = sphere_quadrature(n_polar, n_azimuth)
+        for k, (e, skip) in enumerate(zip(energies, skips)):
+            if not all(skip):
+                grid = build_sphere(e, n_polar, n_azimuth, quadrature)
+                kernel = _kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
+                integrated[..., k] = (kernel * grid.weights).sum(axis=-1)
+        angular = (int(n_polar), int(n_azimuth))
+    else:
+        coeffs, pair_matrix = closed
+        rows = [[d @ coeffs.T for d in mats] for mats in matrices]
+        for k, (e, skip) in enumerate(zip(energies, skips)):
+            if all(skip):
+                continue
+            a = pair_matrix(e)
+            for w, chrows, s in zip(weights, rows, skip):
+                if not s:
+                    for g in chrows:
+                        integrated[..., k] += w[..., k] * (g.conj() @ a @ g.T)
+        angular = "closed-form"
+    return integrated * np.sqrt(2.0 * ev_to_hartree(energies)), angular
+
+
 def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
                               n_polar=48, n_azimuth=96, mode="short",
                               normalization="relative",
                               scenario="excited",
                               channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
     """S(eps) = q * Integral P dOmega on the listed photoelectron energies:
-    a Spectrum for one delay t_p_fs, a list for a 1-D delay sequence."""
+    a Spectrum for one delay t_p_fs, a list for a 1-D delay sequence.
+
+    LCAO orbitals over s and p primitives are integrated over angles in
+    closed form; other orbitals on the n_polar x n_azimuth sphere
+    quadrature. The order is checked on both paths; metadata["angular"]
+    names the method used.
+    """
     energies = np.asarray(energies_ev, dtype=float).reshape(-1)
     if not len(energies) or np.any(energies <= 0):
         raise SignalError("photoelectron energies must be positive")
+    if n_polar < 2 or n_azimuth < 4:
+        raise MomentumError(f"unsupported quadrature order ({n_polar}, {n_azimuth})")
     times, single = _delays(t_p_fs)
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
-    quadrature = sphere_quadrature(n_polar, n_azimuth)
-    integrated = np.zeros((wp.n_members, wp.n_members, len(energies)), dtype=complex)
-    for k, e in enumerate(energies):
-        _, skip = _screen(channels, float(e), pulse, wp, mode, channel_min_envelope)
-        if all(skip):
-            continue
-        grid = build_sphere(float(e), n_polar, n_azimuth, quadrature)
-        kernel = _kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
-        q_au = math.sqrt(2.0 * ev_to_hartree(float(e)))
-        integrated[..., k] = q_au * (kernel * grid.weights).sum(axis=-1)
+    integrated, angular = _sphere_kernels(
+        energies, channels, basis, matrices, pulse, wp, mode,
+        channel_min_envelope, n_polar, n_azimuth)
     meta = {
         "tau_fs": pulse.duration_fwhm_fs,
         "omega_in_ev": pulse.photon_energy_ev,
         "polarization": tuple(pulse.polarization),
         "mode": mode,
-        "quadrature": (int(n_polar), int(n_azimuth)),
+        "angular": angular,
         "normalization": normalization,
         "channels": channel_records(channels),
     }

@@ -2,6 +2,8 @@
 
 Deliberately written in a different formalism from the package code:
 numeric Gauss-Legendre quadrature instead of closed-form transforms,
+angle integrals summed on a sphere quadrature instead of spherical-Bessel
+pair matrices,
 occupation-number (bitstring) second quantization instead of ordered
 spin-orbital tuples, text writers that call '%' once per value instead
 of formatting blocks of digits with numpy, and probabilities squared from
@@ -11,9 +13,9 @@ kernels, so agreement is evidence rather than tautology.
 
 import numpy as np
 
-from attopmm import momentum
+from attopmm import momentum, signal
 from attopmm.model import DOWN, HARTREE_EV, UP, WavePacket, wave_packet_phase
-from attopmm.momentum import MomentumGrid
+from attopmm.momentum import MomentumGrid, build_sphere, sphere_quadrature
 from attopmm.signal import SignalError, _prefactor, envelope_long, envelope_short
 
 TWO_PI = 2.0 * np.pi
@@ -289,3 +291,25 @@ def reference_probability(channels, amps: ReferenceAmplitudes, samples, wp, puls
     return total * proj * _prefactor(pulse, normalization)
 
 
+# ---------------------------------------------------------------------------
+# angle-integrated spectra by sphere quadrature
+
+def quadrature_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos, n_polar,
+                        n_azimuth, mode="short", normalization="relative",
+                        min_envelope=signal.DEFAULT_CHANNEL_MIN_ENVELOPE):
+    """S(eps) = q * sum_n w_n P(q_n) on an n_polar x n_azimuth product
+    quadrature of each energy's sphere: the member-pair kernel on the
+    sphere samples, summed with the quadrature weights. Returns one value
+    array per delay in the 1-D sequence t_p_fs."""
+    channels = signal.build_channels(wp, finals, pulse)
+    basis, matrices = signal._dyson_matrices(channels, mos)
+    quadrature = sphere_quadrature(n_polar, n_azimuth)
+    integrated = np.zeros((wp.n_members, wp.n_members, len(energies_ev)), dtype=complex)
+    for k, e in enumerate(energies_ev):
+        _, skip = signal._screen(channels, float(e), pulse, wp, mode, min_envelope)
+        grid = build_sphere(float(e), n_polar, n_azimuth, quadrature)
+        kernel = signal._kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
+        q_au = np.sqrt(2.0 * e / HARTREE_EV)
+        integrated[..., k] = q_au * (kernel * grid.weights).sum(axis=-1)
+    return signal._at_delays(integrated, wp, np.asarray(t_p_fs, dtype=float),
+                             _prefactor(pulse, normalization))

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from attopmm.huckel import huckel_orbitals, orbitals_by_label
-from attopmm.model import GaussianPrimitive, MolecularOrbital, VolumetricGrid, evaluate_orbital
+from attopmm.model import (
+    GaussianPrimitive,
+    MolecularOrbital,
+    VolumetricGrid,
+    ev_to_hartree,
+    evaluate_orbital,
+)
 from attopmm.momentum import (
     MomentumError,
     MomentumGrid,
@@ -17,6 +23,8 @@ from attopmm.momentum import (
     build_sphere,
     gaussian_ft,
     orbital_ft,
+    spherical_bessel,
+    sphere_pair_matrices,
     sphere_quadrature,
 )
 
@@ -235,3 +243,51 @@ def test_sphere_quadrature_reuse_is_bit_identical():
         reused = build_sphere(energy, 12, 24, quad)
         assert fresh.samples.tobytes() == reused.samples.tobytes()
         assert fresh.weights.tobytes() == reused.weights.tobytes()
+
+
+def test_spherical_bessel_matches_scipy():
+    from scipy.special import spherical_jn
+
+    centers = np.array([p.center for mo in huckel_orbitals() for p in mo.primitives])
+    d_max = np.max(np.linalg.norm(centers[:, None] - centers[None, :], axis=-1))
+    x_max = math.sqrt(2.0 * ev_to_hartree(140.0)) * d_max
+    assert x_max > 70.0
+    # the dense sweeps cross the series / closed-form switch at x = 4
+    x = np.concatenate([[0.0, 1e-300], np.geomspace(1e-8, 1.0, 20001),
+                        np.linspace(1.0, 8.0, 20001), np.linspace(8.0, x_max, 20001)])
+    got = spherical_bessel(x)
+    assert got.shape == (5, len(x))
+    for l in range(5):
+        assert np.max(np.abs(got[l] - spherical_jn(l, x))) <= 1e-15, l
+    assert got[:, 0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_sphere_pair_matrix_against_quadrature():
+    prims = (GaussianPrimitive(center=(0.3, -0.2, 0.1), exponent=0.7, powers=(1, 0, 0)),
+             GaussianPrimitive(center=(-1.0, 0.4, 0.0), exponent=1.3, powers=(0, 0, 0)),
+             GaussianPrimitive(center=(0.5, 0.5, -0.5), exponent=0.9, powers=(0, 1, 0)),
+             GaussianPrimitive(center=(0.3, -0.2, 0.1), exponent=1.1, powers=(0, 0, 1)))
+    mos = [MolecularOrbital(label="H", coefficients=(0.4, -0.9, 0.3, 0.5), primitives=prims),
+           MolecularOrbital(label="L", coefficients=(0.2, 0.7), primitives=prims[2:])]
+    eps = np.array([0.6, 0.0, 0.8])
+    coeffs, pair_matrix = sphere_pair_matrices(mos, eps)
+    grid = build_sphere(97.0, n_polar=48, n_azimuth=96)
+    ft = orbital_ft(mos, grid)
+    ref = np.einsum("mn,kn,n->mk", ft.conj(), ft, grid.weights * (grid.samples @ eps) ** 2)
+    a = pair_matrix(97.0)
+    assert np.max(np.abs(coeffs.T @ a @ coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # a Gram matrix of independent functions: exactly symmetric, positive definite
+    assert np.array_equal(a, a.T)
+    assert np.min(np.linalg.eigvalsh(a)) > 0.0
+
+
+def test_sphere_pair_matrices_decline_other_orbitals():
+    p = GaussianPrimitive(center=(0.0, 0.0, 0.0), exponent=1.0, powers=(0, 0, 1))
+    d = GaussianPrimitive(center=(0.0, 0.0, 0.0), exponent=1.0, powers=(0, 1, 1))
+    grid = VolumetricGrid(origin=(0.0, 0.0, 0.0), axes=np.eye(3), counts=(2, 2, 2),
+                          values=np.ones((2, 2, 2)))
+    lcao = MolecularOrbital(label="H", coefficients=(1.0,), primitives=(p,))
+    assert sphere_pair_matrices([lcao], (0.0, 0.0, 1.0)) is not None
+    for other in (MolecularOrbital(label="L", coefficients=(1.0,), primitives=(d,)),
+                  MolecularOrbital(label="L", grid=grid)):
+        assert sphere_pair_matrices([lcao, other], (0.0, 0.0, 1.0)) is None

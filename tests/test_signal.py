@@ -10,9 +10,20 @@ from attopmm.algebra import (
     singlet_excitation_csf,
     state_overlap_map,
 )
+from attopmm import momentum, signal
+from attopmm.cli import main
 from attopmm.huckel import huckel_orbitals
-from attopmm.model import HARTREE_EV, ElectronicState, ProbePulse, WavePacket, fs_to_au
-from attopmm.momentum import build_hemisphere, gaussian_ft
+from attopmm.model import (
+    HARTREE_EV,
+    ElectronicState,
+    GaussianPrimitive,
+    ProbePulse,
+    VolumetricGrid,
+    WavePacket,
+    evaluate_orbital,
+    fs_to_au,
+)
+from attopmm.momentum import MomentumError, build_hemisphere, gaussian_ft
 from attopmm.signal import (
     PMM,
     SignalError,
@@ -28,7 +39,7 @@ from attopmm.signal import (
     probability,
 )
 
-from oracles import ReferenceAmplitudes, reference_probability
+from oracles import ReferenceAmplitudes, quadrature_spectrum, reference_probability
 
 
 @pytest.fixture(scope="module")
@@ -249,9 +260,10 @@ def test_half_period_pulse_plus_averaging_keeps_contrast(ctx):
 
 # --- angle-integrated spectra -------------------------------------------------
 
-def _spectrum(ctx, t_p, energies=(94.0, 97.0, 99.0, 101.0), **kw):
+def _spectrum(ctx, t_p, energies=(94.0, 97.0, 99.0, 101.0), mos=None, **kw):
     return angle_integrated_spectrum(np.array(energies), t_p, ctx["pulse"],
-                                     ctx["wp"], ctx["finals"], ctx["mos"], **kw)
+                                     ctx["wp"], ctx["finals"], mos or ctx["mos"],
+                                     **kw)
 
 
 def test_spectrum_time_invariant(ctx):
@@ -262,9 +274,23 @@ def test_spectrum_time_invariant(ctx):
         assert np.max(np.abs(s.values - ref.values)) < 1e-6 * ref.values.max()
 
 
+def _voxel_homo(mos):
+    """mos with the HOMO replaced by its values on a coarse two-layer grid:
+    a grid-backed orbital, so the spectrum takes the sphere quadrature."""
+    grid = VolumetricGrid(origin=(-14.25, -5.25, -0.75), axes=np.eye(3) * 1.5,
+                          counts=(20, 8, 2))
+    return [dataclasses.replace(mo, coefficients=None, primitives=None,
+                                grid=grid.with_values(evaluate_orbital(mo, grid)))
+            if mo.label == "H" else mo for mo in mos]
+
+
 def test_spectrum_quadrature_converged(ctx):
-    coarse = _spectrum(ctx, 0.0)
-    fine = _spectrum(ctx, 0.0, n_polar=96, n_azimuth=192)
+    mos = _voxel_homo(ctx["mos"])
+    coarse = _spectrum(ctx, 0.0, energies=(97.0, 99.0), mos=mos)
+    fine = _spectrum(ctx, 0.0, energies=(97.0, 99.0), mos=mos,
+                     n_polar=96, n_azimuth=192)
+    assert coarse.metadata["angular"] == (48, 96)
+    assert fine.metadata["angular"] == (96, 192)
     assert np.max(np.abs(coarse.values - fine.values)) < 1e-8 * fine.values.max()
 
 
@@ -273,6 +299,123 @@ def test_spectrum_input_validation(ctx):
         _spectrum(ctx, 0.0, energies=(0.0, 99.0))
     with pytest.raises(SignalError):
         _spectrum(ctx, 0.0, energies=())
+    # the quadrature order is checked whether or not a quadrature runs
+    assert _spectrum(ctx, 0.0).metadata["angular"] == "closed-form"
+    for mos in (ctx["mos"], _voxel_homo(ctx["mos"])):
+        for order in (dict(n_polar=1), dict(n_azimuth=2)):
+            with pytest.raises(MomentumError):
+                _spectrum(ctx, 0.0, mos=mos, **order)
+
+
+# closed form against the sphere-quadrature oracle
+
+_OBLIQUE = tuple(np.array([0.48, -0.36, 0.8]) / np.linalg.norm([0.48, -0.36, 0.8]))
+_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0),
+         "oblique": _OBLIQUE}
+
+
+def _remap_primitives(mos, remap):
+    """LCAO orbitals with every primitive replaced by remap(primitive)."""
+    return [dataclasses.replace(mo, primitives=tuple(remap(p) for p in mo.primitives))
+            for mo in mos]
+
+
+def _lifted(prim):
+    # centres at different heights, fixed by the in-plane position
+    x, y, _ = prim.center
+    return dataclasses.replace(prim, center=(x, y, 0.6 * math.sin(1.7 * x + 0.9 * y)))
+
+
+def _mixed_s_px_py(prim):
+    # s, p_x and p_y primitives of two exponents at the pentacene sites
+    kind = int(round(prim.center[0] / 1.3 + prim.center[1])) % 3
+    powers = [(0, 0, 0), (1, 0, 0), (0, 1, 0)][kind]
+    return GaussianPrimitive(center=prim.center, exponent=0.8 + 0.3 * (kind == 0),
+                             powers=powers)
+
+
+def _states(ctx, scenario, state, mos):
+    if state == "excited":
+        return ctx["wp"], ctx["finals"]
+    return ground_state_scenario(mos, scenario.binding_energies_ev)
+
+
+def _closed_form_vs_oracle(ctx, scenario, state, mode, polarization, mos):
+    wp, finals = _states(ctx, scenario, state, mos)
+    pulse = dataclasses.replace(ctx["pulse"], polarization=polarization)
+    energies = np.linspace(91.0, 101.0, 6)
+    delays = [0.024 * ctx["period"], 0.524 * ctx["period"]]
+    got = angle_integrated_spectrum(energies, delays, pulse, wp, finals, mos,
+                                    mode=mode)
+    ref = quadrature_spectrum(energies, delays, pulse, wp, finals, mos, 96, 192,
+                              mode=mode)
+    peak = max(r.max() for r in ref)
+    assert peak > 0
+    for s, r in zip(got, ref):
+        assert s.metadata["angular"] == "closed-form"
+        assert np.max(np.abs(s.values - r)) <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("polarization", sorted(_AXES))
+@pytest.mark.parametrize("mode", ["short", "long"])
+@pytest.mark.parametrize("state", ["excited", "s0"])
+def test_closed_form_spectrum_matches_quadrature(ctx, scenario, state, mode,
+                                                 polarization):
+    _closed_form_vs_oracle(ctx, scenario, state, mode, _AXES[polarization],
+                           ctx["mos"])
+
+
+@pytest.mark.parametrize("remap", [_lifted, _mixed_s_px_py],
+                         ids=["different-heights", "s-px-py"])
+@pytest.mark.parametrize("state", ["excited", "s0"])
+def test_closed_form_spectrum_general_primitives(ctx, scenario, state, remap):
+    mos = _remap_primitives(ctx["mos"], remap)
+    if remap is _mixed_s_px_py:
+        kinds = {p.powers for mo in mos for p in mo.primitives}
+        assert kinds == {(0, 0, 0), (1, 0, 0), (0, 1, 0)}
+    else:
+        assert len({p.center[2] for mo in mos for p in mo.primitives}) > 10
+    for mode in ("short", "long"):
+        _closed_form_vs_oracle(ctx, scenario, state, mode, _OBLIQUE, mos)
+
+
+def test_lcao_spectrum_runs_without_sphere_quadrature(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sphere quadrature on the LCAO spectrum path")
+
+    monkeypatch.setattr(momentum, "orbital_ft", refuse)
+    monkeypatch.setattr(signal, "build_sphere", refuse)
+    monkeypatch.setattr(signal, "sphere_quadrature", refuse)
+    assert main(["spectrum", "--tp", "0", "T/4", "--states", "both",
+                 "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spectrum_tp0.dat",
+                                                           "spectrum_tpT4.dat"]
+
+
+def test_closed_form_spectra_non_negative(ctx, scenario):
+    energies = np.linspace(60.0, 140.0, 161)
+    for axis in ("x", "y", "z"):
+        pulse = dataclasses.replace(ctx["pulse"], polarization=_AXES[axis])
+        for state in ("excited", "s0"):
+            wp, finals = _states(ctx, scenario, state, ctx["mos"])
+            for mode in ("short", "long"):
+                spectra = angle_integrated_spectrum(
+                    energies, [0.0, 0.3 * ctx["period"]], pulse, wp, finals,
+                    ctx["mos"], mode=mode)
+                for s in spectra:
+                    assert np.all(np.isfinite(s.values))
+                    assert np.all(s.values >= 0.0)
+                    assert s.values.max() > 0.0
+
+
+def test_closed_form_spectrum_exactly_delay_invariant(ctx, scenario):
+    lo, hi, n = scenario.outputs["spectrum_window_ev"]
+    t, period = 0.137 * ctx["period"], ctx["period"]
+    spectra = _spectrum(ctx, [t, t + period / 4.0, t + period / 2.0],
+                        energies=np.linspace(lo, hi, n))
+    peak = spectra[0].values.max()
+    for s in spectra[1:]:
+        assert np.max(np.abs(s.values - spectra[0].values)) <= 1e-12 * peak
 
 
 # --- ground-state scenario ---------------------------------------------------
