@@ -16,7 +16,6 @@ from .density import (
     DensityError,
     DensityFrame,
     default_density_grid,
-    density_change,
     density_timeseries,
 )
 from .huckel import HuckelError, build_pentacene_graph, huckel_orbitals
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraError", "DysonOrbital", "assemble_dyson", "closed_shell_state",
     "one_hole_csf", "singlet_excitation_csf", "two_hole_one_particle_csf",
-    "DensityError", "DensityFrame", "default_density_grid", "density_change",
+    "DensityError", "DensityFrame", "default_density_grid",
     "density_timeseries", "HuckelError", "build_pentacene_graph",
     "huckel_orbitals", "ConfigError", "CubeFormatError", "Scenario",
     "TableFormatError", "default_scenario_path", "load_scenario", "read_cube",

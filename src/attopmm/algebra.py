@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     DOWN,
     UP,
@@ -207,6 +209,34 @@ def state_overlap_map(final: ElectronicState, initial: ElectronicState):
             key = (orb, spin)
             channels[key] = channels.get(key, 0.0) + c_csf * c
     return {k: c for k, c in sorted(channels.items()) if abs(c) >= PRUNE_THRESHOLD}
+
+
+def member_pair_matrices(wp: WavePacket, orbitals=()):
+    """Member-pair one-particle matrices of a wave packet.
+
+    Returns (offsets, G) with G[I, J, p, q] = sum_sigma
+    <a_{p sigma} Psi_I | a_{q sigma} Psi_J>, shape (M, M, n, n), over the
+    sorted union of `orbitals` and every orbital a member determinant
+    occupies. The one-particle density matrix at delay t is then
+    gamma_pq(t) = sum_IJ z_I*(t) z_J(t) G[I, J, p, q].
+    """
+    amplitudes = [_determinant_amplitudes(state) for _, _, state in wp.members]
+    offsets = sorted({int(o) for o in orbitals}
+                     | {orb for amp in amplitudes for det in amp
+                        for orb, _ in det.spin_orbitals})
+    column = {orb: k for k, orb in enumerate(offsets)}
+    rows = {}  # (spin, N-1 electron determinant) -> row of a_{p sigma} Psi_I
+    entries = []
+    for i, amp in enumerate(amplitudes):
+        for det, c in amp.items():
+            for orb, spin in det.spin_orbitals:
+                sign, reduced = annihilate(det, orb, spin)
+                row = rows.setdefault((spin, reduced), len(rows))
+                entries.append((i, row, column[orb], sign * c))
+    reduced = np.zeros((wp.n_members, len(rows), len(offsets)))
+    for i, row, col, c in entries:
+        reduced[i, row, col] += c
+    return tuple(offsets), np.einsum("irp,jrq->ijpq", reduced, reduced)
 
 
 @dataclass(frozen=True)

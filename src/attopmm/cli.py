@@ -257,7 +257,7 @@ def _write_density(scenario, out, tokens, padding, spacing):
     for (token, _), frame in zip(times, frames):
         written.append(io_mod.export_density(
             out / f"density_tp{time_label(token)}.cube", frame,
-            digest=scenario.digest))
+            atoms=scenario.atoms, digest=scenario.digest))
         log.info("t = %s: charge gained %.3e e, lost %.3e e (net %.1e)",
                  token, frame.charge_gained, frame.charge_lost, frame.net_charge)
     return written

@@ -1,22 +1,29 @@
-"""Real-space electron-density change of a coherent two-state wave packet.
+"""Real-space electron-density change of a wave packet on the closed-shell
+reference.
 
-For a superposition C1 e^{-iE1 t} Psi_1 + C2 e^{-iE2 t} Psi_2 built from
-closed-shell singlet excitations
+For Psi(t) = sum_I z_I(t) Psi_I with z_I(t) = C_I exp(-i E_I (t - t0)),
+the one-particle density matrix over real orbitals phi_p is
 
-    Psi_1 = a * (h0 -> p0)
-    Psi_2 = b1 * (h0 -> p1) + b2 * (h1 -> p0)
+    gamma_pq(t) = sum_sigma <Psi(t)| a+_{p sigma} a_{q sigma} |Psi(t)>
+                = sum_IJ z_I*(t) z_J(t) G_IJ[p, q],
+    G_IJ[p, q]  = sum_sigma <a_{p sigma} Psi_I | a_{q sigma} Psi_J>,
 
-the one-particle density minus the ground-state density closes over four
-orbitals (CIS density matrix; cross blocks with both hole and particle
-different vanish):
+built once per packet by the second-quantization engine
+(algebra.member_pair_matrices), so the delay enters only through the
+bilinear form in z (model.at_delays). Subtracting the closed shell, which
+doubly occupies every orbital with offset <= 0, gives
 
-    drho(r, t) = |a C1* e^{iE1 s} p0 + b1 C2* e^{iE2 s} p1|^2
-               + |b2 C2|^2 p0^2 - |b1 C2|^2 h0^2
-               - |a C1* e^{iE1 s} h0 + b2 C2* e^{iE2 s} h1|^2,   s = t - t0.
+    dgamma_pq(t) = Re sum_IJ z_I*(t) z_J(t) (G_IJ[p, q]
+                                             - 2 delta_IJ delta_pq [p occupied]),
+    drho(r, t)   = sum_{p <= q} (2 - delta_pq) dgamma_pq(t) phi_p(r) phi_q(r),
 
-Charge is conserved at every instant (particle and hole blocks integrate
-to the same excited-state population), and the beat term oscillates with
-period 2 pi / (E2 - E1).
+which is Re gamma(t) minus the closed-shell matrix for a normalized packet.
+An entry (p, q) below algebra.PRUNE_THRESHOLD for every member pair (the
+untouched spectators, for instance) is left out of every frame, and each
+orbital of a kept entry is evaluated on the grid once for all frames.
+For orthonormal members tr dgamma = 0 at every instant, so the density
+change carries no net charge; the beat terms oscillate with the member
+energy differences.
 """
 
 from __future__ import annotations
@@ -25,102 +32,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import PRUNE_THRESHOLD, member_pair_matrices
 from .model import (
     VolumetricGrid,
-    WavePacket,
     angstrom_to_bohr,
+    at_delays,
     evaluate_orbital,
-    wave_packet_phase,
+    occupied_offsets,
 )
 
 
 class DensityError(ValueError):
-    """Wave packet or grid unsuitable for the two-state density formula."""
-
-
-def _single_excitations(state):
-    """[(coeff, hole, particle)] when every CSF is a closed-shell singlet
-    excitation; None otherwise."""
-    out = []
-    for coeff, csf in state.expansion:
-        if (csf.spin != 0.0 or csf.projection != 0.0 or len(csf.holes) != 1
-                or len(csf.particles) != 1):
-            return None
-        out.append((float(np.real(coeff)), csf.holes[0], csf.particles[0]))
-    return out
-
-
-@dataclass(frozen=True)
-class TwoStateStructure:
-    """Resolved orbital roles of the supported wave-packet shape."""
-
-    hole_0: int      # shared hole of Psi_1 and the first Psi_2 term
-    particle_0: int  # shared particle of Psi_1 and the second Psi_2 term
-    particle_1: int
-    hole_1: int
-    a: float
-    b1: float
-    b2: float
-
-
-def resolve_two_state_structure(wp: WavePacket) -> TwoStateStructure:
-    if wp.n_members != 2:
-        raise DensityError(
-            f"density formula needs exactly 2 wave-packet members, got {wp.n_members}")
-    (_, _, s1), (_, _, s2) = wp.members
-    if s1.n_electrons != s2.n_electrons:
-        raise DensityError("wave-packet members have different electron counts")
-    exc1 = _single_excitations(s1)
-    exc2 = _single_excitations(s2)
-    if exc1 is None or exc2 is None:
-        raise DensityError("members must expand in closed-shell singlet excitations")
-    if len(exc1) != 1 or len(exc2) != 2:
-        raise DensityError(
-            "expected one excitation in member 1 and two in member 2, got "
-            f"{len(exc1)} and {len(exc2)}")
-    a, h0, p0 = exc1[0]
-    shared_hole = [t for t in exc2 if t[1] == h0 and t[2] != p0]
-    shared_part = [t for t in exc2 if t[2] == p0 and t[1] != h0]
-    if len(shared_hole) != 1 or len(shared_part) != 1:
-        raise DensityError(
-            "member 2 must pair one excitation with member 1's hole and one "
-            "with its particle")
-    b1, _, p1 = shared_hole[0]
-    b2, h1, _ = shared_part[0]
-    return TwoStateStructure(hole_0=h0, particle_0=p0, particle_1=p1,
-                             hole_1=h1, a=a, b1=b1, b2=b2)
-
-
-class TwoStateDensity:
-    """Grid-bound evaluator; orbitals are evaluated once, frames are cheap."""
-
-    def __init__(self, wp: WavePacket, mos, grid: VolumetricGrid):
-        self.wp = wp
-        self.grid = grid
-        self.structure = resolve_two_state_structure(wp)
-        table = {mo.offset: mo for mo in mos}
-        needed = {self.structure.hole_0, self.structure.particle_0,
-                  self.structure.particle_1, self.structure.hole_1}
-        missing = sorted(o for o in needed if o not in table)
-        if missing:
-            raise DensityError(f"no orbital supplied for offsets {missing}")
-        self._orb = {o: evaluate_orbital(table[o], grid) for o in sorted(needed)}
-
-    def frame(self, t_fs):
-        st = self.structure
-        z1 = np.conj(wave_packet_phase(self.wp, 0, t_fs))
-        z2 = np.conj(wave_packet_phase(self.wp, 1, t_fs))
-        c2_sq = abs(self.wp.members[1][0]) ** 2
-        p0 = self._orb[st.particle_0]
-        p1 = self._orb[st.particle_1]
-        h0 = self._orb[st.hole_0]
-        h1 = self._orb[st.hole_1]
-        particle = np.abs(st.a * z1 * p0 + st.b1 * z2 * p1) ** 2
-        hole = np.abs(st.a * z1 * h0 + st.b2 * z2 * h1) ** 2
-        drho = (particle + (st.b2 ** 2) * c2_sq * p0 * p0
-                - (st.b1 ** 2) * c2_sq * h0 * h0 - hole)
-        values = drho.reshape(self.grid.counts)
-        return DensityFrame.from_values(self.grid, values, float(t_fs))
+    """Wave packet, orbitals or grid unsuitable for the density change: a
+    packet not built on the molecule's closed shell, an orbital the density
+    needs but was not supplied, an empty time list, or a bad grid."""
 
 
 @dataclass(frozen=True)
@@ -179,15 +104,41 @@ def default_density_grid(mos, padding_angstrom=4.0, spacing_angstrom=0.15):
                           counts=tuple(counts))
 
 
-def density_change(wp, mos, grid, t_fs):
-    """Single DensityFrame at probe time t_fs."""
-    return TwoStateDensity(wp, mos, grid).frame(t_fs)
+def density_matrix_changes(wp, mos, times_fs):
+    """(offsets, [dgamma(t) for t in times_fs], kept): the density-matrix
+    change over the orbitals the packet touches and the molecule's closed
+    shell (module docstring), and the (p, q) index pairs, p <= q, of the
+    entries that are not below the pruning threshold for some member pair."""
+    occupied = occupied_offsets(mos)
+    if wp.n_electrons != 2 * len(occupied):
+        raise DensityError(
+            f"wave packet has {wp.n_electrons} electrons, the closed shell of "
+            f"{len(occupied)} occupied orbitals holds {2 * len(occupied)}")
+    offsets, g = member_pair_matrices(wp, occupied)
+    reference = np.diag([2.0 if o in occupied else 0.0 for o in offsets])
+    change = g - np.eye(wp.n_members)[:, :, None, None] * reference
+    kept = list(zip(*np.nonzero(np.triu(
+        np.max(np.abs(change), axis=(0, 1)) >= PRUNE_THRESHOLD))))
+    return offsets, at_delays(change, wp, times_fs), kept
 
 
 def density_timeseries(wp, mos, grid, times_fs):
-    """Frames at each time, sharing one orbital evaluation."""
+    """Frames at each time, sharing one evaluation per needed orbital."""
     times = [float(t) for t in times_fs]
     if not times:
         raise DensityError("empty time list")
-    engine = TwoStateDensity(wp, mos, grid)
-    return [engine.frame(t) for t in times]
+    offsets, changes, kept = density_matrix_changes(wp, mos, times)
+    table = {mo.offset: mo for mo in mos}
+    needed = sorted({offsets[k] for pq in kept for k in pq})
+    missing = [o for o in needed if o not in table]
+    if missing:
+        raise DensityError(f"no orbital supplied for offsets {missing}")
+    phi = {o: evaluate_orbital(table[o], grid) for o in needed}
+    frames = []
+    for t, dg in zip(times, changes):
+        values = np.zeros(grid.counts)
+        for p, q in kept:
+            weight = dg[p, q] if p == q else 2.0 * dg[p, q]
+            values += phi[offsets[p]] * phi[offsets[q]] * weight
+        frames.append(DensityFrame.from_values(grid, values, t))
+    return frames

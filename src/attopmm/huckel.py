@@ -114,12 +114,9 @@ def build_pentacene_graph():
     """Idealized planar pentacene: 22 carbons, 26 C-C bonds of 1.40 A."""
     pos = _pentacene_carbons()
     cutoff = CC_BOND_ANGSTROM * 1.05
-    bonds = []
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if np.linalg.norm(pos[i] - pos[j]) < cutoff:
-                bonds.append((i, j))
-    graph = PiSystemGraph(positions=pos, bonds=tuple(bonds))
+    close = np.linalg.norm(pos[:, None] - pos[None, :], axis=-1) < cutoff
+    bonds = tuple((int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(close, 1))))
+    graph = PiSystemGraph(positions=pos, bonds=bonds)
     if graph.n_sites != N_CARBON or len(graph.bonds) != N_BOND:
         raise HuckelError(
             f"pentacene construction produced {graph.n_sites} sites / "

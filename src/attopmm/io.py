@@ -518,14 +518,19 @@ def _load_lcao_file(path):
 
 
 def _build_orbitals(molecule, base_dir):
+    """(orbitals, cube atom records (Z, charge, position bohr)): the Hueckel
+    frame's atoms; none for an LCAO file, which has no atom list, or for
+    orbital cubes, whose density is not supported."""
     source = molecule.get("source", "builtin-huckel")
     if source == "builtin-huckel":
         extra = set(molecule) - {"source", "p_exponent"}
         if extra:
             raise ConfigError(
                 f"molecule: key(s) {', '.join(sorted(extra))} not valid for builtin-huckel")
-        p_exp = molecule.get("p_exponent", 1.0)
-        return list(huckel_orbitals(p_exponent=_positive(p_exp, "molecule.p_exponent")))
+        p_exp = _positive(molecule.get("p_exponent", 1.0), "molecule.p_exponent")
+        atoms = tuple((z, float(z), tuple(angstrom_to_bohr(np.asarray(p))))
+                      for z, p in pentacene_atoms())
+        return list(huckel_orbitals(p_exponent=p_exp)), atoms
     if source == "cube-files":
         table = molecule.get("orbitals")
         if not isinstance(table, dict) or not table:
@@ -538,11 +543,11 @@ def _build_orbitals(molecule, base_dir):
             except CubeFormatError as exc:
                 raise CubeFormatError(f"{path}: {exc}") from None
             mos.append(MolecularOrbital(label=str(label), grid=grid))
-        return mos
+        return mos, ()
     if source == "lcao-file":
         if "path" not in molecule:
             raise ConfigError("molecule.path: required for source lcao-file")
-        return _load_lcao_file(base_dir / molecule["path"])
+        return _load_lcao_file(base_dir / molecule["path"]), ()
     raise ConfigError(f"molecule.source: unknown source {source!r}")
 
 
@@ -658,6 +663,7 @@ class Scenario:
     raw: dict
     digest: str
     mos: list
+    atoms: tuple            # cube atom records (Z, charge, position bohr)
     wave_packet: WavePacket
     pulse: ProbePulse
     probe_times_fs: list
@@ -703,8 +709,8 @@ def load_scenario(path):
     if mode not in ("as-printed", "normalized"):
         raise ConfigError(
             f"coefficient_mode: expected 'as-printed' or 'normalized', got {mode!r}")
-    mos = _build_orbitals(raw.get("molecule", {"source": "builtin-huckel"}),
-                          path.parent)
+    mos, atoms = _build_orbitals(raw.get("molecule", {"source": "builtin-huckel"}),
+                                 path.parent)
     try:
         occupied = occupied_offsets(mos)
     except ModelError as exc:
@@ -731,7 +737,7 @@ def load_scenario(path):
         _positive(value, f"ground_state_binding_energies_ev.{label}")
     outputs = _validate_outputs(raw.get("outputs", {}))
     return Scenario(name=str(name), source_path=path, raw=raw,
-                    digest=config_digest(raw), mos=mos, wave_packet=wp,
+                    digest=config_digest(raw), mos=mos, atoms=atoms, wave_packet=wp,
                     pulse=pulse, probe_times_fs=times, finals=as_finals(rows),
                     table_rows=rows,
                     binding_energies_ev={str(k): float(v) for k, v in be.items()},
@@ -967,11 +973,9 @@ def read_spectra(path):
     return out
 
 
-def export_density(path, frame: DensityFrame, atoms=None, digest=None):
-    """Density-change frame -> cube file; default atom list is pentacene."""
-    if atoms is None:
-        atoms = [(z, float(z), tuple(angstrom_to_bohr(np.asarray(p))))
-                 for z, p in pentacene_atoms()]
+def export_density(path, frame: DensityFrame, atoms=(), digest=None):
+    """Density-change frame -> cube file with the given atom records
+    (Z, charge, position bohr), e.g. Scenario.atoms."""
     tag = f"digest={digest}" if digest else "no-config-digest"
     comments = (
         "attopmm electron-density change (1/bohr^3)",

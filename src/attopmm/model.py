@@ -544,6 +544,16 @@ def wave_packet_phase(wp: WavePacket, member, t_fs):
     return c * cmath.exp(-1j * ev_to_hartree(e_ev) * tau)
 
 
+def at_delays(kernel, wp: WavePacket, times, prefactor=1.0):
+    """prefactor * Re[z(t)^H K z(t)] for each delay t, with z_I(t) the
+    member phases; K is a member-pair array of shape (M, M, ...)."""
+    out = []
+    for t in times:
+        z = np.array([wave_packet_phase(wp, i, t) for i in range(wp.n_members)])
+        out.append(np.einsum("i,ij...,j->...", z.conj(), kernel, z).real * prefactor)
+    return out
+
+
 @dataclass(frozen=True)
 class ProbePulse:
     """Gaussian XUV probe: intensity profile I0 exp(-4 ln2 ((t-tp)/tau)^2)."""

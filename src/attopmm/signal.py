@@ -59,10 +59,10 @@ from .model import (
     ElectronicState,
     ProbePulse,
     WavePacket,
+    at_delays,
     ev_to_hartree,
     fs_to_au,
     occupied_offsets,
-    wave_packet_phase,
 )
 from .momentum import (
     MomentumError,
@@ -244,15 +244,6 @@ def _delays(t_p_fs):
     return times.reshape(-1), times.ndim == 0
 
 
-def _at_delays(kernel, wp, times, prefactor):
-    """prefactor * Re[z(t)^H K z(t)] for each delay t; K is (M, M, ...)."""
-    out = []
-    for t in times:
-        z = np.array([wave_packet_phase(wp, i, t) for i in range(wp.n_members)])
-        out.append(np.einsum("i,ij...,j->...", z.conj(), kernel, z).real * prefactor)
-    return out
-
-
 def _prefactor(pulse: ProbePulse, normalization):
     if normalization == "relative":
         return 1.0
@@ -282,7 +273,7 @@ def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short",
     basis, matrices = _dyson_matrices(channels, mos)
     kernel = _kernel(grid, basis, channels, matrices, [False] * len(channels),
                      pulse, wp, mode)
-    out = _at_delays(kernel, wp, times, _prefactor(pulse, normalization))
+    out = at_delays(kernel, wp, times, _prefactor(pulse, normalization))
     if q.ndim == 1:
         out = [float(v[0]) for v in out]
     return out[0] if single else out
@@ -379,7 +370,7 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
     }
     if average is not None:
         meta["energy_average"] = average
-    values = _at_delays(total, wp, times, _prefactor(pulse, normalization))
+    values = at_delays(total, wp, times, _prefactor(pulse, normalization))
     maps = [PMM(energy_ev=float(energy_ev), t_p_fs=float(t),
                 values=np.where(valid, v, 0.0).reshape(grid.shape),
                 axis_x=grid.axis_x, axis_y=grid.axis_y, metadata=dict(meta))
@@ -498,7 +489,7 @@ def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
         "normalization": normalization,
         "channels": channel_records(channels),
     }
-    values = _at_delays(integrated, wp, times, _prefactor(pulse, normalization))
+    values = at_delays(integrated, wp, times, _prefactor(pulse, normalization))
     spectra = [Spectrum(energies_ev=energies, values=v, scenario=scenario,
                         metadata=dict(meta, t_p_fs=float(t)))
                for t, v in zip(times, values)]

@@ -5,16 +5,26 @@ numeric Gauss-Legendre quadrature instead of closed-form transforms,
 angle integrals summed on a sphere quadrature instead of spherical-Bessel
 pair matrices,
 occupation-number (bitstring) second quantization instead of ordered
-spin-orbital tuples, text writers that call '%' once per value instead
-of formatting blocks of digits with numpy, and probabilities squared from
-phased member amplitudes one delay at a time instead of member-pair
-kernels, so agreement is evidence rather than tautology.
+spin-orbital tuples, the two-state density change expanded by hand instead
+of contracted from member-pair density matrices, text writers that call
+'%' once per value instead of formatting blocks of digits with numpy, and
+probabilities squared from phased member amplitudes one delay at a time
+instead of member-pair kernels, so agreement is evidence rather than
+tautology.
 """
 
 import numpy as np
 
 from attopmm import momentum, signal
-from attopmm.model import DOWN, HARTREE_EV, UP, WavePacket, wave_packet_phase
+from attopmm.model import (
+    DOWN,
+    HARTREE_EV,
+    UP,
+    WavePacket,
+    at_delays,
+    evaluate_orbital,
+    wave_packet_phase,
+)
 from attopmm.momentum import MomentumGrid, build_sphere, sphere_quadrature
 from attopmm.signal import SignalError, _prefactor, envelope_long, envelope_short
 
@@ -101,6 +111,32 @@ def dense_annihilation_map(final, initial):
             sign, reduced = hit
             amp += f_bits.get(reduced, 0.0) * sign * c_i
         out[so] = amp
+    return out
+
+
+def dense_one_particle_matrix(bra, ket):
+    """sum_sigma <bra| a+_{p sigma} a_{q sigma} |ket> for every orbital pair,
+    as <a_{p sigma} bra | a_{q sigma} ket> over occupation vectors.
+    Returns {(p, q): amplitude} without pruning."""
+    order = spin_orbital_basis(bra, ket)
+    reduced = []
+    for state in (bra, ket):
+        rows = {}  # k -> {reduced occupation vector: amplitude of a_k state}
+        for bits, c in _state_bits(state, order).items():
+            for k in range(len(order)):
+                hit = bit_annihilate(bits, k)
+                if hit is not None:
+                    row = rows.setdefault(k, {})
+                    row[hit[1]] = row.get(hit[1], 0.0) + hit[0] * c
+        reduced.append(rows)
+    out = {}
+    for kp, (p, sp) in enumerate(order):
+        for kq, (q, sq) in enumerate(order):
+            if sp != sq:
+                continue
+            left, right = reduced[0].get(kp, {}), reduced[1].get(kq, {})
+            amp = sum(c * right.get(bits, 0.0) for bits, c in left.items())
+            out[(p, q)] = out.get((p, q), 0.0) + amp
     return out
 
 
@@ -311,5 +347,36 @@ def quadrature_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos, n_polar,
         kernel = signal._kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
         q_au = np.sqrt(2.0 * e / HARTREE_EV)
         integrated[..., k] = q_au * (kernel * grid.weights).sum(axis=-1)
-    return signal._at_delays(integrated, wp, np.asarray(t_p_fs, dtype=float),
-                             _prefactor(pulse, normalization))
+    return at_delays(integrated, wp, np.asarray(t_p_fs, dtype=float),
+                     _prefactor(pulse, normalization))
+
+
+# ---------------------------------------------------------------------------
+# closed-form density change of the two-state packet
+
+def two_state_density(wp: WavePacket, mos, grid, times_fs):
+    """Density-change values at each time for packets of the shape
+    Psi_1 = a (h0 -> p0), Psi_2 = b1 (h0 -> p1) + b2 (h1 -> p0) (singlet
+    excitations), from the hand-expanded CIS formula
+
+        drho = |a z1 p0 + b1 z2 p1|^2 + |b2 C2|^2 p0^2 - |b1 C2|^2 h0^2
+             - |a z1 h0 + b2 z2 h1|^2,     z_I = conj(C_I e^{-i E_I (t - t0)}).
+    """
+    (_, _, s1), (c2, _, s2) = wp.members
+    ((a, csf1),) = s1.expansion
+    h0, p0 = csf1.holes[0], csf1.particles[0]
+    (b1, p1), = [(c, csf.particles[0]) for c, csf in s2.expansion
+                 if csf.holes[0] == h0]
+    (b2, h1), = [(c, csf.holes[0]) for c, csf in s2.expansion
+                 if csf.particles[0] == p0]
+    table = {mo.offset: mo for mo in mos}
+    orb = {o: evaluate_orbital(table[o], grid) for o in (h0, p0, p1, h1)}
+    out = []
+    for t in times_fs:
+        z1 = np.conj(wave_packet_phase(wp, 0, t))
+        z2 = np.conj(wave_packet_phase(wp, 1, t))
+        particle = np.abs(a * z1 * orb[p0] + b1 * z2 * orb[p1]) ** 2
+        hole = np.abs(a * z1 * orb[h0] + b2 * z2 * orb[h1]) ** 2
+        out.append(particle + b2 ** 2 * abs(c2) ** 2 * orb[p0] ** 2
+                   - b1 ** 2 * abs(c2) ** 2 * orb[h0] ** 2 - hole)
+    return out

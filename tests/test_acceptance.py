@@ -28,7 +28,7 @@ from attopmm.algebra import (
     two_hole_one_particle_csf,
 )
 from attopmm.cli import main
-from attopmm.density import TwoStateDensity, default_density_grid
+from attopmm.density import default_density_grid, density_timeseries
 from attopmm.model import ElectronicState, GaussianPrimitive
 from attopmm.momentum import gaussian_ft
 from attopmm.signal import (
@@ -343,17 +343,18 @@ def test_density_properties(scenario):
     grid = default_density_grid(
         scenario.mos, scenario.outputs["density_padding_angstrom"],
         scenario.outputs["density_spacing_angstrom"])
-    engine = TwoStateDensity(scenario.wave_packet, scenario.mos, grid)
     period = scenario.period_fs
 
     times = [0.0, period / 8.0, period / 4.0, 0.37 * period, period / 2.0,
              3.0 * period / 4.0, 0.91 * period]
-    frames = {t: engine.frame(t) for t in times}
+    *series, later = density_timeseries(scenario.wave_packet, scenario.mos, grid,
+                                        times + [0.37 * period + period])
+    frames = dict(zip(times, series))
     for t, frame in frames.items():
         assert abs(frame.net_charge) < 1e-8, (t, frame.net_charge)
 
     scale = np.max(np.abs(frames[0.0].grid.values))
-    periodic = np.max(np.abs(engine.frame(0.37 * period + period).grid.values
+    periodic = np.max(np.abs(later.grid.values
                              - frames[0.37 * period].grid.values)) / scale
     assert periodic < 1e-12, f"period deviation {periodic:.2e}"
 

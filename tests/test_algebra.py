@@ -10,6 +10,7 @@ from attopmm.algebra import (
     assemble_dyson,
     closed_shell_state,
     csf_overlap_map,
+    member_pair_matrices,
     one_hole_csf,
     singlet_excitation_csf,
     state_overlap_map,
@@ -18,6 +19,7 @@ from attopmm.algebra import (
 from attopmm.model import (
     DOWN,
     UP,
+    ConfigurationStateFunction,
     ElectronicState,
     ModelError,
     SlaterDeterminant,
@@ -25,7 +27,11 @@ from attopmm.model import (
     canonical_determinant,
 )
 
-from oracles import dense_annihilation_map, spin_orbital_basis
+from oracles import (
+    dense_annihilation_map,
+    dense_one_particle_matrix,
+    spin_orbital_basis,
+)
 
 
 def _det(*spin_orbitals):
@@ -264,3 +270,49 @@ def test_overlap_oracle_full_sweep_small():
         initial = ElectronicState(energy_ev=0.0,
                                   expansion=tuple(zip(ci, n_full)))
         _oracle_compare(final, initial)
+
+
+def _compare_member_pair_matrices(wp, orbitals=()):
+    offsets, g = member_pair_matrices(wp, orbitals)
+    assert list(offsets) == sorted(set(offsets))
+    assert set(orbitals) <= set(offsets)
+    assert g.shape == (wp.n_members, wp.n_members, len(offsets), len(offsets))
+    states = [state for _, _, state in wp.members]
+    for i, j in np.ndindex(wp.n_members, wp.n_members):
+        want = np.zeros((len(offsets), len(offsets)))
+        for (p, q), amp in dense_one_particle_matrix(states[i], states[j]).items():
+            want[offsets.index(p), offsets.index(q)] += amp
+        assert np.max(np.abs(g[i, j] - want)) <= 1e-14, (i, j)
+    return offsets, g
+
+
+def test_member_pair_matrices_match_bitstring_oracle(scenario):
+    offsets, g = _compare_member_pair_matrices(scenario.wave_packet)
+    assert offsets == tuple(range(-10, 2)) + (3,)
+    # diagonal member blocks hold the occupations: 22 electrons each
+    for i in range(2):
+        assert np.trace(g[i, i]) == pytest.approx(22.0, abs=1e-13)
+    # an extra orbital no determinant occupies adds an empty row and column
+    offsets, g = _compare_member_pair_matrices(scenario.wave_packet, (7,))
+    assert offsets[-1] == 7 and not np.any(g[..., -1, :]) and not np.any(g[..., -1])
+
+
+def test_member_pair_matrices_random_packets():
+    # non-orthogonal members mixing the reference, singlet excitations and an
+    # M_S = 1 triplet determinant, whose spin-flip overlaps must not count
+    rng = np.random.default_rng(5)
+    occ = (-1, 0)
+    triplet = ConfigurationStateFunction(
+        holes=(0,), particles=(1,), spin=1.0, projection=1.0,
+        expansion=((1.0, _det((-1, UP), (-1, DOWN), (0, UP), (1, UP))),))
+    csfs = [closed_shell_state(occ), singlet_excitation_csf(occ, 0, 1),
+            singlet_excitation_csf(occ, -1, 1), singlet_excitation_csf(occ, 0, 2),
+            singlet_excitation_csf(occ, -1, 2), triplet]
+    for n_members in (1, 2, 3):
+        members = []
+        for k in range(n_members):
+            ci = rng.normal(size=len(csfs))
+            ci /= np.linalg.norm(ci)
+            state = ElectronicState(energy_ev=1.0 + k, expansion=tuple(zip(ci, csfs)))
+            members.append((1.0 / math.sqrt(n_members), 1.0 + k, state))
+        _compare_member_pair_matrices(WavePacket(members=tuple(members)))

@@ -7,13 +7,13 @@ from attopmm.algebra import singlet_excitation_csf
 from attopmm.density import (
     DensityError,
     DensityFrame,
-    TwoStateDensity,
     default_density_grid,
-    density_change,
+    density_matrix_changes,
     density_timeseries,
-    resolve_two_state_structure,
 )
 from attopmm.model import ElectronicState, WavePacket
+
+from oracles import two_state_density
 
 
 @pytest.fixture(scope="module")
@@ -23,52 +23,79 @@ def coarse_grid(scenario):
 
 
 @pytest.fixture(scope="module")
-def engine(scenario, coarse_grid):
-    return TwoStateDensity(scenario.wave_packet, scenario.mos, coarse_grid)
+def frames(scenario, coarse_grid):
+    """Density-change frames of the bundled packet at the given times."""
+    def at(*times):
+        return density_timeseries(scenario.wave_packet, scenario.mos,
+                                  coarse_grid, times)
+    return at
 
 
-def test_structure_resolution(scenario):
-    st = resolve_two_state_structure(scenario.wave_packet)
-    assert (st.hole_0, st.particle_0) == (0, 1)       # H -> L
-    assert (st.particle_1, st.hole_1) == (3, -2)      # H -> L+2, H-2 -> L
-    assert st.a == pytest.approx(1.0)
-    assert st.b1 == pytest.approx(1.0 / math.sqrt(2.0))
-    assert st.b2 == pytest.approx(-1.0 / math.sqrt(2.0))
-
-
-def _one_member_packet(occ):
-    state = ElectronicState(energy_ev=3.9, expansion=(
-        (1.0, singlet_excitation_csf(occ, 0, 1)),))
-    return WavePacket(members=((1.0 + 0.0j, 3.9, state),))
-
-
-def test_structure_rejects_wrong_shapes(scenario):
-    occ = sorted(mo.offset for mo in scenario.mos if mo.offset <= 0)
-    with pytest.raises(DensityError):
-        resolve_two_state_structure(_one_member_packet(occ))
-    # two members but no shared hole/particle pattern
+def _packets(occ):
+    """Packets outside the two-state shape: one member; two members with no
+    shared hole or particle; a single-term second member."""
     s1 = ElectronicState(energy_ev=3.5, expansion=(
         (1.0, singlet_excitation_csf(occ, 0, 1)),))
     s2 = ElectronicState(energy_ev=4.3, expansion=(
         (1 / math.sqrt(2), singlet_excitation_csf(occ, -1, 2)),
         (-1 / math.sqrt(2), singlet_excitation_csf(occ, -3, 4)),))
-    wp = WavePacket(members=((1 / math.sqrt(2), 3.5, s1),
-                             (1 / math.sqrt(2), 4.3, s2)))
-    with pytest.raises(DensityError):
-        resolve_two_state_structure(wp)
-    # member 2 with a single excitation
     s2_single = ElectronicState(energy_ev=4.3, expansion=(
         (1.0, singlet_excitation_csf(occ, 0, 3)),))
-    wp_single = WavePacket(members=((1 / math.sqrt(2), 3.5, s1),
-                                    (1 / math.sqrt(2), 4.3, s2_single)))
-    with pytest.raises(DensityError):
-        resolve_two_state_structure(wp_single)
+    half = 1 / math.sqrt(2)
+    return {
+        "one-member": WavePacket(members=((1.0 + 0.0j, 3.5, s1),)),
+        "no-shared-orbital": WavePacket(members=((half, 3.5, s1), (half, 4.3, s2))),
+        "single-term-member": WavePacket(members=((half, 3.5, s1),
+                                                  (half, 4.3, s2_single))),
+    }
+
+
+def test_matches_two_state_closed_form(scenario, coarse_grid):
+    period = scenario.wave_packet.beat_period_fs()
+    times = [0.0, 0.295 * period, period / 4.0, 0.37 * period, period / 2.0,
+             3.0 * period / 4.0, 0.91 * period]
+    got = [f.grid.values for f in density_timeseries(
+        scenario.wave_packet, scenario.mos, coarse_grid, times)]
+    want = two_state_density(scenario.wave_packet, scenario.mos, coarse_grid, times)
+    scale = max(np.max(np.abs(w)) for w in want)
+    for t, g, w in zip(times, got, want):
+        assert np.max(np.abs(g - w)) <= 1e-14 * scale, t
+
+
+def test_general_packets(scenario):
+    # at 0.2 A the Riemann sums of the orbital products are converged
+    # (net charge ~2e-15); at 0.45 A they leave up to 2e-3 e
+    grid = default_density_grid(scenario.mos, spacing_angstrom=0.2)
+    times = [0.0, 0.4, 1.3, 2.9]
+    for name, wp in _packets(scenario.occupied).items():
+        _, changes, _ = density_matrix_changes(wp, scenario.mos, times)
+        for dg in changes:
+            assert abs(np.trace(dg)) <= 1e-13, name
+        series = density_timeseries(wp, scenario.mos, grid, times)
+        for frame in series:
+            assert abs(frame.net_charge) < 1e-12, name
+            assert frame.charge_gained > 0.0 > frame.charge_lost, name
+        if wp.n_members == 1:
+            v0 = series[0].grid.values
+            for frame in series[1:]:
+                assert (np.max(np.abs(frame.grid.values - v0))
+                        <= 1e-14 * np.max(np.abs(v0)))
 
 
 def test_missing_orbital_detected(scenario, coarse_grid):
+    no_l2 = [mo for mo in scenario.mos if mo.offset != 3]
+    with pytest.raises(DensityError, match=r"no orbital supplied for offsets \[3\]"):
+        density_timeseries(scenario.wave_packet, no_l2, coarse_grid, [0.0])
     frontier = [mo for mo in scenario.mos if mo.offset in (0, 1, 3)]  # no H-2
     with pytest.raises(DensityError):
-        TwoStateDensity(scenario.wave_packet, frontier, coarse_grid)
+        density_timeseries(scenario.wave_packet, frontier, coarse_grid, [0.0])
+
+
+def test_electron_count_must_fill_closed_shell(scenario, coarse_grid):
+    # without H-10 the molecule's closed shell holds 20 electrons, not 22
+    short = [mo for mo in scenario.mos if mo.offset != -10]
+    with pytest.raises(DensityError, match="22 electrons"):
+        density_timeseries(scenario.wave_packet, short, coarse_grid, [0.0])
 
 
 def test_frame_rejects_non_finite_values(coarse_grid):
@@ -78,43 +105,39 @@ def test_frame_rejects_non_finite_values(coarse_grid):
         DensityFrame.from_values(coarse_grid, values, 0.0)
 
 
-def test_charge_conservation(engine, scenario):
+def test_charge_conservation(frames, scenario):
     # Riemann-sum neutrality at 0.45 A spacing; the production 0.15 A grid
     # reaches ~1e-15 (exercised by the acceptance suite)
     period = scenario.wave_packet.beat_period_fs()
-    for t in (0.0, period / 8.0, period / 3.0):
-        frame = engine.frame(t)
+    for frame in frames(0.0, period / 8.0, period / 3.0):
         assert abs(frame.net_charge) < 1e-4
         assert frame.charge_gained > 0.0 > frame.charge_lost
         assert frame.net_charge == frame.charge_gained + frame.charge_lost
 
 
-def test_periodicity_and_quarter_equality(engine, scenario):
+def test_periodicity_and_quarter_equality(frames, scenario):
     period = scenario.wave_packet.beat_period_fs()
-    f0 = engine.frame(0.3).grid.values
-    f1 = engine.frame(0.3 + period).grid.values
+    f0, f1, q1, q3 = (f.grid.values for f in frames(
+        0.3, 0.3 + period, period / 4.0, 3.0 * period / 4.0))
     scale = np.max(np.abs(f0))
     assert np.max(np.abs(f1 - f0)) < 1e-12 * scale
-    q1 = engine.frame(period / 4.0).grid.values
-    q3 = engine.frame(3.0 * period / 4.0).grid.values
     assert np.max(np.abs(q1 - q3)) < 1e-12 * scale
 
 
-def test_half_period_x_reflection(engine, scenario):
+def test_half_period_x_reflection(frames, scenario):
     period = scenario.wave_packet.beat_period_fs()
-    v0 = engine.frame(0.0).grid.values
-    vh = engine.frame(period / 2.0).grid.values
+    v0, vh = (f.grid.values for f in frames(0.0, period / 2.0))
     scale = np.max(np.abs(v0))
     assert np.max(np.abs(vh - v0[::-1, :, :])) < 1e-10 * scale
     # the map is a genuine motion: the two ends differ strongly
     assert np.max(np.abs(vh - v0)) > 0.5 * scale
 
 
-def test_single_beat_harmonic(engine, scenario):
+def test_single_beat_harmonic(frames, scenario):
     # rho(t) = A + B cos(w t) + C sin(w t): three frames predict a fourth
     period = scenario.wave_packet.beat_period_fs()
-    f = [engine.frame(t).grid.values
-         for t in (0.0, period / 4.0, period / 2.0, period / 5.0)]
+    f = [frame.grid.values
+         for frame in frames(0.0, period / 4.0, period / 2.0, period / 5.0)]
     mean = 0.5 * (f[0] + f[2])
     c_cos = f[0] - mean
     c_sin = mean - f[1]
@@ -123,10 +146,11 @@ def test_single_beat_harmonic(engine, scenario):
     assert np.max(np.abs(predicted - f[3])) < 1e-12 * np.max(np.abs(f[0]))
 
 
-def test_oscillating_part_quadrant_pattern(engine, scenario):
+def test_oscillating_part_quadrant_pattern(frames, scenario):
     # the beat term is odd in x and in y: opposite corners move together
     period = scenario.wave_packet.beat_period_fs()
-    osc = engine.frame(0.0).grid.values - engine.frame(period / 2.0).grid.values
+    v0, vh = (f.grid.values for f in frames(0.0, period / 2.0))
+    osc = v0 - vh
     osc = 0.5 * osc
     n0, n1, _ = osc.shape
     h0, h1 = n0 // 2, n1 // 2
@@ -138,12 +162,13 @@ def test_oscillating_part_quadrant_pattern(engine, scenario):
     assert np.max(np.abs(pp + pm)) < 1e-10 * scale  # odd under y flip
 
 
-def test_density_change_and_timeseries(scenario, coarse_grid):
-    frame = density_change(scenario.wave_packet, scenario.mos, coarse_grid, 0.7)
+def test_timeseries(scenario, coarse_grid):
     series = density_timeseries(scenario.wave_packet, scenario.mos,
-                                coarse_grid, [0.7])
-    assert np.array_equal(series[0].grid.values, frame.grid.values)
-    assert series[0].t_fs == 0.7
+                                coarse_grid, [0.7, 1.1])
+    alone = density_timeseries(scenario.wave_packet, scenario.mos,
+                               coarse_grid, [1.1])
+    assert np.array_equal(series[1].grid.values, alone[0].grid.values)
+    assert [f.t_fs for f in series] == [0.7, 1.1]
     with pytest.raises(DensityError):
         density_timeseries(scenario.wave_packet, scenario.mos, coarse_grid, [])
 

@@ -4,7 +4,8 @@ import shutil
 import numpy as np
 import pytest
 
-from attopmm.density import default_density_grid, density_change
+from attopmm.cli import main
+from attopmm.density import default_density_grid, density_timeseries
 from attopmm.io import (
     ConfigError,
     CubeFormatError,
@@ -25,7 +26,7 @@ from attopmm.io import (
     write_cube,
     write_scenario,
 )
-from attopmm.model import VolumetricGrid
+from attopmm.model import VolumetricGrid, orbital_overlap
 from attopmm.signal import Spectrum, angle_integrated_spectrum, pmm_cut
 
 OCCUPIED = tuple(range(-10, 1))  # the bundled pentacene's closed shell, H-10 ... H
@@ -52,8 +53,9 @@ def test_cube_round_trip_small(tmp_path):
 
 def test_cube_density_frame_round_trip(tmp_path, scenario):
     grid = default_density_grid(scenario.mos, spacing_angstrom=0.45)
-    frame = density_change(scenario.wave_packet, scenario.mos, grid, 0.0)
-    path = export_density(tmp_path / "rho.cube", frame, digest="abc123")
+    frame = density_timeseries(scenario.wave_packet, scenario.mos, grid, [0.0])[0]
+    path = export_density(tmp_path / "rho.cube", frame, atoms=scenario.atoms,
+                          digest="abc123")
     back, atoms, comments = read_cube(path)
     assert len(atoms) == 36
     assert "digest=abc123" in comments[1]
@@ -240,10 +242,8 @@ def test_config_table_requires_finals_section(tmp_path, scenario):
     _config_error(tmp_path, raw, "final_states")
 
 
-def test_occupied_set_from_molecule(tmp_path, scenario):
-    # the bundled Hueckel pentacene keeps its closed shell H-10 ... H
-    assert scenario.occupied == OCCUPIED
-    # a four-site LCAO-file molecule gets the closed shell of its own orbitals
+def _butadiene_config(tmp_path, scenario):
+    """A four-site LCAO-file molecule with a one-member packet (H -> L)."""
     (tmp_path / "butadiene.json").write_text(json.dumps({
         "exponent": 1.0,
         "centers_angstrom": [[-1.9, 0.0, 0.0], [-0.7, 0.0, 0.0],
@@ -262,10 +262,37 @@ def test_occupied_set_from_molecule(tmp_path, scenario):
     raw["ground_state_binding_energies_ev"] = {"H": 5.0}
     path = tmp_path / "butadiene-config.json"
     path.write_text(json.dumps(raw))
-    small = load_scenario(path)
+    return path
+
+
+def test_occupied_set_from_molecule(tmp_path, scenario):
+    # the bundled Hueckel pentacene keeps its closed shell H-10 ... H
+    assert scenario.occupied == OCCUPIED
+    # a four-site LCAO-file molecule gets the closed shell of its own orbitals
+    small = load_scenario(_butadiene_config(tmp_path, scenario))
     assert small.occupied == (-1, 0)
     assert small.wave_packet.n_electrons == 4
     assert [state.n_electrons for _, state in small.finals] == [3, 3]
+
+
+def test_density_of_lcao_file_molecule(tmp_path, scenario):
+    # any packet on the closed shell has a density change; an LCAO file lists
+    # no atoms, so its cubes carry none
+    config = _butadiene_config(tmp_path, scenario)
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(config), "--tp", "0", "1.0",
+                 "--out", str(out)]) == 0
+    cubes = sorted(out.glob("density_tp*.cube"))
+    assert [p.name for p in cubes] == ["density_tp0.cube", "density_tp1.cube"]
+    # the file's orbitals are not normalized (<H|H> = 1.053, <L|L> = 0.934),
+    # so moving one electron H -> L changes the charge by <L|L> - <H|H>
+    mos = {mo.label: mo for mo in load_scenario(config).mos}
+    moved = orbital_overlap(mos["L"], mos["L"]) - orbital_overlap(mos["H"], mos["H"])
+    assert abs(moved) > 0.1
+    for path in cubes:
+        grid, atoms, _ = read_cube(path)
+        assert atoms == []
+        assert abs(grid.values.sum() * grid.voxel_volume - moved) < 1e-6
 
 
 # --- result exports ---------------------------------------------------------------

@@ -7,8 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from attopmm.density import default_density_grid, density_change
-from attopmm.huckel import pentacene_atoms
+from attopmm.density import default_density_grid, density_timeseries
 from attopmm.io import (
     _BLOCK_LINES,
     _write_table,
@@ -17,7 +16,7 @@ from attopmm.io import (
     export_spectra,
     write_cube,
 )
-from attopmm.model import VolumetricGrid, angstrom_to_bohr
+from attopmm.model import VolumetricGrid
 from attopmm.signal import PMM, angle_integrated_spectrum, energy_average_pmm, pmm_cut
 from oracles import reference_export_pmm, reference_export_spectra, reference_write_cube
 
@@ -113,10 +112,9 @@ def test_cube_matches_reference_writer(tmp_path):
 
 
 def test_density_frame_matches_reference_writer(tmp_path, scenario):
-    frame = density_change(scenario.wave_packet, scenario.mos,
-                           default_density_grid(scenario.mos), 0.7)
-    atoms = [(z, float(z), tuple(angstrom_to_bohr(np.asarray(p))))
-             for z, p in pentacene_atoms()]
+    frame = density_timeseries(scenario.wave_packet, scenario.mos,
+                               default_density_grid(scenario.mos), [0.7])[0]
+    atoms = scenario.atoms
     got = export_density(tmp_path / "new.cube", frame, atoms=atoms, digest="d")
     comments = tuple(got.read_text(encoding="utf-8").split("\n", 2)[:2])
     want = reference_write_cube(tmp_path / "ref.cube", frame.grid, atoms=atoms,
