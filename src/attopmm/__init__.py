@@ -5,9 +5,8 @@ real-space density changes, with a tight-binding pentacene scenario built in.
 
 from .algebra import (
     AlgebraError,
-    DysonOrbital,
-    assemble_dyson,
     closed_shell_state,
+    dyson_matrices,
     one_hole_csf,
     singlet_excitation_csf,
     two_hole_one_particle_csf,
@@ -56,8 +55,8 @@ from .signal import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraError", "DysonOrbital", "assemble_dyson", "closed_shell_state",
-    "one_hole_csf", "singlet_excitation_csf", "two_hole_one_particle_csf",
+    "AlgebraError", "closed_shell_state", "dyson_matrices", "one_hole_csf",
+    "singlet_excitation_csf", "two_hole_one_particle_csf",
     "DensityError", "DensityFrame", "default_density_grid",
     "density_timeseries", "HuckelError", "build_pentacene_graph",
     "huckel_orbitals", "ConfigError", "CubeFormatError", "Scenario",

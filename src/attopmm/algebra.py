@@ -1,5 +1,9 @@
-"""Second-quantization engine: annihilation on determinants and CSFs,
-N/(N-1)-electron overlap channels, and Dyson-orbital assembly.
+"""Second-quantization engine: annihilation on determinants, CSF
+construction, and one annihilation table A[I, (sigma, D), p] =
+<D| a_{p sigma} |Psi_I> per wave packet (D an N-1 electron determinant).
+The member-pair density matrices are G[I, J, p, q] = sum_r A[I, r, p]
+A[J, r, q]; the Dyson coefficients of a final state are its determinant
+amplitudes over the same rows contracted with A.
 
 Sign conventions (fixed, and the basis for every regression here):
   * determinants are stored canonically (orbital offset ascending, up before
@@ -20,7 +24,6 @@ magnitudes and relative phases only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from .model import (
     SlaterDeterminant,
     WavePacket,
     canonical_determinant,
-    wave_packet_phase,
 )
 
 PRUNE_THRESHOLD = 1e-14  # below double-precision resolution of downstream sums
@@ -159,7 +161,7 @@ def two_hole_one_particle_csf(occupied, hole1, hole2, particle, coupling=""):
 
 
 # ---------------------------------------------------------------------------
-# overlaps and Dyson orbitals
+# annihilation table: density matrices and Dyson coefficients
 
 def _determinant_amplitudes(state: ElectronicState):
     amp = {}
@@ -169,46 +171,31 @@ def _determinant_amplitudes(state: ElectronicState):
     return amp
 
 
-def csf_overlap_map(final: ElectronicState, initial_csf: ConfigurationStateFunction):
-    """All channels (orbital, spin, <final| a_{orbital,spin} |initial_csf>).
+def _annihilation_table(wp: WavePacket, orbitals=()):
+    """(offsets, rows, A) with A[I, r, p] = <D_r| a_{p sigma_r} |Psi_I>.
 
-    Channels are sorted by (orbital, spin); coefficients below the pruning
-    threshold are dropped.
+    offsets: the sorted union of `orbitals` and every orbital a member
+    determinant occupies (the columns p); rows: (sigma, N-1 electron
+    determinant D) -> row index r, over every determinant some a_{p sigma}
+    reaches from a member.
     """
-    if final.n_electrons != initial_csf.n_electrons - 1:
-        raise AlgebraError(
-            f"final state has {final.n_electrons} electrons, initial CSF "
-            f"{initial_csf.n_electrons}; expected a difference of one")
-    famp = _determinant_amplitudes(final)
-    channels = {}
-    for c_det, det in initial_csf.expansion:
-        for orb, spin in det.spin_orbitals:
-            res = annihilate(det, orb, spin)
-            if res is None:
-                continue
-            sign, reduced = res
-            bra = famp.get(reduced)
-            if bra is None:
-                continue
-            key = (orb, spin)
-            channels[key] = channels.get(key, 0.0) + bra * sign * c_det
-    return [(orb, spin, c) for (orb, spin), c in sorted(channels.items())
-            if abs(c) >= PRUNE_THRESHOLD]
-
-
-def state_overlap_map(final: ElectronicState, initial: ElectronicState):
-    """csf_overlap_map summed over the initial state's CI expansion."""
-    if final.basis is not None and initial.basis is not None \
-            and final.basis != initial.basis:
-        raise AlgebraError(
-            f"states built on different orbital bases: "
-            f"{final.basis!r} vs {initial.basis!r}")
-    channels = {}
-    for c_csf, csf in initial.expansion:
-        for orb, spin, c in csf_overlap_map(final, csf):
-            key = (orb, spin)
-            channels[key] = channels.get(key, 0.0) + c_csf * c
-    return {k: c for k, c in sorted(channels.items()) if abs(c) >= PRUNE_THRESHOLD}
+    amplitudes = [_determinant_amplitudes(state) for _, _, state in wp.members]
+    offsets = sorted({int(o) for o in orbitals}
+                     | {orb for amp in amplitudes for det in amp
+                        for orb, _ in det.spin_orbitals})
+    column = {orb: k for k, orb in enumerate(offsets)}
+    rows = {}
+    entries = []
+    for i, amp in enumerate(amplitudes):
+        for det, c in amp.items():
+            for orb, spin in det.spin_orbitals:
+                sign, reduced = annihilate(det, orb, spin)
+                row = rows.setdefault((spin, reduced), len(rows))
+                entries.append((i, row, column[orb], sign * c))
+    table = np.zeros((wp.n_members, len(rows), len(offsets)))
+    for i, row, col, c in entries:
+        table[i, row, col] += c
+    return tuple(offsets), rows, table
 
 
 def member_pair_matrices(wp: WavePacket, orbitals=()):
@@ -220,60 +207,38 @@ def member_pair_matrices(wp: WavePacket, orbitals=()):
     occupies. The one-particle density matrix at delay t is then
     gamma_pq(t) = sum_IJ z_I*(t) z_J(t) G[I, J, p, q].
     """
-    amplitudes = [_determinant_amplitudes(state) for _, _, state in wp.members]
-    offsets = sorted({int(o) for o in orbitals}
-                     | {orb for amp in amplitudes for det in amp
-                        for orb, _ in det.spin_orbitals})
-    column = {orb: k for k, orb in enumerate(offsets)}
-    rows = {}  # (spin, N-1 electron determinant) -> row of a_{p sigma} Psi_I
-    entries = []
-    for i, amp in enumerate(amplitudes):
-        for det, c in amp.items():
-            for orb, spin in det.spin_orbitals:
-                sign, reduced = annihilate(det, orb, spin)
-                row = rows.setdefault((spin, reduced), len(rows))
-                entries.append((i, row, column[orb], sign * c))
-    reduced = np.zeros((wp.n_members, len(rows), len(offsets)))
-    for i, row, col, c in entries:
-        reduced[i, row, col] += c
-    return tuple(offsets), np.einsum("irp,jrq->ijpq", reduced, reduced)
+    offsets, _, table = _annihilation_table(wp, orbitals)
+    return offsets, np.einsum("irp,jrq->ijpq", table, table)
 
 
-@dataclass(frozen=True)
-class DysonOrbital:
-    """Overlap <final | psi-hat(r) | wave packet(t_p)> resolved on orbitals.
+def dyson_matrices(finals, wp: WavePacket):
+    """Un-phased Dyson coefficients of N-1 electron final states.
 
-    terms: ((coefficient complex, orbital offset, spin), ...), one entry per
-    (orbital, spin), pruned. per_member holds the un-phased decomposition
-    per wave-packet member (the coefficients still to be multiplied by
-    C_I e^{-i E_I (t_p - t0)}), needed by the finite-duration pipeline.
+    Returns (offsets, D) with D[F, sigma, I, p] = <F| a_{p sigma} |Psi_I>,
+    shape (n_finals, 2, M, n), over the orbitals of member_pair_matrices;
+    entries below PRUNE_THRESHOLD are 0. The Dyson orbital of final F at
+    delay t has the coefficients sum_I z_I(t) D[F, sigma, I, p].
     """
-
-    terms: tuple
-    per_member: tuple  # tuple over members of ((coeff, orbital, spin), ...)
-    provenance: tuple = (None, None)  # (final-state index, t_p fs)
-
-    def norm(self):
-        return math.sqrt(sum(abs(c) ** 2 for c, _, _ in self.terms))
-
-
-def assemble_dyson(final: ElectronicState, wp: WavePacket, t_p_fs,
-                   final_index=None):
-    """Dyson orbital of `final` against the evolved wave packet at t_p."""
-    if final.n_electrons != wp.n_electrons - 1:
-        raise AlgebraError("final state must have one electron fewer than "
-                           "the wave packet")
-    per_member = []
-    for _, _, state in wp.members:
-        chan = state_overlap_map(final, state)
-        per_member.append(tuple((c, orb, spin) for (orb, spin), c in chan.items()))
-    merged = {}
-    for i in range(wp.n_members):
-        phase = wave_packet_phase(wp, i, t_p_fs)
-        for c, orb, spin in per_member[i]:
-            key = (orb, spin)
-            merged[key] = merged.get(key, 0j) + phase * c
-    terms = tuple((c, orb, spin) for (orb, spin), c in sorted(merged.items())
-                  if abs(c) >= PRUNE_THRESHOLD)
-    return DysonOrbital(terms=terms, per_member=tuple(per_member),
-                        provenance=(final_index, t_p_fs))
+    finals = list(finals)
+    for final in finals:
+        if final.n_electrons != wp.n_electrons - 1:
+            raise AlgebraError(
+                f"final state has {final.n_electrons} electrons, wave packet "
+                f"{wp.n_electrons}; expected a difference of one")
+        for _, _, member in wp.members:
+            if final.basis is not None and member.basis is not None \
+                    and final.basis != member.basis:
+                raise AlgebraError(
+                    f"states built on different orbital bases: "
+                    f"{final.basis!r} vs {member.basis!r}")
+    offsets, rows, table = _annihilation_table(wp)
+    bras = np.zeros((len(finals), 2, len(rows)))
+    for f, final in enumerate(finals):
+        for det, c in _determinant_amplitudes(final).items():
+            for spin in (UP, DOWN):
+                row = rows.get((spin, det))
+                if row is not None:
+                    bras[f, spin, row] = c
+    dyson = np.einsum("fsr,irp->fsip", bras, table)
+    dyson[np.abs(dyson) < PRUNE_THRESHOLD] = 0.0
+    return offsets, dyson

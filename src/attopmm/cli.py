@@ -28,8 +28,8 @@ import numpy as np
 from . import density as density_mod
 from . import io as io_mod
 from . import signal as signal_mod
-from .algebra import AlgebraError, assemble_dyson
-from .model import DOWN, UP, ModelError, offset_label
+from .algebra import PRUNE_THRESHOLD, AlgebraError, dyson_matrices
+from .model import SPIN_NAMES, ModelError, offset_label, wave_packet_phase
 from .momentum import MomentumError
 
 log = logging.getLogger("attopmm.cli")
@@ -335,14 +335,16 @@ def cmd_dyson(args, scenario):
     if not match:
         raise signal_mod.SignalError(
             f"no final state with index {args.final} in the table")
-    dyson = assemble_dyson(match[0], scenario.wave_packet, t_fs,
-                           final_index=args.final)
+    wp = scenario.wave_packet
+    offsets, dyson = dyson_matrices(match, wp)
+    z = [wave_packet_phase(wp, i, t_fs) for i in range(wp.n_members)]
+    coeffs = np.einsum("i,sip->ps", z, dyson[0])
     print(f"final state {args.final} at t_p = {t_fs:.6f} fs")
-    spin_name = {UP: "up", DOWN: "down"}
-    for coeff, orb, spin in dyson.terms:
-        print(f"orbital {offset_label(orb):<5s} spin {spin_name[spin]:<4s} "
-              f"|c| = {abs(coeff):.12e}")
-    print(f"norm = {dyson.norm():.12e}")
+    for (k, spin), c in np.ndenumerate(coeffs):
+        if abs(c) >= PRUNE_THRESHOLD:
+            print(f"orbital {offset_label(offsets[k]):<5s} spin {SPIN_NAMES[spin]:<4s} "
+                  f"|c| = {abs(c):.12e}")
+    print(f"norm = {np.linalg.norm(coeffs):.12e}")
 
 
 # artifact writers: each returns the paths it wrote

@@ -29,7 +29,6 @@ import numpy as np
 
 from .model import (
     GaussianPrimitive,
-    ModelError,
     MolecularOrbital,
     angstrom_to_bohr,
     offset_label,
@@ -242,17 +241,3 @@ def huckel_orbitals(graph: PiSystemGraph = None, p_exponent=1.0):
             parities=parities, energy=float(energies[k]), site_vector=vec))
     return tuple(orbitals)
 
-
-def orbitals_by_label(orbitals):
-    """Label -> orbital lookup dict."""
-    return {mo.label: mo for mo in orbitals}
-
-
-def orbitals_by_offset(orbitals):
-    out = {}
-    for mo in orbitals:
-        try:
-            out[mo.offset] = mo
-        except ModelError:
-            continue
-    return out

@@ -47,6 +47,7 @@ from .model import (
     angstrom_to_bohr,
     occupied_offsets,
     orbital_offset,
+    primitive_overlap,
 )
 from .signal import PMM, Spectrum
 
@@ -514,6 +515,15 @@ def _load_lcao_file(path):
         mos.append(MolecularOrbital(
             label=str(_require(entry, "label", where)), coefficients=coeff,
             primitives=prims, energy=entry.get("energy")))
+    if mos:
+        coeffs = np.array([mo.coefficients for mo in mos])
+        overlap = np.array([[primitive_overlap(a, b) for b in prims] for a in prims])
+        error = np.abs(coeffs @ overlap @ coeffs.T - np.eye(len(mos)))
+        i, j = np.unravel_index(np.argmax(error), error.shape)
+        if error[i, j] > 1e-6:
+            log.warning("%s: orbitals are not orthonormal: max |<i|j> - delta_ij| "
+                        "= %.3g at <%s|%s>", path, error[i, j], mos[i].label,
+                        mos[j].label)
     return mos
 
 
@@ -742,14 +752,6 @@ def load_scenario(path):
                     table_rows=rows,
                     binding_energies_ev={str(k): float(v) for k, v in be.items()},
                     coefficient_mode=mode, outputs=outputs)
-
-
-def write_scenario(path, raw):
-    """Canonical JSON serialization; load(write(load(p))) round-trips."""
-    path = Path(path)
-    path.write_text(json.dumps(raw, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
 
 
 def default_scenario_path():

@@ -11,9 +11,10 @@ Physics conventions:
         K_IJ(q)   = |eps_in . q|^2 sum_{F,sigma} W_FIJ(eps_e)
                     conj(R_FsigmaI(q)) R_FsigmaJ(q),
     with eps_e = |q|^2 / 2 and R_FsigmaI = D_FsigmaI @ F[orbitals](q) the
-    transform of member I's un-phased Dyson orbital (D: member x orbital
-    coefficient matrix of channel F and spin sigma). A delay series costs
-    one kernel per grid, then M^2 products per sample and delay;
+    transform of member I's un-phased Dyson orbital, D[F, sigma, I, p] =
+    <F| a_{p sigma} |Psi_I> from one algebra.dyson_matrices call per packet
+    (each SpectralChannel holds its D[sigma, I, p] slice). A delay series
+    costs one kernel per grid, then M^2 products per sample and delay;
   * pair weights: short pulse (sudden limit) W_FIJ = envelope_short, the
     probability-level window exp(-(Omega_F - eps_e)^2 tau^2 / (4 ln2)) with
     Omega_F = omega_in + <E> - E_F, for every member pair; finite-duration
@@ -52,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import assemble_dyson
 from .model import (
     BOHR_ANGSTROM,
     HARTREE_EV,
@@ -108,15 +108,6 @@ def envelope_long(omega_in_ev, e_member_ev, e_final_ev, energy_ev, tau_fs):
     return float(out) if np.ndim(energy_ev) == 0 else out
 
 
-def envelope_fwhm_ev(tau_fs, level="probability"):
-    """Full width of the spectral window: 4 ln2 / tau at probability level,
-    sqrt(2) times that at amplitude level."""
-    width_au = FOUR_LN2 / fs_to_au(tau_fs)
-    if level == "amplitude":
-        width_au *= math.sqrt(2.0)
-    return width_au * HARTREE_EV
-
-
 # ---------------------------------------------------------------------------
 # channels
 
@@ -125,29 +116,36 @@ class SpectralChannel:
     """One ionic final state as seen by the probe.
 
     omega_ev = omega_in + <E> - E_F is the photoelectron energy the channel
-    is centered at. time_dependent is True iff at least two wave-packet
-    members contribute nonzero Dyson terms.
+    is centered at. dyson[sigma, I, p] = <F| a_{p sigma} |Psi_I> over the
+    orbital offsets (algebra.dyson_matrices); time_dependent is True iff at
+    least two wave-packet members have a nonzero entry; dyson_norm is the
+    norm of the Dyson orbital at t0, |sum_I C_I dyson[sigma, I, p]|.
     """
 
     index: int
     final_energy_ev: float
     omega_ev: float
-    dyson: algebra.DysonOrbital
+    dyson: np.ndarray
+    offsets: tuple
     time_dependent: bool
+    dyson_norm: float
 
 
 def build_channels(wp: WavePacket, finals, pulse: ProbePulse):
     """SpectralChannel list for (index, ElectronicState) finals."""
+    if not finals:
+        raise SignalError("empty final-state list")
+    offsets, dyson = algebra.dyson_matrices([state for _, state in finals], wp)
+    dyson.flags.writeable = False
+    weights = np.array([c for c, _, _ in wp.members])
     channels = []
-    for index, state in finals:
-        dyson = assemble_dyson(state, wp, wp.t0_fs, final_index=index)
-        coupled = sum(1 for member in dyson.per_member if member)
+    for (index, state), d in zip(finals, dyson):
+        coupled = np.count_nonzero(np.any(d != 0.0, axis=(0, 2)))
         omega = pulse.photon_energy_ev + wp.mean_energy_ev - state.energy_ev
         channels.append(SpectralChannel(
             index=int(index), final_energy_ev=state.energy_ev, omega_ev=omega,
-            dyson=dyson, time_dependent=coupled >= 2))
-    if not channels:
-        raise SignalError("empty final-state list")
+            dyson=d, offsets=offsets, time_dependent=bool(coupled >= 2),
+            dyson_norm=float(np.linalg.norm(np.einsum("i,sip->sp", weights, d)))))
     return channels
 
 
@@ -156,7 +154,7 @@ def channel_records(channels):
     (eV), time dependence and Dyson norm."""
     return [{"index": ch.index, "final_energy_ev": ch.final_energy_ev,
              "omega_ev": ch.omega_ev, "time_dependent": ch.time_dependent,
-             "dyson_norm": ch.dyson.norm()} for ch in channels]
+             "dyson_norm": ch.dyson_norm} for ch in channels]
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +186,15 @@ def _screen(channels, energy_ev, pulse, wp, mode, min_envelope):
 def _dyson_matrices(channels, mos):
     """The orbitals the channels ionize, and per channel the un-phased Dyson
     coefficient matrices D[member, orbital] of each spin it feeds."""
+    offsets = channels[0].offsets
+    used = np.flatnonzero(np.any([ch.dyson != 0.0 for ch in channels], axis=(0, 1, 2)))
     table = {mo.offset: mo for mo in mos}
-    needed = sorted({orb for ch in channels
-                     for member in ch.dyson.per_member
-                     for _, orb, _ in member})
-    missing = [o for o in needed if o not in table]
+    missing = [offsets[k] for k in used if offsets[k] not in table]
     if missing:
         raise SignalError(f"no orbital supplied for offsets {missing}")
-    column = {orb: k for k, orb in enumerate(needed)}
-    matrices = []
-    for ch in channels:
-        by_spin = {}
-        for i, member in enumerate(ch.dyson.per_member):
-            for c, orb, spin in member:
-                d = by_spin.setdefault(spin, np.zeros(
-                    (len(ch.dyson.per_member), len(needed)), dtype=complex))
-                d[i, column[orb]] += c
-        matrices.append([by_spin[spin] for spin in sorted(by_spin)])
-    return [table[o] for o in needed], matrices
+    matrices = [[d[:, used].astype(complex) for d in ch.dyson if np.any(d)]
+                for ch in channels]
+    return [table[offsets[k]] for k in used], matrices
 
 
 def _kernel(grid: MomentumGrid, basis, channels, matrices, skip, pulse, wp, mode,

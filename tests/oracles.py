@@ -252,17 +252,17 @@ def reference_export_spectra(path, spectra, digest=None):
 class ReferenceAmplitudes:
     """Per (channel, spin, member) complex amplitude rows on one grid.
 
-    row[c][spin][i] = sum over the member-i Dyson terms of that spin of
-    coeff * F[orbital](q); None when the member does not feed the spin.
+    row[c][spin][i] = sum over the nonzero member-i Dyson entries
+    ch.dyson[spin, i, p] of that spin of coeff * F[orbital p](q); None when
+    the member does not feed the spin.
     """
 
     def __init__(self, channels, mos, grid: MomentumGrid):
         table = {}
         for mo in mos:
             table[mo.offset] = mo
-        needed = sorted({orb for ch in channels
-                         for member in ch.dyson.per_member
-                         for _, orb, _ in member})
+        needed = sorted({ch.offsets[p] for ch in channels
+                         for _, _, p in zip(*np.nonzero(ch.dyson))})
         missing = [o for o in needed if o not in table]
         if missing:
             raise SignalError(f"no orbital supplied for offsets {missing}")
@@ -273,8 +273,8 @@ class ReferenceAmplitudes:
             for spin in (UP, DOWN):
                 members = []
                 hit = False
-                for member in ch.dyson.per_member:
-                    terms = [(c, orb) for c, orb, s in member if s == spin]
+                for member in ch.dyson[spin]:
+                    terms = [(member[p], ch.offsets[p]) for p in np.flatnonzero(member)]
                     if terms:
                         row = np.zeros(grid.n_samples, dtype=complex)
                         for c, orb in terms:

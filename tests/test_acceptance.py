@@ -19,17 +19,15 @@ import numpy as np
 import pytest
 
 from attopmm.algebra import (
-    assemble_dyson,
     closed_shell_state,
-    csf_overlap_map,
+    dyson_matrices,
     one_hole_csf,
     singlet_excitation_csf,
-    state_overlap_map,
     two_hole_one_particle_csf,
 )
 from attopmm.cli import main
 from attopmm.density import default_density_grid, density_timeseries
-from attopmm.model import ElectronicState, GaussianPrimitive
+from attopmm.model import ElectronicState, GaussianPrimitive, WavePacket
 from attopmm.momentum import gaussian_ft
 from attopmm.signal import (
     angle_integrated_spectrum,
@@ -59,11 +57,13 @@ def test_dyson_regression(scenario):
         2: [0.94 / 2.0 * c2],
         3: [0.83 / math.sqrt(2.0) * c1],
     }
-    finals = dict(scenario.finals)
+    wp = scenario.wave_packet
+    _, dyson = dyson_matrices([state for _, state in scenario.finals], wp)
+    rows = {index: k for k, (index, _) in enumerate(scenario.finals)}
+    weights = [c for c, _, _ in wp.members]  # member phases at t0 = 0
     for index, want in expected.items():
-        dyson = assemble_dyson(finals[index], scenario.wave_packet, 0.0,
-                               final_index=index)
-        got = sorted(abs(c) for c, _, _ in dyson.terms)
+        coeffs = np.einsum("i,sip->sp", weights, dyson[rows[index]])
+        got = sorted(abs(c) for c in coeffs[coeffs != 0.0])
         assert len(got) == len(want), f"channel {index}"
         for g, w in zip(got, want):
             assert abs(g - w) < 1e-12, f"channel {index}: {g} vs {w}"
@@ -108,6 +108,14 @@ def _wrap(csf, energy=1.0):
     return ElectronicState(energy_ev=energy, expansion=((1.0, csf),))
 
 
+def _channel_maps(finals, initial):
+    """Per final state {(orbital, spin): <final| a_{orbital,spin} |initial>}
+    from one dyson_matrices call, initial wrapped as a one-member packet."""
+    offsets, d = dyson_matrices(finals, WavePacket(((1.0, 0.0, initial),)))
+    return [{(offsets[p], spin): c for (spin, p), c in np.ndenumerate(df[:, 0])}
+            for df in d]
+
+
 def test_algebra_oracle_full_sweep():
     # every CSF the library can build on <= 4 spatial orbitals
     # (8 spin-orbitals) with <= 4 electrons, all (final, initial) pairings
@@ -118,13 +126,11 @@ def test_algebra_oracle_full_sweep():
     checked = 0
     for initial_csf in evens:
         initial = _wrap(initial_csf, energy=0.0)
-        for final_csf in odds:
-            if final_csf.n_electrons != initial_csf.n_electrons - 1:
-                continue
-            final = _wrap(final_csf)
+        final_csfs = [c for c in odds if c.n_electrons == initial_csf.n_electrons - 1]
+        finals = [_wrap(c) for c in final_csfs]
+        for final_csf, final, got in zip(final_csfs, finals,
+                                         _channel_maps(finals, initial)):
             want = dense_annihilation_map(final, initial)
-            got = {(orb, spin): c
-                   for orb, spin, c in csf_overlap_map(final, initial_csf)}
             for so in spin_orbital_basis(final, initial):
                 assert abs(got.get(so, 0.0) - want[so]) < 1e-12, \
                     (final_csf, initial_csf, so)
@@ -146,7 +152,7 @@ def test_algebra_oracle_full_sweep():
             (c, odds3[k]) for c, k in zip(cf, rng.choice(len(odds3), 4,
                                                          replace=False))))
         want = dense_annihilation_map(final, initial)
-        got = state_overlap_map(final, initial)
+        (got,) = _channel_maps([final], initial)
         for so in spin_orbital_basis(final, initial):
             assert abs(got.get(so, 0.0) - want[so]) < 1e-12
     _budget(t0, 30.0, "algebra oracle sweep")

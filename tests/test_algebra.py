@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from attopmm.algebra import (
+    PRUNE_THRESHOLD,
     AlgebraError,
     annihilate,
-    assemble_dyson,
     closed_shell_state,
-    csf_overlap_map,
+    dyson_matrices,
     member_pair_matrices,
     one_hole_csf,
     singlet_excitation_csf,
-    state_overlap_map,
     two_hole_one_particle_csf,
 )
 from attopmm.model import (
@@ -25,6 +24,7 @@ from attopmm.model import (
     SlaterDeterminant,
     WavePacket,
     canonical_determinant,
+    wave_packet_phase,
 )
 
 from oracles import (
@@ -108,11 +108,23 @@ def _wrap(csf, energy=1.0):
     return ElectronicState(energy_ev=energy, expansion=((1.0, csf),))
 
 
+def _packet(state):
+    return WavePacket(((1.0, 0.0, state),))
+
+
+def _channels(final, initial):
+    """{(orbital, spin): <final| a_{orbital,spin} |initial>} of the nonzero
+    dyson_matrices entries, initial wrapped as a one-member packet."""
+    offsets, d = dyson_matrices([final], _packet(initial))
+    return {(offsets[p], spin): c for (spin, p), c in np.ndenumerate(d[0, :, 0])
+            if c != 0.0}
+
+
 def test_overlap_requires_one_electron_difference():
     occ = range(-1, 1)
     with pytest.raises(AlgebraError):
-        state_overlap_map(_wrap(singlet_excitation_csf(occ, 0, 1)),
-                          _wrap(singlet_excitation_csf(occ, 0, 1)))
+        dyson_matrices([_wrap(singlet_excitation_csf(occ, 0, 1))],
+                       _packet(_wrap(singlet_excitation_csf(occ, 0, 1))))
 
 
 def test_basis_tag_mismatch_rejected():
@@ -122,11 +134,11 @@ def test_basis_tag_mismatch_rejected():
     ion = ElectronicState(energy_ev=5.0, basis="set-b",
                           expansion=((1.0, one_hole_csf(occ, 0)),))
     with pytest.raises(AlgebraError):
-        state_overlap_map(ion, neutral)
+        dyson_matrices([ion], _packet(neutral))
 
 
 def _oracle_compare(final, initial, tol=1e-12):
-    got = state_overlap_map(final, initial)
+    got = _channels(final, initial)
     want = dense_annihilation_map(final, initial)
     for so in spin_orbital_basis(final, initial):
         assert got.get(so, 0.0) == pytest.approx(want[so], abs=tol), so
@@ -168,16 +180,30 @@ def test_overlap_oracle_mixed_final_expansions():
     _oracle_compare(final, initial)
 
 
-def test_csf_overlap_map_sorted_and_pruned():
+def test_dyson_matrices_sorted_and_pruned():
     occ = range(-2, 1)
     final = _wrap(one_hole_csf(occ, 0))
-    rows = csf_overlap_map(final, singlet_excitation_csf(occ, 0, 1))
-    assert rows == sorted(rows, key=lambda r: (r[0], r[1]))
-    assert all(abs(c) >= 1e-14 for _, _, c in rows)
-    assert [(o, s) for o, s, _ in rows] == [(1, DOWN)]
+    offsets, d = dyson_matrices([final], _packet(_wrap(singlet_excitation_csf(occ, 0, 1))))
+    assert list(offsets) == sorted(set(offsets))
+    assert np.all((d == 0.0) | (np.abs(d) >= PRUNE_THRESHOLD))
+    rows = [(offsets[p], spin) for spin, p in zip(*np.nonzero(d[0, :, 0]))]
+    assert sorted(rows) == [(1, DOWN)]
 
 
 # --- published-coefficient regressions (frozen expected values) ----------
+
+def _scenario_dyson(scenario):
+    """(offsets, {final index: D[sigma, I, p]}) of the bundled packet."""
+    offsets, d = dyson_matrices([state for _, state in scenario.finals],
+                                scenario.wave_packet)
+    return offsets, {idx: d[k] for k, (idx, _) in enumerate(scenario.finals)}
+
+
+def _phased(wp, d, t_fs):
+    """Dyson coefficients sum_I z_I(t) D[sigma, I, p], shape (2, n)."""
+    z = [wave_packet_phase(wp, i, t_fs) for i in range(wp.n_members)]
+    return np.einsum("i,sip->sp", z, d)
+
 
 EXPECTED_MAGNITUDES = {
     1: [0.95 / 2.0, 0.95 / (2.0 * math.sqrt(2.0))],
@@ -188,11 +214,12 @@ EXPECTED_MAGNITUDES = {
 
 def test_dyson_regression_published_channels(scenario):
     wp = scenario.wave_packet
-    for idx, state in scenario.finals:
+    _, dyson = _scenario_dyson(scenario)
+    for idx, d in dyson.items():
         if idx not in EXPECTED_MAGNITUDES:
             continue
-        dyson = assemble_dyson(state, wp, 0.0, final_index=idx)
-        got = sorted(abs(c) for c, _, _ in dyson.terms)
+        coeffs = _phased(wp, d, 0.0)
+        got = sorted(abs(c) for c in coeffs[coeffs != 0.0])
         want = sorted(EXPECTED_MAGNITUDES[idx])
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -202,12 +229,13 @@ def test_dyson_regression_published_channels(scenario):
 def test_dyson_channel_structure(scenario):
     wp = scenario.wave_packet
     # orbital offsets feeding each ionic channel, and which members couple
+    offsets, dyson = _scenario_dyson(scenario)
     structure = {}
-    for idx, state in scenario.finals:
-        dyson = assemble_dyson(state, wp, 0.0, final_index=idx)
-        orbs = tuple(sorted(o for _, o, _ in dyson.terms))
-        members = tuple(k for k, mem in enumerate(dyson.per_member) if mem)
-        spins = {s for _, _, s in dyson.terms}
+    for idx, d in dyson.items():
+        spins, orbs = np.nonzero(_phased(wp, d, 0.0))
+        orbs = tuple(sorted(offsets[p] for p in orbs))
+        members = tuple(np.flatnonzero(np.any(d, axis=(0, 2))))
+        spins = set(spins)
         assert spins <= {DOWN}  # M conservation: only down-spin removal
         structure[idx] = (orbs, members)
     assert structure == {
@@ -222,26 +250,26 @@ def test_dyson_channel_structure(scenario):
 
 def test_dyson_time_dependence_is_pure_phase(scenario):
     wp = scenario.wave_packet
-    state = dict(scenario.finals)[1]
-    d0 = assemble_dyson(state, wp, 0.0)
-    d1 = assemble_dyson(state, wp, 1.3)
-    mags0 = sorted(abs(c) for c, _, _ in d0.terms)
-    mags1 = sorted(abs(c) for c, _, _ in d1.terms)
+    offsets, dyson = _scenario_dyson(scenario)
+    d0 = _phased(wp, dyson[1], 0.0)
+    d1 = _phased(wp, dyson[1], 1.3)
+    mags0 = sorted(abs(c) for c in d0[d0 != 0.0])
+    mags1 = sorted(abs(c) for c in d1[d1 != 0.0])
+    assert len(mags0) == len(mags1)
     assert np.allclose(mags0, mags1, atol=1e-14)
     # but the relative phase between the two channels rotates
-    c0 = {(o, s): c for c, o, s in d0.terms}
-    c1 = {(o, s): c for c, o, s in d1.terms}
-    rel0 = c0[(3, DOWN)] / c0[(1, DOWN)]
-    rel1 = c1[(3, DOWN)] / c1[(1, DOWN)]
+    l, l2 = offsets.index(1), offsets.index(3)
+    rel0 = d0[DOWN, l2] / d0[DOWN, l]
+    rel1 = d1[DOWN, l2] / d1[DOWN, l]
     assert abs(rel0 - rel1) > 1e-3
 
 
 def test_dyson_electron_count_guard(scenario):
     with pytest.raises(AlgebraError):
-        assemble_dyson(
-            ElectronicState(energy_ev=0.0, expansion=(
-                (1.0, closed_shell_state(range(-10, 1))),)),
-            scenario.wave_packet, 0.0)
+        dyson_matrices(
+            [ElectronicState(energy_ev=0.0, expansion=(
+                (1.0, closed_shell_state(range(-10, 1))),))],
+            scenario.wave_packet)
 
 
 def test_overlap_oracle_full_sweep_small():
@@ -297,7 +325,7 @@ def test_member_pair_matrices_match_bitstring_oracle(scenario):
     assert offsets[-1] == 7 and not np.any(g[..., -1, :]) and not np.any(g[..., -1])
 
 
-def test_member_pair_matrices_random_packets():
+def _random_packets():
     # non-orthogonal members mixing the reference, singlet excitations and an
     # M_S = 1 triplet determinant, whose spin-flip overlaps must not count
     rng = np.random.default_rng(5)
@@ -315,4 +343,40 @@ def test_member_pair_matrices_random_packets():
             ci /= np.linalg.norm(ci)
             state = ElectronicState(energy_ev=1.0 + k, expansion=tuple(zip(ci, csfs)))
             members.append((1.0 / math.sqrt(n_members), 1.0 + k, state))
-        _compare_member_pair_matrices(WavePacket(members=tuple(members)))
+        yield WavePacket(members=tuple(members))
+
+
+def test_member_pair_matrices_random_packets():
+    for wp in _random_packets():
+        _compare_member_pair_matrices(wp)
+
+
+def _completeness_residual(wp):
+    """max |sum_{F,sigma} conj(D[F,sigma,I,p]) D[F,sigma,J,q] - G[I,J,p,q]|
+    over one single-determinant final state per N-1 electron determinant
+    that removing one spin-orbital from a member determinant reaches."""
+    reached = set()
+    for _, _, state in wp.members:
+        for _, csf in state.expansion:
+            for _, det in csf.expansion:
+                so = det.spin_orbitals
+                reached.update(SlaterDeterminant(so[:k] + so[k + 1:])
+                               for k in range(len(so)))
+    finals = [ElectronicState(energy_ev=1.0, expansion=((1.0, ConfigurationStateFunction(
+        holes=(), particles=(), spin=0.5, projection=0.5, expansion=((1.0, det),))),))
+        for det in sorted(reached, key=lambda d: d.spin_orbitals)]
+    offsets, d = dyson_matrices(finals, wp)
+    g_offsets, g = member_pair_matrices(wp)
+    assert offsets == g_offsets
+    # every final state is reached, so none of its rows is empty
+    assert np.all(np.any(d, axis=(1, 2, 3)))
+    return np.max(np.abs(np.einsum("fsip,fsjq->ijpq", d.conj(), d) - g))
+
+
+def test_dyson_completeness_relation(scenario):
+    # summed over a complete set of N-1 electron final states, Dyson
+    # coefficients give the member-pair density matrices: the Dyson and
+    # density conventions of the annihilation table agree
+    assert _completeness_residual(scenario.wave_packet) <= 1e-14
+    for wp in _random_packets():
+        assert _completeness_residual(wp) <= 1e-14

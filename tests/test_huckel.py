@@ -6,8 +6,6 @@ from attopmm.huckel import (
     PiSystemGraph,
     build_pentacene_graph,
     huckel_orbitals,
-    orbitals_by_label,
-    orbitals_by_offset,
     pentacene_atoms,
 )
 from attopmm.model import orbital_overlap
@@ -44,7 +42,7 @@ def test_alternant_energy_pairing():
 
 
 def test_frontier_parity_tags():
-    mos = orbitals_by_label(huckel_orbitals())
+    mos = {mo.label: mo for mo in huckel_orbitals()}
     expected = {
         "H-4": (1, 1), "H-3": (1, -1), "H-2": (-1, 1), "H-1": (-1, -1),
         "H": (1, -1), "L": (1, 1), "L+1": (-1, 1), "L+2": (-1, -1),
@@ -77,8 +75,8 @@ def test_orbitals_deterministic():
 
 def test_label_and_offset_lookup():
     orbitals = huckel_orbitals()
-    by_label = orbitals_by_label(orbitals)
-    by_offset = orbitals_by_offset(orbitals)
+    by_label = {mo.label: mo for mo in orbitals}
+    by_offset = {mo.offset: mo for mo in orbitals}
     assert by_label["H"] is by_offset[0]
     assert by_label["L"] is by_offset[1]
     assert by_label["H-10"] is by_offset[-10]

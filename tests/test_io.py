@@ -1,4 +1,5 @@
 import json
+import logging
 import shutil
 
 import numpy as np
@@ -24,7 +25,6 @@ from attopmm.io import (
     read_spectra,
     validate_channel_energies,
     write_cube,
-    write_scenario,
 )
 from attopmm.model import VolumetricGrid, orbital_overlap
 from attopmm.signal import Spectrum, angle_integrated_spectrum, pmm_cut
@@ -191,7 +191,9 @@ def _stage_table(tmp_path):
 
 def test_scenario_round_trip(tmp_path, scenario):
     _stage_table(tmp_path)
-    path = write_scenario(tmp_path / "pentacene.json", scenario.raw)
+    path = tmp_path / "pentacene.json"
+    path.write_text(json.dumps(scenario.raw, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
     again = load_scenario(path)
     assert again.digest == scenario.digest
     assert again.wave_packet.members[0][:2] == scenario.wave_packet.members[0][:2]
@@ -263,6 +265,21 @@ def _butadiene_config(tmp_path, scenario):
     path = tmp_path / "butadiene-config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+def test_lcao_file_orthonormality_reported(tmp_path, scenario, caplog):
+    # the butadiene file's orbitals are loaded as given, with one warning
+    # naming the largest |<i|j> - delta_ij|: <L+1|L+1> = 0.904
+    with caplog.at_level(logging.WARNING, logger="attopmm.io"):
+        load_scenario(_butadiene_config(tmp_path, scenario))
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "not orthonormal" in warnings[0]
+    assert "= 0.0958 at <L+1|L+1>" in warnings[0]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="attopmm.io"):
+        load_scenario(default_scenario_path())
+    assert not caplog.records
 
 
 def test_occupied_set_from_molecule(tmp_path, scenario):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from attopmm.huckel import huckel_orbitals, orbitals_by_label
+from attopmm.huckel import huckel_orbitals
 from attopmm.model import (
     GaussianPrimitive,
     MolecularOrbital,

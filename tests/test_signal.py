@@ -5,11 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from attopmm.algebra import (
-    closed_shell_state,
-    singlet_excitation_csf,
-    state_overlap_map,
-)
+from attopmm.algebra import closed_shell_state, singlet_excitation_csf
 from attopmm import momentum, signal
 from attopmm.cli import main
 from attopmm.huckel import huckel_orbitals
@@ -31,7 +27,6 @@ from attopmm.signal import (
     angle_integrated_spectrum,
     build_channels,
     energy_average_pmm,
-    envelope_fwhm_ev,
     envelope_long,
     envelope_short,
     ground_state_scenario,
@@ -39,7 +34,12 @@ from attopmm.signal import (
     probability,
 )
 
-from oracles import ReferenceAmplitudes, quadrature_spectrum, reference_probability
+from oracles import (
+    ReferenceAmplitudes,
+    dense_annihilation_map,
+    quadrature_spectrum,
+    reference_probability,
+)
 
 
 @pytest.fixture(scope="module")
@@ -82,12 +82,15 @@ def test_envelope_long_wider_than_short():
 
 
 def test_envelope_fwhm():
-    assert envelope_fwhm_ev(0.5) == pytest.approx(3.65, abs=0.01)
-    assert envelope_fwhm_ev(0.5, level="amplitude") == pytest.approx(
-        3.65 * math.sqrt(2.0), abs=0.02)
-    # width at half maximum truly is the FWHM of the probability envelope
-    w = envelope_fwhm_ev(0.5)
+    # probability-level spectral FWHM 4 ln2 hbar / tau, sqrt(2) wider at
+    # amplitude level
+    w = 4.0 * math.log(2.0) * HARTREE_EV / fs_to_au(0.5)
+    assert w == pytest.approx(3.65, abs=0.01)
     assert envelope_short(99.0, 99.0 + w / 2.0, 0.5) == pytest.approx(0.5, abs=1e-12)
+    w_amp = math.sqrt(2.0) * w
+    assert w_amp == pytest.approx(3.65 * math.sqrt(2.0), abs=0.02)
+    assert envelope_long(99.0, 0.0, 0.0, 99.0 + w_amp / 2.0, 0.5) == pytest.approx(
+        0.5, abs=1e-12)
 
 
 # --- channel construction ---------------------------------------------------
@@ -431,8 +434,9 @@ def test_ground_state_scenario_channels(ctx, scenario):
     assert not any(ch.time_dependent for ch in channels)
     # Koopmans channels: exactly one Dyson term of unit weight each
     for ch in channels:
-        assert len(ch.dyson.terms) == 1
-        assert abs(ch.dyson.terms[0][0]) == pytest.approx(1.0, abs=1e-12)
+        assert np.count_nonzero(ch.dyson) == 1
+        assert np.abs(ch.dyson).max() == pytest.approx(1.0, abs=1e-12)
+        assert ch.dyson_norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ground_state_scenario_errors(ctx):
@@ -478,8 +482,9 @@ def test_three_channel_manual_reconstruction(ctx, mode):
     """probability rebuilt term by term for the one-hole channels.
 
     Restricts the finals to channels 1-3 and recomputes the signal from
-    scratch: algebra-level overlap maps per wave-packet member, explicit
-    C_I exp(-i E_I (t - t0)) phases, per-primitive Gaussian transforms,
+    scratch: bitstring overlap maps per wave-packet member
+    (oracles.dense_annihilation_map), explicit C_I exp(-i E_I (t - t0))
+    phases, per-primitive Gaussian transforms,
     the energy window (short mode: one probability-level window per
     channel; long mode: the amplitude-level envelope of each member inside
     the coherent sum), and the polarization projection. Nothing from the
@@ -523,7 +528,7 @@ def test_three_channel_manual_reconstruction(ctx, mode):
                 phase = c_i * cmath.exp(-1j * (e_i / HARTREE_EV) * t_au)
                 if mode == "long":
                     phase *= window(eps - (pulse.photon_energy_ev + e_i - state.energy_ev), 8.0)
-                for (orb, spin), coeff in state_overlap_map(state, member).items():
+                for (orb, spin), coeff in dense_annihilation_map(state, member).items():
                     amp[spin] = amp.get(spin, 0.0 + 0.0j) \
                         + phase * coeff * lcao_ft(orb, q)
             weight = window(eps - omega, 4.0) if mode == "short" else 1.0
