@@ -175,9 +175,11 @@ def _annihilation_table(wp: WavePacket, orbitals=()):
     """(offsets, rows, A) with A[I, r, p] = <D_r| a_{p sigma_r} |Psi_I>.
 
     offsets: the sorted union of `orbitals` and every orbital a member
-    determinant occupies (the columns p); rows: (sigma, N-1 electron
-    determinant D) -> row index r, over every determinant some a_{p sigma}
-    reaches from a member.
+    determinant occupies (the columns p); rows: (sigma, spin-orbital tuple
+    of the N-1 electron determinant D) -> row index r, over every
+    determinant some a_{p sigma} reaches from a member. Removing position k
+    of a canonical tuple keeps it canonical, with the sign (-1)^k of
+    annihilate.
     """
     amplitudes = [_determinant_amplitudes(state) for _, _, state in wp.members]
     offsets = sorted({int(o) for o in orbitals}
@@ -188,10 +190,10 @@ def _annihilation_table(wp: WavePacket, orbitals=()):
     entries = []
     for i, amp in enumerate(amplitudes):
         for det, c in amp.items():
-            for orb, spin in det.spin_orbitals:
-                sign, reduced = annihilate(det, orb, spin)
-                row = rows.setdefault((spin, reduced), len(rows))
-                entries.append((i, row, column[orb], sign * c))
+            so = det.spin_orbitals
+            for k, (orb, spin) in enumerate(so):
+                row = rows.setdefault((spin, so[:k] + so[k + 1:]), len(rows))
+                entries.append((i, row, column[orb], -c if k % 2 else c))
     table = np.zeros((wp.n_members, len(rows), len(offsets)))
     for i, row, col, c in entries:
         table[i, row, col] += c
@@ -236,7 +238,7 @@ def dyson_matrices(finals, wp: WavePacket):
     for f, final in enumerate(finals):
         for det, c in _determinant_amplitudes(final).items():
             for spin in (UP, DOWN):
-                row = rows.get((spin, det))
+                row = rows.get((spin, det.spin_orbitals))
                 if row is not None:
                     bras[f, spin, row] = c
     dyson = np.einsum("fsr,irp->fsip", bras, table)

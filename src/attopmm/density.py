@@ -64,9 +64,11 @@ class DensityFrame:
 
     @classmethod
     def from_values(cls, grid, values, t_fs):
-        full = grid.with_values(values)
+        """Frame of `values` on grid; a read-only float array that owns its
+        memory becomes the frame's array without a copy."""
+        full = grid.with_values(np.asarray(values, dtype=float))
         dv = grid.voxel_volume
-        flat = np.asarray(values, dtype=float).ravel()
+        flat = full.values.ravel()
         gained = float(flat[flat > 0].sum() * dv)
         lost = float(flat[flat < 0].sum() * dv)
         return cls(grid=full, t_fs=float(t_fs), charge_gained=gained,
@@ -134,11 +136,15 @@ def density_timeseries(wp, mos, grid, times_fs):
     if missing:
         raise DensityError(f"no orbital supplied for offsets {missing}")
     phi = {o: evaluate_orbital(table[o], grid) for o in needed}
+    term = np.empty(grid.counts)
     frames = []
     for t, dg in zip(times, changes):
         values = np.zeros(grid.counts)
         for p, q in kept:
             weight = dg[p, q] if p == q else 2.0 * dg[p, q]
-            values += phi[offsets[p]] * phi[offsets[q]] * weight
+            np.multiply(phi[offsets[p]], phi[offsets[q]], out=term)
+            term *= weight
+            values += term
+        values.flags.writeable = False
         frames.append(DensityFrame.from_values(grid, values, t))
     return frames

@@ -199,7 +199,9 @@ def primitive_overlap(p1: GaussianPrimitive, p2: GaussianPrimitive):
 class VolumetricGrid:
     """Regular 3D grid: point (i,j,k) sits at origin + i a0 + j a1 + k a2 (bohr).
 
-    values may be None for a grid that only describes where to sample.
+    values may be None for a grid that only describes where to sample. They
+    are held read-only: a read-only array that owns its memory is kept as
+    is, any other is copied.
     """
 
     origin: np.ndarray
@@ -224,8 +226,9 @@ class VolumetricGrid:
             values = np.asarray(self.values)
             if values.shape != counts:
                 raise ModelError(f"values shape {values.shape} != counts {counts}")
-            values = values.copy()
-            values.flags.writeable = False
+            if values.flags.writeable or not values.flags.owndata:
+                values = values.copy()
+                values.flags.writeable = False
             object.__setattr__(self, "values", values)
 
     @property

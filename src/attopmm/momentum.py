@@ -78,7 +78,7 @@ def gaussian_ft(prim: GaussianPrimitive, q):
     return out[0] if single else out
 
 
-def _shape_factor(exponent, powers, q):
+def shape_factor(exponent, powers, q):
     """Transform at q (N, 3) of the normalized primitive of one shape centered
     at the origin; a primitive at R_a adds the phase exp(-i q.R_a)."""
     out = np.full(len(q), primitive_norm(exponent, powers) * (2.0 * math.pi) ** -1.5,
@@ -160,16 +160,30 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
     axis_y = np.linspace(-q_max, q_max, int(ny))
     qx = inv_angstrom_to_au(axis_x)[:, None] * np.ones(int(ny))[None, :]
     qy = np.ones(int(nx))[:, None] * inv_angstrom_to_au(axis_y)[None, :]
+    samples, valid = _lift(e_au, qx.ravel(), qy.ravel())
+    return MomentumGrid(mode="constant-energy-hemisphere", samples=samples,
+                        valid=valid, energy_ev=float(energy_ev),
+                        shape=(int(nx), int(ny)), axis_x=axis_x, axis_y=axis_y)
+
+
+def _lift(e_au, qx, qy):
+    """Raster points (q_x, q_y) lifted to q_z = +sqrt(2 eps - q_x^2 - q_y^2):
+    samples (n, 3) and the kinematic-disc mask."""
     qz_sq = 2.0 * e_au - qx ** 2 - qy ** 2
     # Relative tolerance keeps raster points that land on the kinematic
     # circle only up to float rounding (axis extremes, Pythagorean index
     # pairs) deterministically inside; mirrors the exporter's predicate.
     valid = qz_sq >= -2.0 * e_au * 1e-12
     qz = np.sqrt(np.clip(qz_sq, 0.0, None))
-    samples = np.stack([qx.ravel(), qy.ravel(), qz.ravel()], axis=1)
-    return MomentumGrid(mode="constant-energy-hemisphere", samples=samples,
-                        valid=valid.ravel(), energy_ev=float(energy_ev),
-                        shape=(int(nx), int(ny)), axis_x=axis_x, axis_y=axis_y)
+    return np.stack([qx, qy, qz], axis=1), valid
+
+
+def lift_raster(grid: MomentumGrid, energy_ev, start, stop):
+    """Raster samples [start, stop) of a hemisphere grid lifted to the
+    hemisphere at energy_ev: (samples (n, 3), valid (n,)), the same numbers
+    as build_hemisphere(energy_ev, ...) gives on that raster."""
+    q = grid.samples[start:stop]
+    return _lift(ev_to_hartree(energy_ev), q[:, 0], q[:, 1])
 
 
 def sphere_quadrature(n_polar=48, n_azimuth=96):
@@ -249,25 +263,45 @@ def _lcao_basis(mos):
     return np.array([centers[key] for key in keys]).reshape(-1, 3), coeffs, shapes
 
 
-def _center_phases(grid: MomentumGrid, centers, start, stop):
-    """exp(-i q.R_a) for the grid samples [start, stop), shape (stop - start, P).
+def planar_basis(mos):
+    """(centers (P, 3), coefficients (P, M), exponent, powers) of LCAO
+    orbitals over primitives of one shape with every center at one height
+    z0; None for any other orbital set.
 
-    On a hemisphere raster with every center at one height z0 the phase
-    separates as exp(-i q_x X_a) exp(-i q_y Y_a) exp(-i q_z z0): one
-    exponential per raster line and column instead of one per sample.
+    On a hemisphere raster their transforms then factorize as
+
+        F[mos[m]](q) = shape_factor(q) exp(-i q_z z0) S_m(q_x, q_y),
+        S_m(q_x, q_y) = sum_a C[a, m] exp(-i (q_x X_a + q_y Y_a)),
+
+    where only the shape factor depends on the energy (structure_factors).
+    """
+    if not all(mo.is_lcao for mo in mos):
+        return None
+    centers, coeffs, shapes = _lcao_basis(mos)
+    if len(shapes) != 1 or np.any(centers[:, 2] != centers[0, 2]):
+        return None
+    (exponent, powers, _), = shapes
+    return centers, coeffs, exponent, powers
+
+
+def structure_factors(grid: MomentumGrid, centers, coeffs):
+    """In-plane structure factors S[n, m] = sum_a C[a, m] exp(-i (q_x X_a +
+    q_y Y_a)) over the raster points of a hemisphere grid, block by block:
+    yields (start, stop, S) with S of shape (stop - start, M).
+
+    The phase separates as exp(-i q_x X_a) exp(-i q_y Y_a): one exponential
+    per raster line and column instead of one per sample.
     """
     q = grid.samples
-    z0 = centers[0, 2] if len(centers) else 0.0
-    if grid.mode != "constant-energy-hemisphere" or np.any(centers[:, 2] != z0):
-        return _phases(q[start:stop] @ centers.T)
     ny = grid.shape[1]
-    i, j = np.divmod(np.arange(start, stop), ny)
-    ex = _phases(np.outer(q[i[0] * ny:stop:ny, 0], centers[:, 0]))
+    ex = _phases(np.outer(q[::ny, 0], centers[:, 0]))
     ey = _phases(np.outer(q[:ny, 1], centers[:, 1]))
-    out = ex[i - i[0]] * ey[j]
-    if z0:
-        out *= _phases(q[start:stop, 2] * z0)[:, None]
-    return out
+    for start in range(0, len(q), _SAMPLE_BLOCK):
+        stop = min(start + _SAMPLE_BLOCK, len(q))
+        i, j = np.divmod(np.arange(start, stop), ny)
+        phases = ex[i]
+        phases *= ey[j]
+        yield start, stop, phases @ coeffs
 
 
 def orbital_ft(mos, grid: MomentumGrid):
@@ -298,8 +332,8 @@ def orbital_ft(mos, grid: MomentumGrid):
         stop = min(start + _SAMPLE_BLOCK, len(q))
         block = q[start:stop]
         if lcao:
-            e = _center_phases(grid, centers, start, stop)
-            amp = sum(_shape_factor(exponent, powers, block)[:, None]
+            e = _phases(block @ centers.T)
+            amp = sum(shape_factor(exponent, powers, block)[:, None]
                       * (e[:, rows] @ coeffs[rows]) for exponent, powers, rows in shapes)
             out[lcao, start:stop] = amp.T
         for m, pts, vals, w in voxel:

@@ -15,6 +15,16 @@ Physics conventions:
     <F| a_{p sigma} |Psi_I> from one algebra.dyson_matrices call per packet
     (each SpectralChannel holds its D[sigma, I, p] slice). A delay series
     costs one kernel per grid, then M^2 products per sample and delay;
+  * hemisphere maps of a planar basis (LCAO primitives of one shape, every
+    center at one height z0; momentum.planar_basis) fold the energies: the
+    transforms are shape_factor(q) exp(-i q_z z0) S(q_x, q_y) with the
+    in-plane structure factor S the same at every energy of the shared
+    raster, the z0 phase cancels in conj(R_I) R_J, and
+        K_IJ = sum_{F,sigma} conj(D S)_I (D S)_J P_FIJ,
+        P_FIJ = sum_e W_FIJ(eps) |eps_in . q_e|^2 |shape_factor(q_e)|^2,
+    so a cut (one energy) or an energy average forms S once per sample
+    block and its member-pair products once per channel and spin. Other
+    orbital sets build one kernel per energy from momentum.orbital_ft;
   * pair weights: short pulse (sudden limit) W_FIJ = envelope_short, the
     probability-level window exp(-(Omega_F - eps_e)^2 tau^2 / (4 ln2)) with
     Omega_F = omega_in + <E> - E_F, for every member pair; finite-duration
@@ -197,6 +207,13 @@ def _dyson_matrices(channels, mos):
     return [table[offsets[k]] for k in used], matrices
 
 
+def _sample_factors(q, valid, pulse):
+    """Photoelectron energy eps = |q|^2 / 2 (eV) of each sample (N, 3), and
+    the polarization projection |eps_in . q|^2, zero where not valid."""
+    eps_ev = 0.5 * np.einsum("ij,ij->i", q, q) * HARTREE_EV
+    return eps_ev, (q @ pulse.polarization) ** 2 * valid
+
+
 def _kernel(grid: MomentumGrid, basis, channels, matrices, skip, pulse, wp, mode,
             out=None):
     """K[I, J, n] at the grid samples (module docstring), shape
@@ -209,9 +226,7 @@ def _kernel(grid: MomentumGrid, basis, channels, matrices, skip, pulse, wp, mode
     if all(skip):
         return np.zeros(shape, dtype=complex) if out is None else out
     ft = momentum.orbital_ft(basis, grid)
-    q = grid.samples
-    eps_ev = 0.5 * np.einsum("ij,ij->i", q, q) * HARTREE_EV
-    scale = (q @ pulse.polarization) ** 2 * grid.valid
+    eps_ev, scale = _sample_factors(grid.samples, grid.valid, pulse)
     if out is None:
         out = np.zeros(shape, dtype=complex)
     for ch, mats, s in zip(channels, matrices, skip):
@@ -223,6 +238,52 @@ def _kernel(grid: MomentumGrid, basis, channels, matrices, skip, pulse, wp, mode
             for i, j in np.ndindex(n_members, n_members):
                 out[i, j] += rows[i].conj() * rows[j] * weights[i, j] * scale
     return out
+
+
+def _folded_kernel(raster: MomentumGrid, planar, energies, skips, channels,
+                   matrices, pulse, wp, mode):
+    """Sum over `energies` of the hemisphere kernels on one (q_x, q_y)
+    raster for a planar basis (momentum.planar_basis), shape
+    (M, M, n_samples), and the union of the energies' kinematic discs.
+
+    Each transform is shape_factor(q) exp(-i q_z z0) S(q_x, q_y), and the z0
+    phase cancels in conj(R_I) R_J, so with the energy-independent
+    structure factors S
+
+        sum_e K_IJ = sum_{F,sigma} conj(D S)_I (D S)_J P_FIJ,
+        P_FIJ = sum_e W_FIJ(eps_e) |eps_in . q_e|^2 |shape_factor(q_e)|^2 valid_e,
+
+    with q_e the raster point lifted to energy e and eps_e = |q_e|^2 / 2.
+    The member-pair products run once per channel and spin, not once per
+    energy. skips[e][F] leaves channel F out of energy e. Work is done
+    block by block, so only the kernel is held at full size.
+    """
+    centers, coeffs, exponent, powers = planar
+    n_members = wp.n_members
+    out = np.zeros((n_members, n_members, raster.n_samples), dtype=complex)
+    valid = np.zeros(raster.n_samples, dtype=bool)
+    for start, stop, factors in momentum.structure_factors(raster, centers, coeffs):
+        profiles = [None] * len(channels)
+        for e, skip in zip(energies, skips):
+            q, inside = momentum.lift_raster(raster, e, start, stop)
+            valid[start:stop] |= inside
+            if all(skip):
+                continue
+            eps_ev, scale = _sample_factors(q, inside, pulse)
+            shape = momentum.shape_factor(exponent, powers, q)
+            scale *= shape.real ** 2 + shape.imag ** 2
+            for k, (ch, s) in enumerate(zip(channels, skip)):
+                if not s:
+                    term = _pair_weights(ch, eps_ev, pulse, wp, mode) * scale
+                    profiles[k] = term if profiles[k] is None else profiles[k] + term
+        for mats, profile in zip(matrices, profiles):
+            if profile is None:
+                continue
+            for d in mats:
+                rows = d @ factors.T
+                for i, j in np.ndindex(n_members, n_members):
+                    out[i, j, start:stop] += rows[i].conj() * rows[j] * profile[i, j]
+    return out, valid
 
 
 def _delays(t_p_fs):
@@ -327,23 +388,34 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
     at `energies` (one energy: a plain cut), one per delay.
 
     The cuts share one (q_x, q_y) raster; a raster sample outside a given
-    energy's kinematic disc contributes zero at that energy. Channel
-    records and the disc radius are those of the last energy.
+    energy's kinematic disc contributes zero at that energy. A planar basis
+    takes the folded kernel (one structure factor per raster), any other
+    orbital set one _kernel per energy. Channel records and the disc radius
+    are those of the last energy.
     """
     times, single = _delays(t_p_fs)
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
-    total, valid = None, False
+    skips = []
     for e in energies:
-        grid = build_hemisphere(e, resolution, resolution, q_max_inv_angstrom)
-        valid = valid | grid.valid
         peaks, skip = _screen(channels, e, pulse, wp, mode, min_envelope)
         skipped = [ch.index for ch, s in zip(channels, skip) if s]
         if skipped:
             log.info("map at %.3f eV skips channels %s (envelope < %g)",
                      e, skipped, min_envelope)
-        total = _kernel(grid, basis, channels, matrices, skip, pulse, wp, mode,
-                        total)
+        skips.append(skip)
+    planar = momentum.planar_basis(basis)
+    if planar is None:
+        total, valid = None, False
+        for e, skip in zip(energies, skips):
+            grid = build_hemisphere(e, resolution, resolution, q_max_inv_angstrom)
+            valid = valid | grid.valid
+            total = _kernel(grid, basis, channels, matrices, skip, pulse, wp, mode,
+                            total)
+    else:
+        grid = build_hemisphere(e, resolution, resolution, q_max_inv_angstrom)
+        total, valid = _folded_kernel(grid, planar, energies, skips, channels,
+                                      matrices, pulse, wp, mode)
     total /= float(len(energies))
     records = [dict(rec, envelope=peak, skipped=s)
                for rec, peak, s in zip(channel_records(channels), peaks, skip)]
@@ -386,7 +458,7 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
     Every energy keeps its own hemisphere (its own q_z), all sharing one
     (q_x, q_y) raster; raster samples outside a given energy's kinematic
     disc contribute zero at that energy. The average is taken over the
-    kernels, so a delay series costs one kernel per energy.
+    kernels, so a delay series costs one (folded) kernel.
     """
     if not width_ev > 0:
         raise SignalError("averaging width must be positive")

@@ -190,10 +190,12 @@ def _artifacts_with_blas_threads(tmp_path, blas_threads, argv):
 
 @pytest.mark.parametrize("argv", [
     ["pmm", "--tp", "0", "T/4", "--energy", "99", "--grid", "41", "--threads", "2"],
+    ["pmm", "--average", "1", "--mode", "long", "--tau", "T/2", "--grid", "81"],
     ["spectrum", "--tp", "0", "--window", "94", "100", "4", "--states", "both"],
-], ids=["pmm", "spectrum"])
+], ids=["pmm", "pmm-average-long", "spectrum"])
 def test_artifacts_independent_of_blas_threads(tmp_path, argv):
-    # amplitudes are BLAS products: the bytes must not depend on its threads
+    # amplitudes are BLAS products: the bytes must not depend on its threads;
+    # the 81^2 average spans two sample blocks of the folded kernel
     one = _artifacts_with_blas_threads(tmp_path, 1, argv)
     two = _artifacts_with_blas_threads(tmp_path, 2, argv)
     assert one and one == two

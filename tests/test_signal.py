@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from attopmm.model import (
     ProbePulse,
     VolumetricGrid,
     WavePacket,
+    at_delays,
     evaluate_orbital,
     fs_to_au,
 )
@@ -584,6 +586,109 @@ def test_kernel_matches_per_delay_reference(ctx, mode):
                         ctx["mos"], mode=mode)
     assert isinstance(point, float)
     assert point == pytest.approx(series[2][0], rel=1e-14, abs=0.0)
+
+
+# --- folded hemisphere kernel against per-energy kernels -------------------------
+
+def _probe(ctx, mode):
+    if mode == "short":
+        return ctx["pulse"]
+    return dataclasses.replace(ctx["pulse"], duration_fwhm_fs=ctx["period"] / 2.0)
+
+
+def _per_energy_mean(ctx, energies, delays, pulse, mode, resolution, q_max, mos):
+    """Mean over energies of the maps from one _kernel per energy, each on
+    its own hemisphere over the shared raster (zero outside its disc)."""
+    wp = ctx["wp"]
+    channels = build_channels(wp, ctx["finals"], pulse)
+    basis, matrices = signal._dyson_matrices(channels, mos)
+    total = 0.0
+    for e in energies:
+        grid = build_hemisphere(e, resolution, resolution, q_max)
+        _, skip = signal._screen(channels, e, pulse, wp, mode,
+                                 signal.DEFAULT_CHANNEL_MIN_ENVELOPE)
+        kernel = signal._kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
+        total = total + np.array(at_delays(kernel, wp, delays))
+    return [m.reshape(grid.shape) for m in total / len(energies)]
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_folded_maps_match_per_energy_kernels(ctx, monkeypatch, mode):
+    # 71^2 samples span two transform blocks; the bundled p_z basis is
+    # planar, so no orbital transform runs on the map path
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-energy orbital transform on a planar basis")
+
+    monkeypatch.setattr(momentum, "orbital_ft", refuse)
+    pulse, period = _probe(ctx, mode), ctx["period"]
+    delays = [0.0, 0.3 * period]
+    avg = energy_average_pmm(99.0, 1.0, 11, delays, pulse, ctx["wp"], ctx["finals"],
+                             ctx["mos"], resolution=71, mode=mode)
+    cut = pmm_cut(97.7, delays, pulse, ctx["wp"], ctx["finals"], ctx["mos"],
+                  resolution=71, mode=mode)
+    monkeypatch.undo()
+    refs = [_per_energy_mean(ctx, np.linspace(98.5, 99.5, 11), delays, pulse, mode,
+                             71, avg[0].axis_x[-1], ctx["mos"]),
+            _per_energy_mean(ctx, [97.7], delays, pulse, mode, 71, None, ctx["mos"])]
+    for maps, ref in zip((avg, cut), refs):
+        for m, r in zip(maps, ref):
+            assert r.max() > 0
+            assert np.max(np.abs(m.values - r)) <= 2e-15 * r.max()
+
+
+def _lift_one_center(mos):
+    # every primitive on the first center moves 0.4 bohr out of the plane
+    first = mos[0].primitives[0].center
+    return _remap_primitives(mos, lambda p: dataclasses.replace(
+        p, center=(p.center[0], p.center[1], 0.4)) if np.array_equal(p.center, first)
+        else p)
+
+
+@pytest.mark.parametrize("basis", ["one-center-lifted", "s-px-py"])
+def test_non_planar_or_mixed_basis_takes_per_energy_path(ctx, monkeypatch, basis):
+    # a lifted center breaks the common height, several shapes the common
+    # shape factor: both keep one _kernel per energy, checked against the
+    # per-delay oracle
+    def refuse(*args, **kwargs):
+        raise AssertionError("folded kernel on a non-planar or mixed basis")
+
+    if basis == "s-px-py":
+        mos = _remap_primitives(ctx["mos"], _mixed_s_px_py)
+    else:
+        mos = _lift_one_center(ctx["mos"])
+        assert len({p.center[2] for mo in mos for p in mo.primitives}) == 2
+    assert momentum.planar_basis(mos) is None
+    assert momentum.planar_basis(ctx["mos"]) is not None
+    monkeypatch.setattr(signal, "_folded_kernel", refuse)
+    delays = [0.0, 0.37 * ctx["period"]]
+    for mode in ("short", "long"):
+        pulse = _probe(ctx, mode)
+        channels = build_channels(ctx["wp"], ctx["finals"], pulse)
+        maps = pmm_cut(97.7, delays, pulse, ctx["wp"], ctx["finals"], mos,
+                       resolution=41, mode=mode)
+        skip = [r["skipped"] for r in maps[0].metadata["channels"]]
+        grid = build_hemisphere(97.7, 41, 41)
+        amps = ReferenceAmplitudes(channels, mos, grid)
+        for t, m in zip(delays, maps):
+            ref = reference_probability(channels, amps, grid.samples, ctx["wp"],
+                                        pulse, t, mode, "relative", skip=skip)
+            ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
+            assert ref.max() > 0
+            assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), (mode, t)
+
+
+def test_map_memory_peak(ctx):
+    # one 201^2 cut holds the (M, M, N) kernel, the raster and one block of
+    # structure factors: 8.2 MB traced, against 10.4 MB when every energy
+    # built its full (orbital, sample) transform
+    _map(ctx, 0.0, resolution=11)
+    tracemalloc.start()
+    try:
+        _map(ctx, 0.0, resolution=201)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.0e6, peak
 
 
 def test_delay_sequence_results(ctx):
