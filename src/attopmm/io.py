@@ -73,15 +73,17 @@ class ExportFormatError(ValueError):
 # ---------------------------------------------------------------------------
 # numeric text tables
 #
-# Every exporter writes its numbers through _write_table, which produces the
-# bytes '%'-formatting would, a block of lines at a time. A value v becomes
-# the integer rint(|v| * 10^k) with `digits` decimal digits; its digits,
-# sign and exponent are placed into a fixed-width uint8 record per value, and
-# the zero bytes left in unused sign and exponent slots are dropped by one
-# mask. The product |v| * 10^k carries a relative error of at most ~2 eps
-# (four correctly rounded steps), so rint reproduces the correctly rounded
-# mantissa unless the scaled value lies within 16 eps of a half-integer.
-# Those near-ties, subnormals and non-finite values go through '%' itself.
+# Every exporter writes the bytes '%'-formatting would, a block of lines at a
+# time. _records turns each value v into the integer rint(|v| * 10^k) with
+# `digits` decimal digits and places its digits, sign and exponent into a
+# fixed-width uint8 record; _lines adds the separators and newlines and drops
+# the zero bytes left in unused sign and exponent slots by one mask. The
+# product |v| * 10^k carries a relative error of at most ~2 eps (four
+# correctly rounded steps), so rint reproduces the correctly rounded mantissa
+# unless the scaled value lies within 16 eps of a half-integer. Those
+# near-ties, subnormals and non-finite values go through '%' itself. Cubes
+# and spectra format every cell (_write_table); a map formats each axis
+# value once and gathers its record per row (_write_map_rows).
 
 _BLOCK_LINES = 8192
 _TIE_BAND = 16.0 * np.finfo(float).eps
@@ -90,12 +92,14 @@ _POW10_MIN = -170
 _POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, -_POW10_MIN + 1)])
 
 
-def _format_lines(flat, per_line, digits, upper, space_sign, sep):
-    """Bytes of len(flat) // per_line LF-terminated lines (len(flat) must be a
-    multiple of per_line)."""
+def _records(flat, digits, upper, space_sign, out=None):
+    """'%[ ].{digits-1}{E|e}' % v of every value in `flat` as one uint8 row
+    of digits + 7 bytes, zero bytes in the unused sign and exponent slots.
+    Written into `out` (any (len(flat), digits + 7) uint8 view) when given;
+    returns the records."""
     n = len(flat)
     width = digits + 7                      # s d . ddd E s h t o
-    rec = np.zeros((n, width + 1), dtype=np.uint8)
+    rec = np.empty((n, width), dtype=np.uint8) if out is None else out
     a = np.abs(flat)
     bad = ~np.isfinite(a) | ((a < np.finfo(float).tiny) & (a != 0.0))
     zero = a == 0.0
@@ -129,15 +133,23 @@ def _format_lines(flat, per_line, digits, upper, space_sign, sep):
     rec[:, digits + 4] = np.where(mag >= 100, mag // 100 + ord("0"), 0)
     rec[:, digits + 5] = mag // 10 % 10 + ord("0")
     rec[:, digits + 6] = mag % 10 + ord("0")
-    rec[:, width] = ord(sep)
-    rec.reshape(n // per_line, per_line, width + 1)[:, -1, width] = ord("\n")
 
     fmt = f"%{' ' if space_sign else ''}.{digits - 1}{'E' if upper else 'e'}"
     redo = np.flatnonzero(fallback)
     if len(redo):
         texts = [(fmt % v).encode("ascii") for v in flat[redo].tolist()]
-        rec[redo, :width] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    out = rec.reshape(-1)
+        rec[redo] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return rec
+
+
+def _lines(fields, per_line, sep):
+    """Bytes of the lines of `fields`, (n_lines * per_line, width + 1) uint8
+    rows in line order whose first `width` bytes hold one record each: the
+    last byte of a field becomes `sep`, or LF at the end of a line, and the
+    zero bytes are dropped."""
+    fields[:, -1] = ord(sep)
+    fields.reshape(-1, per_line, fields.shape[1])[:, -1, -1] = ord("\n")
+    out = fields.reshape(-1)
     return out[out != 0]
 
 
@@ -156,12 +168,14 @@ def _write_table(fh, values, per_line, digits, upper, space_sign, sep):
     flat = np.asarray(values, dtype=float).ravel()
     full = len(flat) - len(flat) % per_line
     step = _BLOCK_LINES * per_line
-    for start in range(0, full, step):
-        fh.write(_format_lines(flat[start:min(start + step, full)], per_line,
-                               digits, upper, space_sign, sep))
+    bounds = [(start, min(start + step, full), per_line)
+              for start in range(0, full, step)]
     if full < len(flat):
-        fh.write(_format_lines(flat[full:], len(flat) - full,
-                               digits, upper, space_sign, sep))
+        bounds.append((full, len(flat), len(flat) - full))   # short last line
+    for start, stop, n in bounds:
+        fields = np.empty((stop - start, digits + 8), dtype=np.uint8)
+        _records(flat[start:stop], digits, upper, space_sign, out=fields[:, :-1])
+        fh.write(_lines(fields, n, sep))
 
 
 # ---------------------------------------------------------------------------
@@ -762,6 +776,7 @@ def default_scenario_path():
 # result export
 
 _NUM = "%.12e"
+_EXPORT = dict(digits=13, upper=False, space_sign=False)   # _NUM for _records
 
 
 def _header_lines(meta):
@@ -808,20 +823,40 @@ def export_pmm(path, pmm: PMM, digest=None):
     lines.append("# columns: q_x_inv_angstrom q_y_inv_angstrom probability")
     limit = float(disc) if disc is not None else float("inf")
     limit_sq = limit * limit * (1.0 + 1e-12)
-    x, y = np.meshgrid(pmm.axis_x, pmm.axis_y, indexing="ij")
-    inside = x * x + y * y <= limit_sq
-    _write_export(path, lines, np.column_stack(
-        (x[inside], y[inside], pmm.values[inside])))
+    axis_x = np.asarray(pmm.axis_x, dtype=float)
+    axis_y = np.asarray(pmm.axis_y, dtype=float)
+    inside = (axis_x * axis_x)[:, None] + (axis_y * axis_y)[None, :] <= limit_sq
+    _write_export(path, lines, lambda fh: _write_map_rows(
+        fh, axis_x, axis_y, inside, np.asarray(pmm.values, dtype=float)))
     return path
 
 
-def _write_export(path, header_lines, rows):
-    """'#' header, then one %.12e tab-separated line per row of `rows`."""
+def _write_map_rows(fh, axis_x, axis_y, inside, values):
+    """One 'q_x q_y value' line per raster sample (i, j) in `inside`, in C
+    order. Each axis value is formatted once and its record gathered by
+    index; only the values are formatted per line, a block at a time."""
+    width = _EXPORT["digits"] + 7
+    record = np.dtype((np.void, width))     # one record as a single item
+    qx = _records(axis_x, **_EXPORT).view(record)[:, 0]
+    qy = _records(axis_y, **_EXPORT).view(record)[:, 0]
+    rows_i, rows_j = np.nonzero(inside)
+    for start in range(0, len(rows_i), _BLOCK_LINES):
+        i = rows_i[start:start + _BLOCK_LINES]
+        j = rows_j[start:start + _BLOCK_LINES]
+        fields = np.empty((len(i), 3, width + 1), dtype=np.uint8)
+        fields[:, 0, :-1].view(record)[:, 0] = qx[i]
+        fields[:, 1, :-1].view(record)[:, 0] = qy[j]
+        _records(values[i, j], **_EXPORT, out=fields[:, 2, :-1])
+        fh.write(_lines(fields.reshape(-1, width + 1), 3, "\t"))
+
+
+def _write_export(path, header_lines, write_rows):
+    """'#' header, then the %.12e tab-separated lines that write_rows(fh)
+    writes."""
     try:
         with path.open("wb") as fh:
             fh.write(("\n".join(header_lines) + "\n").encode("utf-8"))
-            _write_table(fh, rows, per_line=rows.shape[1], digits=13,
-                         upper=False, space_sign=False, sep="\t")
+            write_rows(fh)
     except OSError as exc:
         raise ExportFormatError(f"{path}: {exc}") from exc
 
@@ -924,8 +959,9 @@ def export_spectra(path, spectra, digest=None):
         lines.append(f"# column {k + 2}: " + " ".join(parts))
     lines.append("# columns: energy_ev "
                  + " ".join(s.scenario for s in spectra))
-    _write_export(path, lines, np.column_stack(
-        [energies] + [s.values for s in spectra]))
+    rows = np.column_stack([energies] + [s.values for s in spectra])
+    _write_export(path, lines, lambda fh: _write_table(
+        fh, rows, per_line=rows.shape[1], sep="\t", **_EXPORT))
     return path
 
 

@@ -147,8 +147,9 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
     Uniform (q_x, q_y) raster spanning +-q_max (1/Angstrom; defaults to the
     kinematic disc radius sqrt(2 eps)), with q_z = +sqrt(2 eps - q_x^2 - q_y^2).
     """
-    if not energy_ev > 0:
-        raise MomentumError(f"photoelectron energy must be positive, got {energy_ev}")
+    if not 0 < energy_ev < math.inf:
+        raise MomentumError(
+            f"photoelectron energy must be positive and finite, got {energy_ev}")
     if int(nx) < 2 or int(ny) < 2:
         raise MomentumError(f"map raster needs at least 2 points per axis, got {nx} x {ny}")
     e_au = ev_to_hartree(energy_ev)
@@ -212,8 +213,9 @@ def build_sphere(energy_ev, n_polar=48, n_azimuth=96, quadrature=None):
     quadrature: sphere_quadrature(n_polar, n_azimuth), when the caller
     reuses it across energies; built here when None.
     """
-    if not energy_ev > 0:
-        raise MomentumError(f"photoelectron energy must be positive, got {energy_ev}")
+    if not 0 < energy_ev < math.inf:
+        raise MomentumError(
+            f"photoelectron energy must be positive and finite, got {energy_ev}")
     dirs, weights = quadrature or sphere_quadrature(n_polar, n_azimuth)
     q = math.sqrt(2.0 * ev_to_hartree(energy_ev))
     samples = q * dirs

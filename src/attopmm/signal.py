@@ -108,14 +108,15 @@ def envelope_short(omega_ev, energy_ev, tau_fs):
 
 
 def envelope_long(omega_in_ev, e_member_ev, e_final_ev, energy_ev, tau_fs):
-    """Amplitude-level member envelope with the 8 ln2 denominator."""
+    """Amplitude-level member envelope with the 8 ln2 denominator; member
+    and photoelectron energies broadcast against each other."""
     if not tau_fs > 0:
         raise SignalError("pulse duration must be positive")
     delta = ev_to_hartree(
         np.asarray(energy_ev, dtype=float) - (omega_in_ev + e_member_ev - e_final_ev))
     tau = fs_to_au(tau_fs)
     out = np.exp(-(delta * delta) * tau * tau / EIGHT_LN2)
-    return float(out) if np.ndim(energy_ev) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +173,17 @@ def channel_records(channels):
 
 def _pair_weights(ch, eps_ev, pulse, wp, mode):
     """W_IJ of one channel at photoelectron energies eps_ev (eV), shape
-    (M, M) + shape(eps_ev); the short-mode window is shared by all pairs."""
+    (M, M) + shape(eps_ev) in long mode. The short-mode window is shared by
+    all pairs and kept once, shape (1, 1) + shape(eps_ev)."""
     tau = pulse.duration_fwhm_fs
     if mode == "short":
         env = envelope_short(ch.omega_ev, eps_ev, tau)
-        return np.broadcast_to(env, (wp.n_members,) * 2 + np.shape(env))
+        return np.reshape(env, (1, 1) + np.shape(env))
     if mode == "long":
-        env = np.array([envelope_long(pulse.photon_energy_ev, e_i,
-                                      ch.final_energy_ev, eps_ev, tau)
-                        for _, e_i, _ in wp.members])
+        members = np.array([e_i for _, e_i, _ in wp.members])
+        env = envelope_long(pulse.photon_energy_ev,
+                            members.reshape((-1,) + (1,) * np.ndim(eps_ev)),
+                            ch.final_energy_ev, eps_ev, tau)
         return env[:, None] * env[None, :]
     raise SignalError(f"unknown probe mode {mode!r}")
 
@@ -232,7 +235,8 @@ def _kernel(grid: MomentumGrid, basis, channels, matrices, skip, pulse, wp, mode
     for ch, mats, s in zip(channels, matrices, skip):
         if s:
             continue
-        weights = _pair_weights(ch, eps_ev, pulse, wp, mode)
+        weights = np.broadcast_to(_pair_weights(ch, eps_ev, pulse, wp, mode),
+                                  shape)
         for d in mats:
             rows = d @ ft
             for i, j in np.ndindex(n_members, n_members):
@@ -279,11 +283,25 @@ def _folded_kernel(raster: MomentumGrid, planar, energies, skips, channels,
         for mats, profile in zip(matrices, profiles):
             if profile is None:
                 continue
+            profile = np.broadcast_to(profile, (n_members, n_members, stop - start))
             for d in mats:
                 rows = d @ factors.T
                 for i, j in np.ndindex(n_members, n_members):
                     out[i, j, start:stop] += rows[i].conj() * rows[j] * profile[i, j]
     return out, valid
+
+
+def _energies(energies_ev):
+    """Photoelectron energies (eV) as a 1-D float array, each positive and
+    finite."""
+    energies = np.asarray(energies_ev, dtype=float).reshape(-1)
+    if not len(energies):
+        raise SignalError("no photoelectron energies given")
+    bad = energies[~((energies > 0) & (energies < math.inf))]
+    if len(bad):
+        raise SignalError(
+            f"photoelectron energy must be positive and finite, got {bad[0]}")
+    return energies
 
 
 def _delays(t_p_fs):
@@ -393,6 +411,7 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
     orbital set one _kernel per energy. Channel records and the disc radius
     are those of the last energy.
     """
+    _energies(energies)
     times, single = _delays(t_p_fs)
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
@@ -460,6 +479,7 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
     disc contribute zero at that energy. The average is taken over the
     kernels, so a delay series costs one (folded) kernel.
     """
+    _energies(energy_center_ev)
     if not width_ev > 0:
         raise SignalError("averaging width must be positive")
     if n_energies < 2:
@@ -530,9 +550,7 @@ def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
     quadrature. The order is checked on both paths; metadata["angular"]
     names the method used.
     """
-    energies = np.asarray(energies_ev, dtype=float).reshape(-1)
-    if not len(energies) or np.any(energies <= 0):
-        raise SignalError("photoelectron energies must be positive")
+    energies = _energies(energies_ev)
     if n_polar < 2 or n_azimuth < 4:
         raise MomentumError(f"unsupported quadrature order ({n_polar}, {n_azimuth})")
     times, single = _delays(t_p_fs)

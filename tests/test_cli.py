@@ -223,6 +223,24 @@ def test_zero_or_invalid_numeric_option_exits_1(tmp_path, capsys, argv, error):
     assert record["error"] == error
 
 
+@pytest.mark.parametrize("argv", [
+    ["pmm", "--energy", "inf", "--grid", "11"],
+    ["pmm", "--energy", "nan", "--grid", "11"],
+    ["pmm", "--energy", "inf", "--grid", "11", "--average", "1"],
+    ["pmm", "--energy", "0.2", "--grid", "11", "--average", "1"],
+    ["spectrum", "--energy", "nan"],
+    ["spectrum", "--energy", "inf"],
+    ["spectrum", "--window", "90", "nan", "5"],
+], ids=["pmm-inf", "pmm-nan", "average-inf", "average-below-0", "spectrum-nan",
+        "spectrum-inf", "window-nan"])
+def test_non_finite_or_negative_energy_exits_1(tmp_path, capsys, argv):
+    # rejected at entry with a message naming the photoelectron energy
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "SignalError"
+    assert "photoelectron energy must be positive and finite" in record["message"]
+
+
 def test_pmm_and_fig4_write_identical_maps(tmp_path):
     args = ["--energy", "99", "--tp", "0", "T/4", "--grid", "41"]
     assert main(["pmm", *args, "--out", str(tmp_path / "pmm")]) == 0

@@ -116,6 +116,12 @@ def test_hemisphere_rejects_bad_energy():
         build_hemisphere(0.0, 11, 11)
     with pytest.raises(MomentumError):
         build_hemisphere(-5.0, 11, 11)
+    # a non-finite energy is named as such, not as an infinite raster width
+    for energy in (math.inf, math.nan):
+        with pytest.raises(MomentumError, match="photoelectron energy"):
+            build_hemisphere(energy, 11, 11)
+        with pytest.raises(MomentumError, match="photoelectron energy"):
+            build_sphere(energy, 4, 8)
 
 
 def test_sphere_weights_and_radius():

@@ -7,6 +7,7 @@ import io
 import numpy as np
 import pytest
 
+from attopmm import io as attopmm_io
 from attopmm.density import default_density_grid, density_timeseries
 from attopmm.io import (
     _BLOCK_LINES,
@@ -152,6 +153,61 @@ def test_map_without_disc_matches_reference_writer(tmp_path):
     rows = [line for line in (tmp_path / "new.dat").read_text().splitlines()
             if not line.startswith("#")]
     assert len(rows) == 41 * 41
+
+
+def _tie_axis(rng, n, q_max):
+    """n raster coordinates over [-q_max, q_max] with 13-digit decimal
+    near-ties of '%.12e', their 1-ulp neighbours, -0.0 and 0.0 spliced in."""
+    axis = np.linspace(-q_max, q_max, n)
+    m = rng.integers(10 ** 12, 2 * 10 ** 12, 6)
+    ties = np.array([float(f"{a}5e{e}") for a in m.tolist() for e in (-13, -14)])
+    special = np.concatenate([ties, np.nextafter(ties, np.inf),
+                              np.nextafter(ties, -np.inf), -ties, [-0.0, 0.0]])
+    axis[rng.choice(n, len(special), replace=False)] = special
+    return axis
+
+
+@pytest.mark.parametrize("disc", [1.9, None], ids=["disc", "no-disc"])
+def test_hand_built_map_matches_reference_writer(tmp_path, disc):
+    # nx != ny, more than one block of rows inside the disc, negative
+    # coordinates, and values with 3-digit exponents, -0.0 and near-ties of
+    # their own (a PMM holds no negative probability)
+    rng = np.random.default_rng(11)
+    axis_x, axis_y = _tie_axis(rng, 131, 2.0), _tie_axis(rng, 97, 2.0)
+    values = np.abs(rng.standard_normal((131, 97))
+                    * 10.0 ** rng.integers(-150, 150, (131, 97)))
+    values.flat[rng.choice(values.size, 60, replace=False)] = np.abs(
+        _tie_axis(rng, 60, 1.0))
+    values.flat[rng.choice(values.size, 20, replace=False)] = -0.0
+    metadata = {"mode": "short"}
+    if disc is not None:
+        metadata["q_disc_inv_angstrom"] = disc
+    pmm = PMM(energy_ev=98.0, t_p_fs=0.5, values=values, axis_x=axis_x,
+              axis_y=axis_y, metadata=metadata)
+    _same_pmm(tmp_path, pmm)
+    n_rows = sum(1 for line in (tmp_path / "new.dat").read_text().splitlines()
+                 if not line.startswith("#"))
+    assert n_rows > _BLOCK_LINES
+    assert (n_rows == 131 * 97) == (disc is None)
+
+
+def test_map_export_formats_each_axis_value_once(tmp_path, scenario, monkeypatch):
+    # the coordinates are formatted per axis and gathered, not once per row
+    pmm = pmm_cut(97.3, 1.1, scenario.pulse, scenario.wave_packet, scenario.finals,
+                  scenario.mos, resolution=201)
+    formatted = []
+    records = attopmm_io._records
+
+    def counting(flat, *args, **kwargs):
+        formatted.append(len(flat))
+        return records(flat, *args, **kwargs)
+
+    monkeypatch.setattr(attopmm_io, "_records", counting)
+    path = export_pmm(tmp_path / "map.dat", pmm)
+    n_rows = sum(1 for line in path.read_text().splitlines()
+                 if not line.startswith("#"))
+    assert 30_000 < n_rows < 201 * 201
+    assert sum(formatted) <= 201 + 201 + n_rows
 
 
 def test_spectra_match_reference_writer(tmp_path, scenario):
