@@ -227,12 +227,6 @@ def dyson_matrices(finals, wp: WavePacket):
             raise AlgebraError(
                 f"final state has {final.n_electrons} electrons, wave packet "
                 f"{wp.n_electrons}; expected a difference of one")
-        for _, _, member in wp.members:
-            if final.basis is not None and member.basis is not None \
-                    and final.basis != member.basis:
-                raise AlgebraError(
-                    f"states built on different orbital bases: "
-                    f"{final.basis!r} vs {member.basis!r}")
     offsets, rows, table = _annihilation_table(wp)
     bras = np.zeros((len(finals), 2, len(rows)))
     for f, final in enumerate(finals):

@@ -29,7 +29,7 @@ from . import density as density_mod
 from . import io as io_mod
 from . import signal as signal_mod
 from .algebra import PRUNE_THRESHOLD, AlgebraError, dyson_matrices
-from .model import SPIN_NAMES, ModelError, offset_label, wave_packet_phase
+from .model import SPIN_NAMES, ModelError, offset_label, phases_finite, wave_packet_phase
 from .momentum import MomentumError
 
 log = logging.getLogger("attopmm.cli")
@@ -84,8 +84,6 @@ def _add_common(sp):
     sp.add_argument("--threads", type=int, default=1,
                     help="accepted for compatibility; grids are evaluated on one "
                          "thread in fixed sample blocks, so results never depend on N")
-    sp.add_argument("--validate", action="store_true",
-                    help="validate the config, print derived quantities, exit")
 
 
 def build_parser():
@@ -278,11 +276,13 @@ def cmd_pmm(args, scenario):
 
 
 def _spectrum_energies(args, scenario):
+    """Sorted --energy values, else the --window (or config) grid: its bounds
+    fail as photoelectron energies (SignalError), its shape as a ConfigError."""
     if args.energy:
         return np.asarray(sorted(float(e) for e in args.energy))
     window = args.window or scenario.outputs["spectrum_window_ev"]
-    lo, hi, n = float(window[0]), float(window[1]), int(window[2])
-    return np.linspace(lo, hi, n)
+    signal_mod.photoelectron_energies(window[:2])
+    return io_mod.window_energies(window, "--window")
 
 
 def cmd_spectrum(args, scenario):
@@ -311,9 +311,9 @@ def cmd_reproduce(args, scenario):
                               outputs["density_padding_angstrom"],
                               outputs["density_spacing_angstrom"])
     if args.target == "fig3":
-        lo, hi, n = outputs["spectrum_window_ev"]
         return _write_spectra(scenario, out, ["spectra.dat"], (args.tp or ["0"])[:1],
-                              np.linspace(float(lo), float(hi), int(n)),
+                              io_mod.window_energies(outputs["spectrum_window_ev"],
+                                                     "outputs.spectrum_window_ev"),
                               scenario.pulse, "short", "both")
     if args.target == "fig6":
         energy = float(_default(args.energy, [99.0])[0])
@@ -336,6 +336,8 @@ def cmd_dyson(args, scenario):
         raise signal_mod.SignalError(
             f"no final state with index {args.final} in the table")
     wp = scenario.wave_packet
+    if not phases_finite(wp, [t_fs]):
+        raise signal_mod.SignalError("probe delay gives a non-finite wave-packet phase")
     offsets, dyson = dyson_matrices(match, wp)
     z = [wave_packet_phase(wp, i, t_fs) for i in range(wp.n_members)]
     coeffs = np.einsum("i,sip->ps", z, dyson[0])
@@ -357,11 +359,11 @@ _WRITERS = {
 
 
 def _dispatch(args):
-    """Load the scenario; validate (or --validate) prints its summary and
-    channel table, dyson prints coefficients, every other command logs the
-    summary, writes its artifacts and prints their paths."""
+    """Load the scenario; validate prints its summary and channel table,
+    dyson prints coefficients, every other command logs the summary, writes
+    its artifacts and prints their paths."""
     scenario = _load(args)
-    if args.command == "validate" or args.validate:
+    if args.command == "validate":
         _describe(scenario, print)
         channels = signal_mod.build_channels(scenario.wave_packet, scenario.finals,
                                              scenario.pulse)

@@ -39,13 +39,15 @@ from .model import (
     at_delays,
     evaluate_orbital,
     occupied_offsets,
+    phases_finite,
 )
 
 
 class DensityError(ValueError):
     """Wave packet, orbitals or grid unsuitable for the density change: a
     packet not built on the molecule's closed shell, an orbital the density
-    needs but was not supplied, an empty time list, or a bad grid."""
+    needs but was not supplied, an empty time list, a time whose member
+    phases are not finite, or a bad grid."""
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,8 @@ def density_timeseries(wp, mos, grid, times_fs):
     times = [float(t) for t in times_fs]
     if not times:
         raise DensityError("empty time list")
+    if not phases_finite(wp, times):
+        raise DensityError("time gives a non-finite wave-packet phase")
     offsets, changes, kept = density_matrix_changes(wp, mos, times)
     table = {mo.offset: mo for mo in mos}
     needed = sorted({offsets[k] for pq in kept for k in pq})

@@ -5,7 +5,7 @@ C-C 1.40 A, C-H 1.09 A) lying in the x-y plane with the long axis along x
 and the short in-plane axis along y; the pi system points along z. Each
 molecular orbital is an LCAO of one p_z Gaussian per carbon site.
 
-Degenerate tight-binding eigenvalues (pentacene has pairs at +-|beta|) are
+Degenerate tight-binding eigenvalues (pentacene has pairs at +-|hopping|) are
 resolved deterministically: the long-axis (x) reflection operator is
 diagonalized inside every degenerate block and the block members are
 ordered by (y parity, then x parity) ascending; the global sign of every
@@ -48,15 +48,11 @@ class HuckelError(ValueError):
 class PiSystemGraph:
     """Carbon skeleton of a planar pi system.
 
-    positions in Angstrom; adjacency as a tuple of index pairs; on-site
-    energy alpha and hopping beta set the energy scale only (eigenvector
-    shapes are scale-free).
+    positions in Angstrom; adjacency as a tuple of index pairs.
     """
 
     positions: np.ndarray
     bonds: tuple
-    alpha: float = 0.0
-    beta: float = -1.0
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float).reshape(-1, 3).copy()
@@ -188,25 +184,23 @@ def _parity_tag(vec_or_coeff, perm):
     return 1 if val > 0 else -1
 
 
-def huckel_orbitals(graph: PiSystemGraph = None, p_exponent=1.0):
-    """All 22 pi molecular orbitals, labeled H-10 ... H, L ... L+10.
+def huckel_orbitals(p_exponent=1.0):
+    """All 22 pentacene pi molecular orbitals, labeled H-10 ... H, L ... L+10.
 
     Returns a tuple ordered by energy (most bonding first). Each orbital is
     an LCAO of one p_z Gaussian (exponent bohr^-2) per carbon, with
     S^{-1/2}-orthogonalized coefficients, parity tags under the three
-    Cartesian reflections, the tight-binding energy, and the raw site
-    eigenvector.
+    Cartesian reflections, the tight-binding energy (on-site 0, hopping -1),
+    and the raw site eigenvector.
     """
-    if graph is None:
-        graph = build_pentacene_graph()
+    graph = build_pentacene_graph()
     if not p_exponent > 0:
         raise HuckelError(f"p exponent must be positive, got {p_exponent}")
     n = graph.n_sites
-    h = np.full((n, n), 0.0)
-    np.fill_diagonal(h, graph.alpha)
+    h = np.zeros((n, n))
     for i, j in graph.bonds:
-        h[i, j] = graph.beta
-        h[j, i] = graph.beta
+        h[i, j] = -1.0
+        h[j, i] = -1.0
     energies, vectors = np.linalg.eigh(h)
 
     perm_x = _reflection_permutation(graph.positions, 0)

@@ -422,21 +422,20 @@ def as_finals(rows):
     return [(r.index, r.state) for r in rows]
 
 
-def validate_channel_energies(rows, wp: WavePacket, pulse: ProbePulse,
-                              tolerance_ev=0.05):
+def validate_channel_energies(rows, wp: WavePacket, pulse: ProbePulse):
     """Check stated energy centers against omega_in + <E> - E_F; warn and
-    return the mismatching (index, stated, computed) triples."""
+    return the (index, stated, computed) triples more than 0.05 eV apart."""
     bad = []
     for row in rows:
         if row.center_ev is None:
             continue
         computed = (pulse.photon_energy_ev + wp.mean_energy_ev
                     - row.state.energy_ev)
-        if abs(computed - row.center_ev) > tolerance_ev:
+        if abs(computed - row.center_ev) > 0.05:
             log.warning(
                 "final state %d: stated energy center %.3f eV differs from "
-                "computed %.3f eV by more than %.2f eV", row.index,
-                row.center_ev, computed, tolerance_ev)
+                "computed %.3f eV by more than 0.05 eV", row.index,
+                row.center_ev, computed)
             bad.append((row.index, row.center_ev, computed))
     return bad
 
@@ -640,16 +639,26 @@ def _build_pulse(section):
             or not np.linalg.norm(pol) > 0):
         raise ConfigError("pulse.polarization: need a finite non-zero 3-vector")
     pol = pol / np.linalg.norm(pol)
-    intensity = section.get("peak_intensity", 1.0)
+    # checked, not used: probabilities are relative, delays come from the CLI
+    _positive(section.get("peak_intensity", 1.0), "pulse.peak_intensity")
     times = section.get("arrival_times_fs", [0.0])
     if (not isinstance(times, list) or not times
             or not all(_is_finite(t) for t in times)):
         raise ConfigError("pulse.arrival_times_fs: need a non-empty finite number list")
-    pulse = ProbePulse(photon_energy_ev=omega, polarization=pol,
-                       duration_fwhm_fs=tau,
-                       peak_intensity=_positive(intensity, "pulse.peak_intensity"),
-                       arrival_time_fs=float(times[0]))
-    return pulse, [float(t) for t in times]
+    return ProbePulse(photon_energy_ev=omega, polarization=pol, duration_fwhm_fs=tau)
+
+
+def window_energies(window, where):
+    """np.linspace(lo, hi, n) of an energy window [lo_ev, hi_ev, n]: finite
+    bounds with 0 < lo < hi and an integer point count n >= 2, else a
+    ConfigError naming `where`."""
+    if (not isinstance(window, (list, tuple)) or len(window) != 3
+            or not all(_is_finite(v) for v in window)
+            or not 0 < window[0] < window[1]
+            or not (float(window[2]).is_integer() and window[2] >= 2)):
+        raise ConfigError(f"{where}: need [lo_ev, hi_ev, n] with finite "
+                          f"0 < lo < hi and an integer n >= 2, got {window}")
+    return np.linspace(float(window[0]), float(window[1]), int(window[2]))
 
 
 def _validate_outputs(section):
@@ -662,11 +671,7 @@ def _validate_outputs(section):
     for key in ("density_spacing_angstrom", "density_padding_angstrom",
                 "average_width_ev"):
         merged[key] = _positive(merged[key], f"outputs.{key}")
-    window = merged["spectrum_window_ev"]
-    if (not isinstance(window, list) or len(window) != 3
-            or not all(_is_finite(v) for v in window)
-            or not 0 < window[0] < window[1] or not int(window[2]) >= 2):
-        raise ConfigError("outputs.spectrum_window_ev: need [lo_ev, hi_ev, n>=2]")
+    window_energies(merged["spectrum_window_ev"], "outputs.spectrum_window_ev")
     energies = merged["map_energies_ev"]
     if (not isinstance(energies, list) or not energies
             or not all(_is_finite(e) and e > 0 for e in energies)):
@@ -683,18 +688,15 @@ class Scenario:
     """Everything a run needs, built from one validated config file."""
 
     name: str
-    source_path: Path
     raw: dict
     digest: str
     mos: list
     atoms: tuple            # cube atom records (Z, charge, position bohr)
     wave_packet: WavePacket
     pulse: ProbePulse
-    probe_times_fs: list
     finals: list            # (index, ElectronicState) pairs
     table_rows: list        # TableRow with optional stated centers
     binding_energies_ev: dict
-    coefficient_mode: str
     outputs: dict
 
     @property
@@ -742,7 +744,7 @@ def load_scenario(path):
     if not occupied:
         raise ConfigError("molecule: no occupied orbital (offset <= 0)")
     wp = _build_wave_packet(_require(raw, "wave_packet", "config"), occupied)
-    pulse, times = _build_pulse(_require(raw, "pulse", "config"))
+    pulse = _build_pulse(_require(raw, "pulse", "config"))
     finals_section = _require(raw, "final_states", "config")
     _reject_unknown(finals_section, _FINALS_KEYS, "final_states")
     table_path = path.parent / _require(finals_section, "table", "final_states")
@@ -760,12 +762,11 @@ def load_scenario(path):
                 f"ground_state_binding_energies_ev: {exc}") from exc
         _positive(value, f"ground_state_binding_energies_ev.{label}")
     outputs = _validate_outputs(raw.get("outputs", {}))
-    return Scenario(name=str(name), source_path=path, raw=raw,
-                    digest=config_digest(raw), mos=mos, atoms=atoms, wave_packet=wp,
-                    pulse=pulse, probe_times_fs=times, finals=as_finals(rows),
+    return Scenario(name=str(name), raw=raw, digest=config_digest(raw), mos=mos,
+                    atoms=atoms, wave_packet=wp, pulse=pulse, finals=as_finals(rows),
                     table_rows=rows,
                     binding_energies_ev={str(k): float(v) for k, v in be.items()},
-                    coefficient_mode=mode, outputs=outputs)
+                    outputs=outputs)
 
 
 def default_scenario_path():
@@ -803,7 +804,7 @@ def export_pmm(path, pmm: PMM, digest=None):
         "tau_fs": float(pmm.metadata.get("tau_fs", 0.0)),
         "omega_in_ev": float(pmm.metadata.get("omega_in_ev", 0.0)),
         "mode": pmm.metadata.get("mode", "short"),
-        "normalization": pmm.metadata.get("normalization", "relative"),
+        "normalization": "relative",
         "polarization": [float(v) for v in pmm.metadata.get("polarization",
                                                             (0.0, 0.0, 1.0))],
         "axis_x": [float(pmm.axis_x[0]), float(pmm.axis_x[-1]), len(pmm.axis_x)],
@@ -917,8 +918,7 @@ def read_pmm(path):
         values[i, j] = v
     metadata = {"tau_fs": float(meta.get("tau_fs", 0.0)),
                 "omega_in_ev": float(meta.get("omega_in_ev", 0.0)),
-                "mode": meta.get("mode", "short"),
-                "normalization": meta.get("normalization", "relative")}
+                "mode": meta.get("mode", "short")}
     if "polarization" in meta:
         metadata["polarization"] = tuple(float(v) for v in meta["polarization"].split())
     if "q_disc_inv_angstrom" in meta:

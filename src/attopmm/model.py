@@ -27,7 +27,6 @@ import numpy as np
 HARTREE_EV = 27.211386      # eV per hartree
 BOHR_ANGSTROM = 0.529177    # Angstrom per bohr
 ATOMIC_TIME_FS = 0.02418884  # fs per atomic time unit
-SPEED_OF_LIGHT_AU = 137.036
 
 UP = 0
 DOWN = 1
@@ -407,9 +406,6 @@ class SlaterDeterminant:
     def n_electrons(self):
         return len(self.spin_orbitals)
 
-    def occupies(self, orbital, spin):
-        return (int(orbital), int(spin)) in self.spin_orbitals
-
 
 def canonical_determinant(spin_orbitals):
     """Sort spin-orbitals into canonical order; returns (sign, determinant).
@@ -471,7 +467,6 @@ class ElectronicState:
 
     energy_ev: float
     expansion: tuple  # ((coefficient, ConfigurationStateFunction), ...)
-    basis: str = None
 
     def __post_init__(self):
         exp = tuple((float(c), csf) for c, csf in self.expansion)
@@ -484,10 +479,6 @@ class ElectronicState:
         if len(counts) != 1:
             raise ModelError("state mixes electron counts")
         object.__setattr__(self, "expansion", exp)
-
-    @property
-    def energy_au(self):
-        return ev_to_hartree(self.energy_ev)
 
     @property
     def n_electrons(self):
@@ -547,13 +538,22 @@ def wave_packet_phase(wp: WavePacket, member, t_fs):
     return c * cmath.exp(-1j * ev_to_hartree(e_ev) * tau)
 
 
-def at_delays(kernel, wp: WavePacket, times, prefactor=1.0):
-    """prefactor * Re[z(t)^H K z(t)] for each delay t, with z_I(t) the
-    member phases; K is a member-pair array of shape (M, M, ...)."""
+def phases_finite(wp: WavePacket, times):
+    """Whether the phase angle E_I (t - t0) (atomic units) that
+    wave_packet_phase forms is finite for every member I and delay t."""
+    energies = ev_to_hartree(np.array([e for _, e, _ in wp.members]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = fs_to_au(np.asarray(times, dtype=float)[:, None] - wp.t0_fs) * energies
+    return bool(np.all(np.isfinite(angles)))
+
+
+def at_delays(kernel, wp: WavePacket, times):
+    """Re[z(t)^H K z(t)] for each delay t, with z_I(t) the member phases; K
+    is a member-pair array of shape (M, M, ...)."""
     out = []
     for t in times:
         z = np.array([wave_packet_phase(wp, i, t) for i in range(wp.n_members)])
-        out.append(np.einsum("i,ij...,j->...", z.conj(), kernel, z).real * prefactor)
+        out.append(np.einsum("i,ij...,j->...", z.conj(), kernel, z).real)
     return out
 
 
@@ -564,8 +564,6 @@ class ProbePulse:
     photon_energy_ev: float
     polarization: np.ndarray
     duration_fwhm_fs: float
-    peak_intensity: float = 1.0
-    arrival_time_fs: float = 0.0
 
     def __post_init__(self):
         if not self.photon_energy_ev > 0:

@@ -104,21 +104,19 @@ def _phases(angles):
 class MomentumGrid:
     """Sample set in momentum space (a.u. internally).
 
-    mode "constant-energy-hemisphere": raster over in-plane (q_x, q_y) with
-    q_z = +sqrt(2 eps - q_x^2 - q_y^2); samples outside the kinematic disc
-    are flagged invalid. mode "full-sphere" carries quadrature weights
-    (sum = 4 pi) for angle integration. mode "cartesian-slab" is a plain
-    rectangular raster.
+    A constant-energy hemisphere (build_hemisphere) is a raster over
+    in-plane (q_x, q_y) with q_z = +sqrt(2 eps - q_x^2 - q_y^2), samples
+    outside the kinematic disc flagged invalid; a full sphere
+    (build_sphere) carries quadrature weights (sum = 4 pi) for angle
+    integration.
     """
 
-    mode: str
     samples: np.ndarray          # (N, 3) a.u.
     valid: np.ndarray            # (N,) bool
-    energy_ev: float = None
-    shape: tuple = None          # raster shape for map modes
+    shape: tuple = None          # raster shape of a hemisphere
     axis_x: np.ndarray = None    # 1D raster coordinates, 1/Angstrom
     axis_y: np.ndarray = None
-    weights: np.ndarray = None   # quadrature weights (full-sphere)
+    weights: np.ndarray = None   # quadrature weights of a full sphere
 
     def __post_init__(self):
         samples = np.ascontiguousarray(np.asarray(self.samples, dtype=float).reshape(-1, 3))
@@ -162,9 +160,8 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
     qx = inv_angstrom_to_au(axis_x)[:, None] * np.ones(int(ny))[None, :]
     qy = np.ones(int(nx))[:, None] * inv_angstrom_to_au(axis_y)[None, :]
     samples, valid = _lift(e_au, qx.ravel(), qy.ravel())
-    return MomentumGrid(mode="constant-energy-hemisphere", samples=samples,
-                        valid=valid, energy_ev=float(energy_ev),
-                        shape=(int(nx), int(ny)), axis_x=axis_x, axis_y=axis_y)
+    return MomentumGrid(samples=samples, valid=valid, shape=(int(nx), int(ny)),
+                        axis_x=axis_x, axis_y=axis_y)
 
 
 def _lift(e_au, qx, qy):
@@ -219,19 +216,8 @@ def build_sphere(energy_ev, n_polar=48, n_azimuth=96, quadrature=None):
     dirs, weights = quadrature or sphere_quadrature(n_polar, n_azimuth)
     q = math.sqrt(2.0 * ev_to_hartree(energy_ev))
     samples = q * dirs
-    return MomentumGrid(mode="full-sphere", samples=samples,
-                        valid=np.ones(len(samples), dtype=bool),
-                        energy_ev=float(energy_ev), weights=weights)
-
-
-def build_slab(q_max_au, n):
-    """Uniform cubic raster |q_i| <= q_max (a.u.) with n points per axis."""
-    axis = np.linspace(-float(q_max_au), float(q_max_au), int(n))
-    qx, qy, qz = np.meshgrid(axis, axis, axis, indexing="ij")
-    samples = np.stack([qx.ravel(), qy.ravel(), qz.ravel()], axis=1)
-    return MomentumGrid(mode="cartesian-slab", samples=samples,
-                        valid=np.ones(len(samples), dtype=bool),
-                        shape=(int(n), int(n), int(n)))
+    return MomentumGrid(samples=samples, valid=np.ones(len(samples), dtype=bool),
+                        weights=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ Physics conventions:
   * the probe delay t_p enters only through the wave-packet member phases
     z_I(t_p) = C_I exp(-i E_I (t_p - t0)), so every probability is the
     bilinear form
-        P(q, t_p) = pref * sum_IJ Re[z_I*(t_p) z_J(t_p) K_IJ(q)],
+        P(q, t_p) = sum_IJ Re[z_I*(t_p) z_J(t_p) K_IJ(q)],
         K_IJ(q)   = |eps_in . q|^2 sum_{F,sigma} W_FIJ(eps_e)
                     conj(R_FsigmaI(q)) R_FsigmaJ(q),
     with eps_e = |q|^2 / 2 and R_FsigmaI = D_FsigmaI @ F[orbitals](q) the
@@ -33,9 +33,8 @@ Physics conventions:
     / (8 ln2)), i.e. the envelopes sit inside the coherent member sum;
   * a channel whose largest diagonal weight max_I W_FII at the map or
     spectrum energy is below the threshold is left out of that kernel;
-  * default intensity normalization sets the overall prefactor
-    pref = tau^2 I0 / (8 pi ln2 omega_in^2 c) to one ("relative", matching
-    arbitrary-unit maps); "absolute" evaluates it in atomic units;
+  * probabilities are relative, as in arbitrary-unit maps: the intensity
+    prefactor tau^2 I0 / (8 pi ln2 omega_in^2 c) is one;
   * angle integration uses the density-of-states measure
     S(eps) = q * Integral P dOmega with q = sqrt(2 eps), so each energy's
     kernel is integrated over the sphere into one M x M matrix. For LCAO
@@ -73,6 +72,7 @@ from .model import (
     ev_to_hartree,
     fs_to_au,
     occupied_offsets,
+    phases_finite,
 )
 from .momentum import (
     MomentumError,
@@ -188,12 +188,12 @@ def _pair_weights(ch, eps_ev, pulse, wp, mode):
     raise SignalError(f"unknown probe mode {mode!r}")
 
 
-def _screen(channels, energy_ev, pulse, wp, mode, min_envelope):
-    """Per channel max_I W_II at energy_ev, and whether it is under
-    min_envelope (the channel is then skipped)."""
-    peaks = [float(np.max(np.diagonal(_pair_weights(ch, energy_ev, pulse, wp, mode))))
-             for ch in channels]
-    return peaks, [peak < min_envelope for peak in peaks]
+def _screen(channels, energies_ev, pulse, wp, mode, min_envelope):
+    """peaks[e, F] = max_I W_FII at energies_ev[e], and skip[e, F]: whether
+    that peak is under min_envelope (channel F is then left out at energy e)."""
+    peaks = np.array([np.max(np.diagonal(_pair_weights(ch, energies_ev, pulse, wp, mode)),
+                             axis=-1) for ch in channels]).T
+    return peaks, peaks < min_envelope
 
 
 def _dyson_matrices(channels, mos):
@@ -291,7 +291,7 @@ def _folded_kernel(raster: MomentumGrid, planar, energies, skips, channels,
     return out, valid
 
 
-def _energies(energies_ev):
+def photoelectron_energies(energies_ev):
     """Photoelectron energies (eV) as a 1-D float array, each positive and
     finite."""
     energies = np.asarray(energies_ev, dtype=float).reshape(-1)
@@ -304,27 +304,18 @@ def _energies(energies_ev):
     return energies
 
 
-def _delays(t_p_fs):
-    """Delays as a 1-D float array, and whether a single number was given."""
+def _delays(t_p_fs, wp):
+    """Delays as a 1-D float array, and whether a single number was given;
+    every member phase at every delay must be finite."""
     times = np.asarray(t_p_fs, dtype=float)
     if times.ndim > 1 or not times.size:
         raise SignalError("probe delay must be a number or a non-empty 1-D sequence")
+    if not phases_finite(wp, times.reshape(-1)):
+        raise SignalError("probe delay gives a non-finite wave-packet phase")
     return times.reshape(-1), times.ndim == 0
 
 
-def _prefactor(pulse: ProbePulse, normalization):
-    if normalization == "relative":
-        return 1.0
-    if normalization == "absolute":
-        tau = fs_to_au(pulse.duration_fwhm_fs)
-        omega = ev_to_hartree(pulse.photon_energy_ev)
-        return (tau * tau * pulse.peak_intensity
-                / (8.0 * math.pi * math.log(2.0) * omega * omega * 137.036))
-    raise SignalError(f"unknown normalization mode {normalization!r}")
-
-
-def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short",
-                normalization="relative"):
+def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short"):
     """Photoelectron probability at momentum q (a.u.), shape (3,) -> float
     or (N, 3) -> (N,) array; mode "short" (sudden limit) or "long"
     (per-member envelopes inside the coherent sum).
@@ -332,16 +323,15 @@ def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short",
     q = 0 is a degenerate input (no photoelectron): the polarization
     projection zeroes it and the value is 0.
     """
-    times, single = _delays(t_p_fs)
+    times, single = _delays(t_p_fs, wp)
     q = np.asarray(q, dtype=float)
     samples = q.reshape(-1, 3)
-    grid = MomentumGrid(mode="free-samples", samples=samples,
-                        valid=np.ones(len(samples), dtype=bool))
+    grid = MomentumGrid(samples=samples, valid=np.ones(len(samples), dtype=bool))
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
     kernel = _kernel(grid, basis, channels, matrices, [False] * len(channels),
                      pulse, wp, mode)
-    out = at_delays(kernel, wp, times, _prefactor(pulse, normalization))
+    out = at_delays(kernel, wp, times)
     if q.ndim == 1:
         out = [float(v[0]) for v in out]
     return out[0] if single else out
@@ -400,8 +390,8 @@ class Spectrum:
 
 
 def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
-                     resolution, q_max_inv_angstrom, mode, normalization,
-                     min_envelope, average=None):
+                     resolution, q_max_inv_angstrom, mode, min_envelope,
+                     average=None):
     """Maps labeled energy_ev, averaged uniformly over the hemisphere cuts
     at `energies` (one energy: a plain cut), one per delay.
 
@@ -411,18 +401,16 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
     orbital set one _kernel per energy. Channel records and the disc radius
     are those of the last energy.
     """
-    _energies(energies)
-    times, single = _delays(t_p_fs)
+    energies = photoelectron_energies(energies)
+    times, single = _delays(t_p_fs, wp)
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
-    skips = []
-    for e in energies:
-        peaks, skip = _screen(channels, e, pulse, wp, mode, min_envelope)
+    peaks, skips = _screen(channels, energies, pulse, wp, mode, min_envelope)
+    for e, skip in zip(energies, skips):
         skipped = [ch.index for ch, s in zip(channels, skip) if s]
         if skipped:
             log.info("map at %.3f eV skips channels %s (envelope < %g)",
                      e, skipped, min_envelope)
-        skips.append(skip)
     planar = momentum.planar_basis(basis)
     if planar is None:
         total, valid = None, False
@@ -432,25 +420,23 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
             total = _kernel(grid, basis, channels, matrices, skip, pulse, wp, mode,
                             total)
     else:
-        grid = build_hemisphere(e, resolution, resolution, q_max_inv_angstrom)
+        grid = build_hemisphere(energies[-1], resolution, resolution, q_max_inv_angstrom)
         total, valid = _folded_kernel(grid, planar, energies, skips, channels,
                                       matrices, pulse, wp, mode)
     total /= float(len(energies))
-    records = [dict(rec, envelope=peak, skipped=s)
-               for rec, peak, s in zip(channel_records(channels), peaks, skip)]
+    records = [dict(rec, envelope=float(peak), skipped=bool(s))
+               for rec, peak, s in zip(channel_records(channels), peaks[-1], skips[-1])]
     meta = {
         "tau_fs": pulse.duration_fwhm_fs,
         "omega_in_ev": pulse.photon_energy_ev,
         "polarization": tuple(pulse.polarization),
         "mode": mode,
-        "normalization": normalization,
-        "t0_fs": wp.t0_fs,
-        "q_disc_inv_angstrom": math.sqrt(2.0 * ev_to_hartree(e)) / BOHR_ANGSTROM,
+        "q_disc_inv_angstrom": math.sqrt(2.0 * ev_to_hartree(energies[-1])) / BOHR_ANGSTROM,
         "channels": records,
     }
     if average is not None:
         meta["energy_average"] = average
-    values = at_delays(total, wp, times, _prefactor(pulse, normalization))
+    values = at_delays(total, wp, times)
     maps = [PMM(energy_ev=float(energy_ev), t_p_fs=float(t),
                 values=np.where(valid, v, 0.0).reshape(grid.shape),
                 axis_x=grid.axis_x, axis_y=grid.axis_y, metadata=dict(meta))
@@ -459,19 +445,18 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
 
 
 def pmm_cut(energy_ev, t_p_fs, pulse, wp, finals, mos, resolution=201,
-            q_max_inv_angstrom=None, mode="short", normalization="relative",
+            q_max_inv_angstrom=None, mode="short",
             channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
     """Hemispherical constant-energy cut at photoelectron energy eps (eV):
     a PMM for one delay t_p_fs, a list of PMMs for a 1-D delay sequence."""
     return _hemisphere_maps(energy_ev, [float(energy_ev)], t_p_fs, pulse, wp,
                             finals, mos, resolution, q_max_inv_angstrom, mode,
-                            normalization, channel_min_envelope)
+                            channel_min_envelope)
 
 
 def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
                        wp, finals, mos, resolution=201, q_max_inv_angstrom=None,
-                       mode="short", normalization="relative",
-                       channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
+                       mode="short", channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
     """Uniform average of pmm_cut over [center - w/2, center + w/2].
 
     Every energy keeps its own hemisphere (its own q_z), all sharing one
@@ -479,7 +464,7 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
     disc contribute zero at that energy. The average is taken over the
     kernels, so a delay series costs one (folded) kernel.
     """
-    _energies(energy_center_ev)
+    photoelectron_energies(energy_center_ev)
     if not width_ev > 0:
         raise SignalError("averaging width must be positive")
     if n_energies < 2:
@@ -493,8 +478,7 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
                "n_energies": int(n_energies)}
     return _hemisphere_maps(energy_center_ev, [float(e) for e in energies],
                             t_p_fs, pulse, wp, finals, mos, resolution,
-                            q_max_inv_angstrom, mode, normalization,
-                            channel_min_envelope, average)
+                            q_max_inv_angstrom, mode, channel_min_envelope, average)
 
 
 def _sphere_kernels(energies, channels, basis, matrices, pulse, wp, mode,
@@ -509,10 +493,7 @@ def _sphere_kernels(energies, channels, basis, matrices, pulse, wp, mode,
     sum_{F,sigma} W_FIJ (conj(G) A G^T)_IJ, a few M x P products per energy.
     """
     integrated = np.zeros((wp.n_members, wp.n_members, len(energies)), dtype=complex)
-    weights = [_pair_weights(ch, energies, pulse, wp, mode) for ch in channels]
-    # the _screen rule for all energies at once: skip[k, F] = max_I W_FII < min
-    skips = np.array([np.max(np.diagonal(w), axis=-1) < min_envelope
-                      for w in weights]).T
+    _, skips = _screen(channels, energies, pulse, wp, mode, min_envelope)
     closed = momentum.sphere_pair_matrices(basis, pulse.polarization)
     if closed is None:
         quadrature = sphere_quadrature(n_polar, n_azimuth)
@@ -524,6 +505,7 @@ def _sphere_kernels(energies, channels, basis, matrices, pulse, wp, mode,
         angular = (int(n_polar), int(n_azimuth))
     else:
         coeffs, pair_matrix = closed
+        weights = [_pair_weights(ch, energies, pulse, wp, mode) for ch in channels]
         rows = [[d @ coeffs.T for d in mats] for mats in matrices]
         for k, (e, skip) in enumerate(zip(energies, skips)):
             if all(skip):
@@ -539,7 +521,6 @@ def _sphere_kernels(energies, channels, basis, matrices, pulse, wp, mode,
 
 def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
                               n_polar=48, n_azimuth=96, mode="short",
-                              normalization="relative",
                               scenario="excited",
                               channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
     """S(eps) = q * Integral P dOmega on the listed photoelectron energies:
@@ -550,10 +531,10 @@ def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
     quadrature. The order is checked on both paths; metadata["angular"]
     names the method used.
     """
-    energies = _energies(energies_ev)
+    energies = photoelectron_energies(energies_ev)
     if n_polar < 2 or n_azimuth < 4:
         raise MomentumError(f"unsupported quadrature order ({n_polar}, {n_azimuth})")
-    times, single = _delays(t_p_fs)
+    times, single = _delays(t_p_fs, wp)
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
     integrated, angular = _sphere_kernels(
@@ -565,10 +546,9 @@ def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
         "polarization": tuple(pulse.polarization),
         "mode": mode,
         "angular": angular,
-        "normalization": normalization,
         "channels": channel_records(channels),
     }
-    values = at_delays(integrated, wp, times, _prefactor(pulse, normalization))
+    values = at_delays(integrated, wp, times)
     spectra = [Spectrum(energies_ev=energies, values=v, scenario=scenario,
                         metadata=dict(meta, t_p_fs=float(t)))
                for t, v in zip(times, values)]

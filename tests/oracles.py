@@ -26,7 +26,7 @@ from attopmm.model import (
     wave_packet_phase,
 )
 from attopmm.momentum import MomentumGrid, build_sphere, sphere_quadrature
-from attopmm.signal import SignalError, _prefactor, envelope_long, envelope_short
+from attopmm.signal import SignalError, envelope_long, envelope_short
 
 TWO_PI = 2.0 * np.pi
 
@@ -187,7 +187,7 @@ def reference_export_pmm(path, pmm, digest=None):
         "tau_fs": float(pmm.metadata.get("tau_fs", 0.0)),
         "omega_in_ev": float(pmm.metadata.get("omega_in_ev", 0.0)),
         "mode": pmm.metadata.get("mode", "short"),
-        "normalization": pmm.metadata.get("normalization", "relative"),
+        "normalization": "relative",
         "polarization": [float(v) for v in pmm.metadata.get("polarization",
                                                             (0.0, 0.0, 1.0))],
         "axis_x": [float(pmm.axis_x[0]), float(pmm.axis_x[-1]), len(pmm.axis_x)],
@@ -293,7 +293,7 @@ def _member_phases(wp: WavePacket, t_p_fs):
 
 
 def reference_probability(channels, amps: ReferenceAmplitudes, samples, wp, pulse,
-                          t_p_fs, mode, normalization, skip=None):
+                          t_p_fs, mode, skip=None):
     """Probability at each sample row. skip: boolean per channel."""
     eps_au = 0.5 * np.einsum("ij,ij->i", samples, samples)
     eps_ev = eps_au * HARTREE_EV
@@ -324,14 +324,14 @@ def reference_probability(channels, amps: ReferenceAmplitudes, samples, wp, puls
                 total += amp.real ** 2 + amp.imag ** 2
         else:
             raise SignalError(f"unknown probe mode {mode!r}")
-    return total * proj * _prefactor(pulse, normalization)
+    return total * proj
 
 
 # ---------------------------------------------------------------------------
 # angle-integrated spectra by sphere quadrature
 
 def quadrature_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos, n_polar,
-                        n_azimuth, mode="short", normalization="relative",
+                        n_azimuth, mode="short",
                         min_envelope=signal.DEFAULT_CHANNEL_MIN_ENVELOPE):
     """S(eps) = q * sum_n w_n P(q_n) on an n_polar x n_azimuth product
     quadrature of each energy's sphere: the member-pair kernel on the
@@ -341,14 +341,13 @@ def quadrature_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos, n_polar,
     basis, matrices = signal._dyson_matrices(channels, mos)
     quadrature = sphere_quadrature(n_polar, n_azimuth)
     integrated = np.zeros((wp.n_members, wp.n_members, len(energies_ev)), dtype=complex)
-    for k, e in enumerate(energies_ev):
-        _, skip = signal._screen(channels, float(e), pulse, wp, mode, min_envelope)
+    _, skips = signal._screen(channels, energies_ev, pulse, wp, mode, min_envelope)
+    for k, (e, skip) in enumerate(zip(energies_ev, skips)):
         grid = build_sphere(float(e), n_polar, n_azimuth, quadrature)
         kernel = signal._kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
         q_au = np.sqrt(2.0 * e / HARTREE_EV)
         integrated[..., k] = q_au * (kernel * grid.weights).sum(axis=-1)
-    return at_delays(integrated, wp, np.asarray(t_p_fs, dtype=float),
-                     _prefactor(pulse, normalization))
+    return at_delays(integrated, wp, np.asarray(t_p_fs, dtype=float))
 
 
 # ---------------------------------------------------------------------------

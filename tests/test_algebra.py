@@ -127,16 +127,6 @@ def test_overlap_requires_one_electron_difference():
                        _packet(_wrap(singlet_excitation_csf(occ, 0, 1))))
 
 
-def test_basis_tag_mismatch_rejected():
-    occ = range(-1, 1)
-    neutral = ElectronicState(energy_ev=0.0, basis="set-a",
-                              expansion=((1.0, closed_shell_state(occ)),))
-    ion = ElectronicState(energy_ev=5.0, basis="set-b",
-                          expansion=((1.0, one_hole_csf(occ, 0)),))
-    with pytest.raises(AlgebraError):
-        dyson_matrices([ion], _packet(neutral))
-
-
 def _oracle_compare(final, initial, tol=1e-12):
     got = _channels(final, initial)
     want = dense_annihilation_map(final, initial)

@@ -249,3 +249,50 @@ def test_pmm_and_fig4_write_identical_maps(tmp_path):
     fig4 = {p.name: p.read_bytes() for p in sorted((tmp_path / "fig4").iterdir())}
     assert sorted(pmm) == ["pmm_e99_tp0.dat", "pmm_e99_tpT4.dat"]
     assert pmm == fig4
+
+
+_WINDOW = ["spectrum", "--states", "excited", "--window"]
+_CONTRACT = {
+    "window-lo-nan": (_WINDOW + ["nan", "100", "3"], "SignalError"),
+    "window-hi-inf": (_WINDOW + ["90", "inf", "3"], "SignalError"),
+    "window-lo-negative": (_WINDOW + ["-1", "100", "3"], "SignalError"),
+    "window-lo-0": (_WINDOW + ["0", "100", "3"], "SignalError"),
+    "window-n-nan": (_WINDOW + ["90", "100", "nan"], "ConfigError"),
+    "window-n-inf": (_WINDOW + ["90", "100", "inf"], "ConfigError"),
+    "window-n-negative": (_WINDOW + ["90", "100", "-1"], "ConfigError"),
+    "window-n-0": (_WINDOW + ["90", "100", "0"], "ConfigError"),
+    "window-n-2.7": (_WINDOW + ["90", "100", "2.7"], "ConfigError"),
+    "window-descending": (_WINDOW + ["100", "90", "3"], "ConfigError"),
+    "window-equal": (_WINDOW + ["95", "95", "3"], "ConfigError"),
+    "window-n-3.0": (_WINDOW + ["94", "100", "3.0"], None),
+    # a bare "-1e308" would be read as an option name, hence "--tp=..."
+    "pmm-tp-huge": (["pmm", "--energy", "99", "--grid", "11", "--tp", "1e308"],
+                    "SignalError"),
+    "pmm-tp-huge-negative": (["pmm", "--energy", "99", "--grid", "11", "--tp=-1e308"],
+                             "SignalError"),
+    "spectrum-tp-huge": (_WINDOW + ["94", "100", "3", "--tp", "1e308"], "SignalError"),
+    "spectrum-tp-huge-negative": (_WINDOW + ["94", "100", "3", "--tp=-1e308"],
+                                  "SignalError"),
+    "density-tp-huge": (["density", "--spacing", "0.6", "--tp", "1e308"], "DensityError"),
+    "density-tp-huge-negative": (["density", "--spacing", "0.6", "--tp=-1e308"],
+                                 "DensityError"),
+    "dyson-tp-huge": (["dyson", "--final", "1", "--tp", "1e308"], "SignalError"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, error", list(_CONTRACT.values()), ids=list(_CONTRACT))
+def test_cli_exits_0_or_1_with_one_error_record(tmp_path, capsys, argv, error):
+    # a run succeeds, or exits 1 with one JSON record on stderr and writes no
+    # artifact; never a traceback, and no warning on the way
+    out = tmp_path / "out"
+    code = main(argv + ["--out", str(out)])
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+               if line.startswith("{")]
+    if error is None:
+        assert code == 0 and records == []
+        return
+    assert code == 1
+    assert [r["error"] for r in records] == [error]
+    assert records[0]["message"]
+    assert not out.exists() or not any(out.iterdir())

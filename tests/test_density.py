@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from attopmm import density
 from attopmm.algebra import singlet_excitation_csf
 from attopmm.density import (
     DensityError,
@@ -96,6 +97,18 @@ def test_electron_count_must_fill_closed_shell(scenario, coarse_grid):
     short = [mo for mo in scenario.mos if mo.offset != -10]
     with pytest.raises(DensityError, match="22 electrons"):
         density_timeseries(scenario.wave_packet, short, coarse_grid, [0.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_phase_rejected_before_orbital_evaluation(scenario, coarse_grid,
+                                                             monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on a non-finite phase")
+    monkeypatch.setattr(density, "member_pair_matrices", refuse)
+    monkeypatch.setattr(density, "evaluate_orbital", refuse)
+    for bad in ([1e308], [0.0, -1e308], [math.inf], [math.nan]):
+        with pytest.raises(DensityError, match="non-finite wave-packet phase"):
+            density_timeseries(scenario.wave_packet, scenario.mos, coarse_grid, bad)
 
 
 def test_frame_rejects_non_finite_values(coarse_grid):

@@ -174,7 +174,6 @@ def test_default_scenario_contents(scenario):
     assert scenario.wave_packet.mean_energy_ev == pytest.approx(3.9)
     assert scenario.period_fs == pytest.approx(5.730054868251615, abs=1e-12)
     assert scenario.pulse.photon_energy_ev == 100.0
-    assert list(scenario.probe_times_fs) == [0.0]
     assert len(scenario.finals) == 6
     assert scenario.binding_energies_ev == {"H": 5.0, "H-2": 6.7, "H-4": 7.5}
     assert len(scenario.digest) == 64
@@ -230,6 +229,12 @@ def test_config_error_reporting(tmp_path, scenario):
     raw = json.loads(json.dumps(scenario.raw))
     raw["ground_state_binding_energies_ev"]["H"] = -5.0
     _config_error(tmp_path, raw, "H")
+    # the point count is an integer >= 2, never truncated (2.7 -> 2)
+    for window in ([85.0, 105.0, 2.7], [85.0, 105.0, 1], [105.0, 85.0, 5],
+                   [85.0, 85.0, 5], [0.0, 105.0, 5], [85.0, 105.0, "5"]):
+        raw = json.loads(json.dumps(scenario.raw))
+        raw.setdefault("outputs", {})["spectrum_window_ev"] = window
+        _config_error(tmp_path, raw, "outputs.spectrum_window_ev")
 
 
 def test_config_member_norm_guard(tmp_path, scenario):

@@ -19,7 +19,6 @@ from attopmm.momentum import (
     MomentumError,
     MomentumGrid,
     build_hemisphere,
-    build_slab,
     build_sphere,
     gaussian_ft,
     orbital_ft,
@@ -146,12 +145,6 @@ def test_sphere_mirror_symmetric_nodes():
         assert a == b
 
 
-def test_slab_shape():
-    grid = build_slab(2.0, 5)
-    assert grid.samples.shape == (125, 3)
-    assert grid.samples[:, 0].min() == -2.0 and grid.samples[:, 2].max() == 2.0
-
-
 def test_grid_backed_transform_matches_lcao():
     prims = (GaussianPrimitive(center=(0.6, -0.4, 0.0), exponent=1.0, powers=(0, 0, 1)),
              GaussianPrimitive(center=(-0.6, 0.4, 0.0), exponent=1.0, powers=(0, 0, 1)))
@@ -193,7 +186,7 @@ def test_thread_determinism():
 
 
 def _free_grid(q):
-    return MomentumGrid(mode="free-samples", samples=q, valid=np.ones(len(q), dtype=bool))
+    return MomentumGrid(samples=q, valid=np.ones(len(q), dtype=bool))
 
 
 def _grids():

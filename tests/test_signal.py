@@ -560,7 +560,7 @@ def test_kernel_matches_per_delay_reference(ctx, mode):
         amps = ReferenceAmplitudes(channels, ctx["mos"], grid)
         for t, m in zip(delays, maps):
             ref = reference_probability(channels, amps, grid.samples, ctx["wp"],
-                                        pulse, t, mode, "relative", skip=skip)
+                                        pulse, t, mode, skip=skip)
             ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
             assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), (energy, t)
         # a delay series is the same numbers as one call per delay
@@ -575,7 +575,7 @@ def test_kernel_matches_per_delay_reference(ctx, mode):
     for t, m in zip(delays[:2], avg):
         ref = sum(np.where(g.valid, reference_probability(
             channels, ReferenceAmplitudes(channels, ctx["mos"], g), g.samples,
-            ctx["wp"], pulse, t, mode, "relative"), 0.0) for g in grids) / 3.0
+            ctx["wp"], pulse, t, mode), 0.0) for g in grids) / 3.0
         ref = ref.reshape(m.values.shape)
         assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), t
     q = np.array([[0.4, -1.1, 2.4], [1.3, 0.2, 2.3]])
@@ -603,10 +603,10 @@ def _per_energy_mean(ctx, energies, delays, pulse, mode, resolution, q_max, mos)
     channels = build_channels(wp, ctx["finals"], pulse)
     basis, matrices = signal._dyson_matrices(channels, mos)
     total = 0.0
-    for e in energies:
+    _, skips = signal._screen(channels, energies, pulse, wp, mode,
+                              signal.DEFAULT_CHANNEL_MIN_ENVELOPE)
+    for e, skip in zip(energies, skips):
         grid = build_hemisphere(e, resolution, resolution, q_max)
-        _, skip = signal._screen(channels, e, pulse, wp, mode,
-                                 signal.DEFAULT_CHANNEL_MIN_ENVELOPE)
         kernel = signal._kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
         total = total + np.array(at_delays(kernel, wp, delays))
     return [m.reshape(grid.shape) for m in total / len(energies)]
@@ -671,7 +671,7 @@ def test_non_planar_or_mixed_basis_takes_per_energy_path(ctx, monkeypatch, basis
         amps = ReferenceAmplitudes(channels, mos, grid)
         for t, m in zip(delays, maps):
             ref = reference_probability(channels, amps, grid.samples, ctx["wp"],
-                                        pulse, t, mode, "relative", skip=skip)
+                                        pulse, t, mode, skip=skip)
             ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
             assert ref.max() > 0
             assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), (mode, t)
@@ -706,6 +706,27 @@ def test_delay_sequence_results(ctx):
     for bad in ([], [[0.0, 1.0]]):
         with pytest.raises(SignalError):
             _map(ctx, bad)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_phase_rejected_before_any_work(ctx, monkeypatch):
+    # E_I (t - t0) overflows at |t| = 1e308 fs: the delay is refused before
+    # any channel, kernel or transform is built, and without a warning
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on a non-finite phase")
+    monkeypatch.setattr(signal, "build_channels", refuse)
+    calls = [
+        lambda t: _map(ctx, t),
+        lambda t: energy_average_pmm(99.0, 1.0, 3, t, ctx["pulse"], ctx["wp"],
+                                     ctx["finals"], ctx["mos"], resolution=21),
+        lambda t: _spectrum(ctx, t),
+        lambda t: probability([0.4, -1.1, 2.4], t, ctx["pulse"], ctx["wp"],
+                              ctx["finals"], ctx["mos"]),
+    ]
+    for bad in (1e308, [0.0, -1e308], math.inf, math.nan):
+        for call in calls:
+            with pytest.raises(SignalError, match="non-finite wave-packet phase"):
+                call(bad)
 
 
 def test_long_mode_channel_record_holds_compared_value(ctx):
