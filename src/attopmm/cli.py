@@ -81,7 +81,7 @@ def _add_common(sp):
                     help="scenario config (default: bundled pentacene)")
     sp.add_argument("--out", type=Path, default=Path("attopmm-out"),
                     help="output directory")
-    sp.add_argument("--threads", type=int, default=1,
+    sp.add_argument("--threads", default=1,
                     help="accepted for compatibility; grids are evaluated on one "
                          "thread in fixed sample blocks, so results never depend on N")
 
@@ -100,14 +100,14 @@ def build_parser():
     sp.add_argument("--energy", nargs="+", type=float, default=None,
                     help="photoelectron energies (eV)")
     sp.add_argument("--tau", default=None, help="pulse FWHM (fs or T-token)")
-    sp.add_argument("--grid", type=int, default=None, help="raster points per axis")
+    sp.add_argument("--grid", default=None, help="raster points per axis")
     sp.add_argument("--qmax", type=float, default=None,
                     help="raster half-width (1/Angstrom)")
     sp.add_argument("--mode", choices=("short", "long"), default="short",
                     help="sudden-limit or finite-duration pipeline")
     sp.add_argument("--average", type=float, default=None, metavar="WIDTH_EV",
                     help="average maps over an energy window of this width")
-    sp.add_argument("--average-samples", type=int, default=None)
+    sp.add_argument("--average-samples", default=None)
 
     sp = sub.add_parser("spectrum", help="angle-integrated photoelectron spectra")
     _add_common(sp)
@@ -131,7 +131,7 @@ def build_parser():
 
     sp = sub.add_parser("dyson", help="print assembled Dyson coefficients")
     _add_common(sp)
-    sp.add_argument("--final", type=int, required=True, help="final-state index")
+    sp.add_argument("--final", required=True, help="final-state index")
     sp.add_argument("--tp", default="0", help="probe time (fs or T-token)")
 
     sp = sub.add_parser("validate", help="validate config and print derived quantities")
@@ -144,7 +144,9 @@ def build_parser():
     sp.add_argument("--energy", nargs="+", type=float, default=None)
     sp.add_argument("--tau", nargs="+", default=None,
                     help="override pulse durations (fig6 rows)")
-    sp.add_argument("--grid", type=int, default=None)
+    sp.add_argument("--grid", default=None)
+    for p in (parser, *sub.choices.values()):   # read '-1e308', '-inf' as values
+        p._negative_number_matcher = re.compile(r"-(?:\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 
@@ -362,6 +364,13 @@ def _dispatch(args):
     """Load the scenario; validate prints its summary and channel table,
     dyson prints coefficients, every other command logs the summary, writes
     its artifacts and prints their paths."""
+    for name in ("grid", "average_samples", "final", "threads"):   # argparse left text
+        text = getattr(args, name, None)
+        try:
+            setattr(args, name, None if text is None else int(text))
+        except ValueError:
+            raise io_mod.ConfigError(f"--{name.replace('_', '-')}: expected an "
+                                     f"integer, got {text!r}") from None
     scenario = _load(args)
     if args.command == "validate":
         _describe(scenario, print)

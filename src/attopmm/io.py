@@ -75,14 +75,14 @@ class ExportFormatError(ValueError):
 #
 # Every exporter writes the bytes '%'-formatting would, a block of lines at a
 # time. _records turns each value v into the integer rint(|v| * 10^k) with
-# `digits` decimal digits and places its digits, sign and exponent into a
-# fixed-width uint8 record; _lines adds the separators and newlines and drops
-# the zero bytes left in unused sign and exponent slots by one mask. The
-# product |v| * 10^k carries a relative error of at most ~2 eps (four
-# correctly rounded steps), so rint reproduces the correctly rounded mantissa
-# unless the scaled value lies within 16 eps of a half-integer. Those
-# near-ties, subnormals and non-finite values go through '%' itself. Cubes
-# and spectra format every cell (_write_table); a map formats each axis
+# `digits` decimal digits and fills a fixed-width uint8 record, one table
+# gather per group of four digits after the point and one for the exponent;
+# _lines adds the separators and newlines and drops the zero bytes left in
+# unused sign and hundreds slots. |v| * 10^k carries a relative error of at
+# most ~2 eps (four correctly rounded steps), so rint reproduces the correctly
+# rounded mantissa unless the scaled value lies within 16 eps of a half-integer.
+# Those near-ties, subnormals and non-finite values go through '%' itself.
+# Cubes and spectra format every cell (_write_table); a map formats each axis
 # value once and gathers its record per row (_write_map_rows).
 
 _BLOCK_LINES = 8192
@@ -90,6 +90,16 @@ _TIE_BAND = 16.0 * np.finfo(float).eps
 _POW10_MIN = -170
 # correctly rounded powers of ten (the float parser rounds exactly)
 _POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, -_POW10_MIN + 1)])
+_EXP10 = np.arange(-308, 309)           # decimal exponents of the normal doubles
+# four ASCII bytes in one uint32 (uint16 arithmetic keeps temporaries small):
+# '%04d' % k for k < 10^4, and the text after the 'e' or 'E' of each _EXP10
+# (sign, hundreds or a zero byte, tens, ones)
+_DIGIT_GROUPS = (np.uint16(np.arange(10 ** 4))[:, None] // np.uint16([1000, 100, 10, 1])
+                 % 10 + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
+_EXPONENTS = _DIGIT_GROUPS[abs(_EXP10)].view(np.uint8).reshape(-1, 4)
+_EXPONENTS[:, 0] = np.where(_EXP10 < 0, ord("-"), ord("+"))
+_EXPONENTS[abs(_EXP10) < 100, 1] = 0
+_EXPONENTS = _EXPONENTS.view(np.uint32)[:, 0]
 
 
 def _records(flat, digits, upper, space_sign, out=None):
@@ -120,19 +130,16 @@ def _records(flat, digits, upper, space_sign, out=None):
     mant[zero] = 0
     exp10[zero] = 0
 
-    rec[:, 0] = np.where(np.signbit(flat), ord("-"), ord(" ") if space_sign else 0)
-    for col in range(digits + 1, 2, -1):   # mantissa digits after the point
-        quot = mant // 10
-        rec[:, col] = mant - 10 * quot + ord("0")
+    blank = ord(" ") if space_sign else 0
+    rec[:, 0] = np.signbit(flat) * np.uint8(ord("-") - blank) + np.uint8(blank)
+    for col in range(digits - 2, 2, -4):   # four mantissa digits after the point
+        quot = mant // 10 ** 4
+        rec[:, col:col + 4].view(np.uint32)[:, 0] = _DIGIT_GROUPS[mant - 10 ** 4 * quot]
         mant = quot
     rec[:, 1] = mant + ord("0")
     rec[:, 2] = ord(".")
     rec[:, digits + 2] = ord("E" if upper else "e")
-    rec[:, digits + 3] = np.where(exp10 < 0, ord("-"), ord("+"))
-    mag = np.abs(exp10)
-    rec[:, digits + 4] = np.where(mag >= 100, mag // 100 + ord("0"), 0)
-    rec[:, digits + 5] = mag // 10 % 10 + ord("0")
-    rec[:, digits + 6] = mag % 10 + ord("0")
+    rec[:, digits + 3:].view(np.uint32)[:, 0] = _EXPONENTS[exp10 - _EXP10[0]]
 
     fmt = f"%{' ' if space_sign else ''}.{digits - 1}{'E' if upper else 'e'}"
     redo = np.flatnonzero(fallback)
@@ -149,8 +156,7 @@ def _lines(fields, per_line, sep):
     zero bytes are dropped."""
     fields[:, -1] = ord(sep)
     fields.reshape(-1, per_line, fields.shape[1])[:, -1, -1] = ord("\n")
-    out = fields.reshape(-1)
-    return out[out != 0]
+    return fields.tobytes().replace(b"\0", b"")
 
 
 def _scaled(a, k):

@@ -265,7 +265,6 @@ _CONTRACT = {
     "window-descending": (_WINDOW + ["100", "90", "3"], "ConfigError"),
     "window-equal": (_WINDOW + ["95", "95", "3"], "ConfigError"),
     "window-n-3.0": (_WINDOW + ["94", "100", "3.0"], None),
-    # a bare "-1e308" would be read as an option name, hence "--tp=..."
     "pmm-tp-huge": (["pmm", "--energy", "99", "--grid", "11", "--tp", "1e308"],
                     "SignalError"),
     "pmm-tp-huge-negative": (["pmm", "--energy", "99", "--grid", "11", "--tp=-1e308"],
@@ -277,6 +276,22 @@ _CONTRACT = {
     "density-tp-huge-negative": (["density", "--spacing", "0.6", "--tp=-1e308"],
                                  "DensityError"),
     "dyson-tp-huge": (["dyson", "--final", "1", "--tp", "1e308"], "SignalError"),
+    # a bare negative number in exponent form is a value, not an option name
+    "pmm-tp-huge-negative-bare": (["pmm", "--energy", "99", "--grid", "11",
+                                   "--tp", "-1e308"], "SignalError"),
+    "spectrum-tp-huge-negative-bare": (_WINDOW + ["94", "100", "3", "--tp", "-1e308"],
+                                       "SignalError"),
+    "density-tp-huge-negative-bare": (["density", "--spacing", "0.6", "--tp", "-1e308"],
+                                      "DensityError"),
+    "pmm-energy-huge-negative": (["pmm", "--energy", "-1e308", "--grid", "11"],
+                                 "SignalError"),
+    # integer options given a non-integer
+    "pmm-grid-2.7": (["pmm", "--energy", "99", "--grid", "2.7"], "ConfigError"),
+    "pmm-average-samples-2.7": (["pmm", "--energy", "99", "--grid", "11", "--average",
+                                 "1", "--average-samples", "2.7"], "ConfigError"),
+    "dyson-final-1.5": (["dyson", "--final", "1.5"], "ConfigError"),
+    "pmm-threads-2.7": (["pmm", "--energy", "99", "--grid", "11", "--threads", "2.7"],
+                        "ConfigError"),
 }
 
 

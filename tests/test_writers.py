@@ -11,6 +11,9 @@ from attopmm import io as attopmm_io
 from attopmm.density import default_density_grid, density_timeseries
 from attopmm.io import (
     _BLOCK_LINES,
+    _DIGIT_GROUPS,
+    _EXP10,
+    _EXPONENTS,
     _write_table,
     export_density,
     export_pmm,
@@ -29,7 +32,13 @@ FORMATS = [("% .8E", CUBE), ("%.12e", EXPORT)]
 def _table(values, per_line, sep, spec):
     fh = io.BytesIO()
     _write_table(fh, values, per_line=per_line, sep=sep, **spec)
+    assert b"\0" not in fh.getvalue()
     return fh.getvalue()
+
+
+def _same_file(got, want):
+    assert b"\0" not in got.read_bytes()
+    assert got.read_bytes() == want.read_bytes()
 
 
 def _reference_table(values, per_line, sep, fmt):
@@ -73,6 +82,15 @@ def hard_values():
     return _hard_values(np.random.default_rng(20231), 1_000_000)
 
 
+def _same_as_percent(values, fmt, spec):
+    got = _table(values, 1, " ", spec)
+    want = _reference_table(values, 1, " ", fmt)
+    if got != want:
+        bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split(b"\n"),
+                                            want.split(b"\n")) if g != w]
+        pytest.fail(f"{len(bad)} values differ from {fmt!r}, e.g. {bad[:3]}")
+
+
 @pytest.mark.parametrize("fmt, spec", FORMATS, ids=["cube", "export"])
 def test_formatter_matches_percent_on_hard_doubles(hard_values, fmt, spec):
     values = hard_values
@@ -85,6 +103,40 @@ def test_formatter_matches_percent_on_hard_doubles(hard_values, fmt, spec):
         bad = [(v, g, w) for v, g, w in zip(values.tolist(), got.split(b"\n"),
                                             want.split(b"\n")) if g != w]
         pytest.fail(f"{len(bad)} values differ from {fmt!r}, e.g. {bad[:3]}")
+
+
+@pytest.mark.parametrize("fmt, spec", FORMATS, ids=["cube", "export"])
+def test_formatter_matches_percent_on_shuffled_hard_doubles(hard_values, fmt, spec):
+    # _hard_values groups its values by kind, so most blocks hold one kind;
+    # shuffled, every block mixes ties, specials and 2- and 3-digit exponents
+    _same_as_percent(np.random.default_rng(5).permutation(hard_values), fmt, spec)
+
+
+@pytest.mark.parametrize("fmt, spec", FORMATS, ids=["cube", "export"])
+def test_formatter_matches_percent_on_one_outlier_per_block(fmt, spec):
+    # blocks of positive map-like values, whose records share one layout,
+    # each with a single outlier in its first, middle or last row
+    tie = (2.0 ** spec["digits"] + 1) / 2.0 ** spec["digits"]
+    assert repr(tie).endswith("5") and len(repr(tie)) == spec["digits"] + 2  # exact tie
+    outliers = [-0.37, 3.1e-150, np.nan, tie, 9.9999999999995]
+    rng = np.random.default_rng(17)
+    blocks = []
+    for outlier in outliers:
+        for row in (0, _BLOCK_LINES // 2, _BLOCK_LINES - 1):
+            block = 10.0 ** rng.uniform(-12.0, 0.0, _BLOCK_LINES)
+            block[row] = outlier
+            blocks.append(block)
+    _same_as_percent(np.concatenate(blocks), fmt, spec)
+
+
+def test_digit_group_and_exponent_tables():
+    assert _DIGIT_GROUPS.view("S4").tolist() == [b"%04d" % k for k in range(10 ** 4)]
+    assert _EXP10[0] == -308 and _EXP10[-1] == 308
+    entries = [e.replace(b"\0", b"") for e in _EXPONENTS.view("S4").tolist()]
+    for fmt, letter in (("%.12e", "e"), ("% .8E", "E")):
+        texts = [(fmt % float(f"1e{e}")).partition(letter)[2].encode("ascii")
+                 for e in _EXP10.tolist()]
+        assert entries == texts
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 6, 7, 6 * _BLOCK_LINES - 1, 6 * _BLOCK_LINES,
@@ -109,7 +161,7 @@ def test_cube_matches_reference_writer(tmp_path):
     got = write_cube(tmp_path / "new.cube", grid, atoms=atoms, comments=("a", "b\nc"))
     want = reference_write_cube(tmp_path / "ref.cube", grid, atoms=atoms,
                                 comments=("a", "b\nc"))
-    assert got.read_bytes() == want.read_bytes()
+    _same_file(got, want)
 
 
 def test_density_frame_matches_reference_writer(tmp_path, scenario):
@@ -120,13 +172,13 @@ def test_density_frame_matches_reference_writer(tmp_path, scenario):
     comments = tuple(got.read_text(encoding="utf-8").split("\n", 2)[:2])
     want = reference_write_cube(tmp_path / "ref.cube", frame.grid, atoms=atoms,
                                 comments=comments)
-    assert got.read_bytes() == want.read_bytes()
+    _same_file(got, want)
 
 
 def _same_pmm(tmp_path, pmm, digest=None):
     got = export_pmm(tmp_path / "new.dat", pmm, digest=digest)
     want = reference_export_pmm(tmp_path / "ref.dat", pmm, digest=digest)
-    assert got.read_bytes() == want.read_bytes()
+    _same_file(got, want)
 
 
 def test_short_mode_map_matches_reference_writer(tmp_path, scenario):
@@ -219,4 +271,4 @@ def test_spectra_match_reference_writer(tmp_path, scenario):
     got = export_spectra(tmp_path / "new.dat", spectra, digest=scenario.digest)
     want = reference_export_spectra(tmp_path / "ref.dat", spectra,
                                     digest=scenario.digest)
-    assert got.read_bytes() == want.read_bytes()
+    _same_file(got, want)
