@@ -88,8 +88,8 @@ def default_density_grid(mos, padding_angstrom=4.0, spacing_angstrom=0.15):
     raster is symmetric under all coordinate reflections — density-symmetry
     checks then see exact lattice mappings.
     """
-    if not padding_angstrom > 0 or not spacing_angstrom > 0:
-        raise DensityError("padding and spacing must be positive")
+    if not (0 < padding_angstrom < np.inf and spacing_angstrom > 0):
+        raise DensityError("padding must be positive and finite, spacing positive")
     centers = []
     for mo in mos:
         if mo.primitives:

@@ -153,8 +153,9 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
     e_au = ev_to_hartree(energy_ev)
     q_disc_au = math.sqrt(2.0 * e_au)
     q_max = q_disc_au / BOHR_ANGSTROM if q_max_inv_angstrom is None else float(q_max_inv_angstrom)
-    if not 0 < q_max < math.inf:
-        raise MomentumError(f"raster half-width must be positive and finite, got {q_max}")
+    if not (q_max > 0 and 2.0 * q_max * q_max < math.inf):   # a corner's |q|^2
+        raise MomentumError(
+            f"raster half-width must be positive with a finite square, got {q_max}")
     axis_x = np.linspace(-q_max, q_max, int(nx))
     axis_y = np.linspace(-q_max, q_max, int(ny))
     qx = inv_angstrom_to_au(axis_x)[:, None] * np.ones(int(ny))[None, :]

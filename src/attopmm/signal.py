@@ -10,7 +10,9 @@ Physics conventions:
         P(q, t_p) = sum_IJ Re[z_I*(t_p) z_J(t_p) K_IJ(q)],
         K_IJ(q)   = |eps_in . q|^2 sum_{F,sigma} W_FIJ(eps_e)
                     conj(R_FsigmaI(q)) R_FsigmaJ(q),
-    with eps_e = |q|^2 / 2 and R_FsigmaI = D_FsigmaI @ F[orbitals](q) the
+    with eps_e the nominal energy of a hemisphere or sphere grid (one weight
+    per channel and energy) and |q|^2 / 2 only for the free samples of
+    probability(), and R_FsigmaI = D_FsigmaI @ F[orbitals](q) the
     transform of member I's un-phased Dyson orbital, D[F, sigma, I, p] =
     <F| a_{p sigma} |Psi_I> from one algebra.dyson_matrices call per packet
     (each SpectralChannel holds its D[sigma, I, p] slice). A delay series
@@ -21,7 +23,7 @@ Physics conventions:
     in-plane structure factor S the same at every energy of the shared
     raster, the z0 phase cancels in conj(R_I) R_J, and
         K_IJ = sum_{F,sigma} conj(D S)_I (D S)_J P_FIJ,
-        P_FIJ = sum_e W_FIJ(eps) |eps_in . q_e|^2 |shape_factor(q_e)|^2,
+        P_FIJ = sum_e W_FIJ(e) |eps_in . q_e|^2 |shape_factor(q_e)|^2,
     so a cut (one energy) or an energy average forms S once per sample
     block and its member-pair products once per channel and spin. Other
     orbital sets build one kernel per energy from momentum.orbital_ft;
@@ -103,7 +105,8 @@ def envelope_short(omega_ev, energy_ev, tau_fs):
         raise SignalError("pulse duration must be positive")
     delta = ev_to_hartree(np.asarray(energy_ev, dtype=float) - omega_ev)
     tau = fs_to_au(tau_fs)
-    out = np.exp(-(delta * delta) * tau * tau / FOUR_LN2)
+    with np.errstate(over="ignore"):      # an overflowing detuning gives 0
+        out = np.exp(-(delta * delta) * tau * tau / FOUR_LN2)
     return float(out) if np.ndim(energy_ev) == 0 else out
 
 
@@ -115,7 +118,8 @@ def envelope_long(omega_in_ev, e_member_ev, e_final_ev, energy_ev, tau_fs):
     delta = ev_to_hartree(
         np.asarray(energy_ev, dtype=float) - (omega_in_ev + e_member_ev - e_final_ev))
     tau = fs_to_au(tau_fs)
-    out = np.exp(-(delta * delta) * tau * tau / EIGHT_LN2)
+    with np.errstate(over="ignore"):      # an overflowing detuning gives 0
+        out = np.exp(-(delta * delta) * tau * tau / EIGHT_LN2)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -174,7 +178,9 @@ def channel_records(channels):
 def _pair_weights(ch, eps_ev, pulse, wp, mode):
     """W_IJ of one channel at photoelectron energies eps_ev (eV), shape
     (M, M) + shape(eps_ev) in long mode. The short-mode window is shared by
-    all pairs and kept once, shape (1, 1) + shape(eps_ev)."""
+    all pairs and kept once, shape (1, 1) + shape(eps_ev). Hemisphere and
+    sphere grids take it at their nominal energies, one call per channel;
+    only probability() takes it per sample, at |q|^2 / 2."""
     tau = pulse.duration_fwhm_fs
     if mode == "short":
         env = envelope_short(ch.omega_ev, eps_ev, tau)
@@ -210,37 +216,31 @@ def _dyson_matrices(channels, mos):
     return [table[offsets[k]] for k in used], matrices
 
 
-def _sample_factors(q, valid, pulse):
-    """Photoelectron energy eps = |q|^2 / 2 (eV) of each sample (N, 3), and
-    the polarization projection |eps_in . q|^2, zero where not valid."""
-    eps_ev = 0.5 * np.einsum("ij,ij->i", q, q) * HARTREE_EV
-    return eps_ev, (q @ pulse.polarization) ** 2 * valid
-
-
-def _kernel(grid: MomentumGrid, basis, channels, matrices, skip, pulse, wp, mode,
-            out=None):
+def _kernel(grid: MomentumGrid, eps_ev, basis, channels, matrices, skip, pulse, wp,
+            mode, out=None):
     """K[I, J, n] at the grid samples (module docstring), shape
-    (M, M, n_samples), added to `out` when given. Invalid samples and the
-    channels flagged in skip add nothing; one member pair of one
-    channel-spin term is held at a time, and a new kernel is allocated only
-    after the orbital transforms."""
+    (M, M, n_samples), added to `out` when given. The pair weights are taken
+    at eps_ev: the grid's nominal energy on a hemisphere or sphere, |q|^2 / 2
+    per sample for free samples. Invalid samples and the channels flagged in
+    skip add nothing; one member pair of one channel-spin term is held at a
+    time, and a new kernel is allocated only after the orbital transforms."""
     n_members = wp.n_members
     shape = (n_members, n_members, grid.n_samples)
     if all(skip):
         return np.zeros(shape, dtype=complex) if out is None else out
     ft = momentum.orbital_ft(basis, grid)
-    eps_ev, scale = _sample_factors(grid.samples, grid.valid, pulse)
+    scale = (grid.samples @ pulse.polarization) ** 2 * grid.valid
     if out is None:
         out = np.zeros(shape, dtype=complex)
     for ch, mats, s in zip(channels, matrices, skip):
         if s:
             continue
-        weights = np.broadcast_to(_pair_weights(ch, eps_ev, pulse, wp, mode),
-                                  shape)
+        weights = _pair_weights(ch, eps_ev, pulse, wp, mode)
+        weights = np.broadcast_to(weights, shape[:2] + weights.shape[2:])
         for d in mats:
             rows = d @ ft
             for i, j in np.ndindex(n_members, n_members):
-                out[i, j] += rows[i].conj() * rows[j] * weights[i, j] * scale
+                out[i, j] += rows[i].conj() * (rows[j] * (weights[i, j] * scale))
     return out
 
 
@@ -255,39 +255,40 @@ def _folded_kernel(raster: MomentumGrid, planar, energies, skips, channels,
     structure factors S
 
         sum_e K_IJ = sum_{F,sigma} conj(D S)_I (D S)_J P_FIJ,
-        P_FIJ = sum_e W_FIJ(eps_e) |eps_in . q_e|^2 |shape_factor(q_e)|^2 valid_e,
+        P_FIJ = sum_e W_FIJ(e) T_e,
+        T_e = |eps_in . q_e|^2 |shape_factor(q_e)|^2 valid_e,
 
-    with q_e the raster point lifted to energy e and eps_e = |q_e|^2 / 2.
-    The member-pair products run once per channel and spin, not once per
-    energy. skips[e][F] leaves channel F out of energy e. Work is done
-    block by block, so only the kernel is held at full size.
+    with q_e the raster point lifted to energy e. W_F is taken at the
+    nominal energies, once per channel (zero where skips[e][F] leaves
+    channel F out of energy e), so each block's profile is one product
+    W_F @ T. The member-pair products run once per channel and spin, not
+    once per energy. Work is done block by block, so only the kernel is
+    held at full size.
     """
     centers, coeffs, exponent, powers = planar
     n_members = wp.n_members
+    energies, keep = np.asarray(energies, dtype=float), ~np.asarray(skips, dtype=bool)
+    weights = [_pair_weights(ch, energies, pulse, wp, mode) * k if k.any() else None
+               for ch, k in zip(channels, keep.T)]
     out = np.zeros((n_members, n_members, raster.n_samples), dtype=complex)
     valid = np.zeros(raster.n_samples, dtype=bool)
     for start, stop, factors in momentum.structure_factors(raster, centers, coeffs):
-        profiles = [None] * len(channels)
-        for e, skip in zip(energies, skips):
+        table = np.zeros((len(energies), stop - start))
+        for e, row, k in zip(energies, table, keep):
             q, inside = momentum.lift_raster(raster, e, start, stop)
             valid[start:stop] |= inside
-            if all(skip):
+            if k.any():
+                shape = momentum.shape_factor(exponent, powers, q)
+                row[:] = (q @ pulse.polarization) ** 2 * inside \
+                    * (shape.real ** 2 + shape.imag ** 2)
+        for mats, w in zip(matrices, weights):
+            if w is None:
                 continue
-            eps_ev, scale = _sample_factors(q, inside, pulse)
-            shape = momentum.shape_factor(exponent, powers, q)
-            scale *= shape.real ** 2 + shape.imag ** 2
-            for k, (ch, s) in enumerate(zip(channels, skip)):
-                if not s:
-                    term = _pair_weights(ch, eps_ev, pulse, wp, mode) * scale
-                    profiles[k] = term if profiles[k] is None else profiles[k] + term
-        for mats, profile in zip(matrices, profiles):
-            if profile is None:
-                continue
-            profile = np.broadcast_to(profile, (n_members, n_members, stop - start))
+            profile = np.broadcast_to(w @ table, (n_members, n_members, stop - start))
             for d in mats:
                 rows = d @ factors.T
                 for i, j in np.ndindex(n_members, n_members):
-                    out[i, j, start:stop] += rows[i].conj() * rows[j] * profile[i, j]
+                    out[i, j, start:stop] += rows[i].conj() * (rows[j] * profile[i, j])
     return out, valid
 
 
@@ -329,7 +330,8 @@ def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short"):
     grid = MomentumGrid(samples=samples, valid=np.ones(len(samples), dtype=bool))
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
-    kernel = _kernel(grid, basis, channels, matrices, [False] * len(channels),
+    eps_ev = 0.5 * np.einsum("ij,ij->i", samples, samples) * HARTREE_EV
+    kernel = _kernel(grid, eps_ev, basis, channels, matrices, [False] * len(channels),
                      pulse, wp, mode)
     out = at_delays(kernel, wp, times)
     if q.ndim == 1:
@@ -417,7 +419,7 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
         for e, skip in zip(energies, skips):
             grid = build_hemisphere(e, resolution, resolution, q_max_inv_angstrom)
             valid = valid | grid.valid
-            total = _kernel(grid, basis, channels, matrices, skip, pulse, wp, mode,
+            total = _kernel(grid, e, basis, channels, matrices, skip, pulse, wp, mode,
                             total)
     else:
         grid = build_hemisphere(energies[-1], resolution, resolution, q_max_inv_angstrom)
@@ -465,8 +467,8 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
     kernels, so a delay series costs one (folded) kernel.
     """
     photoelectron_energies(energy_center_ev)
-    if not width_ev > 0:
-        raise SignalError("averaging width must be positive")
+    if not 0 < width_ev < math.inf:
+        raise SignalError(f"averaging width must be positive and finite, got {width_ev}")
     if n_energies < 2:
         raise SignalError("energy averaging needs at least 2 samples")
     if q_max_inv_angstrom is None:
@@ -500,7 +502,8 @@ def _sphere_kernels(energies, channels, basis, matrices, pulse, wp, mode,
         for k, (e, skip) in enumerate(zip(energies, skips)):
             if not all(skip):
                 grid = build_sphere(e, n_polar, n_azimuth, quadrature)
-                kernel = _kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
+                kernel = _kernel(grid, e, basis, channels, matrices, skip, pulse, wp,
+                                 mode)
                 integrated[..., k] = (kernel * grid.weights).sum(axis=-1)
         angular = (int(n_polar), int(n_azimuth))
     else:

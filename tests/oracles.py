@@ -293,10 +293,15 @@ def _member_phases(wp: WavePacket, t_p_fs):
 
 
 def reference_probability(channels, amps: ReferenceAmplitudes, samples, wp, pulse,
-                          t_p_fs, mode, skip=None):
-    """Probability at each sample row. skip: boolean per channel."""
-    eps_au = 0.5 * np.einsum("ij,ij->i", samples, samples)
-    eps_ev = eps_au * HARTREE_EV
+                          t_p_fs, mode, skip=None, energy_ev=None):
+    """Probability at each sample row. skip: boolean per channel. The
+    envelopes are taken at energy_ev when given (the nominal energy of a
+    hemisphere cut, where every sample has |q|^2 / 2 = energy_ev up to
+    rounding), else at each sample's |q|^2 / 2."""
+    if energy_ev is None:
+        eps_ev = 0.5 * np.einsum("ij,ij->i", samples, samples) * HARTREE_EV
+    else:
+        eps_ev = float(energy_ev)
     proj = (samples @ pulse.polarization) ** 2
     phases = _member_phases(wp, t_p_fs)
     total = np.zeros(len(samples))
@@ -344,7 +349,8 @@ def quadrature_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos, n_polar,
     _, skips = signal._screen(channels, energies_ev, pulse, wp, mode, min_envelope)
     for k, (e, skip) in enumerate(zip(energies_ev, skips)):
         grid = build_sphere(float(e), n_polar, n_azimuth, quadrature)
-        kernel = signal._kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
+        kernel = signal._kernel(grid, float(e), basis, channels, matrices, skip, pulse,
+                                wp, mode)
         q_au = np.sqrt(2.0 * e / HARTREE_EV)
         integrated[..., k] = q_au * (kernel * grid.weights).sum(axis=-1)
     return at_delays(integrated, wp, np.asarray(t_p_fs, dtype=float))

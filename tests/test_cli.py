@@ -292,6 +292,17 @@ _CONTRACT = {
     "dyson-final-1.5": (["dyson", "--final", "1.5"], "ConfigError"),
     "pmm-threads-2.7": (["pmm", "--energy", "99", "--grid", "11", "--threads", "2.7"],
                         "ConfigError"),
+    # a detuning whose square overflows gives a zero window, not a warning
+    "pmm-energy-huge": (["pmm", "--energy", "1e308", "--grid", "11"], None),
+    "spectrum-energy-huge": (["spectrum", "--energy", "1e308"], None),
+    "fig6-energy-huge": (["reproduce-figure", "fig6", "--energy", "1e308", "--grid", "11"],
+                         None),
+    # widths and sizes must be finite, not only positive
+    "pmm-average-inf": (["pmm", "--energy", "99", "--grid", "11", "--average", "inf"],
+                        "SignalError"),
+    "density-padding-inf": (["density", "--padding", "inf"], "DensityError"),
+    "pmm-qmax-huge": (["pmm", "--energy", "99", "--grid", "11", "--qmax", "1e308"],
+                      "MomentumError"),
 }
 
 

@@ -560,7 +560,7 @@ def test_kernel_matches_per_delay_reference(ctx, mode):
         amps = ReferenceAmplitudes(channels, ctx["mos"], grid)
         for t, m in zip(delays, maps):
             ref = reference_probability(channels, amps, grid.samples, ctx["wp"],
-                                        pulse, t, mode, skip=skip)
+                                        pulse, t, mode, skip=skip, energy_ev=energy)
             ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
             assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), (energy, t)
         # a delay series is the same numbers as one call per delay
@@ -571,11 +571,13 @@ def test_kernel_matches_per_delay_reference(ctx, mode):
     avg = energy_average_pmm(99.0, 1.0, 3, delays[:2], pulse, ctx["wp"],
                              ctx["finals"], ctx["mos"], resolution=61, mode=mode,
                              channel_min_envelope=0.0)
-    grids = [build_hemisphere(e, 61, 61, avg[0].axis_x[-1]) for e in (98.5, 99.0, 99.5)]
+    energies = (98.5, 99.0, 99.5)
+    grids = [build_hemisphere(e, 61, 61, avg[0].axis_x[-1]) for e in energies]
     for t, m in zip(delays[:2], avg):
         ref = sum(np.where(g.valid, reference_probability(
             channels, ReferenceAmplitudes(channels, ctx["mos"], g), g.samples,
-            ctx["wp"], pulse, t, mode), 0.0) for g in grids) / 3.0
+            ctx["wp"], pulse, t, mode, energy_ev=e), 0.0)
+            for e, g in zip(energies, grids)) / 3.0
         ref = ref.reshape(m.values.shape)
         assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), t
     q = np.array([[0.4, -1.1, 2.4], [1.3, 0.2, 2.3]])
@@ -607,7 +609,8 @@ def _per_energy_mean(ctx, energies, delays, pulse, mode, resolution, q_max, mos)
                               signal.DEFAULT_CHANNEL_MIN_ENVELOPE)
     for e, skip in zip(energies, skips):
         grid = build_hemisphere(e, resolution, resolution, q_max)
-        kernel = signal._kernel(grid, basis, channels, matrices, skip, pulse, wp, mode)
+        kernel = signal._kernel(grid, e, basis, channels, matrices, skip, pulse, wp,
+                                mode)
         total = total + np.array(at_delays(kernel, wp, delays))
     return [m.reshape(grid.shape) for m in total / len(energies)]
 
@@ -634,6 +637,32 @@ def test_folded_maps_match_per_energy_kernels(ctx, monkeypatch, mode):
         for m, r in zip(maps, ref):
             assert r.max() > 0
             assert np.max(np.abs(m.values - r)) <= 2e-15 * r.max()
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_envelope_calls_independent_of_sample_blocks(ctx, monkeypatch, mode):
+    # the pair weights are taken once per channel over the map's energies:
+    # 41^2 samples fill one block of the folded kernel, 71^2 two, and both
+    # make the same envelope calls
+    calls = []
+
+    def counting(envelope):
+        def wrapped(*args):
+            calls.append(envelope.__name__)
+            return envelope(*args)
+        return wrapped
+
+    monkeypatch.setattr(signal, "envelope_short", counting(envelope_short))
+    monkeypatch.setattr(signal, "envelope_long", counting(envelope_long))
+    pulse = _probe(ctx, mode)
+    counts = []
+    for resolution in (41, 71):
+        calls.clear()
+        energy_average_pmm(99.0, 1.0, 11, [0.0, 0.3 * ctx["period"]], pulse, ctx["wp"],
+                           ctx["finals"], ctx["mos"], resolution=resolution, mode=mode)
+        counts.append(len(calls))
+    assert set(calls) == {f"envelope_{mode}"}
+    assert counts[0] == counts[1] > 0
 
 
 def _lift_one_center(mos):
@@ -671,7 +700,7 @@ def test_non_planar_or_mixed_basis_takes_per_energy_path(ctx, monkeypatch, basis
         amps = ReferenceAmplitudes(channels, mos, grid)
         for t, m in zip(delays, maps):
             ref = reference_probability(channels, amps, grid.samples, ctx["wp"],
-                                        pulse, t, mode, skip=skip)
+                                        pulse, t, mode, skip=skip, energy_ev=97.7)
             ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
             assert ref.max() > 0
             assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), (mode, t)
