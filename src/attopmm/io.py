@@ -654,16 +654,23 @@ def _build_pulse(section):
     return ProbePulse(photon_energy_ev=omega, polarization=pol, duration_fwhm_fs=tau)
 
 
+# A spectrum window's point count is capped before np.linspace allocates it.
+_MAX_WINDOW_POINTS = 100_000
+
+
 def window_energies(window, where):
     """np.linspace(lo, hi, n) of an energy window [lo_ev, hi_ev, n]: finite
-    bounds with 0 < lo < hi and an integer point count n >= 2, else a
-    ConfigError naming `where`."""
+    bounds with 0 < lo < hi and an integer point count 2 <= n <=
+    _MAX_WINDOW_POINTS, else a ConfigError naming `where`."""
     if (not isinstance(window, (list, tuple)) or len(window) != 3
             or not all(_is_finite(v) for v in window)
             or not 0 < window[0] < window[1]
             or not (float(window[2]).is_integer() and window[2] >= 2)):
         raise ConfigError(f"{where}: need [lo_ev, hi_ev, n] with finite "
                           f"0 < lo < hi and an integer n >= 2, got {window}")
+    if window[2] > _MAX_WINDOW_POINTS:
+        raise ConfigError(f"{where}: at most {_MAX_WINDOW_POINTS} points, "
+                          f"got {window[2]:g}")
     return np.linspace(float(window[0]), float(window[1]), int(window[2]))
 
 

@@ -570,6 +570,9 @@ class ProbePulse:
             raise ModelError("photon energy must be positive")
         if not self.duration_fwhm_fs > 0:
             raise ModelError("pulse duration must be positive")
+        if not fs_to_au(self.duration_fwhm_fs) < math.inf:
+            raise ModelError(f"pulse duration {self.duration_fwhm_fs} fs is not finite "
+                             "in atomic units")
         pol = np.array(self.polarization, dtype=float).reshape(3)
         n = np.linalg.norm(pol)
         if abs(n - 1.0) > 1e-8:

@@ -378,8 +378,8 @@ def sphere_pair_matrices(mos, polarization):
     s and p primitives; None for any other orbital set.
 
     Returns (C, pair_matrix): C (P, M) are the coefficient columns of mos
-    over their shared primitives B_a, and pair_matrix(energy_ev) is the real
-    symmetric (P, P) matrix
+    over their shared primitives B_a, and pair_matrix(energies_ev) stacks
+    one real symmetric (P, P) matrix per energy, shape (E, P, P),
 
         A_ab(k) = Integral dOmega (eps.q)^2 conj(B_a(q)) B_b(q),  |q| = k,
 
@@ -400,6 +400,11 @@ def sphere_pair_matrices(mos, polarization):
     Contracted with eps_i eps_j and the p axes they give one geometric
     weight per j_l and pair, fixed for all energies. For p_z pairs in a
     plane z = const and eps along z the sum is (4 pi / 35)(7 j0 + 10 j2 + 3 j4).
+
+    The j_l depend on a pair only through its distance |d|, and many pairs
+    share one (pentacene's 22 carbons: 484 pairs, 33 distances), so each
+    call evaluates j_0..j_4 once on k x the distinct distances, gathers them
+    onto the pairs and contracts them with the weights in one einsum.
     """
     if not all(mo.is_lcao for mo in mos):
         return None
@@ -441,11 +446,14 @@ def sphere_pair_matrices(mos, polarization):
         y / 35.0 - z / 7.0 + eu2 * uu,
     ])
     degree = 1.0 - s
+    lengths, which = np.unique(dist, return_inverse=True)
+    which = which.reshape(dist.shape)       # numpy < 2 returns it flat
 
-    def pair_matrix(energy_ev):
-        k = math.sqrt(2.0 * ev_to_hartree(energy_ev))
+    def pair_matrix(energies_ev):
+        k = np.sqrt(2.0 * ev_to_hartree(np.asarray(energies_ev, dtype=float)))[:, None]
         rho = scale * np.exp(-(k * k) / (4.0 * alpha)) * (k / (2.0 * alpha)) ** degree
-        angular = np.einsum("lab,lab->ab", weights, spherical_bessel(k * dist))
-        return rho[:, None] * rho[None, :] * (k * k * angular)
+        bessel = spherical_bessel(k * lengths)[:, :, which]
+        angular = np.einsum("lab,leab->eab", weights, bessel)
+        return rho[:, :, None] * rho[:, None, :] * ((k * k)[:, :, None] * angular)
 
     return coeffs, pair_matrix

@@ -46,9 +46,10 @@ Physics conventions:
     matrix A_ab(q) = Integral dOmega (eps_in . q)^2 conj(B_a) B_b is a sum of
     spherical Bessel functions j_0..j_4 of q |R_a - R_b|
     (momentum.sphere_pair_matrices; it matches a 96 x 192 quadrature to
-    2e-14 of the peak). Grid-backed orbitals, and primitives beyond p, are
-    integrated on an n_polar x n_azimuth Gauss-Legendre x uniform-azimuth
-    sphere quadrature instead.
+    2e-14 of the peak), formed for a block of energies from one Bessel
+    evaluation on the distinct distances. Grid-backed orbitals, and
+    primitives beyond p, are integrated on an n_polar x n_azimuth
+    Gauss-Legendre x uniform-azimuth sphere quadrature instead.
 
 All momenta entering ops in this module are atomic units; energies and
 times cross the interface in eV/fs. Map, spectrum and probability
@@ -90,6 +91,9 @@ log = logging.getLogger(__name__)
 FOUR_LN2 = 4.0 * math.log(2.0)
 EIGHT_LN2 = 8.0 * math.log(2.0)
 DEFAULT_CHANNEL_MIN_ENVELOPE = 1e-6
+# Closed-form spectra take this many energies per pair_matrix call (next to
+# momentum._SAMPLE_BLOCK): the (5, block, P, P) Bessel gather stays small.
+_ENERGY_BLOCK = 16
 
 
 class SignalError(ValueError):
@@ -492,7 +496,11 @@ def _sphere_kernels(energies, channels, basis, matrices, pulse, wp, mode,
     Closed form: with G = D C^T the member rows over the shared primitives
     and A(k) their angle-integrated pair matrix from
     momentum.sphere_pair_matrices, Integral K_IJ dOmega =
-    sum_{F,sigma} W_FIJ (conj(G) A G^T)_IJ, a few M x P products per energy.
+    sum_{F,sigma} W_FIJ (conj(G) A G^T)_IJ. The energies at which some
+    channel is kept are taken _ENERGY_BLOCK at a time: one pair_matrix call
+    per block, and per channel and spin one batched product over the
+    block, with W_F zero where the channel is skipped. Energies at which
+    every channel is skipped stay 0.
     """
     integrated = np.zeros((wp.n_members, wp.n_members, len(energies)), dtype=complex)
     _, skips = _screen(channels, energies, pulse, wp, mode, min_envelope)
@@ -508,16 +516,19 @@ def _sphere_kernels(energies, channels, basis, matrices, pulse, wp, mode,
         angular = (int(n_polar), int(n_azimuth))
     else:
         coeffs, pair_matrix = closed
-        weights = [_pair_weights(ch, energies, pulse, wp, mode) for ch in channels]
+        keep = ~skips
+        weights = [np.moveaxis(_pair_weights(ch, energies, pulse, wp, mode) * k, -1, 0)
+                   for ch, k in zip(channels, keep.T)]
         rows = [[d @ coeffs.T for d in mats] for mats in matrices]
-        for k, (e, skip) in enumerate(zip(energies, skips)):
-            if all(skip):
-                continue
-            a = pair_matrix(e)
-            for w, chrows, s in zip(weights, rows, skip):
-                if not s:
+        live = np.flatnonzero(keep.any(axis=1))
+        for start in range(0, len(live), _ENERGY_BLOCK):
+            block = live[start:start + _ENERGY_BLOCK]
+            a = pair_matrix(energies[block])
+            for w, chrows, k in zip(weights, rows, keep[block].T):
+                if k.any():
                     for g in chrows:
-                        integrated[..., k] += w[..., k] * (g.conj() @ a @ g.T)
+                        term = w[block] * (g.conj() @ a @ g.T)
+                        integrated[..., block] += np.moveaxis(term, 0, -1)
         angular = "closed-form"
     return integrated * np.sqrt(2.0 * ev_to_hartree(energies)), angular
 

@@ -265,6 +265,8 @@ _CONTRACT = {
     "window-descending": (_WINDOW + ["100", "90", "3"], "ConfigError"),
     "window-equal": (_WINDOW + ["95", "95", "3"], "ConfigError"),
     "window-n-3.0": (_WINDOW + ["94", "100", "3.0"], None),
+    # the point count is capped before the energies are allocated
+    "window-n-huge": (_WINDOW + ["90", "100", "1e9"], "ConfigError"),
     "pmm-tp-huge": (["pmm", "--energy", "99", "--grid", "11", "--tp", "1e308"],
                     "SignalError"),
     "pmm-tp-huge-negative": (["pmm", "--energy", "99", "--grid", "11", "--tp=-1e308"],
@@ -303,6 +305,13 @@ _CONTRACT = {
     "density-padding-inf": (["density", "--padding", "inf"], "DensityError"),
     "pmm-qmax-huge": (["pmm", "--energy", "99", "--grid", "11", "--qmax", "1e308"],
                       "MomentumError"),
+    # a pulse duration must stay finite in atomic units (1e307 fs is not)
+    "spectrum-tau-huge": (_WINDOW + ["94", "100", "3", "--tau", "1e307"], "ModelError"),
+    "pmm-long-tau-huge": (["pmm", "--energy", "99", "--grid", "11", "--mode", "long",
+                           "--tau", "1e308"], "ModelError"),
+    "fig6-tau-huge": (["reproduce-figure", "fig6", "--grid", "11", "--tau", "1e308"],
+                      "ModelError"),
+    "spectrum-tau-1e306": (_WINDOW + ["94", "100", "3", "--tau", "1e306"], None),
 }
 
 

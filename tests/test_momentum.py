@@ -273,11 +273,17 @@ def test_sphere_pair_matrix_against_quadrature():
     grid = build_sphere(97.0, n_polar=48, n_azimuth=96)
     ft = orbital_ft(mos, grid)
     ref = np.einsum("mn,kn,n->mk", ft.conj(), ft, grid.weights * (grid.samples @ eps) ** 2)
-    a = pair_matrix(97.0)
+    (a,) = pair_matrix([97.0])
     assert np.max(np.abs(coeffs.T @ a @ coeffs - ref)) <= 1e-14 * np.max(np.abs(ref))
-    # a Gram matrix of independent functions: exactly symmetric, positive definite
-    assert np.array_equal(a, a.T)
+    # a Gram matrix of independent functions: positive definite, and exactly
+    # symmetric at every energy
     assert np.min(np.linalg.eigvalsh(a)) > 0.0
+    energies = [85.0, 97.0, 140.0]
+    stacked = pair_matrix(energies)
+    assert np.array_equal(stacked, stacked.swapaxes(-1, -2))
+    # a call over several energies equals one call per energy, bit for bit
+    assert stacked.shape == (3, 4, 4)
+    assert stacked.tobytes() == np.concatenate([pair_matrix([e]) for e in energies]).tobytes()
 
 
 def test_sphere_pair_matrices_decline_other_orbitals():

@@ -423,6 +423,59 @@ def test_closed_form_spectrum_exactly_delay_invariant(ctx, scenario):
         assert np.max(np.abs(s.values - spectra[0].values)) <= 1e-12 * peak
 
 
+@pytest.mark.parametrize("mode", ["short", "long"])
+@pytest.mark.parametrize("state", ["excited", "s0"])
+def test_blocked_spectrum_equals_one_energy_per_call(ctx, scenario, state, mode):
+    # the closed form takes energies in blocks, and 67 is not a multiple of
+    # the block size. Compared are the angle-integrated kernels: the delay
+    # contraction (model.at_delays) rounds differently with the number of
+    # energies.
+    wp, finals = _states(ctx, scenario, state, ctx["mos"])
+    channels = build_channels(wp, finals, ctx["pulse"])
+    basis, matrices = signal._dyson_matrices(channels, ctx["mos"])
+
+    def kernels(energies):
+        integrated, angular = signal._sphere_kernels(
+            energies, channels, basis, matrices, ctx["pulse"], wp, mode,
+            signal.DEFAULT_CHANNEL_MIN_ENVELOPE, 48, 96)
+        assert angular == "closed-form"
+        return integrated
+
+    lo, hi, n = scenario.outputs["spectrum_window_ev"]
+    for energies in (np.linspace(lo, hi, n), np.linspace(85.0, 105.0, 67)):
+        single = [kernels(energies[k:k + 1]) for k in range(len(energies))]
+        assert kernels(energies).tobytes() == np.concatenate(single, axis=-1).tobytes()
+
+
+def _count_bessel_calls(monkeypatch):
+    calls = []
+    bessel = momentum.spherical_bessel
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return bessel(x)
+
+    monkeypatch.setattr(momentum, "spherical_bessel", counted)
+    return calls
+
+
+def test_blocked_spectrum_one_bessel_call_per_block(tmp_path, monkeypatch):
+    calls = _count_bessel_calls(monkeypatch)
+    assert main(["spectrum", "--tp", "0", "T/4", "--states", "both",
+                 "--window", "85", "105", "67", "--out", str(tmp_path)]) == 0
+    # two states, at most ceil(67 / 16) = 5 blocks each
+    assert 0 < len(calls) <= 10
+    assert all(shape[0] <= signal._ENERGY_BLOCK for shape in calls)
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_spectrum_with_every_channel_skipped_is_zero(ctx, monkeypatch, mode):
+    calls = _count_bessel_calls(monkeypatch)
+    spectrum = _spectrum(ctx, 0.0, energies=np.linspace(20.0, 30.0, 41), mode=mode)
+    assert calls == []
+    assert spectrum.values.tolist() == [0.0] * 41
+
+
 # --- ground-state scenario ---------------------------------------------------
 
 def test_ground_state_scenario_channels(ctx, scenario):
