@@ -19,8 +19,18 @@ doubly occupies every orbital with offset <= 0, gives
 
 which is Re gamma(t) minus the closed-shell matrix for a normalized packet.
 An entry (p, q) below algebra.PRUNE_THRESHOLD for every member pair (the
-untouched spectators, for instance) is left out of every frame, and each
-orbital of a kept entry is evaluated on the grid once for all frames.
+untouched spectators, for instance) is left out of every frame.
+
+For a planar basis (momentum.planar_basis: one primitive shape, every
+center at one height) on a grid with diagonal axes, phi_m(x, y, z) =
+Psi_m(x, y) Z(z), with Psi_m = (X N C[:, m]) Y^T over per-axis factor
+tables (model.axis_factors) and Z the shared z-factor, so only the frame
+
+    drho(t) = drho2(t) (x) Z^2,  drho2 = sum_{p <= q} (2 - delta_pq) dgamma_pq Psi_p Psi_q
+
+is ever 3-D. Any other orbital set (grid-backed orbitals, a sheared grid,
+several primitive shapes or heights) is evaluated on every voxel
+(model.evaluate_orbital), each orbital of a kept entry once for all frames.
 For orthonormal members tr dgamma = 0 at every instant, so the density
 change carries no net charge; the beat terms oscillate with the member
 energy differences.
@@ -28,6 +38,7 @@ energy differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +48,17 @@ from .model import (
     VolumetricGrid,
     angstrom_to_bohr,
     at_delays,
+    axis_factors,
     evaluate_orbital,
     occupied_offsets,
     phases_finite,
+    primitive_norm,
 )
+from .momentum import planar_basis
+
+# A density grid holds at most this many voxels (8 bytes each per frame);
+# default_density_grid refuses larger ones before allocating anything.
+_MAX_VOXELS = 30_000_000
 
 
 class DensityError(ValueError):
@@ -86,23 +104,31 @@ def default_density_grid(mos, padding_angstrom=4.0, spacing_angstrom=0.15):
 
     Grid point coordinates are (i - (n-1)/2) * spacing on each axis, so the
     raster is symmetric under all coordinate reflections — density-symmetry
-    checks then see exact lattice mappings.
+    checks then see exact lattice mappings. Padding and spacing must be
+    positive and finite, the voxel volume finite and the voxel count at most
+    _MAX_VOXELS; otherwise a DensityError names the option.
     """
-    if not (0 < padding_angstrom < np.inf and spacing_angstrom > 0):
-        raise DensityError("padding must be positive and finite, spacing positive")
+    for name, value in (("--padding", padding_angstrom), ("--spacing", spacing_angstrom)):
+        if not 0 < value < np.inf:
+            raise DensityError(f"{name} must be positive and finite, got {value}")
     centers = []
     for mo in mos:
         if mo.primitives:
             centers.extend(p.center for p in mo.primitives)
     if not centers:
         raise DensityError("no primitive centers to bound the grid")
-    centers = np.asarray(centers)
-    pad = angstrom_to_bohr(padding_angstrom)
-    step = angstrom_to_bohr(spacing_angstrom)
-    counts = []
-    for ax in range(3):
-        half = np.max(np.abs(centers[:, ax])) + pad
-        counts.append(2 * int(np.ceil(half / step)) + 1)
+    # Python floats: an overflow gives inf, never a warning
+    pad = float(angstrom_to_bohr(padding_angstrom))
+    step = float(angstrom_to_bohr(spacing_angstrom))
+    if not step * step * step < np.inf:
+        raise DensityError(f"--spacing {spacing_angstrom} gives a non-finite voxel volume")
+    # an axis longer than the whole ceiling never reaches half / step
+    counts = [2 * math.ceil(half / step) + 1 if half <= _MAX_VOXELS * step else math.inf
+              for half in (float(h) + pad for h in np.max(np.abs(centers), axis=0))]
+    if math.prod(counts) > _MAX_VOXELS:
+        raise DensityError(
+            f"--padding {padding_angstrom} with --spacing {spacing_angstrom} needs "
+            f"more than {_MAX_VOXELS} voxels")
     origin = [-(n - 1) / 2.0 * step for n in counts]
     return VolumetricGrid(origin=origin, axes=np.diag([step] * 3),
                           counts=tuple(counts))
@@ -126,6 +152,20 @@ def density_matrix_changes(wp, mos, times_fs):
     return offsets, at_delays(change, wp, times_fs), kept
 
 
+def _orbital_factors(mos, grid):
+    """(factors, profile) of the orbitals mos on grid: the planes Psi_m and
+    the shared Z^2 for a planar basis on a grid with diagonal axes, else the
+    full 3-D values and None (module docstring)."""
+    planar = planar_basis(mos) if grid.is_diagonal else None
+    if planar is None:
+        return [evaluate_orbital(mo, grid) for mo in mos], None
+    centers, coeffs, exponent, powers = planar
+    x, y, z = (axis_factors(grid, axis, centers[:, axis], powers[axis], exponent)
+               for axis in range(3))
+    scaled = coeffs * primitive_norm(exponent, powers)
+    return [(x * c) @ y.T for c in scaled.T], z[:, 0] ** 2
+
+
 def density_timeseries(wp, mos, grid, times_fs):
     """Frames at each time, sharing one evaluation per needed orbital."""
     times = [float(t) for t in times_fs]
@@ -139,16 +179,21 @@ def density_timeseries(wp, mos, grid, times_fs):
     missing = [o for o in needed if o not in table]
     if missing:
         raise DensityError(f"no orbital supplied for offsets {missing}")
-    phi = {o: evaluate_orbital(table[o], grid) for o in needed}
-    term = np.empty(grid.counts)
+    factors, profile = _orbital_factors([table[o] for o in needed], grid)
+    phi = dict(zip(needed, factors))
+    shape = grid.counts if profile is None else grid.counts[:2]
+    term = np.empty(shape)
     frames = []
     for t, dg in zip(times, changes):
-        values = np.zeros(grid.counts)
+        values = np.zeros(shape)
         for p, q in kept:
             weight = dg[p, q] if p == q else 2.0 * dg[p, q]
             np.multiply(phi[offsets[p]], phi[offsets[q]], out=term)
             term *= weight
             values += term
+        if profile is not None:
+            values = np.multiply.outer(values, profile)
+            values += 0.0  # a negative plane value on a node of Z gave -0.0
         values.flags.writeable = False
         frames.append(DensityFrame.from_values(grid, values, t))
     return frames

@@ -234,6 +234,11 @@ class VolumetricGrid:
     def voxel_volume(self):
         return abs(np.linalg.det(self.axes))
 
+    @property
+    def is_diagonal(self):
+        """Whether every axis runs along its own Cartesian direction."""
+        return not np.any(self.axes - np.diag(np.diag(self.axes)))
+
     def points(self):
         """All grid points, shape (n0*n1*n2, 3), index order row-major (i,j,k)."""
         n0, n1, n2 = self.counts
@@ -326,13 +331,12 @@ class MolecularOrbital:
         return self.coefficients is not None
 
 
-def _axis_factors(mo: MolecularOrbital, grid: VolumetricGrid, axis):
-    """(n_axis, P): (u - c_a)^l_a exp(-alpha_a (u - c_a)^2) of every primitive
-    along one diagonal grid axis."""
+def axis_factors(grid: VolumetricGrid, axis, centers, powers, exponents):
+    """(n_axis, P): (u - c_a)^l_a exp(-alpha_a (u - c_a)^2) of P primitives
+    along one diagonal grid axis, from their centers on that axis; powers
+    and exponents are (P,) arrays or shared scalars."""
     u = grid.origin[axis] + np.arange(grid.counts[axis]) * grid.axes[axis, axis]
-    d = u[:, None] - np.array([p.center[axis] for p in mo.primitives])[None, :]
-    powers = np.array([p.powers[axis] for p in mo.primitives])
-    exponents = np.array([p.exponent for p in mo.primitives])
+    d = u[:, None] - np.asarray(centers)[None, :]
     return d ** powers * np.exp(-exponents * d * d)
 
 
@@ -346,8 +350,12 @@ def evaluate_orbital(mo: MolecularOrbital, r):
     primitive array is ever built.
     """
     if isinstance(r, VolumetricGrid):
-        if mo.is_lcao and not np.any(r.axes - np.diag(np.diag(r.axes))):
-            x, y, z = (_axis_factors(mo, r, axis) for axis in range(3))
+        if mo.is_lcao and r.is_diagonal:
+            prims = mo.primitives
+            exponents = np.array([p.exponent for p in prims])
+            x, y, z = (axis_factors(r, axis, [p.center[axis] for p in prims],
+                                    np.array([p.powers[axis] for p in prims]), exponents)
+                       for axis in range(3))
             scale = mo.coefficients * np.array([p.norm for p in mo.primitives])
             n0, n1, n2 = r.counts
             xy = (x * scale)[:, None, :] * y[None, :, :]

@@ -303,6 +303,17 @@ _CONTRACT = {
     "pmm-average-inf": (["pmm", "--energy", "99", "--grid", "11", "--average", "inf"],
                         "SignalError"),
     "density-padding-inf": (["density", "--padding", "inf"], "DensityError"),
+    "density-spacing-nan": (["density", "--spacing", "nan"], "DensityError"),
+    "density-spacing-inf": (["density", "--spacing", "inf"], "DensityError"),
+    "density-spacing-negative": (["density", "--spacing", "-1"], "DensityError"),
+    "density-padding-nan": (["density", "--padding", "nan"], "DensityError"),
+    "density-padding-negative": (["density", "--padding", "-1"], "DensityError"),
+    # a voxel volume that overflows, and grids above the voxel ceiling, are
+    # refused before any allocation
+    "density-grid-overflow": (["density", "--padding", "1e300", "--spacing", "1e300"],
+                              "DensityError"),
+    "density-spacing-tiny": (["density", "--spacing", "1e-6"], "DensityError"),
+    "density-padding-huge": (["density", "--padding", "1e300"], "DensityError"),
     "pmm-qmax-huge": (["pmm", "--energy", "99", "--grid", "11", "--qmax", "1e308"],
                       "MomentumError"),
     # a pulse duration must stay finite in atomic units (1e307 fs is not)

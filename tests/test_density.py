@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from attopmm.density import (
     density_matrix_changes,
     density_timeseries,
 )
-from attopmm.model import ElectronicState, WavePacket
+from attopmm.model import ElectronicState, GaussianPrimitive, WavePacket
+from attopmm.momentum import planar_basis
 
 from oracles import two_state_density
 
@@ -63,6 +66,43 @@ def test_matches_two_state_closed_form(scenario, coarse_grid):
         assert np.max(np.abs(g - w)) <= 1e-14 * scale, t
 
 
+def test_planar_and_voxel_paths_agree(scenario, coarse_grid):
+    # a zero-coefficient primitive above the plane leaves the physics as it
+    # is but takes the orbitals off the planar path onto the 3-D one
+    assert planar_basis(scenario.mos) is not None
+    homo = next(mo for mo in scenario.mos if mo.offset == 0)
+    lifted = GaussianPrimitive(center=homo.primitives[0].center + [0.0, 0.0, 1.0],
+                               exponent=homo.primitives[0].exponent,
+                               powers=homo.primitives[0].powers)
+    off_plane = [dataclasses.replace(mo, coefficients=[*mo.coefficients, 0.0],
+                                     primitives=(*mo.primitives, lifted))
+                 if mo is homo else mo for mo in scenario.mos]
+    assert planar_basis(off_plane) is None
+    period = scenario.wave_packet.beat_period_fs()
+    times = [0.0, 0.3 * period, period / 2.0]
+    planar = density_timeseries(scenario.wave_packet, scenario.mos, coarse_grid, times)
+    voxel = density_timeseries(scenario.wave_packet, off_plane, coarse_grid, times)
+    scale = max(np.max(np.abs(f.grid.values)) for f in voxel)
+    for a, b in zip(planar, voxel):
+        assert np.max(np.abs(a.grid.values - b.grid.values)) <= 1e-14 * scale
+
+
+def test_planar_frames_allocate_no_orbital_volumes(scenario):
+    # on the production grid only the frames themselves are 3-D: the peak
+    # stays within their bytes plus a few MB of planes and transients
+    grid = default_density_grid(scenario.mos)
+    frame_bytes = 8 * math.prod(grid.counts)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frames = density_timeseries(scenario.wave_packet, scenario.mos, grid, [0.0, 1.0])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == 2
+    assert peak <= 2 * frame_bytes + 4 * 2**20, (peak, frame_bytes)
+
+
 def test_general_packets(scenario):
     # at 0.2 A the Riemann sums of the orbital products are converged
     # (net charge ~2e-15); at 0.45 A they leave up to 2e-3 e
@@ -106,6 +146,7 @@ def test_non_finite_phase_rejected_before_orbital_evaluation(scenario, coarse_gr
         raise AssertionError("work started on a non-finite phase")
     monkeypatch.setattr(density, "member_pair_matrices", refuse)
     monkeypatch.setattr(density, "evaluate_orbital", refuse)
+    monkeypatch.setattr(density, "axis_factors", refuse)
     for bad in ([1e308], [0.0, -1e308], [math.inf], [math.nan]):
         with pytest.raises(DensityError, match="non-finite wave-packet phase"):
             density_timeseries(scenario.wave_packet, scenario.mos, coarse_grid, bad)
@@ -201,3 +242,18 @@ def test_default_grid_symmetric(scenario):
         default_density_grid(scenario.mos, spacing_angstrom=0.0)
     with pytest.raises(DensityError):
         default_density_grid(scenario.mos, padding_angstrom=-1.0)
+    # the voxel ceiling leaves room for a grid three times finer than 0.15 A
+    fine = default_density_grid(scenario.mos, spacing_angstrom=0.05)
+    assert math.prod(fine.counts) <= density._MAX_VOXELS
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("padding, spacing, option", [
+    (math.nan, 0.15, "--padding"), (4.0, math.inf, "--spacing"),
+    (1e300, 1e300, "--spacing"), (4.0, 1e-6, "voxels"), (1e300, 0.15, "voxels"),
+    (1.7e308, 0.15, "voxels"), (4.0, 5e-324, "voxels"),
+])
+def test_default_grid_preflight(scenario, padding, spacing, option):
+    # refused before any allocation, without an overflow on the way
+    with pytest.raises(DensityError, match=option):
+        default_density_grid(scenario.mos, padding, spacing)
