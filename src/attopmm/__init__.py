@@ -27,6 +27,8 @@ from .io import (
     load_scenario,
     read_cube,
     read_final_state_table,
+    read_pmm,
+    read_spectra,
     write_cube,
 )
 from .model import (
@@ -61,7 +63,8 @@ __all__ = [
     "density_timeseries", "HuckelError", "build_pentacene_graph",
     "huckel_orbitals", "ConfigError", "CubeFormatError", "Scenario",
     "TableFormatError", "default_scenario_path", "load_scenario", "read_cube",
-    "read_final_state_table", "write_cube", "ElectronicState",
+    "read_final_state_table", "read_pmm", "read_spectra", "write_cube",
+    "ElectronicState",
     "GaussianPrimitive", "ModelError", "MolecularOrbital", "ProbePulse",
     "VolumetricGrid", "WavePacket", "MomentumError", "build_hemisphere",
     "build_sphere", "PMM", "SignalError", "Spectrum",

@@ -206,7 +206,6 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
     times = _resolve_times(tokens, scenario.period_fs)
     delays = [t for _, t in times]
     wp, finals, mos = scenario.wave_packet, scenario.finals, scenario.mos
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     for tag, energy, pulse in rows:
         if average is None:
@@ -218,6 +217,7 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
                 resolution, q_max, mode)
         if not written:
             _channel_table(scenario, maps[0].metadata["channels"], log.info)
+            out.mkdir(parents=True, exist_ok=True)
         for (token, _), pmm in zip(times, maps):
             written.append(io_mod.export_pmm(
                 out / f"pmm_{tag}_tp{time_label(token)}.dat", pmm,

@@ -15,9 +15,9 @@ tie-breaking makes the output reproducible bit-for-bit.
 The raw eigenvectors are orthonormal in the site (identity) metric but not
 in real space, because neighboring p_z Gaussians overlap. The returned LCAO
 coefficients are symmetrically orthogonalized, c_eff = S^{-1/2} c, with the
-analytic p_z/p_z overlap matrix; the site-basis eigenvector is retained on
-each orbital as `site_vector`. Symmetric orthogonalization commutes with
-the molecular point-group permutations, so parity tags are unaffected.
+analytic p_z/p_z overlap matrix. Symmetric orthogonalization commutes with
+the molecular point-group permutations, so every orbital keeps the
+reflection parities of its eigenvector.
 """
 
 from __future__ import annotations
@@ -177,21 +177,13 @@ def _resolve_degenerate_blocks(energies, vectors, perm_x, perm_y):
     return vectors
 
 
-def _parity_tag(vec_or_coeff, perm):
-    val = float(vec_or_coeff @ perm @ vec_or_coeff)
-    if abs(abs(val) - 1.0) > 1e-6:
-        return None
-    return 1 if val > 0 else -1
-
-
 def huckel_orbitals(p_exponent=1.0):
     """All 22 pentacene pi molecular orbitals, labeled H-10 ... H, L ... L+10.
 
     Returns a tuple ordered by energy (most bonding first). Each orbital is
     an LCAO of one p_z Gaussian (exponent bohr^-2) per carbon, with
-    S^{-1/2}-orthogonalized coefficients, parity tags under the three
-    Cartesian reflections, the tight-binding energy (on-site 0, hopping -1),
-    and the raw site eigenvector.
+    S^{-1/2}-orthogonalized coefficients and the tight-binding energy
+    (on-site 0, hopping -1).
     """
     graph = build_pentacene_graph()
     if not p_exponent > 0:
@@ -225,13 +217,8 @@ def huckel_orbitals(p_exponent=1.0):
     coeffs = s_inv_half @ vectors
 
     n_occ = n // 2
-    orbitals = []
-    for k in range(n):
-        label = offset_label(k - (n_occ - 1))
-        vec = vectors[:, k]
-        parities = (_parity_tag(vec, perm_x), _parity_tag(vec, perm_y), -1)
-        orbitals.append(MolecularOrbital(
-            label=label, coefficients=coeffs[:, k], primitives=prims,
-            parities=parities, energy=float(energies[k]), site_vector=vec))
-    return tuple(orbitals)
+    return tuple(MolecularOrbital(label=offset_label(k - (n_occ - 1)),
+                                  coefficients=coeffs[:, k], primitives=prims,
+                                  energy=float(energies[k]))
+                 for k in range(n))
 

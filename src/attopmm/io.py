@@ -876,38 +876,58 @@ def _write_export(path, header_lines, write_rows):
 
 
 def _parse_headers(raw, path):
-    meta = {}
-    body_start = 0
-    for idx, line in enumerate(raw):
-        if not line.startswith("#"):
-            body_start = idx
-            break
-        body_start = idx + 1
-        stripped = line[1:].strip()
-        if ":" not in stripped:
-            continue
-        key, _, value = stripped.partition(":")
-        meta[key.strip()] = value.strip()
+    """'# key: value' lines -> ({key: value}, {key: line number}, index of
+    the first body line)."""
+    meta, lines = {}, {}
+    body_start = next((idx for idx, line in enumerate(raw) if not line.startswith("#")),
+                      len(raw))
+    for idx, line in enumerate(raw[:body_start]):
+        key, sep, value = line[1:].partition(":")
+        if sep:
+            meta[key.strip()] = value.strip()
+            lines[key.strip()] = idx + 1
     if not meta:
         raise ExportFormatError(f"{path}: missing '#' metadata header")
-    return meta, body_start
+    return meta, lines, body_start
+
+
+def _finite(text, where, name, kind=float):
+    """text as a finite kind (float or int), else an ExportFormatError."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ExportFormatError(f"{where}: {name} {text!r} is not a finite {kind.__name__}")
+    return value
+
+
+def _header_numbers(path, meta, lines, key, kinds=(float,)):
+    """The finite numbers of header field key, one per entry of kinds."""
+    where = f"{path} line {lines[key]}" if key in lines else str(path)
+    fields = meta.get(key, "").split()
+    if len(fields) != len(kinds):
+        raise ExportFormatError(
+            f"{where}: {key} needs {len(kinds)} number(s), got {meta.get(key)!r}")
+    return [_finite(text, where, key, kind) for text, kind in zip(fields, kinds)]
 
 
 def read_pmm(path):
     path = Path(path)
     raw = path.read_text(encoding="utf-8").splitlines()
-    meta, body_start = _parse_headers(raw, path)
+    meta, lines, body_start = _parse_headers(raw, path)
     if meta.get("format") != "attopmm-pmm-1":
         raise ExportFormatError(f"{path}: not an attopmm momentum-map export")
-    try:
-        ax_spec = meta["axis_x"].split()
-        ay_spec = meta["axis_y"].split()
-        axis_x = np.linspace(float(ax_spec[0]), float(ax_spec[1]), int(ax_spec[2]))
-        axis_y = np.linspace(float(ay_spec[0]), float(ay_spec[1]), int(ay_spec[2]))
-        energy = float(meta["energy_ev"])
-        t_p = float(meta["t_p_fs"])
-    except (KeyError, ValueError, IndexError) as exc:
-        raise ExportFormatError(f"{path}: bad or missing header field ({exc})") from exc
+    axes = []
+    for key in ("axis_x", "axis_y"):
+        lo, hi, n = _header_numbers(path, meta, lines, key, (float, float, int))
+        if not (lo < hi and n >= 2):
+            raise ExportFormatError(
+                f"{path} line {lines[key]}: {key} needs lo < hi and at least 2 points")
+        axes.append(np.linspace(lo, hi, n))
+    axis_x, axis_y = axes
+    energy, = _header_numbers(path, meta, lines, "energy_ev")
+    t_p, = _header_numbers(path, meta, lines, "t_p_fs")
     values = np.zeros((len(axis_x), len(axis_y)))
     dx = (axis_x[-1] - axis_x[0]) / (len(axis_x) - 1)
     dy = (axis_y[-1] - axis_y[0]) / (len(axis_y) - 1)
@@ -920,28 +940,26 @@ def read_pmm(path):
                 f"{path} line {lineno}: expected 3 columns, got {len(tok)}")
         try:
             x, y, v = (float(t) for t in tok)
-        except ValueError:
+            i = int(round((x - axis_x[0]) / dx))
+            j = int(round((y - axis_y[0]) / dy))
+        except (ValueError, OverflowError):
             raise ExportFormatError(
-                f"{path} line {lineno}: non-numeric row") from None
-        i = int(round((x - axis_x[0]) / dx))
-        j = int(round((y - axis_y[0]) / dy))
+                f"{path} line {lineno}: non-numeric or non-finite row") from None
         if not (0 <= i < len(axis_x) and 0 <= j < len(axis_y)):
             raise ExportFormatError(
                 f"{path} line {lineno}: sample off the declared raster")
         values[i, j] = v
-    metadata = {"tau_fs": float(meta.get("tau_fs", 0.0)),
-                "omega_in_ev": float(meta.get("omega_in_ev", 0.0)),
-                "mode": meta.get("mode", "short")}
-    if "polarization" in meta:
-        metadata["polarization"] = tuple(float(v) for v in meta["polarization"].split())
-    if "q_disc_inv_angstrom" in meta:
-        metadata["q_disc_inv_angstrom"] = float(meta["q_disc_inv_angstrom"])
+    metadata = {"tau_fs": 0.0, "omega_in_ev": 0.0, "mode": meta.get("mode", "short")}
+    for key, count in (("tau_fs", 1), ("omega_in_ev", 1), ("polarization", 3),
+                       ("q_disc_inv_angstrom", 1)):
+        if key in meta:
+            numbers = _header_numbers(path, meta, lines, key, (float,) * count)
+            metadata[key] = numbers[0] if count == 1 else tuple(numbers)
     if "config_digest" in meta:
         metadata["config_digest"] = meta["config_digest"]
     if "energy_average" in meta:
-        c, w, n = meta["energy_average"].split()
-        metadata["energy_average"] = {"center_ev": float(c), "width_ev": float(w),
-                                      "n_energies": int(n)}
+        c, w, n = _header_numbers(path, meta, lines, "energy_average", (float, float, int))
+        metadata["energy_average"] = {"center_ev": c, "width_ev": w, "n_energies": n}
     return PMM(energy_ev=energy, t_p_fs=t_p, values=values, axis_x=axis_x,
                axis_y=axis_y, metadata=metadata)
 
@@ -981,17 +999,9 @@ def export_spectra(path, spectra, digest=None):
 def read_spectra(path):
     path = Path(path)
     raw = path.read_text(encoding="utf-8").splitlines()
-    meta, body_start = _parse_headers(raw, path)
+    meta, lines, body_start = _parse_headers(raw, path)
     if meta.get("format") != "attopmm-spectrum-1":
         raise ExportFormatError(f"{path}: not an attopmm spectrum export")
-    columns = []
-    for key in sorted(k for k in meta if k.startswith("column ")):
-        attrs = {}
-        for part in meta[key].split():
-            if "=" in part:
-                name, _, value = part.partition("=")
-                attrs[name] = value
-        columns.append(attrs)
     rows = []
     for lineno, line in enumerate(raw[body_start:], start=body_start + 1):
         if not line.strip():
@@ -1001,21 +1011,21 @@ def read_spectra(path):
         except ValueError:
             raise ExportFormatError(
                 f"{path} line {lineno}: non-numeric row") from None
+        if not math.isfinite(rows[-1][0]):
+            raise ExportFormatError(f"{path} line {lineno}: energy {rows[-1][0]} is not finite")
     if not rows:
         raise ExportFormatError(f"{path}: no data rows")
     width = len(rows[0])
     if any(len(r) != width for r in rows) or width < 2:
         raise ExportFormatError(f"{path}: inconsistent column count")
     data = np.asarray(rows)
-    if len(columns) != width - 1:
-        columns = [{} for _ in range(width - 1)]
     out = []
     for k in range(1, width):
-        attrs = columns[k - 1]
-        metadata = {}
-        for key in ("t_p_fs", "tau_fs", "omega_in_ev"):
-            if key in attrs:
-                metadata[key] = float(attrs[key])
+        key = f"column {k + 1}"     # the header line tagging data column k
+        parts = meta.get(key, "").split()
+        attrs = dict(part.partition("=")[::2] for part in parts if "=" in part)
+        metadata = {name: _finite(attrs[name], f"{path} line {lines[key]}", name)
+                    for name in ("t_p_fs", "tau_fs", "omega_in_ev") if name in attrs}
         if "mode" in attrs:
             metadata["mode"] = attrs["mode"]
         out.append(Spectrum(energies_ev=data[:, 0], values=data[:, k],

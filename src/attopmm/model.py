@@ -41,33 +41,17 @@ def ev_to_hartree(e):
     return np.asarray(e, dtype=float) / HARTREE_EV if np.ndim(e) else e / HARTREE_EV
 
 
-def hartree_to_ev(e):
-    return np.asarray(e, dtype=float) * HARTREE_EV if np.ndim(e) else e * HARTREE_EV
-
-
 def fs_to_au(t):
     return t / ATOMIC_TIME_FS
-
-
-def au_to_fs(t):
-    return t * ATOMIC_TIME_FS
 
 
 def angstrom_to_bohr(x):
     return np.asarray(x, dtype=float) / BOHR_ANGSTROM if np.ndim(x) else x / BOHR_ANGSTROM
 
 
-def bohr_to_angstrom(x):
-    return np.asarray(x, dtype=float) * BOHR_ANGSTROM if np.ndim(x) else x * BOHR_ANGSTROM
-
-
 def inv_angstrom_to_au(q):
     # momentum: q [bohr^-1] = q [A^-1] * (A per bohr)
     return np.asarray(q, dtype=float) * BOHR_ANGSTROM if np.ndim(q) else q * BOHR_ANGSTROM
-
-
-def au_to_inv_angstrom(q):
-    return np.asarray(q, dtype=float) / BOHR_ANGSTROM if np.ndim(q) else q / BOHR_ANGSTROM
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +264,13 @@ def _trilinear(grid: VolumetricGrid, pts):
 
 @dataclass(frozen=True)
 class MolecularOrbital:
-    """One-electron orbital, either an LCAO over Gaussian primitives or a grid.
-
-    parities are the signs under the three Cartesian reflections
-    (x->-x, y->-y, z->-z), +1/-1, or None when the orbital is not an
-    eigenfunction of that reflection. Tags are used only by symmetry tests,
-    never by the numerics.
-
-    site_vector optionally retains the tight-binding eigenvector in the raw
-    site basis (orthonormal under the identity metric), before any overlap
-    orthogonalization of the LCAO coefficients.
-    """
+    """One-electron orbital, either an LCAO over Gaussian primitives or a grid."""
 
     label: str
     coefficients: np.ndarray = None
     primitives: tuple = None
     grid: VolumetricGrid = None
-    parities: tuple = (None, None, None)
     energy: float = None
-    site_vector: np.ndarray = None
 
     def __post_init__(self):
         lcao = self.coefficients is not None and self.primitives is not None
@@ -316,11 +288,6 @@ class MolecularOrbital:
             object.__setattr__(self, "primitives", prims)
         if self.grid is not None and self.grid.values is None:
             raise ModelError(f"orbital {self.label!r}: grid orbital without values")
-        if self.site_vector is not None:
-            sv = np.array(self.site_vector, dtype=float)
-            sv.flags.writeable = False
-            object.__setattr__(self, "site_vector", sv)
-        object.__setattr__(self, "parities", tuple(self.parities))
 
     @property
     def offset(self):
@@ -373,16 +340,6 @@ def evaluate_orbital(mo: MolecularOrbital, r):
     else:
         val = _trilinear(mo.grid, pts)
     return float(val[0]) if single else val
-
-
-def orbital_overlap(mo1: MolecularOrbital, mo2: MolecularOrbital):
-    """Analytic <mo1|mo2> = c1^T S c2 for LCAO orbitals, with S the
-    primitive overlap matrix."""
-    if not (mo1.is_lcao and mo2.is_lcao):
-        raise ModelError("analytic overlap needs LCAO orbitals on both sides")
-    s = np.array([[primitive_overlap(p1, p2) for p2 in mo2.primitives]
-                  for p1 in mo1.primitives])
-    return float(mo1.coefficients @ s @ mo2.coefficients)
 
 
 def occupied_offsets(mos):

@@ -34,7 +34,6 @@ from numpy.polynomial.hermite import hermval
 
 from .model import (
     BOHR_ANGSTROM,
-    GaussianPrimitive,
     ModelError,
     ev_to_hartree,
     inv_angstrom_to_au,
@@ -61,21 +60,6 @@ def _axis_factor(l, k, exponent):
         return base.astype(complex) if isinstance(base, np.ndarray) else complex(base)
     herm = hermval(k / (2.0 * root), [0.0] * l + [1.0])
     return base * herm * (-1j / (2.0 * root)) ** l
-
-
-def gaussian_ft(prim: GaussianPrimitive, q):
-    """Closed-form transform of a normalized primitive at q (a.u.).
-
-    q has shape (3,) -> complex scalar, or (N, 3) -> complex (N,) array.
-    """
-    q = np.asarray(q, dtype=float)
-    single = q.ndim == 1
-    qs = q.reshape(-1, 3)
-    out = np.full(len(qs), prim.norm * (2.0 * math.pi) ** -1.5, dtype=complex)
-    out *= np.exp(-1j * (qs @ prim.center))
-    for axis, l in enumerate(prim.powers):
-        out *= _axis_factor(l, qs[:, axis], prim.exponent)
-    return out[0] if single else out
 
 
 def shape_factor(exponent, powers, q):

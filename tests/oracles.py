@@ -20,9 +20,11 @@ from attopmm.model import (
     DOWN,
     HARTREE_EV,
     UP,
+    ModelError,
     WavePacket,
     at_delays,
     evaluate_orbital,
+    primitive_overlap,
     wave_packet_phase,
 )
 from attopmm.momentum import MomentumGrid, build_sphere, sphere_quadrature
@@ -48,6 +50,33 @@ def quadrature_ft(prim, q, n=None):
         out *= np.exp(-1j * q[axis] * prim.center[axis]) * half * np.dot(
             weights, integrand)
     return out
+
+
+def gaussian_ft(prim, q):
+    """Closed-form transform of a normalized primitive at q (a.u.), one
+    primitive at a time with its own phase, where the package transforms
+    every primitive of a basis at once.
+
+    q has shape (3,) -> complex scalar, or (N, 3) -> complex (N,) array.
+    """
+    q = np.asarray(q, dtype=float)
+    single = q.ndim == 1
+    qs = q.reshape(-1, 3)
+    out = np.full(len(qs), prim.norm * TWO_PI ** -1.5, dtype=complex)
+    out *= np.exp(-1j * (qs @ prim.center))
+    for axis, l in enumerate(prim.powers):
+        out *= momentum._axis_factor(l, qs[:, axis], prim.exponent)
+    return out[0] if single else out
+
+
+def orbital_overlap(mo1, mo2):
+    """Analytic <mo1|mo2> = c1^T S c2 for LCAO orbitals, with S the
+    primitive overlap matrix."""
+    if not (mo1.is_lcao and mo2.is_lcao):
+        raise ModelError("analytic overlap needs LCAO orbitals on both sides")
+    s = np.array([[primitive_overlap(p1, p2) for p2 in mo2.primitives]
+                  for p1 in mo1.primitives])
+    return float(mo1.coefficients @ s @ mo2.coefficients)
 
 
 # ---------------------------------------------------------------------------

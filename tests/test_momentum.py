@@ -20,14 +20,13 @@ from attopmm.momentum import (
     MomentumGrid,
     build_hemisphere,
     build_sphere,
-    gaussian_ft,
     orbital_ft,
     spherical_bessel,
     sphere_pair_matrices,
     sphere_quadrature,
 )
 
-from oracles import quadrature_ft
+from oracles import gaussian_ft, quadrature_ft
 
 
 def test_s_type_at_zero_momentum():

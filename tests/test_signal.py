@@ -21,7 +21,7 @@ from attopmm.model import (
     evaluate_orbital,
     fs_to_au,
 )
-from attopmm.momentum import MomentumError, build_hemisphere, gaussian_ft
+from attopmm.momentum import MomentumError, build_hemisphere
 from attopmm.signal import (
     PMM,
     SignalError,
@@ -39,6 +39,7 @@ from attopmm.signal import (
 from oracles import (
     ReferenceAmplitudes,
     dense_annihilation_map,
+    gaussian_ft,
     quadrature_spectrum,
     reference_probability,
 )
