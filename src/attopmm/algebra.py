@@ -96,10 +96,8 @@ def closed_shell_state(occupied):
     occupied = sorted(int(o) for o in occupied)
     sign, det = canonical_determinant(
         [(o, s) for o in occupied for s in (UP, DOWN)])
-    csf = ConfigurationStateFunction(
-        holes=(), particles=(), spin=0.0, projection=0.0,
-        expansion=((float(sign), det),))
-    return csf
+    return ConfigurationStateFunction(holes=(), particles=(),
+                                      expansion=((float(sign), det),))
 
 
 def singlet_excitation_csf(occupied, hole, particle):
@@ -113,7 +111,7 @@ def singlet_excitation_csf(occupied, hole, particle):
         raise ModelError(f"excitation {hole}->{particle} invalid for {occupied}")
     core = [o for o in occupied if o != hole]
     return ConfigurationStateFunction(
-        holes=(hole,), particles=(particle,), spin=0.0, projection=0.0,
+        holes=(hole,), particles=(particle,),
         expansion=_expand_pattern(core, (hole, particle), _SINGLET_PAIR))
 
 
@@ -125,7 +123,7 @@ def one_hole_csf(occupied, hole):
         raise ModelError(f"hole orbital {hole} not occupied in {occupied}")
     core = [o for o in occupied if o != hole]
     return ConfigurationStateFunction(
-        holes=(hole,), particles=(), spin=0.5, projection=0.5,
+        holes=(hole,), particles=(),
         expansion=_expand_pattern(core, (hole,), ((1.0, "a"),)))
 
 
@@ -147,7 +145,7 @@ def two_hole_one_particle_csf(occupied, hole1, hole2, particle, coupling=""):
             raise ModelError("closed double hole takes no coupling tag")
         core = [o for o in occupied if o != hole1]
         return ConfigurationStateFunction(
-            holes=(hole1, hole2), particles=(particle,), spin=0.5, projection=0.5,
+            holes=(hole1, hole2), particles=(particle,),
             expansion=_expand_pattern(core, (particle,), ((1.0, "a"),)))
     if coupling not in _DOUBLET_PATTERNS:
         raise ModelError(
@@ -156,7 +154,6 @@ def two_hole_one_particle_csf(occupied, hole1, hole2, particle, coupling=""):
     opens = tuple(sorted((hole1, hole2))) + (particle,)
     return ConfigurationStateFunction(
         holes=tuple(sorted((hole1, hole2))), particles=(particle,),
-        spin=0.5, projection=0.5, coupling=coupling,
         expansion=_expand_pattern(core, opens, _DOUBLET_PATTERNS[coupling]))
 
 

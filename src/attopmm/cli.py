@@ -198,7 +198,8 @@ def _default(value, fallback):
 
 def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
                 mode="short", average=None):
-    """One map file per (row, delay), one signal call per row.
+    """One map file per (row, delay), one signal call per row; every row's
+    energy is checked before the first.
 
     rows: (file tag, energy eV, pulse); average: (width eV, samples) for
     energy-averaged maps, None for plain cuts.
@@ -206,6 +207,7 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
     times = _resolve_times(tokens, scenario.period_fs)
     delays = [t for _, t in times]
     wp, finals, mos = scenario.wave_packet, scenario.finals, scenario.mos
+    signal_mod.photoelectron_energies([energy for _, energy, _ in rows])
     written = []
     for tag, energy, pulse in rows:
         if average is None:

@@ -451,7 +451,9 @@ def validate_channel_energies(rows, wp: WavePacket, pulse: ProbePulse):
 
 _TOP_KEYS = {"name", "molecule", "wave_packet", "pulse", "final_states",
              "ground_state_binding_energies_ev", "coefficient_mode", "outputs"}
-_MOLECULE_KEYS = {"source", "p_exponent", "orbitals", "path"}
+_MOLECULE_KEYS = {"builtin-huckel": {"source", "p_exponent"},
+                  "cube-files": {"source", "orbitals"},
+                  "lcao-file": {"source", "path"}}
 _WP_KEYS = {"t0_fs", "members"}
 _MEMBER_KEYS = {"coefficient", "energy_ev", "terms"}
 _TERM_KEYS = {"coefficient", "hole", "particle"}
@@ -550,12 +552,16 @@ def _build_orbitals(molecule, base_dir):
     """(orbitals, cube atom records (Z, charge, position bohr)): the Hueckel
     frame's atoms; none for an LCAO file, which has no atom list, or for
     orbital cubes, whose density is not supported."""
+    if not isinstance(molecule, dict):
+        raise ConfigError("molecule: expected an object")
     source = molecule.get("source", "builtin-huckel")
+    if not isinstance(source, str) or source not in _MOLECULE_KEYS:
+        raise ConfigError(f"molecule.source: unknown source {source!r}")
+    extra = set(molecule) - _MOLECULE_KEYS[source]
+    if extra:
+        raise ConfigError(
+            f"molecule: key(s) {', '.join(sorted(extra))} not valid for {source}")
     if source == "builtin-huckel":
-        extra = set(molecule) - {"source", "p_exponent"}
-        if extra:
-            raise ConfigError(
-                f"molecule: key(s) {', '.join(sorted(extra))} not valid for builtin-huckel")
         p_exp = _positive(molecule.get("p_exponent", 1.0), "molecule.p_exponent")
         atoms = tuple((z, float(z), tuple(angstrom_to_bohr(np.asarray(p))))
                       for z, p in pentacene_atoms())
@@ -573,11 +579,9 @@ def _build_orbitals(molecule, base_dir):
                 raise CubeFormatError(f"{path}: {exc}") from None
             mos.append(MolecularOrbital(label=str(label), grid=grid))
         return mos, ()
-    if source == "lcao-file":
-        if "path" not in molecule:
-            raise ConfigError("molecule.path: required for source lcao-file")
-        return _load_lcao_file(base_dir / molecule["path"]), ()
-    raise ConfigError(f"molecule.source: unknown source {source!r}")
+    if "path" not in molecule:
+        raise ConfigError("molecule.path: required for source lcao-file")
+    return _load_lcao_file(base_dir / molecule["path"]), ()
 
 
 def _build_member_state(member, occupied, where):
@@ -948,6 +952,9 @@ def read_pmm(path):
         if not (0 <= i < len(axis_x) and 0 <= j < len(axis_y)):
             raise ExportFormatError(
                 f"{path} line {lineno}: sample off the declared raster")
+        if not 0 <= v < math.inf:
+            raise ExportFormatError(
+                f"{path} line {lineno}: value {v} is not a finite probability >= 0")
         values[i, j] = v
     metadata = {"tau_fs": 0.0, "omega_in_ev": 0.0, "mode": meta.get("mode", "short")}
     for key, count in (("tau_fs", 1), ("omega_in_ev", 1), ("polarization", 3),
@@ -1011,13 +1018,15 @@ def read_spectra(path):
         except ValueError:
             raise ExportFormatError(
                 f"{path} line {lineno}: non-numeric row") from None
-        if not math.isfinite(rows[-1][0]):
-            raise ExportFormatError(f"{path} line {lineno}: energy {rows[-1][0]} is not finite")
+        energy, *values = rows[-1]
+        if len(rows[-1]) != len(rows[0]) or not values:
+            raise ExportFormatError(f"{path} line {lineno}: inconsistent column count")
+        if not (math.isfinite(energy) and all(0 <= v < math.inf for v in values)):
+            raise ExportFormatError(f"{path} line {lineno}: non-finite energy, or a "
+                                    "value that is not a finite non-negative probability")
     if not rows:
         raise ExportFormatError(f"{path}: no data rows")
     width = len(rows[0])
-    if any(len(r) != width for r in rows) or width < 2:
-        raise ExportFormatError(f"{path}: inconsistent column count")
     data = np.asarray(rows)
     out = []
     for k in range(1, width):

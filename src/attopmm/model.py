@@ -394,18 +394,12 @@ def canonical_determinant(spin_orbitals):
 
 @dataclass(frozen=True)
 class ConfigurationStateFunction:
-    """Spin-adapted combination of determinants with definite (S, M).
-
-    coupling distinguishes degenerate genealogical couplings of the same
-    orbital occupation (e.g. the two doublets of three open shells).
-    """
+    """Spin-adapted combination of determinants with definite (S, M),
+    labeled by its hole and particle orbitals."""
 
     holes: tuple
     particles: tuple
-    spin: float
-    projection: float
     expansion: tuple  # ((coefficient, SlaterDeterminant), ...)
-    coupling: str = ""
 
     def __post_init__(self):
         exp = tuple((float(c), d) for c, d in self.expansion)

@@ -32,9 +32,12 @@ Physics conventions:
     Omega_F = omega_in + <E> - E_F, for every member pair; finite-duration
     probe W_FIJ = g_FI g_FJ with the amplitude-level member envelope
     g_FI = envelope_long = exp(-(omega_in + E_I - E_F - eps_e)^2 tau^2
-    / (8 ln2)), i.e. the envelopes sit inside the coherent member sum;
+    / (8 ln2)), i.e. the envelopes sit inside the coherent member sum.
+    One _weights call forms W for all channels and energies; the kernels
+    take W, not the pulse;
   * a channel whose largest diagonal weight max_I W_FII at the map or
-    spectrum energy is below the threshold is left out of that kernel;
+    spectrum energy is below the threshold gets W_F = 0 there and is left
+    out of that kernel;
   * probabilities are relative, as in arbitrary-unit maps: the intensity
     prefactor tau^2 I0 / (8 pi ln2 omega_in^2 c) is one;
   * angle integration uses the density-of-states measure
@@ -179,31 +182,42 @@ def channel_records(channels):
 # ---------------------------------------------------------------------------
 # member-pair coherence kernels
 
-def _pair_weights(ch, eps_ev, pulse, wp, mode):
-    """W_IJ of one channel at photoelectron energies eps_ev (eV), shape
-    (M, M) + shape(eps_ev) in long mode. The short-mode window is shared by
-    all pairs and kept once, shape (1, 1) + shape(eps_ev). Hemisphere and
-    sphere grids take it at their nominal energies, one call per channel;
-    only probability() takes it per sample, at |q|^2 / 2."""
+def _weights(channels, energies_ev, pulse, wp, mode, min_envelope):
+    """Pair weights at the photoelectron energies energies_ev (1-D, eV),
+    from one envelope call over a leading channel axis: per channel W_F of
+    shape (M, M, E), or (1, 1, E) in short mode where all pairs share the
+    window, zero where the channel is skipped (None if at every energy);
+    peaks[e, F] = max_I W_FII; and skip[e, F] = peaks[e, F] < min_envelope.
+    """
     tau = pulse.duration_fwhm_fs
     if mode == "short":
-        env = envelope_short(ch.omega_ev, eps_ev, tau)
-        return np.reshape(env, (1, 1) + np.shape(env))
-    if mode == "long":
+        omegas = np.array([ch.omega_ev for ch in channels])
+        env = envelope_short(omegas[:, None], energies_ev, tau)
+        w = env[:, None, None, :]
+    elif mode == "long":
         members = np.array([e_i for _, e_i, _ in wp.members])
-        env = envelope_long(pulse.photon_energy_ev,
-                            members.reshape((-1,) + (1,) * np.ndim(eps_ev)),
-                            ch.final_energy_ev, eps_ev, tau)
-        return env[:, None] * env[None, :]
-    raise SignalError(f"unknown probe mode {mode!r}")
+        finals = np.array([ch.final_energy_ev for ch in channels])
+        env = envelope_long(pulse.photon_energy_ev, members[None, :, None],
+                            finals[:, None, None], energies_ev, tau)
+        w = env[:, :, None] * env[:, None, :]
+    else:
+        raise SignalError(f"unknown probe mode {mode!r}")
+    peaks = np.max(np.diagonal(w, axis1=1, axis2=2), axis=-1).T
+    skip = peaks < min_envelope
+    return [wf * k if k.any() else None for wf, k in zip(w, ~skip.T)], peaks, skip
 
 
-def _screen(channels, energies_ev, pulse, wp, mode, min_envelope):
-    """peaks[e, F] = max_I W_FII at energies_ev[e], and skip[e, F]: whether
-    that peak is under min_envelope (channel F is then left out at energy e)."""
-    peaks = np.array([np.max(np.diagonal(_pair_weights(ch, energies_ev, pulse, wp, mode)),
-                             axis=-1) for ch in channels]).T
-    return peaks, peaks < min_envelope
+def _at(weights, k):
+    """Each channel's W at energy index k, kept as a length-1 energy axis,
+    None where it is zero there."""
+    return [None if w is None or not w[..., k].any() else w[..., k:k + 1]
+            for w in weights]
+
+
+def _live(weights, n_energies):
+    """Per energy, whether some channel has a nonzero W there."""
+    return np.any([np.zeros(n_energies, dtype=bool)]
+                  + [w.any(axis=(0, 1)) for w in weights if w is not None], axis=0)
 
 
 def _dyson_matrices(channels, mos):
@@ -220,39 +234,40 @@ def _dyson_matrices(channels, mos):
     return [table[offsets[k]] for k in used], matrices
 
 
-def _kernel(grid: MomentumGrid, eps_ev, basis, channels, matrices, skip, pulse, wp,
-            mode, out=None):
-    """K[I, J, n] at the grid samples (module docstring), shape
-    (M, M, n_samples), added to `out` when given. The pair weights are taken
-    at eps_ev: the grid's nominal energy on a hemisphere or sphere, |q|^2 / 2
-    per sample for free samples. Invalid samples and the channels flagged in
-    skip add nothing; one member pair of one channel-spin term is held at a
-    time, and a new kernel is allocated only after the orbital transforms."""
-    n_members = wp.n_members
-    shape = (n_members, n_members, grid.n_samples)
-    if all(skip):
-        return np.zeros(shape, dtype=complex) if out is None else out
-    ft = momentum.orbital_ft(basis, grid)
-    scale = (grid.samples @ pulse.polarization) ** 2 * grid.valid
-    if out is None:
-        out = np.zeros(shape, dtype=complex)
-    for ch, mats, s in zip(channels, matrices, skip):
-        if s:
+def _accumulate(out, matrices, transforms, profiles):
+    """out[I, J] += sum_{F,sigma} conj(R_I) R_J profile_FIJ with the member
+    rows R = D_Fsigma @ transforms, over the channels whose profile is not
+    None (a profile broadcasts to out's shape). One member pair of one
+    channel-spin term is held at a time."""
+    for mats, profile in zip(matrices, profiles):
+        if profile is None:
             continue
-        weights = _pair_weights(ch, eps_ev, pulse, wp, mode)
-        weights = np.broadcast_to(weights, shape[:2] + weights.shape[2:])
+        profile = np.broadcast_to(profile, out.shape)
         for d in mats:
-            rows = d @ ft
-            for i, j in np.ndindex(n_members, n_members):
-                out[i, j] += rows[i].conj() * (rows[j] * (weights[i, j] * scale))
+            rows = d @ transforms
+            for i, j in np.ndindex(out.shape[:2]):
+                out[i, j] += rows[i].conj() * (rows[j] * profile[i, j])
+
+
+def _kernel(out, grid: MomentumGrid, weights, basis, matrices, polarization):
+    """Add K[I, J, n] at the grid samples (module docstring) to `out`, shape
+    (M, M, n_samples), and return it. weights: each channel's W at the
+    grid's nominal energy, or per sample for free samples; None leaves the
+    channel out. Invalid samples add nothing."""
+    if all(w is None for w in weights):
+        return out
+    ft = momentum.orbital_ft(basis, grid)
+    scale = (grid.samples @ polarization) ** 2 * grid.valid
+    _accumulate(out, matrices, ft, (None if w is None else w * scale for w in weights))
     return out
 
 
-def _folded_kernel(raster: MomentumGrid, planar, energies, skips, channels,
-                   matrices, pulse, wp, mode):
-    """Sum over `energies` of the hemisphere kernels on one (q_x, q_y)
-    raster for a planar basis (momentum.planar_basis), shape
-    (M, M, n_samples), and the union of the energies' kinematic discs.
+def _folded_kernel(out, raster: MomentumGrid, planar, energies, weights, matrices,
+                   polarization):
+    """Add to `out`, shape (M, M, n_samples), the sum over `energies` of the
+    hemisphere kernels on one (q_x, q_y) raster for a planar basis
+    (momentum.planar_basis); return the union of the energies' kinematic
+    discs.
 
     Each transform is shape_factor(q) exp(-i q_z z0) S(q_x, q_y), and the z0
     phase cancels in conj(R_I) R_J, so with the energy-independent
@@ -262,38 +277,25 @@ def _folded_kernel(raster: MomentumGrid, planar, energies, skips, channels,
         P_FIJ = sum_e W_FIJ(e) T_e,
         T_e = |eps_in . q_e|^2 |shape_factor(q_e)|^2 valid_e,
 
-    with q_e the raster point lifted to energy e. W_F is taken at the
-    nominal energies, once per channel (zero where skips[e][F] leaves
-    channel F out of energy e), so each block's profile is one product
-    W_F @ T. The member-pair products run once per channel and spin, not
-    once per energy. Work is done block by block, so only the kernel is
-    held at full size.
+    with q_e the raster point lifted to energy e, so each block's profile
+    is one product W_F @ T, and the member-pair products run once per
+    channel and spin. Only the kernel is held at full size.
     """
     centers, coeffs, exponent, powers = planar
-    n_members = wp.n_members
-    energies, keep = np.asarray(energies, dtype=float), ~np.asarray(skips, dtype=bool)
-    weights = [_pair_weights(ch, energies, pulse, wp, mode) * k if k.any() else None
-               for ch, k in zip(channels, keep.T)]
-    out = np.zeros((n_members, n_members, raster.n_samples), dtype=complex)
+    live = _live(weights, len(energies))
     valid = np.zeros(raster.n_samples, dtype=bool)
     for start, stop, factors in momentum.structure_factors(raster, centers, coeffs):
         table = np.zeros((len(energies), stop - start))
-        for e, row, k in zip(energies, table, keep):
+        for e, row, k in zip(energies, table, live):
             q, inside = momentum.lift_raster(raster, e, start, stop)
             valid[start:stop] |= inside
-            if k.any():
+            if k:
                 shape = momentum.shape_factor(exponent, powers, q)
-                row[:] = (q @ pulse.polarization) ** 2 * inside \
+                row[:] = (q @ polarization) ** 2 * inside \
                     * (shape.real ** 2 + shape.imag ** 2)
-        for mats, w in zip(matrices, weights):
-            if w is None:
-                continue
-            profile = np.broadcast_to(w @ table, (n_members, n_members, stop - start))
-            for d in mats:
-                rows = d @ factors.T
-                for i, j in np.ndindex(n_members, n_members):
-                    out[i, j, start:stop] += rows[i].conj() * (rows[j] * profile[i, j])
-    return out, valid
+        _accumulate(out[:, :, start:stop], matrices, factors.T,
+                    (None if w is None else w @ table for w in weights))
+    return valid
 
 
 def photoelectron_energies(energies_ev):
@@ -335,8 +337,9 @@ def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short"):
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
     eps_ev = 0.5 * np.einsum("ij,ij->i", samples, samples) * HARTREE_EV
-    kernel = _kernel(grid, eps_ev, basis, channels, matrices, [False] * len(channels),
-                     pulse, wp, mode)
+    weights, _, _ = _weights(channels, eps_ev, pulse, wp, mode, 0.0)
+    kernel = _kernel(np.zeros((wp.n_members, wp.n_members, len(samples)), dtype=complex),
+                     grid, weights, basis, matrices, pulse.polarization)
     out = at_delays(kernel, wp, times)
     if q.ndim == 1:
         out = [float(v[0]) for v in out]
@@ -411,24 +414,25 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
     times, single = _delays(t_p_fs, wp)
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
-    peaks, skips = _screen(channels, energies, pulse, wp, mode, min_envelope)
+    weights, peaks, skips = _weights(channels, energies, pulse, wp, mode, min_envelope)
     for e, skip in zip(energies, skips):
         skipped = [ch.index for ch, s in zip(channels, skip) if s]
         if skipped:
             log.info("map at %.3f eV skips channels %s (envelope < %g)",
                      e, skipped, min_envelope)
+    grid = build_hemisphere(energies[-1], resolution, resolution, q_max_inv_angstrom)
+    total = np.zeros((wp.n_members, wp.n_members, grid.n_samples), dtype=complex)
     planar = momentum.planar_basis(basis)
     if planar is None:
-        total, valid = None, False
-        for e, skip in zip(energies, skips):
-            grid = build_hemisphere(e, resolution, resolution, q_max_inv_angstrom)
-            valid = valid | grid.valid
-            total = _kernel(grid, e, basis, channels, matrices, skip, pulse, wp, mode,
-                            total)
+        valid = False
+        for k, e in enumerate(energies):
+            cut = grid if k == len(energies) - 1 else build_hemisphere(
+                e, resolution, resolution, q_max_inv_angstrom)
+            valid = valid | cut.valid
+            _kernel(total, cut, _at(weights, k), basis, matrices, pulse.polarization)
     else:
-        grid = build_hemisphere(energies[-1], resolution, resolution, q_max_inv_angstrom)
-        total, valid = _folded_kernel(grid, planar, energies, skips, channels,
-                                      matrices, pulse, wp, mode)
+        valid = _folded_kernel(total, grid, planar, energies, weights, matrices,
+                               pulse.polarization)
     total /= float(len(energies))
     records = [dict(rec, envelope=float(peak), skipped=bool(s))
                for rec, peak, s in zip(channel_records(channels), peaks[-1], skips[-1])]
@@ -487,50 +491,41 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
                             q_max_inv_angstrom, mode, channel_min_envelope, average)
 
 
-def _sphere_kernels(energies, channels, basis, matrices, pulse, wp, mode,
-                    min_envelope, n_polar, n_azimuth):
-    """q * Integral K dOmega at each energy, shape (M, M, n_energies), and
-    the angular method used: "closed-form" for LCAO orbitals over s and p
-    primitives, the (n_polar, n_azimuth) sphere quadrature otherwise.
+def _sphere_kernels(out, energies, weights, basis, matrices, polarization, n_polar,
+                    n_azimuth):
+    """Write Integral K dOmega at each energy into `out` (zeros), shape
+    (M, M, n_energies), and return the angular method used: "closed-form"
+    for LCAO orbitals over s and p primitives, the (n_polar, n_azimuth)
+    sphere quadrature otherwise.
 
     Closed form: with G = D C^T the member rows over the shared primitives
     and A(k) their angle-integrated pair matrix from
     momentum.sphere_pair_matrices, Integral K_IJ dOmega =
-    sum_{F,sigma} W_FIJ (conj(G) A G^T)_IJ. The energies at which some
-    channel is kept are taken _ENERGY_BLOCK at a time: one pair_matrix call
-    per block, and per channel and spin one batched product over the
-    block, with W_F zero where the channel is skipped. Energies at which
-    every channel is skipped stay 0.
+    sum_{F,sigma} W_FIJ (conj(G) A G^T)_IJ, taken _ENERGY_BLOCK energies
+    at a time: one pair_matrix call per block, and per channel and spin one
+    batched product. Energies at which every W is zero stay 0.
     """
-    integrated = np.zeros((wp.n_members, wp.n_members, len(energies)), dtype=complex)
-    _, skips = _screen(channels, energies, pulse, wp, mode, min_envelope)
-    closed = momentum.sphere_pair_matrices(basis, pulse.polarization)
+    live = np.flatnonzero(_live(weights, len(energies)))
+    closed = momentum.sphere_pair_matrices(basis, polarization)
     if closed is None:
         quadrature = sphere_quadrature(n_polar, n_azimuth)
-        for k, (e, skip) in enumerate(zip(energies, skips)):
-            if not all(skip):
-                grid = build_sphere(e, n_polar, n_azimuth, quadrature)
-                kernel = _kernel(grid, e, basis, channels, matrices, skip, pulse, wp,
-                                 mode)
-                integrated[..., k] = (kernel * grid.weights).sum(axis=-1)
-        angular = (int(n_polar), int(n_azimuth))
-    else:
-        coeffs, pair_matrix = closed
-        keep = ~skips
-        weights = [np.moveaxis(_pair_weights(ch, energies, pulse, wp, mode) * k, -1, 0)
-                   for ch, k in zip(channels, keep.T)]
-        rows = [[d @ coeffs.T for d in mats] for mats in matrices]
-        live = np.flatnonzero(keep.any(axis=1))
-        for start in range(0, len(live), _ENERGY_BLOCK):
-            block = live[start:start + _ENERGY_BLOCK]
-            a = pair_matrix(energies[block])
-            for w, chrows, k in zip(weights, rows, keep[block].T):
-                if k.any():
-                    for g in chrows:
-                        term = w[block] * (g.conj() @ a @ g.T)
-                        integrated[..., block] += np.moveaxis(term, 0, -1)
-        angular = "closed-form"
-    return integrated * np.sqrt(2.0 * ev_to_hartree(energies)), angular
+        for k in live:
+            grid = build_sphere(energies[k], n_polar, n_azimuth, quadrature)
+            kernel = _kernel(np.zeros(out.shape[:2] + (grid.n_samples,), dtype=complex),
+                             grid, _at(weights, k), basis, matrices, polarization)
+            out[..., k] = (kernel * grid.weights).sum(axis=-1)
+        return (int(n_polar), int(n_azimuth))
+    coeffs, pair_matrix = closed
+    rows = [[d @ coeffs.T for d in mats] for mats in matrices]
+    for start in range(0, len(live), _ENERGY_BLOCK):
+        block = live[start:start + _ENERGY_BLOCK]
+        a = pair_matrix(energies[block])
+        for w, chrows in zip(weights, rows):
+            if w is not None and w[..., block].any():
+                for g in chrows:
+                    term = np.moveaxis(g.conj() @ a @ g.T, 0, -1)
+                    out[..., block] += w[..., block] * term
+    return "closed-form"
 
 
 def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
@@ -551,9 +546,11 @@ def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
     times, single = _delays(t_p_fs, wp)
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
-    integrated, angular = _sphere_kernels(
-        energies, channels, basis, matrices, pulse, wp, mode,
-        channel_min_envelope, n_polar, n_azimuth)
+    weights, _, _ = _weights(channels, energies, pulse, wp, mode, channel_min_envelope)
+    integrated = np.zeros((wp.n_members, wp.n_members, len(energies)), dtype=complex)
+    angular = _sphere_kernels(integrated, energies, weights, basis, matrices,
+                              pulse.polarization, n_polar, n_azimuth)
+    integrated *= np.sqrt(2.0 * ev_to_hartree(energies))
     meta = {
         "tau_fs": pulse.duration_fwhm_fs,
         "omega_in_ev": pulse.photon_energy_ev,

@@ -375,11 +375,13 @@ def quadrature_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos, n_polar,
     basis, matrices = signal._dyson_matrices(channels, mos)
     quadrature = sphere_quadrature(n_polar, n_azimuth)
     integrated = np.zeros((wp.n_members, wp.n_members, len(energies_ev)), dtype=complex)
-    _, skips = signal._screen(channels, energies_ev, pulse, wp, mode, min_envelope)
-    for k, (e, skip) in enumerate(zip(energies_ev, skips)):
+    weights, _, _ = signal._weights(channels, np.asarray(energies_ev, dtype=float),
+                                    pulse, wp, mode, min_envelope)
+    for k, e in enumerate(energies_ev):
         grid = build_sphere(float(e), n_polar, n_azimuth, quadrature)
-        kernel = signal._kernel(grid, float(e), basis, channels, matrices, skip, pulse,
-                                wp, mode)
+        kernel = signal._kernel(
+            np.zeros((wp.n_members, wp.n_members, grid.n_samples), dtype=complex), grid,
+            signal._at(weights, k), basis, matrices, pulse.polarization)
         q_au = np.sqrt(2.0 * e / HARTREE_EV)
         integrated[..., k] = q_au * (kernel * grid.weights).sum(axis=-1)
     return at_delays(integrated, wp, np.asarray(t_p_fs, dtype=float))

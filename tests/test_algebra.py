@@ -321,7 +321,7 @@ def _random_packets():
     rng = np.random.default_rng(5)
     occ = (-1, 0)
     triplet = ConfigurationStateFunction(
-        holes=(0,), particles=(1,), spin=1.0, projection=1.0,
+        holes=(0,), particles=(1,),
         expansion=((1.0, _det((-1, UP), (-1, DOWN), (0, UP), (1, UP))),))
     csfs = [closed_shell_state(occ), singlet_excitation_csf(occ, 0, 1),
             singlet_excitation_csf(occ, -1, 1), singlet_excitation_csf(occ, 0, 2),
@@ -353,7 +353,7 @@ def _completeness_residual(wp):
                 reached.update(SlaterDeterminant(so[:k] + so[k + 1:])
                                for k in range(len(so)))
     finals = [ElectronicState(energy_ev=1.0, expansion=((1.0, ConfigurationStateFunction(
-        holes=(), particles=(), spin=0.5, projection=0.5, expansion=((1.0, det),))),))
+        holes=(), particles=(), expansion=((1.0, det),))),))
         for det in sorted(reached, key=lambda d: d.spin_orbitals)]
     offsets, d = dyson_matrices(finals, wp)
     g_offsets, g = member_pair_matrices(wp)

@@ -241,6 +241,16 @@ def test_non_finite_or_negative_energy_exits_1(tmp_path, capsys, argv):
     assert "photoelectron energy must be positive and finite" in record["message"]
 
 
+def test_bad_later_map_energy_writes_nothing(tmp_path, capsys):
+    # every row's energy is checked before the first map is computed
+    out = tmp_path / "out"
+    assert main(["pmm", "--energy", "99", "-1", "--grid", "11", "--out", str(out)]) == 1
+    records = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+               if line.startswith("{")]
+    assert [r["error"] for r in records] == ["SignalError"]
+    assert not list(tmp_path.rglob("*.dat"))
+
+
 def test_pmm_and_fig4_write_identical_maps(tmp_path):
     args = ["--energy", "99", "--tp", "0", "T/4", "--grid", "41"]
     assert main(["pmm", *args, "--out", str(tmp_path / "pmm")]) == 0

@@ -299,6 +299,26 @@ def test_occupied_set_from_molecule(tmp_path, scenario):
     assert [state.n_electrons for _, state in small.finals] == [3, 3]
 
 
+_LCAO = {"source": "lcao-file", "path": "butadiene.json"}
+
+
+@pytest.mark.parametrize("molecule, message", [
+    (dict(_LCAO, bogus=1), "molecule: key(s) bogus not valid for lcao-file"),
+    (dict(_LCAO, p_exponent=5.0), "molecule: key(s) p_exponent not valid for lcao-file"),
+    ([_LCAO], "molecule: expected an object"),
+    (dict(_LCAO, source=["lcao-file"]), "molecule.source: unknown source"),
+], ids=["bogus", "p-exponent", "list", "source-list"])
+def test_molecule_section_rejects_other_keys(tmp_path, scenario, molecule, message):
+    # a key of another source (or of none) is refused, not silently ignored
+    config = _butadiene_config(tmp_path, scenario)
+    raw = json.loads(config.read_text())
+    raw["molecule"] = molecule
+    config.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as err:
+        load_scenario(config)
+    assert str(err.value).startswith(message)
+
+
 def test_density_of_lcao_file_molecule(tmp_path, scenario):
     # any packet on the closed shell has a density change; an LCAO file lists
     # no atoms, so its cubes carry none
@@ -363,7 +383,8 @@ def test_read_pmm_rejects_foreign_and_corrupt(tmp_path, small_map):
 
 
 _READER_DEFECTS = {
-    # (file kind, header prefix to replace or "last" for the last row, new line)
+    # (file kind, header prefix to replace or "last" for the last row, new
+    # line; or "value" and the new last field of the last row)
     "map-axis-nan": ("map", "# axis_x:", "# axis_x: nan 1.0 31"),
     "map-axis-one-point": ("map", "# axis_y:", "# axis_y: -1.0 1.0 1"),
     "map-energy-average-two-fields": ("map", "# energy_average:",
@@ -374,6 +395,11 @@ _READER_DEFECTS = {
     "spectra-energy-nan": ("spectra", "last", "nan\t1.0"),
     "spectra-energy-inf": ("spectra", "last", "inf\t1.0"),
     "spectra-tp-nan": ("spectra", "# column 2:", "# column 2: scenario=excited t_p_fs=nan"),
+    "map-value-nan": ("map", "value", "nan"),
+    "map-value-overflow": ("map", "value", "1e999"),
+    "map-value-negative": ("map", "value", "-1.0"),
+    "spectra-value-nan": ("spectra", "value", "nan"),
+    "spectra-short-row": ("spectra", "last", "96.0"),
 }
 
 
@@ -392,6 +418,9 @@ def test_readers_refuse_non_finite_or_malformed_input(tmp_path, small_map, kind,
     lines = path.read_text().splitlines()
     if target == "last":
         lines[-1] = line
+        lineno = len(lines)
+    elif target == "value":
+        lines[-1] = "\t".join(lines[-1].split()[:-1] + [line])
         lineno = len(lines)
     else:
         lines = [lines[0], line] + [l for l in lines[1:] if not l.startswith(target)]

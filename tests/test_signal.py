@@ -436,9 +436,11 @@ def test_blocked_spectrum_equals_one_energy_per_call(ctx, scenario, state, mode)
     basis, matrices = signal._dyson_matrices(channels, ctx["mos"])
 
     def kernels(energies):
-        integrated, angular = signal._sphere_kernels(
-            energies, channels, basis, matrices, ctx["pulse"], wp, mode,
-            signal.DEFAULT_CHANNEL_MIN_ENVELOPE, 48, 96)
+        weights, _, _ = signal._weights(channels, energies, ctx["pulse"], wp, mode,
+                                        signal.DEFAULT_CHANNEL_MIN_ENVELOPE)
+        integrated = np.zeros((wp.n_members, wp.n_members, len(energies)), dtype=complex)
+        angular = signal._sphere_kernels(integrated, energies, weights, basis, matrices,
+                                         ctx["pulse"].polarization, 48, 96)
         assert angular == "closed-form"
         return integrated
 
@@ -659,12 +661,13 @@ def _per_energy_mean(ctx, energies, delays, pulse, mode, resolution, q_max, mos)
     channels = build_channels(wp, ctx["finals"], pulse)
     basis, matrices = signal._dyson_matrices(channels, mos)
     total = 0.0
-    _, skips = signal._screen(channels, energies, pulse, wp, mode,
-                              signal.DEFAULT_CHANNEL_MIN_ENVELOPE)
-    for e, skip in zip(energies, skips):
+    weights, _, _ = signal._weights(channels, np.asarray(energies, dtype=float), pulse,
+                                    wp, mode, signal.DEFAULT_CHANNEL_MIN_ENVELOPE)
+    for k, e in enumerate(energies):
         grid = build_hemisphere(e, resolution, resolution, q_max)
-        kernel = signal._kernel(grid, e, basis, channels, matrices, skip, pulse, wp,
-                                mode)
+        kernel = signal._kernel(
+            np.zeros((wp.n_members, wp.n_members, grid.n_samples), dtype=complex), grid,
+            signal._at(weights, k), basis, matrices, pulse.polarization)
         total = total + np.array(at_delays(kernel, wp, delays))
     return [m.reshape(grid.shape) for m in total / len(energies)]
 
@@ -695,9 +698,9 @@ def test_folded_maps_match_per_energy_kernels(ctx, monkeypatch, mode):
 
 @pytest.mark.parametrize("mode", ["short", "long"])
 def test_envelope_calls_independent_of_sample_blocks(ctx, monkeypatch, mode):
-    # the pair weights are taken once per channel over the map's energies:
-    # 41^2 samples fill one block of the folded kernel, 71^2 two, and both
-    # make the same envelope calls
+    # the pair weights of all channels and energies come from one envelope
+    # call per observable call: 41^2 samples fill one block of the folded
+    # kernel, 71^2 two
     calls = []
 
     def counting(envelope):
@@ -709,14 +712,20 @@ def test_envelope_calls_independent_of_sample_blocks(ctx, monkeypatch, mode):
     monkeypatch.setattr(signal, "envelope_short", counting(envelope_short))
     monkeypatch.setattr(signal, "envelope_long", counting(envelope_long))
     pulse = _probe(ctx, mode)
-    counts = []
-    for resolution in (41, 71):
+    args = ([0.0, 0.3 * ctx["period"]], pulse, ctx["wp"], ctx["finals"], ctx["mos"])
+    observables = [
+        lambda: pmm_cut(97.7, *args, resolution=41, mode=mode),
+        lambda: energy_average_pmm(99.0, 1.0, 11, *args, resolution=41, mode=mode),
+        lambda: energy_average_pmm(99.0, 1.0, 11, *args, resolution=71, mode=mode),
+        lambda: angle_integrated_spectrum(np.linspace(85.0, 105.0, 67), *args,
+                                          mode=mode),
+        lambda: probability(np.array([[0.4, -1.1, 2.4], [1.3, 0.2, 2.3]]), *args,
+                            mode=mode),
+    ]
+    for call in observables:
         calls.clear()
-        energy_average_pmm(99.0, 1.0, 11, [0.0, 0.3 * ctx["period"]], pulse, ctx["wp"],
-                           ctx["finals"], ctx["mos"], resolution=resolution, mode=mode)
-        counts.append(len(calls))
-    assert set(calls) == {f"envelope_{mode}"}
-    assert counts[0] == counts[1] > 0
+        call()
+        assert calls == [f"envelope_{mode}"]
 
 
 def _lift_one_center(mos):
