@@ -1,6 +1,6 @@
-"""Second-quantization engine: annihilation on determinants, CSF
-construction, and one annihilation table A[I, (sigma, D), p] =
-<D| a_{p sigma} |Psi_I> per wave packet (D an N-1 electron determinant).
+"""Second-quantization engine: CSF construction, and one annihilation table
+A[I, (sigma, D), p] = <D| a_{p sigma} |Psi_I> per wave packet (D an N-1
+electron determinant), the only place an annihilation sign is taken.
 The member-pair density matrices are G[I, J, p, q] = sum_r A[I, r, p]
 A[J, r, q]; the Dyson coefficients of a final state are its determinant
 amplitudes over the same rows contracted with A.
@@ -33,7 +33,6 @@ from .model import (
     ConfigurationStateFunction,
     ElectronicState,
     ModelError,
-    SlaterDeterminant,
     WavePacket,
     canonical_determinant,
 )
@@ -43,22 +42,6 @@ PRUNE_THRESHOLD = 1e-14  # below double-precision resolution of downstream sums
 
 class AlgebraError(ValueError):
     """Inconsistent states handed to the overlap machinery."""
-
-
-def annihilate(det: SlaterDeterminant, orbital, spin):
-    """Apply a_{orbital,spin} to a canonical determinant.
-
-    Returns (sign, determinant) or None when the spin-orbital is not
-    occupied (a vacuum miss is a normal zero outcome, not an error).
-    """
-    target = (int(orbital), int(spin))
-    so = det.spin_orbitals
-    try:
-        k = so.index(target)
-    except ValueError:
-        return None
-    sign = -1 if k % 2 else 1
-    return sign, SlaterDeterminant(so[:k] + so[k + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +158,8 @@ def _annihilation_table(wp: WavePacket, orbitals=()):
     determinant occupies (the columns p); rows: (sigma, spin-orbital tuple
     of the N-1 electron determinant D) -> row index r, over every
     determinant some a_{p sigma} reaches from a member. Removing position k
-    of a canonical tuple keeps it canonical, with the sign (-1)^k of
-    annihilate.
+    of a canonical tuple keeps it canonical and carries the fermionic sign
+    (-1)^k.
     """
     amplitudes = [_determinant_amplitudes(state) for _, _, state in wp.members]
     offsets = sorted({int(o) for o in orbitals}

@@ -199,7 +199,7 @@ def _default(value, fallback):
 def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
                 mode="short", average=None):
     """One map file per (row, delay), one signal call per row; every row's
-    energy is checked before the first.
+    energies, down to the lowest averaged one, are checked before the first.
 
     rows: (file tag, energy eV, pulse); average: (width eV, samples) for
     energy-averaged maps, None for plain cuts.
@@ -208,6 +208,9 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
     delays = [t for _, t in times]
     wp, finals, mos = scenario.wave_packet, scenario.finals, scenario.mos
     signal_mod.photoelectron_energies([energy for _, energy, _ in rows])
+    if average is not None:
+        for _, energy, _ in rows:
+            signal_mod.average_energies(energy, *average)
     written = []
     for tag, energy, pulse in rows:
         if average is None:
@@ -305,7 +308,28 @@ def cmd_density(args, scenario):
         _default(args.spacing, outputs["density_spacing_angstrom"]))
 
 
+# the options each figure target reads, and the one of them (if any) that
+# takes a single value
+_FIGURE_OPTIONS = {
+    "fig2": (("tp",), None),
+    "fig3": (("tp",), "tp"),
+    "fig4": (("tp", "energy", "grid"), None),
+    "fig5": (("tp", "energy", "grid"), None),
+    "fig6": (("tp", "energy", "tau", "grid"), "energy"),
+}
+
+
 def cmd_reproduce(args, scenario):
+    reads, single = _FIGURE_OPTIONS[args.target]
+    for name in ("tp", "energy", "tau", "grid"):
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if name not in reads:
+            raise io_mod.ConfigError(f"--{name}: not read by {args.target}")
+        if name == single and len(value) > 1:
+            raise io_mod.ConfigError(
+                f"--{name}: {args.target} takes one value, got {len(value)}")
     outputs = scenario.outputs
     out = args.out / args.target
     tokens = args.tp or ["0", "T/4", "T/2", "3T/4"]
@@ -315,7 +339,7 @@ def cmd_reproduce(args, scenario):
                               outputs["density_padding_angstrom"],
                               outputs["density_spacing_angstrom"])
     if args.target == "fig3":
-        return _write_spectra(scenario, out, ["spectra.dat"], (args.tp or ["0"])[:1],
+        return _write_spectra(scenario, out, ["spectra.dat"], args.tp or ["0"],
                               io_mod.window_energies(outputs["spectrum_window_ev"],
                                                      "outputs.spectrum_window_ev"),
                               scenario.pulse, "short", "both")

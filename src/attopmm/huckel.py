@@ -32,6 +32,7 @@ from .model import (
     MolecularOrbital,
     angstrom_to_bohr,
     offset_label,
+    pz_overlap,
 )
 
 CC_BOND_ANGSTROM = 1.40
@@ -207,9 +208,7 @@ def huckel_orbitals(p_exponent=1.0):
     centers_bohr = angstrom_to_bohr(graph.positions)
     prims = tuple(GaussianPrimitive(center=c, exponent=float(p_exponent),
                                     powers=(0, 0, 1)) for c in centers_bohr)
-    # analytic overlap of equal-exponent parallel p_z at coplanar centers
-    diff = centers_bohr[:, None, :] - centers_bohr[None, :, :]
-    overlap = np.exp(-0.5 * p_exponent * np.einsum("ijk,ijk->ij", diff, diff))
+    overlap = pz_overlap(centers_bohr, p_exponent)
     s_vals, s_vecs = np.linalg.eigh(overlap)
     if np.min(s_vals) <= 0:
         raise HuckelError("p-orbital overlap matrix not positive definite")

@@ -47,7 +47,7 @@ from .model import (
     angstrom_to_bohr,
     occupied_offsets,
     orbital_offset,
-    primitive_overlap,
+    pz_overlap,
 )
 from .signal import PMM, Spectrum
 
@@ -522,10 +522,9 @@ def _load_lcao_file(path):
     centers = np.asarray(_require(data, "centers_angstrom", str(path)), dtype=float)
     if centers.ndim != 2 or centers.shape[1] != 3 or not np.all(np.isfinite(centers)):
         raise ConfigError(f"{path}: centers_angstrom must be a finite (N,3) list")
-    prims = tuple(
-        GaussianPrimitive(center=angstrom_to_bohr(c), exponent=exponent,
-                          powers=(0, 0, 1))
-        for c in centers)
+    centers = angstrom_to_bohr(centers)
+    prims = tuple(GaussianPrimitive(center=c, exponent=exponent, powers=(0, 0, 1))
+                  for c in centers)
     mos = []
     for k, entry in enumerate(_require(data, "orbitals", str(path))):
         where = f"{path}: orbitals[{k}]"
@@ -538,8 +537,8 @@ def _load_lcao_file(path):
             primitives=prims, energy=entry.get("energy")))
     if mos:
         coeffs = np.array([mo.coefficients for mo in mos])
-        overlap = np.array([[primitive_overlap(a, b) for b in prims] for a in prims])
-        error = np.abs(coeffs @ overlap @ coeffs.T - np.eye(len(mos)))
+        error = np.abs(coeffs @ pz_overlap(centers, exponent) @ coeffs.T
+                       - np.eye(len(mos)))
         i, j = np.unravel_index(np.argmax(error), error.shape)
         if error[i, j] > 1e-6:
             log.warning("%s: orbitals are not orthonormal: max |<i|j> - delta_ij| "

@@ -146,33 +146,13 @@ class GaussianPrimitive:
         return val[0] if single else val
 
 
-def _overlap_1d(l1, l2, pa, pb, gamma):
-    """1D overlap sum for Gaussians sharing product center offset pa, pb."""
-    total = 0.0
-    for i in range(l1 + 1):
-        for j in range(l2 + 1):
-            if (i + j) % 2:
-                continue
-            term = (math.comb(l1, i) * math.comb(l2, j)
-                    * pa ** (l1 - i) * pb ** (l2 - j)
-                    * _double_factorial(i + j - 1)
-                    / (2.0 * gamma) ** ((i + j) // 2))
-            total += term
-    return total * math.sqrt(math.pi / gamma)
-
-
-def primitive_overlap(p1: GaussianPrimitive, p2: GaussianPrimitive):
-    """Analytic overlap integral of two normalized Cartesian primitives."""
-    gamma = p1.exponent + p2.exponent
-    ab = p1.center - p2.center
-    pre = math.exp(-p1.exponent * p2.exponent / gamma * float(ab @ ab))
-    prod_center = (p1.exponent * p1.center + p2.exponent * p2.center) / gamma
-    s = pre * p1.norm * p2.norm
-    for axis in range(3):
-        s *= _overlap_1d(p1.powers[axis], p2.powers[axis],
-                         prod_center[axis] - p1.center[axis],
-                         prod_center[axis] - p2.center[axis], gamma)
-    return s
+def pz_overlap(centers_bohr, exponent):
+    """Overlap matrix of normalized p_z Gaussians of one exponent at the
+    centers (N, 3) in bohr: (1 - a d_z^2) exp(-a |d|^2 / 2), d = R_i - R_j.
+    For coplanar centers d_z = 0 and the first factor is exactly 1."""
+    d = centers_bohr[:, None, :] - centers_bohr[None, :, :]
+    return (1.0 - exponent * d[..., 2] ** 2) \
+        * np.exp(-0.5 * exponent * np.einsum("ijk,ijk->ij", d, d))
 
 
 # ---------------------------------------------------------------------------

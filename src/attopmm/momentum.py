@@ -43,6 +43,9 @@ from .model import (
 # Samples are transformed in fixed blocks: the (block, P) phase matrix stays
 # small, and each sample's arithmetic never depends on the grid size.
 _SAMPLE_BLOCK = 4096
+# Grid-backed orbitals sum their voxels in fixed chunks of this many: a
+# (block, chunk) phase matrix is at most 16 MiB, whatever the cube size.
+_VOXEL_BLOCK = 256
 
 
 class MomentumError(ValueError):
@@ -144,14 +147,14 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
     axis_y = np.linspace(-q_max, q_max, int(ny))
     qx = inv_angstrom_to_au(axis_x)[:, None] * np.ones(int(ny))[None, :]
     qy = np.ones(int(nx))[:, None] * inv_angstrom_to_au(axis_y)[None, :]
-    samples, valid = _lift(e_au, qx.ravel(), qy.ravel())
+    samples, valid = lift(e_au, qx.ravel(), qy.ravel())
     return MomentumGrid(samples=samples, valid=valid, shape=(int(nx), int(ny)),
                         axis_x=axis_x, axis_y=axis_y)
 
 
-def _lift(e_au, qx, qy):
-    """Raster points (q_x, q_y) lifted to q_z = +sqrt(2 eps - q_x^2 - q_y^2):
-    samples (n, 3) and the kinematic-disc mask."""
+def lift(e_au, qx, qy):
+    """Raster points (q_x, q_y) lifted to q_z = +sqrt(2 eps - q_x^2 - q_y^2)
+    at energy e_au (hartree): samples (n, 3) and the kinematic-disc mask."""
     qz_sq = 2.0 * e_au - qx ** 2 - qy ** 2
     # Relative tolerance keeps raster points that land on the kinematic
     # circle only up to float rounding (axis extremes, Pythagorean index
@@ -159,14 +162,6 @@ def _lift(e_au, qx, qy):
     valid = qz_sq >= -2.0 * e_au * 1e-12
     qz = np.sqrt(np.clip(qz_sq, 0.0, None))
     return np.stack([qx, qy, qz], axis=1), valid
-
-
-def lift_raster(grid: MomentumGrid, energy_ev, start, stop):
-    """Raster samples [start, stop) of a hemisphere grid lifted to the
-    hemisphere at energy_ev: (samples (n, 3), valid (n,)), the same numbers
-    as build_hemisphere(energy_ev, ...) gives on that raster."""
-    q = grid.samples[start:stop]
-    return _lift(ev_to_hartree(energy_ev), q[:, 0], q[:, 1])
 
 
 def sphere_quadrature(n_polar=48, n_azimuth=96):
@@ -284,7 +279,7 @@ def orbital_ft(mos, grid: MomentumGrid):
     evaluated as sum over shapes of shape_factor(q) * (exp(-i q.R) @ C) so
     B itself is never stored. Volumetric grids by Riemann sum with
     voxel-volume weights (same continuum normalization), evaluated at
-    exactly the requested q samples.
+    exactly the requested q samples, _VOXEL_BLOCK voxels at a time.
     """
     q = grid.samples
     out = np.empty((len(mos), len(q)), dtype=complex)
@@ -310,7 +305,11 @@ def orbital_ft(mos, grid: MomentumGrid):
                       * (e[:, rows] @ coeffs[rows]) for exponent, powers, rows in shapes)
             out[lcao, start:stop] = amp.T
         for m, pts, vals, w in voxel:
-            out[m, start:stop] = w * (np.exp(-1j * (block @ pts.T)) @ vals)
+            total = np.zeros(stop - start, dtype=complex)
+            for lo in range(0, len(pts), _VOXEL_BLOCK):
+                chunk = slice(lo, lo + _VOXEL_BLOCK)
+                total += _phases(block @ pts[chunk].T) @ vals[chunk]
+            out[m, start:stop] = w * total
     return out
 
 

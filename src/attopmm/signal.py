@@ -33,11 +33,12 @@ Physics conventions:
     probe W_FIJ = g_FI g_FJ with the amplitude-level member envelope
     g_FI = envelope_long = exp(-(omega_in + E_I - E_F - eps_e)^2 tau^2
     / (8 ln2)), i.e. the envelopes sit inside the coherent member sum.
-    One _weights call forms W for all channels and energies; the kernels
-    take W, not the pulse;
+    One _weights call forms W for all channels and energies as one array
+    W[F, I, J, e] (one shared pair in short mode); the kernels take W, not
+    the pulse;
   * a channel whose largest diagonal weight max_I W_FII at the map or
-    spectrum energy is below the threshold gets W_F = 0 there and is left
-    out of that kernel;
+    spectrum energy is below the threshold gets W_F = 0 there, and a
+    channel whose weight profile is all zero is left out of a kernel;
   * probabilities are relative, as in arbitrary-unit maps: the intensity
     prefactor tau^2 I0 / (8 pi ln2 omega_in^2 c) is one;
   * angle integration uses the density-of-states measure
@@ -184,10 +185,10 @@ def channel_records(channels):
 
 def _weights(channels, energies_ev, pulse, wp, mode, min_envelope):
     """Pair weights at the photoelectron energies energies_ev (1-D, eV),
-    from one envelope call over a leading channel axis: per channel W_F of
-    shape (M, M, E), or (1, 1, E) in short mode where all pairs share the
-    window, zero where the channel is skipped (None if at every energy);
-    peaks[e, F] = max_I W_FII; and skip[e, F] = peaks[e, F] < min_envelope.
+    from one envelope call over a leading channel axis: W of shape
+    (F, M, M, E), or (F, 1, 1, E) in short mode where all pairs share the
+    window, zero where a channel is skipped; peaks[e, F] = max_I W_FII; and
+    skip[e, F] = peaks[e, F] < min_envelope.
     """
     tau = pulse.duration_fwhm_fs
     if mode == "short":
@@ -204,20 +205,7 @@ def _weights(channels, energies_ev, pulse, wp, mode, min_envelope):
         raise SignalError(f"unknown probe mode {mode!r}")
     peaks = np.max(np.diagonal(w, axis1=1, axis2=2), axis=-1).T
     skip = peaks < min_envelope
-    return [wf * k if k.any() else None for wf, k in zip(w, ~skip.T)], peaks, skip
-
-
-def _at(weights, k):
-    """Each channel's W at energy index k, kept as a length-1 energy axis,
-    None where it is zero there."""
-    return [None if w is None or not w[..., k].any() else w[..., k:k + 1]
-            for w in weights]
-
-
-def _live(weights, n_energies):
-    """Per energy, whether some channel has a nonzero W there."""
-    return np.any([np.zeros(n_energies, dtype=bool)]
-                  + [w.any(axis=(0, 1)) for w in weights if w is not None], axis=0)
+    return w * ~skip.T[:, None, None, :], peaks, skip
 
 
 def _dyson_matrices(channels, mos):
@@ -237,10 +225,10 @@ def _dyson_matrices(channels, mos):
 def _accumulate(out, matrices, transforms, profiles):
     """out[I, J] += sum_{F,sigma} conj(R_I) R_J profile_FIJ with the member
     rows R = D_Fsigma @ transforms, over the channels whose profile is not
-    None (a profile broadcasts to out's shape). One member pair of one
+    all zero (a profile broadcasts to out's shape). One member pair of one
     channel-spin term is held at a time."""
     for mats, profile in zip(matrices, profiles):
-        if profile is None:
+        if not profile.any():
             continue
         profile = np.broadcast_to(profile, out.shape)
         for d in mats:
@@ -251,14 +239,14 @@ def _accumulate(out, matrices, transforms, profiles):
 
 def _kernel(out, grid: MomentumGrid, weights, basis, matrices, polarization):
     """Add K[I, J, n] at the grid samples (module docstring) to `out`, shape
-    (M, M, n_samples), and return it. weights: each channel's W at the
-    grid's nominal energy, or per sample for free samples; None leaves the
-    channel out. Invalid samples add nothing."""
-    if all(w is None for w in weights):
+    (M, M, n_samples), and return it. weights: W at the grid's nominal
+    energy (a length-1 energy axis), or per sample for free samples; a
+    channel whose W is zero adds nothing, and so do invalid samples."""
+    if not weights.any():
         return out
     ft = momentum.orbital_ft(basis, grid)
     scale = (grid.samples @ polarization) ** 2 * grid.valid
-    _accumulate(out, matrices, ft, (None if w is None else w * scale for w in weights))
+    _accumulate(out, matrices, ft, (w * scale for w in weights))
     return out
 
 
@@ -282,19 +270,20 @@ def _folded_kernel(out, raster: MomentumGrid, planar, energies, weights, matrice
     channel and spin. Only the kernel is held at full size.
     """
     centers, coeffs, exponent, powers = planar
-    live = _live(weights, len(energies))
+    live = weights.any(axis=(0, 1, 2))
     valid = np.zeros(raster.n_samples, dtype=bool)
     for start, stop, factors in momentum.structure_factors(raster, centers, coeffs):
         table = np.zeros((len(energies), stop - start))
+        qx, qy = raster.samples[start:stop, 0], raster.samples[start:stop, 1]
         for e, row, k in zip(energies, table, live):
-            q, inside = momentum.lift_raster(raster, e, start, stop)
+            q, inside = momentum.lift(ev_to_hartree(e), qx, qy)
             valid[start:stop] |= inside
             if k:
                 shape = momentum.shape_factor(exponent, powers, q)
                 row[:] = (q @ polarization) ** 2 * inside \
                     * (shape.real ** 2 + shape.imag ** 2)
         _accumulate(out[:, :, start:stop], matrices, factors.T,
-                    (None if w is None else w @ table for w in weights))
+                    (w @ table for w in weights))
     return valid
 
 
@@ -429,7 +418,8 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
             cut = grid if k == len(energies) - 1 else build_hemisphere(
                 e, resolution, resolution, q_max_inv_angstrom)
             valid = valid | cut.valid
-            _kernel(total, cut, _at(weights, k), basis, matrices, pulse.polarization)
+            _kernel(total, cut, weights[..., k:k + 1], basis, matrices,
+                    pulse.polarization)
     else:
         valid = _folded_kernel(total, grid, planar, energies, weights, matrices,
                                pulse.polarization)
@@ -464,6 +454,19 @@ def pmm_cut(energy_ev, t_p_fs, pulse, wp, finals, mos, resolution=201,
                             channel_min_envelope)
 
 
+def average_energies(center_ev, width_ev, n_energies):
+    """The n_energies photoelectron energies (eV) that energy_average_pmm
+    averages over, evenly spaced on [center - w/2, center + w/2]; the
+    center, the width, the count and the lowest energy are all checked."""
+    photoelectron_energies(center_ev)
+    if not 0 < width_ev < math.inf:
+        raise SignalError(f"averaging width must be positive and finite, got {width_ev}")
+    if n_energies < 2:
+        raise SignalError("energy averaging needs at least 2 samples")
+    return photoelectron_energies(np.linspace(center_ev - 0.5 * width_ev,
+                                              center_ev + 0.5 * width_ev, int(n_energies)))
+
+
 def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
                        wp, finals, mos, resolution=201, q_max_inv_angstrom=None,
                        mode="short", channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
@@ -474,16 +477,10 @@ def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
     disc contribute zero at that energy. The average is taken over the
     kernels, so a delay series costs one (folded) kernel.
     """
-    photoelectron_energies(energy_center_ev)
-    if not 0 < width_ev < math.inf:
-        raise SignalError(f"averaging width must be positive and finite, got {width_ev}")
-    if n_energies < 2:
-        raise SignalError("energy averaging needs at least 2 samples")
+    energies = average_energies(energy_center_ev, width_ev, n_energies)
     if q_max_inv_angstrom is None:
         e_au = ev_to_hartree(energy_center_ev)
         q_max_inv_angstrom = math.sqrt(2.0 * e_au) / BOHR_ANGSTROM
-    energies = np.linspace(energy_center_ev - 0.5 * width_ev,
-                           energy_center_ev + 0.5 * width_ev, int(n_energies))
     average = {"center_ev": float(energy_center_ev), "width_ev": float(width_ev),
                "n_energies": int(n_energies)}
     return _hemisphere_maps(energy_center_ev, [float(e) for e in energies],
@@ -505,14 +502,14 @@ def _sphere_kernels(out, energies, weights, basis, matrices, polarization, n_pol
     at a time: one pair_matrix call per block, and per channel and spin one
     batched product. Energies at which every W is zero stay 0.
     """
-    live = np.flatnonzero(_live(weights, len(energies)))
+    live = np.flatnonzero(weights.any(axis=(0, 1, 2)))
     closed = momentum.sphere_pair_matrices(basis, polarization)
     if closed is None:
         quadrature = sphere_quadrature(n_polar, n_azimuth)
         for k in live:
             grid = build_sphere(energies[k], n_polar, n_azimuth, quadrature)
             kernel = _kernel(np.zeros(out.shape[:2] + (grid.n_samples,), dtype=complex),
-                             grid, _at(weights, k), basis, matrices, polarization)
+                             grid, weights[..., k:k + 1], basis, matrices, polarization)
             out[..., k] = (kernel * grid.weights).sum(axis=-1)
         return (int(n_polar), int(n_azimuth))
     coeffs, pair_matrix = closed
@@ -521,7 +518,7 @@ def _sphere_kernels(out, energies, weights, basis, matrices, polarization, n_pol
         block = live[start:start + _ENERGY_BLOCK]
         a = pair_matrix(energies[block])
         for w, chrows in zip(weights, rows):
-            if w is not None and w[..., block].any():
+            if w[..., block].any():
                 for g in chrows:
                     term = np.moveaxis(g.conj() @ a @ g.T, 0, -1)
                     out[..., block] += w[..., block] * term

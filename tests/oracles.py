@@ -5,13 +5,16 @@ numeric Gauss-Legendre quadrature instead of closed-form transforms,
 angle integrals summed on a sphere quadrature instead of spherical-Bessel
 pair matrices,
 occupation-number (bitstring) second quantization instead of ordered
-spin-orbital tuples, the two-state density change expanded by hand instead
-of contracted from member-pair density matrices, text writers that call
-'%' once per value instead of formatting blocks of digits with numpy, and
-probabilities squared from phased member amplitudes one delay at a time
-instead of member-pair kernels, so agreement is evidence rather than
-tautology.
+spin-orbital tuples, the general pairwise primitive overlap instead of the
+closed-form p_z overlap matrix, the two-state density change expanded by
+hand instead of contracted from member-pair density matrices, text writers
+that call '%' once per value instead of formatting blocks of digits with
+numpy, and probabilities squared from phased member amplitudes one delay
+at a time instead of member-pair kernels, so agreement is evidence rather
+than tautology.
 """
+
+import math
 
 import numpy as np
 
@@ -20,11 +23,13 @@ from attopmm.model import (
     DOWN,
     HARTREE_EV,
     UP,
+    GaussianPrimitive,
     ModelError,
+    SlaterDeterminant,
     WavePacket,
+    _double_factorial,
     at_delays,
     evaluate_orbital,
-    primitive_overlap,
     wave_packet_phase,
 )
 from attopmm.momentum import MomentumGrid, build_sphere, sphere_quadrature
@@ -69,6 +74,36 @@ def gaussian_ft(prim, q):
     return out[0] if single else out
 
 
+def _overlap_1d(l1, l2, pa, pb, gamma):
+    """1D overlap sum for Gaussians sharing product center offset pa, pb."""
+    total = 0.0
+    for i in range(l1 + 1):
+        for j in range(l2 + 1):
+            if (i + j) % 2:
+                continue
+            term = (math.comb(l1, i) * math.comb(l2, j)
+                    * pa ** (l1 - i) * pb ** (l2 - j)
+                    * _double_factorial(i + j - 1)
+                    / (2.0 * gamma) ** ((i + j) // 2))
+            total += term
+    return total * math.sqrt(math.pi / gamma)
+
+
+def primitive_overlap(p1: GaussianPrimitive, p2: GaussianPrimitive):
+    """Analytic overlap integral of two normalized Cartesian primitives of
+    any powers and exponents, one pair at a time."""
+    gamma = p1.exponent + p2.exponent
+    ab = p1.center - p2.center
+    pre = math.exp(-p1.exponent * p2.exponent / gamma * float(ab @ ab))
+    prod_center = (p1.exponent * p1.center + p2.exponent * p2.center) / gamma
+    s = pre * p1.norm * p2.norm
+    for axis in range(3):
+        s *= _overlap_1d(p1.powers[axis], p2.powers[axis],
+                         prod_center[axis] - p1.center[axis],
+                         prod_center[axis] - p2.center[axis], gamma)
+    return s
+
+
 def orbital_overlap(mo1, mo2):
     """Analytic <mo1|mo2> = c1^T S c2 for LCAO orbitals, with S the
     primitive overlap matrix."""
@@ -93,6 +128,19 @@ def _bits(det, spin_orbital_order):
     for so in det.spin_orbitals:
         bits[index[so]] = 1
     return tuple(bits)
+
+
+def annihilate(det: SlaterDeterminant, orbital, spin):
+    """Apply a_{orbital,spin} to a canonical determinant, one determinant at
+    a time: (sign, determinant), or None when the spin-orbital is not
+    occupied. The annihilation table of attopmm.algebra applies the same
+    rule, the sign (-1)^k for position k of the canonical tuple, inline."""
+    so = det.spin_orbitals
+    try:
+        k = so.index((int(orbital), int(spin)))
+    except ValueError:
+        return None
+    return (-1 if k % 2 else 1), SlaterDeterminant(so[:k] + so[k + 1:])
 
 
 def bit_annihilate(bits, k):
@@ -381,7 +429,7 @@ def quadrature_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos, n_polar,
         grid = build_sphere(float(e), n_polar, n_azimuth, quadrature)
         kernel = signal._kernel(
             np.zeros((wp.n_members, wp.n_members, grid.n_samples), dtype=complex), grid,
-            signal._at(weights, k), basis, matrices, pulse.polarization)
+            weights[..., k:k + 1], basis, matrices, pulse.polarization)
         q_au = np.sqrt(2.0 * e / HARTREE_EV)
         integrated[..., k] = q_au * (kernel * grid.weights).sum(axis=-1)
     return at_delays(integrated, wp, np.asarray(t_p_fs, dtype=float))

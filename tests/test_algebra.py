@@ -7,7 +7,6 @@ import pytest
 from attopmm.algebra import (
     PRUNE_THRESHOLD,
     AlgebraError,
-    annihilate,
     closed_shell_state,
     dyson_matrices,
     member_pair_matrices,
@@ -28,6 +27,7 @@ from attopmm.model import (
 )
 
 from oracles import (
+    annihilate,
     dense_annihilation_map,
     dense_one_particle_matrix,
     spin_orbital_basis,

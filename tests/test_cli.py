@@ -358,6 +358,20 @@ _CONTRACT = {
                                      "SignalError"),
     "dyson-final-0": (["dyson", "--final", "0"], "SignalError"),
     "dyson-final-negative": (["dyson", "--final", "-1"], "SignalError"),
+    # every row's lowest averaged energy (here 0.3 - 1/2 eV) is checked
+    # before the first map is written
+    "pmm-average-later-row-below-0": (["pmm", "--energy", "99", "0.3", "--grid", "11",
+                                       "--average", "1"], "SignalError"),
+    # a figure target refuses an option it does not read, and a second value
+    # of one it reads once
+    "fig2-energy": (["reproduce-figure", "fig2", "--energy", "99"], "ConfigError"),
+    "fig3-tp-two": (["reproduce-figure", "fig3", "--tp", "0", "T/4"], "ConfigError"),
+    "fig4-tau": (["reproduce-figure", "fig4", "--grid", "11", "--tau", "T/2"],
+                 "ConfigError"),
+    "fig5-tau": (["reproduce-figure", "fig5", "--grid", "11", "--tau", "T/2"],
+                 "ConfigError"),
+    "fig6-energy-two": (["reproduce-figure", "fig6", "--grid", "11", "--energy", "99",
+                         "0.3"], "ConfigError"),
 }
 
 
@@ -377,3 +391,13 @@ def test_cli_exits_0_or_1_with_one_error_record(tmp_path, capsys, argv, error):
     assert [r["error"] for r in records] == [error]
     assert records[0]["message"]
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("case, option", [
+    ("fig2-energy", "--energy"), ("fig3-tp-two", "--tp"), ("fig4-tau", "--tau"),
+    ("fig5-tau", "--tau"), ("fig6-energy-two", "--energy")])
+def test_figure_refusal_names_the_option(tmp_path, capsys, case, option):
+    argv, _ = _CONTRACT[case]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["message"].startswith(f"{option}: ")

@@ -24,12 +24,12 @@ from attopmm.model import (
     inv_angstrom_to_au,
     orbital_offset,
     offset_label,
-    primitive_overlap,
+    pz_overlap,
     wave_packet_phase,
 )
 from attopmm.algebra import closed_shell_state, singlet_excitation_csf
 
-from oracles import lcao_value
+from oracles import lcao_value, primitive_overlap
 
 
 def test_unit_round_trips():
@@ -78,6 +78,22 @@ def test_primitive_overlap_displaced_s():
     b = GaussianPrimitive(center=d, exponent=alpha, powers=(0, 0, 0))
     assert primitive_overlap(a, b) == pytest.approx(
         math.exp(-alpha * float(d @ d) / 2.0), rel=1e-12)
+
+
+def test_pz_overlap_matches_pairwise_overlap():
+    # the closed form against the pairwise reference, centers off one plane
+    rng = np.random.default_rng(3)
+    centers = rng.uniform(-2.0, 2.0, (6, 3))
+    alpha = 0.9
+    prims = [GaussianPrimitive(center=c, exponent=alpha, powers=(0, 0, 1))
+             for c in centers]
+    ref = np.array([[primitive_overlap(a, b) for b in prims] for a in prims])
+    assert np.allclose(pz_overlap(centers, alpha), ref, rtol=0.0, atol=1e-14)
+    # coplanar centers: the d_z factor is exactly 1
+    centers[:, 2] = 0.7
+    d = centers[:, None, :] - centers[None, :, :]
+    assert np.array_equal(pz_overlap(centers, alpha),
+                          np.exp(-0.5 * alpha * np.einsum("ijk,ijk->ij", d, d)))
 
 
 def test_primitive_overlap_quadrature():

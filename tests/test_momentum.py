@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,34 @@ def test_grid_backed_transform_matches_lcao():
     q = build_sphere(8.0, n_polar=4, n_azimuth=8)
     a, b = orbital_ft([lcao, numeric], q)
     assert np.max(np.abs(a - b)) < 1e-3 * np.max(np.abs(a))
+
+
+def test_grid_transform_memory_is_bounded():
+    # a 12^3 cube orbital on 65^2 samples: the voxel sum runs in fixed
+    # chunks, so no phase matrix spans a sample block times every voxel
+    # (227 MB traced when one did)
+    prim = GaussianPrimitive(center=(0.3, -0.2, 0.1), exponent=1.0, powers=(0, 0, 1))
+    lcao = MolecularOrbital(label="p", coefficients=(1.0,), primitives=(prim,))
+    n, half = 12, 4.0
+    sampling = VolumetricGrid(origin=(-half, -half, -half),
+                              axes=np.eye(3) * (2.0 * half / (n - 1)), counts=(n, n, n))
+    values = evaluate_orbital(lcao, sampling.points())
+    cube = MolecularOrbital(label="p-grid",
+                            grid=sampling.with_values(values.reshape(n, n, n)))
+    grid = build_hemisphere(99.0, 65, 65)
+    orbital_ft([cube], build_sphere(8.0, n_polar=4, n_azimuth=8))
+    tracemalloc.start()
+    try:
+        (got,) = orbital_ft([cube], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+    # the chunked sum is the plain Riemann sum up to rounding
+    q = grid.samples[::37]
+    ref = (sampling.voxel_volume * (2.0 * math.pi) ** -1.5
+           * (np.exp(-1j * (q @ sampling.points().T)) @ values))
+    assert np.max(np.abs(got[::37] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 _TRANSFORM_BYTES = """

@@ -667,7 +667,7 @@ def _per_energy_mean(ctx, energies, delays, pulse, mode, resolution, q_max, mos)
         grid = build_hemisphere(e, resolution, resolution, q_max)
         kernel = signal._kernel(
             np.zeros((wp.n_members, wp.n_members, grid.n_samples), dtype=complex), grid,
-            signal._at(weights, k), basis, matrices, pulse.polarization)
+            weights[..., k:k + 1], basis, matrices, pulse.polarization)
         total = total + np.array(at_delays(kernel, wp, delays))
     return [m.reshape(grid.shape) for m in total / len(energies)]
 
