@@ -397,6 +397,8 @@ def _dispatch(args):
         except ValueError:
             raise io_mod.ConfigError(f"--{name.replace('_', '-')}: expected an "
                                      f"integer, got {text!r}") from None
+    if args.threads < 1:
+        raise io_mod.ConfigError(f"--threads: expected an integer >= 1, got {args.threads}")
     scenario = _load(args)
     if args.command == "validate":
         _describe(scenario, print)

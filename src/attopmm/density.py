@@ -39,12 +39,12 @@ energy differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import PRUNE_THRESHOLD, member_pair_matrices
 from .model import (
+    Record,
     VolumetricGrid,
     angstrom_to_bohr,
     at_delays,
@@ -68,19 +68,16 @@ class DensityError(ValueError):
     phases are not finite, or a bad grid."""
 
 
-@dataclass(frozen=True)
-class DensityFrame:
+class DensityFrame(Record):
     """Density change on a grid at one instant, with signed charge integrals
     (electrons; gained + lost sums to ~0 by charge conservation)."""
 
-    grid: VolumetricGrid
-    t_fs: float
-    charge_gained: float
-    charge_lost: float
+    __slots__ = ("grid", "t_fs", "charge_gained", "charge_lost")
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.grid.values)):
+    def __init__(self, grid, t_fs, charge_gained, charge_lost):
+        if not np.all(np.isfinite(grid.values)):
             raise DensityError("non-finite value in density change")
+        self._set(grid, t_fs, charge_gained, charge_lost)
 
     @classmethod
     def from_values(cls, grid, values, t_fs):

@@ -23,16 +23,17 @@ reflection parities of its eigenvector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     GaussianPrimitive,
     MolecularOrbital,
+    Record,
     angstrom_to_bohr,
     offset_label,
     pz_overlap,
+    read_only,
 )
 
 CC_BOND_ANGSTROM = 1.40
@@ -45,19 +46,17 @@ class HuckelError(ValueError):
     """Inconsistent pi-system graph or eigenproblem."""
 
 
-@dataclass(frozen=True)
-class PiSystemGraph:
+class PiSystemGraph(Record):
     """Carbon skeleton of a planar pi system.
 
     positions in Angstrom; adjacency as a tuple of index pairs.
     """
 
-    positions: np.ndarray
-    bonds: tuple
+    __slots__ = ("positions", "bonds")
 
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float).reshape(-1, 3).copy()
-        bonds = tuple(tuple(sorted((int(i), int(j)))) for i, j in self.bonds)
+    def __init__(self, positions, bonds):
+        pos = read_only(np.asarray(positions, dtype=float).reshape(-1, 3).copy())
+        bonds = tuple(tuple(sorted((int(i), int(j)))) for i, j in bonds)
         if len(set(bonds)) != len(bonds):
             raise HuckelError("duplicate bonds in adjacency list")
         n = len(pos)
@@ -78,9 +77,7 @@ class PiSystemGraph:
                     frontier.append(nxt)
         if len(seen) != n:
             raise HuckelError("pi-system graph is not connected")
-        pos.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "bonds", bonds)
+        self._set(pos, bonds)
 
     @property
     def n_sites(self):

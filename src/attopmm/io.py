@@ -28,7 +28,6 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +41,7 @@ from .model import (
     ModelError,
     MolecularOrbital,
     ProbePulse,
+    Record,
     VolumetricGrid,
     WavePacket,
     angstrom_to_bohr,
@@ -293,14 +293,14 @@ _TERM = re.compile(
     r"(?:\s*\[(?P<tag>[a-z]+)\])?")
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     """One parsed final state: the original index, the state, and the
     optional stated photoelectron-energy center (eV)."""
 
-    index: int
-    state: ElectronicState
-    center_ev: float = None
+    __slots__ = ("index", "state", "center_ev")
+
+    def __init__(self, index, state, center_ev=None):
+        self._set(index, state, center_ev)
 
 
 def _parse_term(match, occupied, lineno):
@@ -699,21 +699,21 @@ def _validate_outputs(section):
     return merged
 
 
-@dataclass
-class Scenario:
-    """Everything a run needs, built from one validated config file."""
+class Scenario(Record):
+    """Everything a run needs, built from one validated config file.
 
-    name: str
-    raw: dict
-    digest: str
-    mos: list
-    atoms: tuple            # cube atom records (Z, charge, position bohr)
-    wave_packet: WavePacket
-    pulse: ProbePulse
-    finals: list            # (index, ElectronicState) pairs
-    table_rows: list        # TableRow with optional stated centers
-    binding_energies_ev: dict
-    outputs: dict
+    atoms are the cube atom records (Z, charge, position bohr), finals the
+    (index, ElectronicState) pairs and table_rows the TableRows with their
+    optional stated centers.
+    """
+
+    __slots__ = ("name", "raw", "digest", "mos", "atoms", "wave_packet", "pulse",
+                 "finals", "table_rows", "binding_energies_ev", "outputs")
+
+    def __init__(self, name, raw, digest, mos, atoms, wave_packet, pulse, finals,
+                 table_rows, binding_energies_ev, outputs):
+        self._set(name, raw, digest, mos, atoms, wave_packet, pulse, finals, table_rows,
+                  binding_energies_ev, outputs)
 
     @property
     def period_fs(self):

@@ -37,6 +37,29 @@ class ModelError(ValueError):
     """Malformed domain object (bad norm, bad labels, empty expansion...)."""
 
 
+class Record:
+    """Base of the read-only records: __init__ validates its arguments and
+    sets every field once, with _set(*values) in __slots__ order; assigning
+    or deleting a field afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):   # also serves as __delattr__
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+def read_only(arr):
+    """arr, flagged read-only in place."""
+    arr.flags.writeable = False
+    return arr
+
+
 def ev_to_hartree(e):
     return np.asarray(e, dtype=float) / HARTREE_EV if np.ndim(e) else e / HARTREE_EV
 
@@ -108,7 +131,7 @@ def primitive_norm(exponent, powers):
     return pref * num / den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianPrimitive:
     """Normalized Cartesian Gaussian: N (x-cx)^l (y-cy)^m (z-cz)^n e^{-a|r-c|^2}.
 
@@ -127,8 +150,7 @@ class GaussianPrimitive:
         powers = tuple(int(p) for p in self.powers)
         if any(p < 0 for p in powers):
             raise ModelError(f"angular powers must be non-negative, got {powers}")
-        center = np.array(self.center, dtype=float).reshape(3)
-        center.flags.writeable = False
+        center = read_only(np.array(self.center, dtype=float).reshape(3))
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "norm", primitive_norm(self.exponent, powers))
@@ -158,7 +180,7 @@ def pz_overlap(centers_bohr, exponent):
 # ---------------------------------------------------------------------------
 # volumetric grids
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolumetricGrid:
     """Regular 3D grid: point (i,j,k) sits at origin + i a0 + j a1 + k a2 (bohr).
 
@@ -173,15 +195,13 @@ class VolumetricGrid:
     values: np.ndarray = None
 
     def __post_init__(self):
-        origin = np.array(self.origin, dtype=float).reshape(3)
-        axes = np.array(self.axes, dtype=float).reshape(3, 3)
+        origin = read_only(np.array(self.origin, dtype=float).reshape(3))
+        axes = read_only(np.array(self.axes, dtype=float).reshape(3, 3))
         counts = tuple(int(c) for c in self.counts)
         if any(c < 2 for c in counts):
             raise ModelError(f"grid needs >= 2 points per axis, got {counts}")
         if abs(np.linalg.det(axes)) < 1e-14:
             raise ModelError("grid axes are linearly dependent")
-        origin.flags.writeable = False
-        axes.flags.writeable = False
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "counts", counts)
@@ -190,8 +210,7 @@ class VolumetricGrid:
             if values.shape != counts:
                 raise ModelError(f"values shape {values.shape} != counts {counts}")
             if values.flags.writeable or not values.flags.owndata:
-                values = values.copy()
-                values.flags.writeable = False
+                values = read_only(values.copy())
             object.__setattr__(self, "values", values)
 
     @property
@@ -242,7 +261,7 @@ def _trilinear(grid: VolumetricGrid, pts):
 # ---------------------------------------------------------------------------
 # molecular orbitals
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MolecularOrbital:
     """One-electron orbital, either an LCAO over Gaussian primitives or a grid."""
 
@@ -257,13 +276,12 @@ class MolecularOrbital:
         if not lcao and self.grid is None:
             raise ModelError(f"orbital {self.label!r} has no LCAO expansion and no grid")
         if lcao:
-            coeff = np.array(self.coefficients, dtype=float).ravel()
+            coeff = read_only(np.array(self.coefficients, dtype=float).ravel())
             prims = tuple(self.primitives)
             if len(coeff) != len(prims) or len(prims) == 0:
                 raise ModelError(
                     f"orbital {self.label!r}: {len(coeff)} coefficients for "
                     f"{len(prims)} primitives")
-            coeff.flags.writeable = False
             object.__setattr__(self, "coefficients", coeff)
             object.__setattr__(self, "primitives", prims)
         if self.grid is not None and self.grid.values is None:
@@ -330,14 +348,14 @@ def occupied_offsets(mos):
 # ---------------------------------------------------------------------------
 # determinants, CSFs, states
 
-@dataclass(frozen=True)
-class SlaterDeterminant:
-    """Occupied spin-orbitals in canonical order (orbital offset asc, up<down)."""
+class SlaterDeterminant(Record):
+    """Occupied spin-orbitals in canonical order (orbital offset asc, up<down).
+    Determinants compare and hash by their spin-orbitals."""
 
-    spin_orbitals: tuple
+    __slots__ = ("spin_orbitals",)
 
-    def __post_init__(self):
-        so = tuple((int(o), int(s)) for o, s in self.spin_orbitals)
+    def __init__(self, spin_orbitals):
+        so = tuple((int(o), int(s)) for o, s in spin_orbitals)
         if len(set(so)) != len(so):
             raise ModelError(f"duplicate spin-orbital in determinant {so}")
         if any(s not in (UP, DOWN) for _, s in so):
@@ -345,7 +363,15 @@ class SlaterDeterminant:
         if list(so) != sorted(so):
             raise ModelError("determinant not in canonical order; "
                              "use canonical_determinant()")
-        object.__setattr__(self, "spin_orbitals", so)
+        self._set(so)
+
+    def __eq__(self, other):
+        if type(other) is not SlaterDeterminant:
+            return NotImplemented
+        return self.spin_orbitals == other.spin_orbitals
+
+    def __hash__(self):
+        return hash(self.spin_orbitals)
 
     @property
     def n_electrons(self):
@@ -372,17 +398,15 @@ def canonical_determinant(spin_orbitals):
     return sign, SlaterDeterminant(tuple(arr))
 
 
-@dataclass(frozen=True)
-class ConfigurationStateFunction:
+class ConfigurationStateFunction(Record):
     """Spin-adapted combination of determinants with definite (S, M),
-    labeled by its hole and particle orbitals."""
+    labeled by its hole and particle orbitals; expansion is
+    ((coefficient, SlaterDeterminant), ...)."""
 
-    holes: tuple
-    particles: tuple
-    expansion: tuple  # ((coefficient, SlaterDeterminant), ...)
+    __slots__ = ("holes", "particles", "expansion")
 
-    def __post_init__(self):
-        exp = tuple((float(c), d) for c, d in self.expansion)
+    def __init__(self, holes, particles, expansion):
+        exp = tuple((float(c), d) for c, d in expansion)
         if not exp:
             raise ModelError("CSF with empty determinant expansion")
         norm = sum(c * c for c, _ in exp)
@@ -391,24 +415,21 @@ class ConfigurationStateFunction:
         counts = {d.n_electrons for _, d in exp}
         if len(counts) != 1:
             raise ModelError("CSF determinants with mixed electron counts")
-        object.__setattr__(self, "holes", tuple(int(h) for h in self.holes))
-        object.__setattr__(self, "particles", tuple(int(p) for p in self.particles))
-        object.__setattr__(self, "expansion", exp)
+        self._set(tuple(int(h) for h in holes), tuple(int(p) for p in particles), exp)
 
     @property
     def n_electrons(self):
         return self.expansion[0][1].n_electrons
 
 
-@dataclass(frozen=True)
-class ElectronicState:
-    """CI state: energy (eV) and a CSF expansion. Truncated norms allowed."""
+class ElectronicState(Record):
+    """CI state: energy (eV) and a CSF expansion
+    ((coefficient, ConfigurationStateFunction), ...). Truncated norms allowed."""
 
-    energy_ev: float
-    expansion: tuple  # ((coefficient, ConfigurationStateFunction), ...)
+    __slots__ = ("energy_ev", "expansion")
 
-    def __post_init__(self):
-        exp = tuple((float(c), csf) for c, csf in self.expansion)
+    def __init__(self, energy_ev, expansion):
+        exp = tuple((float(c), csf) for c, csf in expansion)
         if not exp:
             raise ModelError("electronic state with empty expansion")
         norm = sum(c * c for c, _ in exp)
@@ -417,26 +438,25 @@ class ElectronicState:
         counts = {csf.n_electrons for _, csf in exp}
         if len(counts) != 1:
             raise ModelError("state mixes electron counts")
-        object.__setattr__(self, "expansion", exp)
+        self._set(energy_ev, exp)
 
     @property
     def n_electrons(self):
         return self.expansion[0][1].n_electrons
 
 
-@dataclass(frozen=True)
-class WavePacket:
-    """Coherent superposition sum_I C_I e^{-i E_I (t - t0)} |Phi_I>.
+class WavePacket(Record):
+    """Coherent superposition sum_I C_I e^{-i E_I (t - t0)} |Phi_I>, with
+    members ((C_I complex, E_I_ev, ElectronicState), ...).
 
     Construction enforces sum |C_I|^2 = 1; a violation is an error, never a
     silent renormalization.
     """
 
-    members: tuple  # ((C_I complex, E_I_ev, ElectronicState), ...)
-    t0_fs: float = 0.0
+    __slots__ = ("members", "t0_fs")
 
-    def __post_init__(self):
-        members = tuple((complex(c), float(e), st) for c, e, st in self.members)
+    def __init__(self, members, t0_fs=0.0):
+        members = tuple((complex(c), float(e), st) for c, e, st in members)
         if not members:
             raise ModelError("empty wave packet")
         norm = sum(abs(c) ** 2 for c, _, _ in members)
@@ -445,7 +465,7 @@ class WavePacket:
         counts = {st.n_electrons for _, _, st in members}
         if len(counts) != 1:
             raise ModelError("wave-packet members with different electron counts")
-        object.__setattr__(self, "members", members)
+        self._set(members, t0_fs)
 
     @property
     def n_members(self):
@@ -496,7 +516,7 @@ def at_delays(kernel, wp: WavePacket, times):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbePulse:
     """Gaussian XUV probe: intensity profile I0 exp(-4 ln2 ((t-tp)/tau)^2)."""
 
@@ -512,9 +532,8 @@ class ProbePulse:
         if not fs_to_au(self.duration_fwhm_fs) < math.inf:
             raise ModelError(f"pulse duration {self.duration_fwhm_fs} fs is not finite "
                              "in atomic units")
-        pol = np.array(self.polarization, dtype=float).reshape(3)
+        pol = read_only(np.array(self.polarization, dtype=float).reshape(3))
         n = np.linalg.norm(pol)
         if abs(n - 1.0) > 1e-8:
             raise ModelError(f"polarization must be a unit vector, |e| = {n}")
-        pol.flags.writeable = False
         object.__setattr__(self, "polarization", pol)

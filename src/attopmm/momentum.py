@@ -27,17 +27,17 @@ results are byte-identical from run to run and for any BLAS thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
 
 from .model import (
     BOHR_ANGSTROM,
     ModelError,
+    Record,
     ev_to_hartree,
     inv_angstrom_to_au,
     primitive_norm,
+    read_only,
 )
 
 # Samples are transformed in fixed blocks: the (block, P) phase matrix stays
@@ -56,13 +56,20 @@ class MomentumError(ValueError):
 # closed-form transform
 
 def _axis_factor(l, k, exponent):
-    """1D factor for Cartesian power l at momentum k (vectorized in k)."""
+    """1D factor for Cartesian power l at momentum k (vectorized in k).
+
+    H_l(x) runs the Clenshaw recurrence of numpy's hermval(x, [0]*l + [1])
+    operation for operation, so the factor is bit-identical to hermval's,
+    signed zeros included."""
     root = math.sqrt(exponent)
     base = math.sqrt(math.pi / exponent) * np.exp(-(k * k) / (4.0 * exponent))
     if l == 0:
         return base.astype(complex) if isinstance(base, np.ndarray) else complex(base)
-    herm = hermval(k / (2.0 * root), [0.0] * l + [1.0])
-    return base * herm * (-1j / (2.0 * root)) ** l
+    x2 = k / (2.0 * root) * 2
+    c0, c1 = 0.0, 1.0
+    for nd in range(l, 1, -1):
+        c0, c1 = 0.0 - c1 * (2 * (nd - 1)), c0 + c1 * x2
+    return base * (c0 + c1 * x2) * (-1j / (2.0 * root)) ** l
 
 
 def shape_factor(exponent, powers, q):
@@ -87,39 +94,28 @@ def _phases(angles):
 # ---------------------------------------------------------------------------
 # momentum grids
 
-@dataclass(frozen=True)
-class MomentumGrid:
-    """Sample set in momentum space (a.u. internally).
+class MomentumGrid(Record):
+    """Sample set in momentum space: samples (N, 3) in a.u. and their (N,)
+    bool valid mask.
 
-    A constant-energy hemisphere (build_hemisphere) is a raster over
-    in-plane (q_x, q_y) with q_z = +sqrt(2 eps - q_x^2 - q_y^2), samples
-    outside the kinematic disc flagged invalid; a full sphere
-    (build_sphere) carries quadrature weights (sum = 4 pi) for angle
-    integration.
+    A constant-energy hemisphere (build_hemisphere) is a raster of the given
+    shape over in-plane (q_x, q_y), with 1D coordinates axis_x, axis_y in
+    1/Angstrom and q_z = +sqrt(2 eps - q_x^2 - q_y^2), samples outside the
+    kinematic disc flagged invalid; a full sphere (build_sphere) carries
+    quadrature weights (sum = 4 pi) for angle integration.
     """
 
-    samples: np.ndarray          # (N, 3) a.u.
-    valid: np.ndarray            # (N,) bool
-    shape: tuple = None          # raster shape of a hemisphere
-    axis_x: np.ndarray = None    # 1D raster coordinates, 1/Angstrom
-    axis_y: np.ndarray = None
-    weights: np.ndarray = None   # quadrature weights of a full sphere
+    __slots__ = ("samples", "valid", "shape", "axis_x", "axis_y", "weights")
 
-    def __post_init__(self):
-        samples = np.ascontiguousarray(np.asarray(self.samples, dtype=float).reshape(-1, 3))
-        valid = np.ascontiguousarray(np.asarray(self.valid, dtype=bool).reshape(-1))
+    def __init__(self, samples, valid, shape=None, axis_x=None, axis_y=None,
+                 weights=None):
+        samples = np.ascontiguousarray(np.asarray(samples, dtype=float).reshape(-1, 3))
+        valid = np.ascontiguousarray(np.asarray(valid, dtype=bool).reshape(-1))
         if len(valid) != len(samples):
             raise ModelError("valid mask length does not match samples")
-        samples.flags.writeable = False
-        valid.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "valid", valid)
-        for name in ("axis_x", "axis_y", "weights"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=float).copy()
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+        self._set(read_only(samples), read_only(valid), shape,
+                  *(None if a is None else read_only(np.asarray(a, dtype=float).copy())
+                    for a in (axis_x, axis_y, weights)))
 
     @property
     def n_samples(self):

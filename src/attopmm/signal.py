@@ -65,7 +65,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,12 +73,15 @@ from .model import (
     HARTREE_EV,
     ElectronicState,
     ProbePulse,
+    Record,
     WavePacket,
     at_delays,
     ev_to_hartree,
     fs_to_au,
     occupied_offsets,
+    orbital_offset,
     phases_finite,
+    read_only,
 )
 from .momentum import (
     MomentumError,
@@ -134,8 +136,7 @@ def envelope_long(omega_in_ev, e_member_ev, e_final_ev, energy_ev, tau_fs):
 # ---------------------------------------------------------------------------
 # channels
 
-@dataclass(frozen=True)
-class SpectralChannel:
+class SpectralChannel(Record):
     """One ionic final state as seen by the probe.
 
     omega_ev = omega_in + <E> - E_F is the photoelectron energy the channel
@@ -145,13 +146,13 @@ class SpectralChannel:
     norm of the Dyson orbital at t0, |sum_I C_I dyson[sigma, I, p]|.
     """
 
-    index: int
-    final_energy_ev: float
-    omega_ev: float
-    dyson: np.ndarray
-    offsets: tuple
-    time_dependent: bool
-    dyson_norm: float
+    __slots__ = ("index", "final_energy_ev", "omega_ev", "dyson", "offsets",
+                 "time_dependent", "dyson_norm")
+
+    def __init__(self, index, final_energy_ev, omega_ev, dyson, offsets,
+                 time_dependent, dyson_norm):
+        self._set(index, final_energy_ev, omega_ev, dyson, offsets, time_dependent,
+                  dyson_norm)
 
 
 def build_channels(wp: WavePacket, finals, pulse: ProbePulse):
@@ -159,7 +160,7 @@ def build_channels(wp: WavePacket, finals, pulse: ProbePulse):
     if not finals:
         raise SignalError("empty final-state list")
     offsets, dyson = algebra.dyson_matrices([state for _, state in finals], wp)
-    dyson.flags.writeable = False
+    read_only(dyson)
     weights = np.array([c for c, _, _ in wp.members])
     channels = []
     for (index, state), d in zip(finals, dyson):
@@ -338,53 +339,41 @@ def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short"):
 # ---------------------------------------------------------------------------
 # maps and spectra
 
-@dataclass(frozen=True)
-class PMM:
+class PMM(Record):
     """Constant-energy photoelectron momentum map over an (q_x, q_y) raster.
 
     values[i, j] pairs with (axis_x[i], axis_y[j]) in 1/Angstrom; samples
     outside the kinematic disc are zero.
     """
 
-    energy_ev: float
-    t_p_fs: float
-    values: np.ndarray
-    axis_x: np.ndarray
-    axis_y: np.ndarray
-    metadata: dict
+    __slots__ = ("energy_ev", "t_p_fs", "values", "axis_x", "axis_y", "metadata")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+    def __init__(self, energy_ev, t_p_fs, values, axis_x, axis_y, metadata):
+        values = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(values)):
             raise SignalError("non-finite probability in momentum map")
         if np.any(values < 0):
             raise SignalError("negative probability in momentum map")
-        if values.shape != (len(self.axis_x), len(self.axis_y)):
+        if values.shape != (len(axis_x), len(axis_y)):
             raise SignalError("map shape does not match axes")
-        for name in ("values", "axis_x", "axis_y"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        values, axis_x, axis_y = (read_only(np.asarray(a, dtype=float))
+                                  for a in (values, axis_x, axis_y))
+        self._set(energy_ev, t_p_fs, values, axis_x, axis_y, metadata)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Angle-integrated spectrum S(eps) on an energy grid (eV)."""
 
-    energies_ev: np.ndarray
-    values: np.ndarray
-    scenario: str
-    metadata: dict
+    __slots__ = ("energies_ev", "values", "scenario", "metadata")
 
-    def __post_init__(self):
-        for name in ("energies_ev", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if not np.all(np.isfinite(self.values)):
+    def __init__(self, energies_ev, values, scenario, metadata):
+        energies_ev, values = (read_only(np.asarray(a, dtype=float))
+                               for a in (energies_ev, values))
+        if not np.all(np.isfinite(values)):
             raise SignalError("non-finite probability in spectrum")
-        if np.any(self.values < 0):
+        if np.any(values < 0):
             raise SignalError("negative probability in spectrum")
+        self._set(energies_ev, values, scenario, metadata)
 
 
 def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
@@ -585,7 +574,6 @@ def ground_state_scenario(mos, binding_energies_ev):
     items = sorted(binding_energies_ev.items(),
                    key=lambda kv: (float(kv[1]), str(kv[0])))
     for rank, (label, be) in enumerate(items, start=1):
-        from .model import orbital_offset
         off = orbital_offset(label)
         if off not in occupied:
             raise SignalError(f"binding energy given for unoccupied orbital {label!r}")

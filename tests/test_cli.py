@@ -372,6 +372,12 @@ _CONTRACT = {
                  "ConfigError"),
     "fig6-energy-two": (["reproduce-figure", "fig6", "--grid", "11", "--energy", "99",
                          "0.3"], "ConfigError"),
+    # a thread count is an integer >= 1
+    "pmm-threads-0": (_PMM + ["--threads", "0"], "ConfigError"),
+    "pmm-threads-negative": (_PMM + ["--threads", "-1"], "ConfigError"),
+    "pmm-threads-nan": (_PMM + ["--threads", "nan"], "ConfigError"),
+    "pmm-threads-inf": (_PMM + ["--threads", "inf"], "ConfigError"),
+    "pmm-threads-huge": (_PMM + ["--threads", "1e308"], "ConfigError"),
 }
 
 
@@ -395,7 +401,8 @@ def test_cli_exits_0_or_1_with_one_error_record(tmp_path, capsys, argv, error):
 
 @pytest.mark.parametrize("case, option", [
     ("fig2-energy", "--energy"), ("fig3-tp-two", "--tp"), ("fig4-tau", "--tau"),
-    ("fig5-tau", "--tau"), ("fig6-energy-two", "--energy")])
+    ("fig5-tau", "--tau"), ("fig6-energy-two", "--energy"),
+    *((f"pmm-threads-{v}", "--threads") for v in ("0", "negative", "nan", "inf", "huge"))])
 def test_figure_refusal_names_the_option(tmp_path, capsys, case, option):
     argv, _ = _CONTRACT[case]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from attopmm import algebra, cli, density, huckel, io, model, momentum, signal
 from attopmm.model import (
     ATOMIC_TIME_FS,
     BOHR_ANGSTROM,
@@ -14,6 +16,7 @@ from attopmm.model import (
     ModelError,
     MolecularOrbital,
     ProbePulse,
+    Record,
     VolumetricGrid,
     WavePacket,
     angstrom_to_bohr,
@@ -245,3 +248,47 @@ def test_closed_shell_electron_count():
     st = ElectronicState(energy_ev=0.0, expansion=(
         (1.0, closed_shell_state(range(-10, 1))),))
     assert st.n_electrons == 22
+
+
+# every record class of the package: the Record subclasses and the dataclasses
+_RECORD_CLASSES = sorted(
+    {cls for module in (algebra, cli, density, huckel, io, model, momentum, signal)
+     for cls in vars(module).values()
+     if isinstance(cls, type) and cls.__module__ == module.__name__
+     and (issubclass(cls, Record) and cls is not Record or dataclasses.is_dataclass(cls))},
+    key=lambda cls: cls.__name__)
+
+
+@pytest.fixture(scope="module")
+def records(scenario):
+    """One instance of each record class, keyed by class."""
+    wp, mo, pulse = scenario.wave_packet, scenario.mos[0], scenario.pulse
+    state = wp.members[0][2]
+    csf = state.expansion[0][1]
+    raster = momentum.build_hemisphere(99.0, 3, 3)
+    cube = VolumetricGrid(origin=np.zeros(3), axes=np.eye(3), counts=(2, 2, 2))
+    frame = density.DensityFrame.from_values(cube, np.zeros((2, 2, 2)), 0.0)
+    made = [mo.primitives[0], frame.grid, mo, pulse, csf.expansion[0][1], csf, state, wp,
+            raster, signal.build_channels(wp, scenario.finals, pulse)[0],
+            signal.PMM(99.0, 0.0, np.ones((3, 3)), raster.axis_x, raster.axis_y, {}),
+            signal.Spectrum(np.array([95.0]), np.array([1.0]), "s", {}),
+            scenario.table_rows[0], scenario, frame, huckel.build_pentacene_graph()]
+    return {type(r): r for r in made}
+
+
+@pytest.mark.parametrize("cls", _RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_records_are_read_only(records, cls):
+    # no field can be assigned or deleted, no attribute added, and an array
+    # field cannot be written through
+    record = records[cls]
+    names = ([f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls)
+             else cls.__slots__)
+    for name in names:
+        value = getattr(record, name)
+        assert not isinstance(value, np.ndarray) or not value.flags.writeable, name
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.undeclared = None

@@ -19,6 +19,7 @@ from attopmm.model import (
 from attopmm.momentum import (
     MomentumError,
     MomentumGrid,
+    _axis_factor,
     build_hemisphere,
     build_sphere,
     orbital_ft,
@@ -50,6 +51,25 @@ def test_random_primitives_match_quadrature():
         closed = gaussian_ft(prim, q)
         quad = quadrature_ft(prim, q)
         assert abs(closed - quad) <= 1e-6 * max(abs(closed), 1e-3)
+
+
+def test_axis_factor_matches_hermval():
+    # the written-out Hermite recurrence is numpy's hermval operation for
+    # operation: equal bytes, signed zeros, infinities and nan included
+    hermval = np.polynomial.hermite.hermval
+    k = np.array([0.0, -0.0, 5e-324, -1e-300, 0.3, -0.3, 2.5, -7.0, 40.0, -1e3,
+                  1e10, -1e10, 1e80, -1e160, 1e300, -1e300,
+                  *np.random.default_rng(3).normal(scale=6.0, size=400)])
+    for exponent in (0.35, 1.0, 7.5):
+        root = math.sqrt(exponent)
+        with np.errstate(all="ignore"):
+            base = math.sqrt(math.pi / exponent) * np.exp(-(k * k) / (4.0 * exponent))
+            for l in range(5):
+                want = base.astype(complex) if l == 0 else (
+                    base * hermval(k / (2.0 * root), [0.0] * l + [1.0])
+                    * (-1j / (2.0 * root)) ** l)
+                got = _axis_factor(l, k, exponent)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), l
 
 
 def test_translation_covariance():

@@ -1,5 +1,9 @@
 import ast
+import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import attopmm
@@ -61,3 +65,32 @@ def test_unused_definition_is_flagged():
     # an f-string expression is code
     sources["signal"] += '\n\nf"{gaussian_ft}"\n'
     assert _unreached(sources, attopmm.__all__) == []
+
+
+def _modules_after(code):
+    """Names of the modules a fresh interpreter holds after running code."""
+    src = Path(attopmm.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\nprint(*sys.modules)"],
+                         env=env, check=True, capture_output=True, text=True, timeout=120)
+    return set(out.stdout.split())
+
+
+def test_import_loads_no_numpy_polynomial():
+    # start-up pays for no module that only the sphere quadrature needs
+    def polynomial(modules):
+        return {m for m in modules if m.startswith("numpy.polynomial")}
+    assert polynomial(_modules_after("import numpy, attopmm.cli")) \
+        == polynomial(_modules_after("import numpy"))
+
+
+def test_only_replaceable_records_are_dataclasses():
+    # a dataclass generates its methods at import; a record stays one only
+    # where callers dataclasses.replace it
+    found = {f"{module.__name__}.{cls.__name__}"
+             for name, module in sys.modules.items() if name.startswith("attopmm.")
+             for cls in vars(module).values()
+             if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+             and cls.__module__ == module.__name__}
+    assert found <= {"attopmm.model.GaussianPrimitive", "attopmm.model.VolumetricGrid",
+                     "attopmm.model.MolecularOrbital", "attopmm.model.ProbePulse"}, found

@@ -563,10 +563,14 @@ def test_three_channel_manual_reconstruction(ctx, mode):
     qs = vec * np.sqrt(2.0 * eps_ev / HARTREE_EV)[:, None]
     got = probability(qs, t_p, pulse, wp, finals, ctx["mos"], mode=mode)
 
-    def lcao_ft(offset, q):
-        mo = mo_by_offset[offset]
-        return sum(c * gaussian_ft(p, q)
-                   for c, p in zip(mo.coefficients, mo.primitives))
+    ft = {}   # (offset, sample index) -> transform: each is asked for many times
+
+    def lcao_ft(offset, k):
+        if (offset, k) not in ft:
+            mo = mo_by_offset[offset]
+            ft[offset, k] = sum(c * gaussian_ft(p, qs[k])
+                                for c, p in zip(mo.coefficients, mo.primitives))
+        return ft[offset, k]
 
     def window(delta_ev, ln2_factor):
         delta = delta_ev / HARTREE_EV
@@ -588,7 +592,7 @@ def test_three_channel_manual_reconstruction(ctx, mode):
                     phase *= window(eps - (pulse.photon_energy_ev + e_i - state.energy_ev), 8.0)
                 for (orb, spin), coeff in dense_annihilation_map(state, member).items():
                     amp[spin] = amp.get(spin, 0.0 + 0.0j) \
-                        + phase * coeff * lcao_ft(orb, q)
+                        + phase * coeff * lcao_ft(orb, k)
             weight = window(eps - omega, 4.0) if mode == "short" else 1.0
             total += weight * sum(abs(a) ** 2 for a in amp.values())
         manual[k] = proj * total
