@@ -48,6 +48,7 @@ from .model import (
     occupied_offsets,
     orbital_offset,
     pz_overlap,
+    read_only,
 )
 from .signal import PMM, Spectrum
 
@@ -966,7 +967,7 @@ def read_pmm(path):
     if "energy_average" in meta:
         c, w, n = _header_numbers(path, meta, lines, "energy_average", (float, float, int))
         metadata["energy_average"] = {"center_ev": c, "width_ev": w, "n_energies": n}
-    return PMM(energy_ev=energy, t_p_fs=t_p, values=values, axis_x=axis_x,
+    return PMM(energy_ev=energy, t_p_fs=t_p, values=read_only(values), axis_x=axis_x,
                axis_y=axis_y, metadata=metadata)
 
 

@@ -60,6 +60,12 @@ def read_only(arr):
     return arr
 
 
+def held(arr):
+    """arr if it is read-only and owns its memory, else a read-only copy: a
+    record never flags or shares its caller's array."""
+    return arr if not arr.flags.writeable and arr.flags.owndata else read_only(arr.copy())
+
+
 def ev_to_hartree(e):
     return np.asarray(e, dtype=float) / HARTREE_EV if np.ndim(e) else e / HARTREE_EV
 
@@ -184,9 +190,7 @@ def pz_overlap(centers_bohr, exponent):
 class VolumetricGrid:
     """Regular 3D grid: point (i,j,k) sits at origin + i a0 + j a1 + k a2 (bohr).
 
-    values may be None for a grid that only describes where to sample. They
-    are held read-only: a read-only array that owns its memory is kept as
-    is, any other is copied.
+    values, held read-only (held), may be None for a grid that only samples.
     """
 
     origin: np.ndarray
@@ -209,9 +213,7 @@ class VolumetricGrid:
             values = np.asarray(self.values)
             if values.shape != counts:
                 raise ModelError(f"values shape {values.shape} != counts {counts}")
-            if values.flags.writeable or not values.flags.owndata:
-                values = read_only(values.copy())
-            object.__setattr__(self, "values", values)
+            object.__setattr__(self, "values", held(values))
 
     @property
     def voxel_volume(self):

@@ -22,6 +22,8 @@ distinct (exponent, powers) times the phase exp(-i q.R_a) of each center.
 Determinism: samples are split into fixed-size blocks, and each block is
 one fixed sequence of vector operations and small matrix products, so
 results are byte-identical from run to run and for any BLAS thread count.
+A grid-backed orbital's block size depends only on its grid, never on how
+many samples share a call.
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ from .model import (
 )
 
 # Samples are transformed in fixed blocks: the (block, P) phase matrix stays
-# small, and each sample's arithmetic never depends on the grid size.
+# small, and each sample's arithmetic never depends on the grid size. For a
+# grid-backed orbital a block holds at most _GRID_ELEMENTS partial sums.
 _SAMPLE_BLOCK = 4096
-# Grid-backed orbitals sum their voxels in fixed chunks of this many: a
-# (block, chunk) phase matrix is at most 16 MiB, whatever the cube size.
-_VOXEL_BLOCK = 256
+_GRID_ELEMENTS = 1 << 18
 
 
 class MomentumError(ValueError):
@@ -273,39 +274,35 @@ def orbital_ft(mos, grid: MomentumGrid):
 
     LCAO orbitals in closed form over their shared primitives: B(q) @ C,
     evaluated as sum over shapes of shape_factor(q) * (exp(-i q.R) @ C) so
-    B itself is never stored. Volumetric grids by Riemann sum with
-    voxel-volume weights (same continuum normalization), evaluated at
-    exactly the requested q samples, _VOXEL_BLOCK voxels at a time.
+    B itself is never stored. Grid-backed orbitals by Riemann sum with
+    voxel-volume weights (same continuum normalization) at exactly the
+    requested q samples: for any axes, exp(-i q.r) at voxel r = o + i a0 +
+    j a1 + k a2 is a product of per-axis phases, so per sample block the a0
+    sum is one matrix product over the values as (n0, n1 n2), and the a2
+    and a1 sums are elementwise.
     """
     q = grid.samples
     out = np.empty((len(mos), len(q)), dtype=complex)
     lcao = [m for m, mo in enumerate(mos) if mo.is_lcao]
     centers, coeffs, shapes = _lcao_basis([mos[m] for m in lcao])
-    voxel = []
-    for m, mo in enumerate(mos):
-        if mo.is_lcao:
-            continue
-        g = mo.grid
-        off = g.axes @ g.axes.T
-        if np.max(np.abs(off - np.diag(np.diag(off)))) > 1e-12:
-            raise MomentumError("numeric transform supports orthogonal grid axes only")
-        voxel.append((m, g.points(), np.asarray(g.values).ravel(),
-                      g.voxel_volume * (2.0 * math.pi) ** -1.5))
-
-    for start in range(0, len(q), _SAMPLE_BLOCK):
-        stop = min(start + _SAMPLE_BLOCK, len(q))
-        block = q[start:stop]
-        if lcao:
-            e = _phases(block @ centers.T)
-            amp = sum(shape_factor(exponent, powers, block)[:, None]
-                      * (e[:, rows] @ coeffs[rows]) for exponent, powers, rows in shapes)
-            out[lcao, start:stop] = amp.T
-        for m, pts, vals, w in voxel:
-            total = np.zeros(stop - start, dtype=complex)
-            for lo in range(0, len(pts), _VOXEL_BLOCK):
-                chunk = slice(lo, lo + _VOXEL_BLOCK)
-                total += _phases(block @ pts[chunk].T) @ vals[chunk]
-            out[m, start:stop] = w * total
+    for start in range(0, len(q) if lcao else 0, _SAMPLE_BLOCK):
+        block = q[start:start + _SAMPLE_BLOCK]
+        e = _phases(block @ centers.T)
+        amp = sum(shape_factor(exponent, powers, block)[:, None]
+                  * (e[:, rows] @ coeffs[rows]) for exponent, powers, rows in shapes)
+        out[lcao, start:start + _SAMPLE_BLOCK] = amp.T
+    for m, g in ((m, mo.grid) for m, mo in enumerate(mos) if not mo.is_lcao):
+        n0, n1, n2 = g.counts
+        values = g.values.reshape(n0, -1) * complex(g.voxel_volume * (2.0 * math.pi) ** -1.5)
+        size = max(1, _GRID_ELEMENTS // (n0 + n1 * n2))
+        for start in range(0, len(q), size):
+            block = q[start:start + size]
+            p0, p1, p2 = (_phases(np.outer(t, np.arange(n)))
+                          for t, n in zip((block @ g.axes.T).T, g.counts))
+            partial = (p0 @ values).reshape(-1, n1, n2)
+            partial *= p2[:, None, :]
+            out[m, start:start + size] = (_phases(block @ g.origin)
+                                          * (partial.sum(axis=2) * p1).sum(axis=1))
     return out
 
 

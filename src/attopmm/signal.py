@@ -78,6 +78,7 @@ from .model import (
     at_delays,
     ev_to_hartree,
     fs_to_au,
+    held,
     occupied_offsets,
     orbital_offset,
     phases_finite,
@@ -356,9 +357,8 @@ class PMM(Record):
             raise SignalError("negative probability in momentum map")
         if values.shape != (len(axis_x), len(axis_y)):
             raise SignalError("map shape does not match axes")
-        values, axis_x, axis_y = (read_only(np.asarray(a, dtype=float))
-                                  for a in (values, axis_x, axis_y))
-        self._set(energy_ev, t_p_fs, values, axis_x, axis_y, metadata)
+        self._set(energy_ev, t_p_fs, *(held(np.asarray(a, dtype=float))
+                                       for a in (values, axis_x, axis_y)), metadata)
 
 
 class Spectrum(Record):
@@ -367,13 +367,12 @@ class Spectrum(Record):
     __slots__ = ("energies_ev", "values", "scenario", "metadata")
 
     def __init__(self, energies_ev, values, scenario, metadata):
-        energies_ev, values = (read_only(np.asarray(a, dtype=float))
-                               for a in (energies_ev, values))
+        values = np.asarray(values, dtype=float)
         if not np.all(np.isfinite(values)):
             raise SignalError("non-finite probability in spectrum")
         if np.any(values < 0):
             raise SignalError("negative probability in spectrum")
-        self._set(energies_ev, values, scenario, metadata)
+        self._set(held(np.asarray(energies_ev, float)), held(values), scenario, metadata)
 
 
 def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
@@ -427,7 +426,8 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
         meta["energy_average"] = average
     values = at_delays(total, wp, times)
     maps = [PMM(energy_ev=float(energy_ev), t_p_fs=float(t),
-                values=np.where(valid, v, 0.0).reshape(grid.shape),
+                values=read_only(np.where(valid.reshape(grid.shape),
+                                          v.reshape(grid.shape), 0.0)),
                 axis_x=grid.axis_x, axis_y=grid.axis_y, metadata=dict(meta))
             for t, v in zip(times, values)]
     return maps[0] if single else maps

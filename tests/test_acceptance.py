@@ -31,6 +31,7 @@ from attopmm.model import (
     ElectronicState,
     GaussianPrimitive,
     WavePacket,
+    evaluate_orbital,
     ev_to_hartree,
     inv_angstrom_to_au,
 )
@@ -387,13 +388,26 @@ def test_density_properties(scenario):
 
 # --- 10. maps and spectra close on the sphere -------------------------------------
 
-@pytest.mark.parametrize("mode", ["short", "long"])
-def test_map_spectrum_closure(scenario, mode):
+@pytest.fixture(scope="module")
+def cube_mos(scenario):
+    """The bundled orbitals as 0.5 Angstrom cubes (grid-backed orbitals)."""
+    grid = default_density_grid(scenario.mos, spacing_angstrom=0.5)
+    return [dataclasses.replace(mo, coefficients=None, primitives=None,
+                                grid=grid.with_values(evaluate_orbital(mo, grid)))
+            for mo in scenario.mos]
+
+
+@pytest.mark.parametrize("basis, mode", [("lcao", "short"), ("lcao", "long"),
+                                         ("cube", "short"), ("cube", "long")],
+                         ids=["short", "long", "cube-short", "cube-long"])
+def test_map_spectrum_closure(scenario, request, basis, mode):
     # the map kernel and the closed-form spectrum share only the Dyson
     # matrices and the pair weights. A planar pi system is even under its
     # molecular plane, so the sphere holds twice the hemisphere, and with
     # dOmega = dq_x dq_y / (q q_z) the spectrum S = q Integral P dOmega is
-    # 2 sum_raster P / q_z dq_x dq_y in atomic units
+    # 2 sum_raster P / q_z dq_x dq_y in atomic units. Cube orbitals take the
+    # numeric transform on the raster and on the sphere quadrature instead
+    mos = scenario.mos if basis == "lcao" else request.getfixturevalue("cube_mos")
     t0 = time.perf_counter()
     period = scenario.period_fs
     pulse = scenario.pulse
@@ -403,9 +417,9 @@ def test_map_spectrum_closure(scenario, mode):
     worst = 0.0
     for energy in (95.6, 99.0):
         maps = pmm_cut(energy, delays, pulse, scenario.wave_packet, scenario.finals,
-                       scenario.mos, resolution=201, mode=mode)
+                       mos, resolution=201, mode=mode)
         spectra = angle_integrated_spectrum([energy], delays, pulse, scenario.wave_packet,
-                                            scenario.finals, scenario.mos, mode=mode)
+                                            scenario.finals, mos, mode=mode)
         for m, s in zip(maps, spectra):
             qx, qy = inv_angstrom_to_au(m.axis_x), inv_angstrom_to_au(m.axis_y)
             qz_sq = 2.0 * ev_to_hartree(energy) - qx[:, None] ** 2 - qy[None, :] ** 2

@@ -6,11 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from attopmm.cli import main, parse_time_token, time_label
 from attopmm.density import default_density_grid
-from attopmm.io import ConfigError, default_scenario_path, load_scenario, write_cube
+from attopmm.io import (
+    ConfigError,
+    default_scenario_path,
+    load_scenario,
+    read_pmm,
+    write_cube,
+)
 from attopmm.model import evaluate_orbital
 
 
@@ -175,6 +182,23 @@ def test_non_finite_cube_voxel_exits_1(tmp_path, capsys):
     assert record["error"] == "CubeFormatError"
     assert "H.cube" in record["message"]
     assert f"line {lineno}: non-finite" in record["message"]
+
+
+def test_cube_orbitals_make_maps_and_spectra(tmp_path, capsys):
+    # grid-backed orbitals take the numeric transform on the map raster and
+    # on the sphere quadrature; the half-period maps are x-mirror images
+    config = _cube_files_scenario(tmp_path)
+    for argv, count in ((["pmm", "--energy", "99", "--tp", "0", "T/2", "--grid", "41"], 2),
+                        (["spectrum", "--tp", "0", "--states", "excited",
+                          "--window", "95", "100", "3"], 1)):
+        out = tmp_path / argv[0]
+        capsys.readouterr()
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        files = sorted(out.iterdir())
+        assert len(files) == count and all(str(p) in printed for p in files)
+    a, b = (read_pmm(p).values for p in sorted((tmp_path / "pmm").iterdir()))
+    assert np.max(np.abs(b - a[::-1, :])) <= 1e-10 * np.max(a)
 
 
 def _artifacts_with_blas_threads(tmp_path, blas_threads, argv):

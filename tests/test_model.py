@@ -292,3 +292,20 @@ def test_records_are_read_only(records, cls):
             delattr(record, name)
     with pytest.raises(AttributeError):
         record.undeclared = None
+
+
+def test_records_leave_caller_arrays_alone():
+    # a record holds its own read-only arrays: the caller's stay writeable,
+    # also when the record is refused, and later writes do not reach it
+    a, ax, ax2 = np.ones((3, 2)), np.linspace(-1.0, 1.0, 3), np.linspace(-1.0, 1.0, 2)
+    pmm = signal.PMM(99.0, 0.0, a, ax, ax2, {})
+    e, v, w = np.array([95.0, 96.0]), np.array([1.0, -1.0]), np.ones((2, 2, 2))
+    with pytest.raises(signal.SignalError):
+        signal.Spectrum(e, v, "s", {})
+    cube = VolumetricGrid(origin=np.zeros(3), axes=np.eye(3), counts=(2, 2, 2), values=w)
+    assert all(x.flags.writeable for x in (a, ax, ax2, e, v, w))
+    a[0, 0] = w[0, 0, 0] = 2.0
+    assert pmm.values[0, 0] == cube.values[0, 0, 0] == 1.0
+    # a read-only array that owns its memory is held as it is
+    frozen = model.read_only(np.ones((3, 2)))
+    assert signal.PMM(99.0, 0.0, frozen, ax, ax2, {}).values is frozen

@@ -166,25 +166,31 @@ def test_sphere_mirror_symmetric_nodes():
 
 
 def test_grid_backed_transform_matches_lcao():
+    # on an orthogonal and on a sheared sampling: a voxel's phase is a
+    # product of per-axis phases for any grid axes
     prims = (GaussianPrimitive(center=(0.6, -0.4, 0.0), exponent=1.0, powers=(0, 0, 1)),
              GaussianPrimitive(center=(-0.6, 0.4, 0.0), exponent=1.0, powers=(0, 0, 1)))
     lcao = MolecularOrbital(label="dimer", coefficients=(0.8, 0.6), primitives=prims)
     n, half = 81, 7.0
     axis = np.linspace(-half, half, n)
     step = axis[1] - axis[0]
-    sampling = VolumetricGrid(origin=(-half, -half, -half), axes=np.eye(3) * step,
-                              counts=(n, n, n))
-    values = evaluate_orbital(lcao, sampling.points()).reshape(n, n, n)
-    numeric = MolecularOrbital(label="dimer-grid", grid=sampling.with_values(values))
     q = build_sphere(8.0, n_polar=4, n_azimuth=8)
-    a, b = orbital_ft([lcao, numeric], q)
-    assert np.max(np.abs(a - b)) < 1e-3 * np.max(np.abs(a))
+    shear = np.array([[1.0, 0.0, 0.0], [0.3, 1.0, 0.0], [0.0, 0.2, 1.0]])
+    for axes in (np.eye(3) * step, shear * step):
+        # the shear moves the box centre off the dimer; shift it back
+        origin = -half + (n - 1) / 2.0 * (np.diag(axes) - axes.sum(axis=0))
+        sampling = VolumetricGrid(origin=origin, axes=axes, counts=(n, n, n))
+        values = evaluate_orbital(lcao, sampling.points()).reshape(n, n, n)
+        numeric = MolecularOrbital(label="dimer-grid", grid=sampling.with_values(values))
+        a, b = orbital_ft([lcao, numeric], q)
+        assert np.max(np.abs(a - b)) < 1e-3 * np.max(np.abs(a))
 
 
 def test_grid_transform_memory_is_bounded():
-    # a 12^3 cube orbital on 65^2 samples: the voxel sum runs in fixed
-    # chunks, so no phase matrix spans a sample block times every voxel
-    # (227 MB traced when one did)
+    # a 12^3 cube orbital on 65^2 samples: the voxel sum runs one grid axis
+    # at a time over sample blocks of a fixed element budget, so no phase
+    # matrix spans a sample block times every voxel (227 MB traced when one
+    # did)
     prim = GaussianPrimitive(center=(0.3, -0.2, 0.1), exponent=1.0, powers=(0, 0, 1))
     lcao = MolecularOrbital(label="p", coefficients=(1.0,), primitives=(prim,))
     n, half = 12, 4.0
@@ -202,7 +208,7 @@ def test_grid_transform_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32e6, peak
-    # the chunked sum is the plain Riemann sum up to rounding
+    # the per-axis sum is the plain Riemann sum up to rounding
     q = grid.samples[::37]
     ref = (sampling.voxel_volume * (2.0 * math.pi) ** -1.5
            * (np.exp(-1j * (q @ sampling.points().T)) @ values))
@@ -210,12 +216,19 @@ def test_grid_transform_memory_is_bounded():
 
 
 _TRANSFORM_BYTES = """
-import hashlib, sys
+import dataclasses, hashlib, sys
+import numpy as np
 from attopmm.huckel import huckel_orbitals
+from attopmm.model import VolumetricGrid, evaluate_orbital
 from attopmm.momentum import build_hemisphere, build_sphere, orbital_ft
 mos = huckel_orbitals()
+cube = VolumetricGrid(origin=(-14.25, -5.25, -0.75), axes=np.eye(3) * 1.5, counts=(20, 8, 2))
+homo = next(mo for mo in mos if mo.label == "H")
+voxel = dataclasses.replace(homo, coefficients=None, primitives=None,
+                            grid=cube.with_values(evaluate_orbital(homo, cube)))
 for grid in (build_hemisphere(99.0, 101, 101), build_sphere(97.0)):
-    sys.stdout.write(hashlib.sha256(orbital_ft(mos, grid).tobytes()).hexdigest())
+    for orbitals in (mos, [voxel]):
+        sys.stdout.write(hashlib.sha256(orbital_ft(orbitals, grid).tobytes()).hexdigest())
 """
 
 
