@@ -38,6 +38,10 @@ _HANDLED = (io_mod.ConfigError, io_mod.TableFormatError, io_mod.CubeFormatError,
             io_mod.ExportFormatError, signal_mod.SignalError, ModelError,
             AlgebraError, MomentumError, density_mod.DensityError, OSError)
 
+# ceiling on the largest array of a map run: the (M, M, grid^2) complex
+# kernel or the grid^2 maps at every delay (--grid 100000 would be 640 GB)
+_MAX_MAP_BYTES = 2 ** 30
+
 _PERIOD_TOKEN = re.compile(
     r"^(?P<coef>\d+(?:\.\d*)?)?\s*T(?:\s*/\s*(?P<div>\d+(?:\.\d*)?))?$")
 
@@ -211,6 +215,10 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
     if average is not None:
         for _, energy, _ in rows:
             signal_mod.average_energies(energy, *average)
+    size = max(16 * wp.n_members ** 2, 8 * len(delays)) * resolution ** 2
+    if size > _MAX_MAP_BYTES:
+        raise io_mod.ConfigError(f"--grid: {resolution}^2 samples need {size:.3g} bytes, "
+                                 f"more than {_MAX_MAP_BYTES}")
     written = []
     for tag, energy, pulse in rows:
         if average is None:

@@ -76,13 +76,15 @@ class ExportFormatError(ValueError):
 #
 # Every exporter writes the bytes '%'-formatting would, a block of lines at a
 # time. _records turns each value v into the integer rint(|v| * 10^k) with
-# `digits` decimal digits and fills a fixed-width uint8 record, one table
-# gather per group of four digits after the point and one for the exponent;
-# _lines adds the separators and newlines and drops the zero bytes left in
-# unused sign and hundreds slots. |v| * 10^k carries a relative error of at
-# most ~2 eps (four correctly rounded steps), so rint reproduces the correctly
-# rounded mantissa unless the scaled value lies within 16 eps of a half-integer.
-# Those near-ties, subnormals and non-finite values go through '%' itself.
+# `digits` decimal digits and fills a uint8 record, one table gather per group
+# of four digits after the point and one for the exponent; _lines adds the
+# separators and newlines and drops the zero bytes of empty slots (a record
+# has a sign or exponent-hundreds slot only if its call needs one).
+# |v| * 10^k carries a relative error of at most ~2 eps (four correctly
+# rounded steps), so rint is exact unless the scaled value lies within 16 eps
+# of a half-integer. There, if 10^k is exact (0 <= k <= 22), one product and
+# its exact residual decide; true ties, other k, subnormals and non-finite
+# values go through '%' itself (_percent).
 # Cubes and spectra format every cell (_write_table); a map formats each axis
 # value once and gathers its record per row (_write_map_rows).
 
@@ -94,23 +96,45 @@ _POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, -_POW10_MIN + 1)])
 _EXP10 = np.arange(-308, 309)           # decimal exponents of the normal doubles
 # four ASCII bytes in one uint32 (uint16 arithmetic keeps temporaries small):
 # '%04d' % k for k < 10^4, and the text after the 'e' or 'E' of each _EXP10
-# (sign, hundreds or a zero byte, tens, ones)
+# (sign, hundreds or a zero byte, tens, ones; _EXPONENTS_2: hundreds first)
 _DIGIT_GROUPS = (np.uint16(np.arange(10 ** 4))[:, None] // np.uint16([1000, 100, 10, 1])
                  % 10 + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
 _EXPONENTS = _DIGIT_GROUPS[abs(_EXP10)].view(np.uint8).reshape(-1, 4)
 _EXPONENTS[:, 0] = np.where(_EXP10 < 0, ord("-"), ord("+"))
 _EXPONENTS[abs(_EXP10) < 100, 1] = 0
+_EXPONENTS_2 = _EXPONENTS[:, [1, 0, 2, 3]].copy().view(np.uint32)[:, 0]
 _EXPONENTS = _EXPONENTS.view(np.uint32)[:, 0]
 
 
-def _records(flat, digits, upper, space_sign, out=None):
-    """'%[ ].{digits-1}{E|e}' % v of every value in `flat` as one uint8 row
-    of digits + 7 bytes, zero bytes in the unused sign and exponent slots.
-    Written into `out` (any (len(flat), digits + 7) uint8 view) when given;
-    returns the records."""
-    n = len(flat)
-    width = digits + 7                      # s d . ddd E s h t o
-    rec = np.empty((n, width), dtype=np.uint8) if out is None else out
+def _exact_ties(a, y, k, redo, bad):
+    """Of the near-ties `redo`, those only '%' can round. At the others y
+    becomes p = fl(a 10^k), on a 10^k's side of a half-integer or on it,
+    and then half a unit toward the exact residual's sign (Dekker; no fma)."""
+    k = k[redo]
+    exact = (k >= 0) & (k <= 22) & ~bad[redo]
+    near, b = redo[exact], _POW10[k[exact] - _POW10_MIN]
+    a = a[near]
+    p = a * b
+    ah, bh = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))   # 2^27 + 1
+    err = ((ah * bh - p) + ah * (b - bh) + (a - ah) * bh) + (a - ah) * (b - bh)
+    half = p - np.floor(p) == 0.5
+    y[near] = p + 0.5 * np.sign(err) * half
+    return np.concatenate([redo[~exact], near[half & (err == 0.0)]])
+
+
+def _percent(values, digits, upper, space_sign):
+    """The values _records formats one at a time, by '%' itself."""
+    fmt = f"%{' ' if space_sign else ''}.{digits - 1}{'E' if upper else 'e'}"
+    return [(fmt % v).encode("ascii") for v in values.tolist()]
+
+
+def _records(flat, digits, upper, space_sign, lead=0):
+    """'%[ ].{digits-1}{E|e}' % v of every value in `flat`, in columns
+    lead:lead + width of a new (len(flat), lead + width + 1) uint8 array.
+    width is digits + 5, plus a sign slot if space_sign or a value is
+    negative and an exponent-hundreds slot if an exponent has three digits
+    (zero bytes where a record leaves a slot empty); near-ties are decided
+    exactly where 10^k is exact (_exact_ties), the rest by '%' (_percent)."""
     a = np.abs(flat)
     bad = ~np.isfinite(a) | ((a < np.finfo(float).tiny) & (a != 0.0))
     zero = a == 0.0
@@ -123,7 +147,9 @@ def _records(flat, digits, upper, space_sign, out=None):
     exp10[moved] += shift[moved]
     y[moved] = _scaled(safe[moved], digits - 1 - exp10[moved])
     frac = y - np.floor(y)
-    fallback = bad | (~zero & (np.abs(frac - 0.5) <= _TIE_BAND * y))
+    redo = np.flatnonzero(bad | (~zero & (np.abs(frac - 0.5) <= _TIE_BAND * y)))
+    if len(redo):
+        redo = _exact_ties(a, y, digits - 1 - exp10, redo, bad)
     mant = np.rint(y).astype(np.int64)
     carry = mant == 10 ** digits            # 9.99...95 rounds up a decade
     mant[carry] = 10 ** (digits - 1)
@@ -131,23 +157,29 @@ def _records(flat, digits, upper, space_sign, out=None):
     mant[zero] = 0
     exp10[zero] = 0
 
-    blank = ord(" ") if space_sign else 0
-    rec[:, 0] = np.signbit(flat) * np.uint8(ord("-") - blank) + np.uint8(blank)
-    for col in range(digits - 2, 2, -4):   # four mantissa digits after the point
+    texts = _percent(flat[redo], digits, upper, space_sign)
+    sign = int(space_sign or np.signbit(flat).any())
+    wide = int(exp10.max(initial=0) >= 100 or exp10.min(initial=0) <= -100
+               or any(len(t) > digits + 5 + sign for t in texts))
+    width = digits + 5 + sign + wide        # [s] d . ddd E s [h] t o
+    del a, bad, zero, safe, y, shift, frac   # spent: the records need not share their peak
+    out = np.empty((len(flat), lead + width + 1), dtype=np.uint8)
+    rec = out[:, lead:lead + width]
+    if sign:
+        blank = ord(" ") if space_sign else 0
+        rec[:, 0] = np.signbit(flat) * np.uint8(ord("-") - blank) + np.uint8(blank)
+    for col in range(sign + digits - 3, sign + 1, -4):   # four digits after the point
         quot = mant // 10 ** 4
         rec[:, col:col + 4].view(np.uint32)[:, 0] = _DIGIT_GROUPS[mant - 10 ** 4 * quot]
         mant = quot
-    rec[:, 1] = mant + ord("0")
-    rec[:, 2] = ord(".")
-    rec[:, digits + 2] = ord("E" if upper else "e")
-    rec[:, digits + 3:].view(np.uint32)[:, 0] = _EXPONENTS[exp10 - _EXP10[0]]
-
-    fmt = f"%{' ' if space_sign else ''}.{digits - 1}{'E' if upper else 'e'}"
-    redo = np.flatnonzero(fallback)
-    if len(redo):
-        texts = [(fmt % v).encode("ascii") for v in flat[redo].tolist()]
-        rec[redo] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    return rec
+    rec[:, sign] = mant + ord("0")
+    rec[:, sign + 1] = ord(".")
+    e = sign + digits + 1                   # the exponent letter's column
+    rec[:, e + wide:e + wide + 4].view(np.uint32)[:, 0] = \
+        (_EXPONENTS if wide else _EXPONENTS_2)[exp10 - _EXP10[0]]
+    rec[:, e] = ord("E" if upper else "e")
+    rec[redo] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return out
 
 
 def _lines(fields, per_line, sep):
@@ -180,9 +212,7 @@ def _write_table(fh, values, per_line, digits, upper, space_sign, sep):
     if full < len(flat):
         bounds.append((full, len(flat), len(flat) - full))   # short last line
     for start, stop, n in bounds:
-        fields = np.empty((stop - start, digits + 8), dtype=np.uint8)
-        _records(flat[start:stop], digits, upper, space_sign, out=fields[:, :-1])
-        fh.write(_lines(fields, n, sep))
+        fh.write(_lines(_records(flat[start:stop], digits, upper, space_sign), n, sep))
 
 
 # ---------------------------------------------------------------------------
@@ -853,19 +883,19 @@ def _write_map_rows(fh, axis_x, axis_y, inside, values):
     """One 'q_x q_y value' line per raster sample (i, j) in `inside`, in C
     order. Each axis value is formatted once and its record gathered by
     index; only the values are formatted per line, a block at a time."""
-    width = _EXPORT["digits"] + 7
-    record = np.dtype((np.void, width))     # one record as a single item
-    qx = _records(axis_x, **_EXPORT).view(record)[:, 0]
-    qy = _records(axis_y, **_EXPORT).view(record)[:, 0]
+    qx, qy = (_records(axis, **_EXPORT)[:, :-1] for axis in (axis_x, axis_y))
+    wx, wy = qx.shape[1], qy.shape[1]
+    rx, ry = np.dtype((np.void, wx)), np.dtype((np.void, wy))   # a record as one item
+    qx, qy = qx.view(rx)[:, 0], qy.view(ry)[:, 0]
     rows_i, rows_j = np.nonzero(inside)
     for start in range(0, len(rows_i), _BLOCK_LINES):
         i = rows_i[start:start + _BLOCK_LINES]
         j = rows_j[start:start + _BLOCK_LINES]
-        fields = np.empty((len(i), 3, width + 1), dtype=np.uint8)
-        fields[:, 0, :-1].view(record)[:, 0] = qx[i]
-        fields[:, 1, :-1].view(record)[:, 0] = qy[j]
-        _records(values[i, j], **_EXPORT, out=fields[:, 2, :-1])
-        fh.write(_lines(fields.reshape(-1, width + 1), 3, "\t"))
+        line = _records(values[i, j], **_EXPORT, lead=wx + wy + 2)
+        line[:, :wx].view(rx)[:, 0] = qx[i]
+        line[:, wx + 1:wx + wy + 1].view(ry)[:, 0] = qy[j]
+        line[:, [wx, wx + wy + 1]] = ord("\t")
+        fh.write(_lines(line, 1, "\n"))
 
 
 def _write_export(path, header_lines, write_rows):

@@ -37,6 +37,7 @@ from .model import (
     ModelError,
     Record,
     ev_to_hartree,
+    held,
     inv_angstrom_to_au,
     primitive_norm,
     read_only,
@@ -110,12 +111,14 @@ class MomentumGrid(Record):
 
     def __init__(self, samples, valid, shape=None, axis_x=None, axis_y=None,
                  weights=None):
-        samples = np.ascontiguousarray(np.asarray(samples, dtype=float).reshape(-1, 3))
-        valid = np.ascontiguousarray(np.asarray(valid, dtype=bool).reshape(-1))
+        samples = np.ascontiguousarray(samples, dtype=float)
+        valid = np.asarray(valid, dtype=bool)
+        samples = samples if samples.shape[1:] == (3,) else samples.reshape(-1, 3)
+        valid = valid if valid.ndim == 1 else valid.reshape(-1)
         if len(valid) != len(samples):
             raise ModelError("valid mask length does not match samples")
-        self._set(read_only(samples), read_only(valid), shape,
-                  *(None if a is None else read_only(np.asarray(a, dtype=float).copy())
+        self._set(held(samples), held(valid), shape,
+                  *(None if a is None else held(np.asarray(a, dtype=float))
                     for a in (axis_x, axis_y, weights)))
 
     @property
@@ -146,19 +149,19 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
     qy = np.ones(int(nx))[:, None] * inv_angstrom_to_au(axis_y)[None, :]
     samples, valid = lift(e_au, qx.ravel(), qy.ravel())
     return MomentumGrid(samples=samples, valid=valid, shape=(int(nx), int(ny)),
-                        axis_x=axis_x, axis_y=axis_y)
+                        axis_x=read_only(axis_x), axis_y=read_only(axis_y))
 
 
 def lift(e_au, qx, qy):
     """Raster points (q_x, q_y) lifted to q_z = +sqrt(2 eps - q_x^2 - q_y^2)
-    at energy e_au (hartree): samples (n, 3) and the kinematic-disc mask."""
+    at energy e_au (hartree): read-only samples (n, 3) and disc mask."""
     qz_sq = 2.0 * e_au - qx ** 2 - qy ** 2
     # Relative tolerance keeps raster points that land on the kinematic
     # circle only up to float rounding (axis extremes, Pythagorean index
     # pairs) deterministically inside; mirrors the exporter's predicate.
     valid = qz_sq >= -2.0 * e_au * 1e-12
     qz = np.sqrt(np.clip(qz_sq, 0.0, None))
-    return np.stack([qx, qy, qz], axis=1), valid
+    return read_only(np.stack([qx, qy, qz], axis=1)), read_only(valid)
 
 
 def sphere_quadrature(n_polar=48, n_azimuth=96):
@@ -192,9 +195,8 @@ def build_sphere(energy_ev, n_polar=48, n_azimuth=96, quadrature=None):
             f"photoelectron energy must be positive and finite, got {energy_ev}")
     dirs, weights = quadrature or sphere_quadrature(n_polar, n_azimuth)
     q = math.sqrt(2.0 * ev_to_hartree(energy_ev))
-    samples = q * dirs
-    return MomentumGrid(samples=samples, valid=np.ones(len(samples), dtype=bool),
-                        weights=weights)
+    return MomentumGrid(samples=read_only(q * dirs),
+                        valid=read_only(np.ones(len(dirs), dtype=bool)), weights=weights)
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,16 @@ _CONTRACT = {
     "fig4-grid-0": (["reproduce-figure", "fig4", "--grid", "0"], "MomentumError"),
     "fig4-grid-1": (["reproduce-figure", "fig4", "--grid", "1"], "MomentumError"),
     "fig4-grid-negative": (["reproduce-figure", "fig4", "--grid", "-1"], "MomentumError"),
+    # a raster whose kernel (--grid 100000: 640 GB) or maps at all delays
+    # pass the size ceiling is refused before anything is allocated
+    "pmm-grid-huge": (["pmm", "--energy", "99", "--grid", "100000"], "ConfigError"),
+    "pmm-average-grid-huge": (_PMM[:3] + ["--grid", "100000", "--average", "1"],
+                              "ConfigError"),
+    "fig4-grid-huge": (["reproduce-figure", "fig4", "--grid", "100000"], "ConfigError"),
+    "fig6-grid-huge": (["reproduce-figure", "fig6", "--grid", "100000"], "ConfigError"),
+    "pmm-grid-4097": (["pmm", "--energy", "99", "--grid", "4097"], "ConfigError"),
+    "pmm-delays-huge": (["pmm", "--energy", "99", "--grid", "2049", "--tp", *["0"] * 40],
+                        "ConfigError"),
     "pmm-average-samples-1": (_PMM + ["--average", "1", "--average-samples", "1"],
                               "SignalError"),
     "pmm-average-samples-negative": (_PMM + ["--average", "1", "--average-samples", "-1"],
@@ -425,7 +435,8 @@ def test_cli_exits_0_or_1_with_one_error_record(tmp_path, capsys, argv, error):
 
 @pytest.mark.parametrize("case, option", [
     ("fig2-energy", "--energy"), ("fig3-tp-two", "--tp"), ("fig4-tau", "--tau"),
-    ("fig5-tau", "--tau"), ("fig6-energy-two", "--energy"),
+    ("fig5-tau", "--tau"), ("fig6-energy-two", "--energy"), ("pmm-grid-huge", "--grid"),
+    ("fig4-grid-huge", "--grid"), ("pmm-delays-huge", "--grid"),
     *((f"pmm-threads-{v}", "--threads") for v in ("0", "negative", "nan", "inf", "huge"))])
 def test_figure_refusal_names_the_option(tmp_path, capsys, case, option):
     argv, _ = _CONTRACT[case]

@@ -303,9 +303,17 @@ def test_records_leave_caller_arrays_alone():
     with pytest.raises(signal.SignalError):
         signal.Spectrum(e, v, "s", {})
     cube = VolumetricGrid(origin=np.zeros(3), axes=np.eye(3), counts=(2, 2, 2), values=w)
-    assert all(x.flags.writeable for x in (a, ax, ax2, e, v, w))
-    a[0, 0] = w[0, 0, 0] = 2.0
-    assert pmm.values[0, 0] == cube.values[0, 0, 0] == 1.0
-    # a read-only array that owns its memory is held as it is
+    q, ok = np.ones((3, 3)), np.ones(3, dtype=bool)
+    grid = momentum.MomentumGrid(samples=q, valid=ok, axis_x=ax, weights=ax)
+    assert all(x.flags.writeable for x in (a, ax, ax2, e, v, w, q, ok))
+    a[0, 0] = w[0, 0, 0] = q[0, 0] = ax[0] = 2.0
+    ok[0] = False
+    assert pmm.values[0, 0] == cube.values[0, 0, 0] == grid.samples[0, 0] == 1.0
+    assert grid.valid[0] and grid.axis_x[0] == grid.weights[0] == -1.0
+    # a read-only array that owns its memory is held as it is, so a grid
+    # built from lift's samples and mask holds them without a copy
     frozen = model.read_only(np.ones((3, 2)))
     assert signal.PMM(99.0, 0.0, frozen, ax, ax2, {}).values is frozen
+    samples, inside = momentum.lift(1.0, np.zeros(4), np.linspace(0.0, 2.0, 4))
+    grid = momentum.MomentumGrid(samples=samples, valid=inside)
+    assert grid.samples is samples and grid.valid is inside

@@ -3,6 +3,9 @@ writers in oracles.py: every file must be byte-identical."""
 
 import dataclasses
 import io
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -137,6 +140,85 @@ def test_formatter_matches_percent_on_one_outlier_per_block(fmt, spec):
             block[row] = outlier
             blocks.append(block)
     _same_as_percent(np.concatenate(blocks), fmt, spec)
+
+
+def _decimal_ties(digits, k, rng, n=100):
+    """Doubles v whose |v| 10^k has `digits` digits before the point and
+    lies next to a half-integer h, by kind: "tie" (|v| 10^k = h exactly),
+    "above" and "below" (fl(|v| 10^k) = h, the exact product above or below
+    it; only where 10^k is exact) and "near" (the exact product within one
+    ulp of h)."""
+    kinds = {"near": [], "above": [], "below": [], "tie": []}
+    for _ in range(n):
+        half = Fraction(2 * rng.randrange(10 ** (digits - 1), 10 ** digits) + 1, 2)
+        v = float(half / 10 ** k)           # nearest double, and 4 ulps either side
+        for _ in range(4):
+            v = math.nextafter(v, -math.inf)
+        for _ in range(9):
+            exact, scaled = Fraction(v) * 10 ** k, v * 10.0 ** k
+            if exact == half:
+                kinds["tie"].append(v)
+            elif scaled == half and k <= 22:
+                kinds["above" if exact > half else "below"].append(v)
+            elif abs(exact - half) <= Fraction(math.ulp(scaled)):
+                kinds["near"].append(v)
+            v = math.nextafter(v, math.inf)
+    # more true ties where 5^k can divide 2h: v = j / 2^(k + 1) with odd j
+    lo, hi = 2 * 10 ** (digits - 1) // 5 ** k + 1, 2 * 10 ** digits // 5 ** k
+    kinds["tie"] += [j / 2 ** (k + 1) for j in (rng.randrange(lo, hi) | 1
+                                              for _ in range(20 if lo < hi else 0))
+                     if j * 5 ** k < 2 * 10 ** digits]
+    return kinds
+
+
+@pytest.mark.parametrize("k", [0, 1, 11, 22, 23])
+@pytest.mark.parametrize("fmt, spec", FORMATS, ids=["cube", "export"])
+def test_formatter_decides_decimal_ties_exactly(fmt, spec, k, monkeypatch):
+    # where 10^k is exact, only a true tie reaches '%'; every text is '%'s
+    digits = spec["digits"]
+    kinds = _decimal_ties(digits, k, random.Random(digits * 100 + k))
+    assert kinds["near"]
+    assert bool(kinds["above"]) == bool(kinds["below"]) == (1 <= k <= 22)
+    assert bool(kinds["tie"]) == (5 ** k < 2 * 10 ** digits)
+    percent, formatted = attopmm_io._percent, []
+
+    def counting(values, *args):
+        formatted.extend(np.abs(values).tolist())
+        return percent(values, *args)
+
+    monkeypatch.setattr(attopmm_io, "_percent", counting)
+    values = np.array([v for vs in kinds.values() for v in vs])
+    with np.errstate(all="raise"):
+        _same_as_percent(np.concatenate([values, -values]), fmt, spec)
+    want = kinds["tie"] if k <= 22 else values.tolist()
+    assert sorted(formatted) == sorted(2 * want)
+
+
+def _is_true_tie_or_inexact(v, digits):
+    """Whether '%' must format v: a true decimal tie at `digits` digits, a
+    value that is not finite or subnormal, or one whose 10^k is not exact."""
+    a = Fraction(abs(v)) if math.isfinite(v) else Fraction(0)
+    if a < Fraction(np.finfo(float).tiny):
+        return True
+    e = math.floor(math.log10(a))
+    e += (a >= Fraction(10) ** (e + 1)) - (a < Fraction(10) ** e)
+    k = digits - 1 - e
+    return not 0 <= k <= 22 or (2 * a * 10 ** k).denominator == 1
+
+
+def test_map_export_formats_almost_nothing_by_percent(tmp_path, scenario, monkeypatch):
+    pmm = pmm_cut(97.3, 0.0, scenario.pulse, scenario.wave_packet, scenario.finals,
+                  scenario.mos, resolution=201)
+    percent, formatted = attopmm_io._percent, []
+
+    def counting(values, *args):
+        formatted.extend(values.tolist())
+        return percent(values, *args)
+
+    monkeypatch.setattr(attopmm_io, "_percent", counting)
+    export_pmm(tmp_path / "map.dat", pmm)
+    assert len(formatted) <= 10
+    assert all(_is_true_tie_or_inexact(v, EXPORT["digits"]) for v in formatted)
 
 
 def test_digit_group_and_exponent_tables():
