@@ -30,17 +30,13 @@ from . import io as io_mod
 from . import signal as signal_mod
 from .algebra import PRUNE_THRESHOLD, AlgebraError, dyson_matrices
 from .model import SPIN_NAMES, ModelError, offset_label, phases_finite, wave_packet_phase
-from .momentum import MomentumError
+from .momentum import _SAMPLE_BLOCK, MomentumError
 
 log = logging.getLogger("attopmm.cli")
 
 _HANDLED = (io_mod.ConfigError, io_mod.TableFormatError, io_mod.CubeFormatError,
             io_mod.ExportFormatError, signal_mod.SignalError, ModelError,
             AlgebraError, MomentumError, density_mod.DensityError, OSError)
-
-# ceiling on the largest array of a map run: the (M, M, grid^2) complex
-# kernel or the grid^2 maps at every delay (--grid 100000 would be 640 GB)
-_MAX_MAP_BYTES = 2 ** 30
 
 _PERIOD_TOKEN = re.compile(
     r"^(?P<coef>\d+(?:\.\d*)?)?\s*T(?:\s*/\s*(?P<div>\d+(?:\.\d*)?))?$")
@@ -212,13 +208,21 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
     delays = [t for _, t in times]
     wp, finals, mos = scenario.wave_packet, scenario.finals, scenario.mos
     signal_mod.photoelectron_energies([energy for _, energy, _ in rows])
+    ceiling = io_mod._MAX_MAP_BYTES
+    size = max(16 * wp.n_members ** 2, 8 * len(delays)) * resolution ** 2
+    if size > ceiling:
+        raise io_mod.ConfigError(f"--grid: {resolution}^2 samples need {size:.3g} bytes, "
+                                 f"more than {ceiling}")
     if average is not None:
+        # per averaged energy: a row of the folded kernel's (E, block) table
+        # and the (F, M, M) pair weights
+        size = 8 * average[1] * max(min(resolution ** 2, _SAMPLE_BLOCK),
+                                    len(finals) * wp.n_members ** 2)
+        if size > ceiling:
+            raise io_mod.ConfigError(f"average samples: {average[1]} energies need "
+                                     f"{size:.3g} bytes, more than {ceiling}")
         for _, energy, _ in rows:
             signal_mod.average_energies(energy, *average)
-    size = max(16 * wp.n_members ** 2, 8 * len(delays)) * resolution ** 2
-    if size > _MAX_MAP_BYTES:
-        raise io_mod.ConfigError(f"--grid: {resolution}^2 samples need {size:.3g} bytes, "
-                                 f"more than {_MAX_MAP_BYTES}")
     written = []
     for tag, energy, pulse in rows:
         if average is None:

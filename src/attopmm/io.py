@@ -216,6 +216,64 @@ def _write_table(fh, values, per_line, digits, upper, space_sign, sep):
 
 
 # ---------------------------------------------------------------------------
+# reading text
+#
+# Every reader takes its file through _read_text and every number of a header
+# line or table column through _numbers. The numeric body of a cube, map or
+# spectra file goes through _body: one numpy conversion and one finiteness
+# check over all of its tokens. Each reader then checks its layout on the
+# arrays _body returns and names the first line a check flags.
+
+def _read_text(path, error):
+    """The UTF-8 text of `path`; bytes that do not decode are `error` naming
+    the file and the line they are on."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path} line {line}: not UTF-8 text ({exc.reason} at byte "
+                    f"{exc.start})") from None
+
+
+def _numbers(text, kinds, error, where, name):
+    """The whitespace-separated fields of `text` as finite numbers, one per
+    entry of kinds (float or int), else `error` naming where and name."""
+    fields = text.split()
+    if len(fields) != len(kinds):
+        raise error(f"{where}: {name} needs {len(kinds)} number(s), got {text.strip()!r}")
+    out = []
+    for field, kind in zip(fields, kinds):
+        try:
+            out.append(kind(field))
+        except ValueError:
+            raise error(f"{where}: bad {name} {field!r}, "
+                        f"expected {kind.__name__}") from None
+        if kind is float and not math.isfinite(out[-1]):
+            raise error(f"{where}: non-finite {name} {field!r}")
+    return out
+
+
+def _body(raw, first, path, error):
+    """The numbers of the lines raw[first:], blank lines skipped, as (values,
+    numbers per line, line numbers). Every token is converted by one numpy
+    call and must be finite, else `error` names the first line with a token
+    that is not."""
+    split = [line.split() for line in raw[first:]]
+    per_line = np.fromiter(map(len, split), dtype=np.int64, count=len(split))
+    linenos = np.flatnonzero(per_line) + first + 1
+    per_line = per_line[per_line > 0]
+    try:
+        values = np.array([t for tokens in split for t in tokens], dtype=float)
+        finite = np.isfinite(values).all()
+    except ValueError:
+        finite = False
+    if not finite:
+        for lineno, n in zip(linenos.tolist(), per_line.tolist()):
+            _numbers(raw[lineno - 1], (float,) * n, error, f"{path} line {lineno}", "value")
+    return values, per_line, linenos
+
+
+# ---------------------------------------------------------------------------
 # Gaussian cube
 
 def write_cube(path, grid: VolumetricGrid, atoms=(), comments=("", "")):
@@ -242,75 +300,47 @@ def write_cube(path, grid: VolumetricGrid, atoms=(), comments=("", "")):
     return path
 
 
-def _cube_fail(lineno, message):
-    raise CubeFormatError(f"line {lineno}: {message}")
-
-
-def _cube_numbers(tokens, lineno, kind=float):
-    out = []
-    for t in tokens:
-        try:
-            out.append(kind(t))
-        except ValueError:
-            _cube_fail(lineno, f"expected {kind.__name__}, got {t!r}")
-        if not math.isfinite(out[-1]):
-            _cube_fail(lineno, f"non-finite value {t!r}")
-    return out
-
-
 def read_cube(path):
     """-> (VolumetricGrid with values, [(Z, charge, (x,y,z) bohr)], comments)."""
     path = Path(path)
-    raw = path.read_text(encoding="utf-8").splitlines()
+    raw = _read_text(path, CubeFormatError).splitlines()
     if len(raw) < 6:
-        _cube_fail(len(raw), "file too short for a cube header")
-    comments = (raw[0], raw[1])
-    head = raw[2].split()
-    if len(head) != 4:
-        _cube_fail(3, f"natoms+origin line needs 4 fields, got {len(head)}")
-    natoms = _cube_numbers(head[:1], 3, int)[0]
+        raise CubeFormatError(f"{path} line {len(raw)}: file too short for a cube header")
+    natoms, *origin = _numbers(raw[2], (int, float, float, float), CubeFormatError,
+                               f"{path} line 3", "natoms/origin")
     if natoms < 0:
-        _cube_fail(3, f"negative atom count {natoms} not supported")
-    origin = _cube_numbers(head[1:], 3)
-    counts, axes = [], []
-    for ax in range(3):
-        lineno = 4 + ax
-        tok = raw[lineno - 1].split()
-        if len(tok) != 4:
-            _cube_fail(lineno, f"axis line needs 4 fields, got {len(tok)}")
-        n = _cube_numbers(tok[:1], lineno, int)[0]
+        raise CubeFormatError(f"{path} line 3: negative atom count {natoms} not supported")
+    if 6 + natoms > len(raw):
+        raise CubeFormatError(f"{path} line {len(raw) + 1}: missing atom line")
+    counts, axes, atoms = [], [], []
+    for lineno in (4, 5, 6):
+        n, *axis = _numbers(raw[lineno - 1], (int, float, float, float), CubeFormatError,
+                            f"{path} line {lineno}", "axis")
         if n < 2:
-            _cube_fail(lineno, f"axis count must be >= 2, got {n}")
+            raise CubeFormatError(f"{path} line {lineno}: axis count must be >= 2, got {n}")
         counts.append(n)
-        axes.append(_cube_numbers(tok[1:], lineno))
-    atoms = []
-    for k in range(natoms):
-        lineno = 7 + k
-        if lineno - 1 >= len(raw):
-            _cube_fail(lineno, "missing atom line")
-        tok = raw[lineno - 1].split()
-        if len(tok) != 5:
-            _cube_fail(lineno, f"atom line needs 5 fields, got {len(tok)}")
-        z = _cube_numbers(tok[:1], lineno, int)[0]
-        nums = _cube_numbers(tok[1:], lineno)
-        atoms.append((z, nums[0], tuple(nums[1:])))
+        axes.append(axis)
+    for lineno in range(7, 7 + natoms):
+        z, charge, *pos = _numbers(raw[lineno - 1], (int,) + (float,) * 4, CubeFormatError,
+                                   f"{path} line {lineno}", "atom")
+        atoms.append((z, charge, tuple(pos)))
+    values, per_line, linenos = _body(raw, 6 + natoms, path, CubeFormatError)
+    wide = np.flatnonzero(per_line > 6)
+    if len(wide):
+        raise CubeFormatError(f"{path} line {linenos[wide[0]]}: more than 6 values on "
+                              f"one line ({per_line[wide[0]]})")
     expected = counts[0] * counts[1] * counts[2]
-    values = []
-    for idx in range(6 + natoms, len(raw)):
-        lineno = idx + 1
-        tok = raw[idx].split()
-        if not tok:
-            continue
-        if len(tok) > 6:
-            _cube_fail(lineno, f"more than 6 values on one line ({len(tok)})")
-        values.extend(_cube_numbers(tok, lineno))
-        if len(values) > expected:
-            _cube_fail(lineno, f"more than {expected} values in payload")
     if len(values) != expected:
-        _cube_fail(len(raw), f"expected {expected} values, found {len(values)}")
-    grid = VolumetricGrid(origin=origin, axes=axes, counts=tuple(counts),
-                          values=np.array(values).reshape(counts))
-    return grid, atoms, comments
+        over = np.cumsum(per_line) > expected
+        lineno = linenos[over.argmax()] if over.any() else len(raw)
+        raise CubeFormatError(f"{path} line {lineno}: expected {expected} values, "
+                              f"found {len(values)}")
+    try:
+        grid = VolumetricGrid(origin=origin, axes=axes, counts=tuple(counts),
+                              values=values.reshape(counts))
+    except ModelError as exc:
+        raise CubeFormatError(f"{path} line 4: {exc}") from None
+    return grid, atoms, (raw[0], raw[1])
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +433,7 @@ def read_final_state_table(path, occupied, normalize=False):
     rows = []
     seen = set()
     any_line = False
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(),
+    for lineno, line in enumerate(_read_text(path, TableFormatError).splitlines(),
                                   start=1):
         body = line.strip()
         if not body or body.startswith("#"):
@@ -413,31 +443,18 @@ def read_final_state_table(path, occupied, normalize=False):
         if len(cols) not in (3, 4):
             raise TableFormatError(
                 f"line {lineno}: expected 3 or 4 tab-separated columns, got {len(cols)}")
-        try:
-            index = int(cols[0])
-        except ValueError:
-            raise TableFormatError(f"line {lineno}: bad index {cols[0]!r}") from None
+        where = f"line {lineno}"
+        index, = _numbers(cols[0], (int,), TableFormatError, where, "index")
         if index in seen:
-            raise TableFormatError(f"line {lineno}: duplicate index {index}")
+            raise TableFormatError(f"{where}: duplicate index {index}")
         seen.add(index)
-        try:
-            energy = float(cols[1])
-        except ValueError:
-            raise TableFormatError(f"line {lineno}: bad energy {cols[1]!r}") from None
-        if not 0 < energy < math.inf:
+        energy, = _numbers(cols[1], (float,), TableFormatError, where, "energy")
+        if not energy > 0:
             raise TableFormatError(
-                f"line {lineno}: final-state energy must be positive and finite, "
-                f"got {energy}")
+                f"{where}: final-state energy must be positive and finite, got {energy}")
         center = None
         if len(cols) == 4:
-            try:
-                center = float(cols[2])
-            except ValueError:
-                raise TableFormatError(
-                    f"line {lineno}: bad energy center {cols[2]!r}") from None
-            if not math.isfinite(center):
-                raise TableFormatError(
-                    f"line {lineno}: energy center must be finite, got {center}")
+            center, = _numbers(cols[2], (float,), TableFormatError, where, "energy center")
         terms = _parse_expansion(cols[-1], occupied, lineno)
         norm_sq = sum(c * c for c, _ in terms)
         if norm_sq > 1.0 + 1e-6:
@@ -544,7 +561,7 @@ def _positive(value, where):
 
 def _load_lcao_file(path):
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(_read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON orbital file ({exc})") from exc
     _reject_unknown(data, {"exponent", "centers_angstrom", "orbitals"}, str(path))
@@ -602,11 +619,7 @@ def _build_orbitals(molecule, base_dir):
             raise ConfigError("molecule.orbitals: need a {label: cube-path} map")
         mos = []
         for label in sorted(table):
-            path = base_dir / table[label]
-            try:
-                grid, _, _ = read_cube(path)
-            except CubeFormatError as exc:
-                raise CubeFormatError(f"{path}: {exc}") from None
+            grid, _, _ = read_cube(base_dir / table[label])
             mos.append(MolecularOrbital(label=str(label), grid=grid))
         return mos, ()
     if "path" not in molecule:
@@ -769,7 +782,7 @@ def config_digest(raw):
 
 def load_scenario(path):
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = _read_text(path, ConfigError)
     if not text.strip():
         raise ConfigError(f"{path}: empty config file")
     try:
@@ -824,6 +837,9 @@ def default_scenario_path():
 # result export
 
 _NUM = "%.12e"
+# ceiling on the largest array of a map run (cli) and on the raster of a map
+# file (read_pmm): --grid 100000 would be a 640 GB member-pair kernel
+_MAX_MAP_BYTES = 2 ** 30
 _EXPORT = dict(digits=13, upper=False, space_sign=False)   # _NUM for _records
 
 
@@ -909,9 +925,11 @@ def _write_export(path, header_lines, write_rows):
         raise ExportFormatError(f"{path}: {exc}") from exc
 
 
-def _parse_headers(raw, path):
-    """'# key: value' lines -> ({key: value}, {key: line number}, index of
-    the first body line)."""
+def _read_export(path, fmt, what):
+    """The lines of the export file `path`, its '# key: value' header as
+    ({key: value}, {key: line number}), and the index of its first body
+    line; the header must declare format `fmt`."""
+    raw = _read_text(path, ExportFormatError).splitlines()
     meta, lines = {}, {}
     body_start = next((idx for idx, line in enumerate(raw) if not line.startswith("#")),
                       len(raw))
@@ -922,70 +940,53 @@ def _parse_headers(raw, path):
             lines[key.strip()] = idx + 1
     if not meta:
         raise ExportFormatError(f"{path}: missing '#' metadata header")
-    return meta, lines, body_start
-
-
-def _finite(text, where, name, kind=float):
-    """text as a finite kind (float or int), else an ExportFormatError."""
-    try:
-        value = kind(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ExportFormatError(f"{where}: {name} {text!r} is not a finite {kind.__name__}")
-    return value
+    if meta.get("format") != fmt:
+        raise ExportFormatError(f"{path}: not an attopmm {what} export")
+    return raw, meta, lines, body_start
 
 
 def _header_numbers(path, meta, lines, key, kinds=(float,)):
     """The finite numbers of header field key, one per entry of kinds."""
     where = f"{path} line {lines[key]}" if key in lines else str(path)
-    fields = meta.get(key, "").split()
-    if len(fields) != len(kinds):
-        raise ExportFormatError(
-            f"{where}: {key} needs {len(kinds)} number(s), got {meta.get(key)!r}")
-    return [_finite(text, where, key, kind) for text, kind in zip(fields, kinds)]
+    return _numbers(meta.get(key, ""), kinds, ExportFormatError, where, key)
 
 
 def read_pmm(path):
     path = Path(path)
-    raw = path.read_text(encoding="utf-8").splitlines()
-    meta, lines, body_start = _parse_headers(raw, path)
-    if meta.get("format") != "attopmm-pmm-1":
-        raise ExportFormatError(f"{path}: not an attopmm momentum-map export")
-    axes = []
-    for key in ("axis_x", "axis_y"):
-        lo, hi, n = _header_numbers(path, meta, lines, key, (float, float, int))
-        if not (lo < hi and n >= 2):
-            raise ExportFormatError(
-                f"{path} line {lines[key]}: {key} needs lo < hi and at least 2 points")
-        axes.append(np.linspace(lo, hi, n))
-    axis_x, axis_y = axes
+    raw, meta, lines, body_start = _read_export(path, "attopmm-pmm-1", "momentum-map")
+    bounds = [_header_numbers(path, meta, lines, key, (float, float, int))
+              for key in ("axis_x", "axis_y")]
+    for key, (lo, hi, n) in zip(("axis_x", "axis_y"), bounds):
+        if not (0 < hi - lo < math.inf and n >= 2):
+            raise ExportFormatError(f"{path} line {lines[key]}: {key} needs lo < hi, a "
+                                    "finite span and at least 2 points")
+    (_, _, nx), (_, _, ny) = bounds
+    if 8 * nx * ny > _MAX_MAP_BYTES:
+        key = "axis_x" if nx >= ny else "axis_y"
+        raise ExportFormatError(f"{path} line {lines[key]}: a {nx} x {ny} raster needs "
+                                f"{8 * nx * ny:.3g} bytes, more than {_MAX_MAP_BYTES}")
+    axis_x, axis_y = (np.linspace(lo, hi, n) for lo, hi, n in bounds)
     energy, = _header_numbers(path, meta, lines, "energy_ev")
     t_p, = _header_numbers(path, meta, lines, "t_p_fs")
-    values = np.zeros((len(axis_x), len(axis_y)))
+    rows, per_line, linenos = _body(raw, body_start, path, ExportFormatError)
+    bad = np.flatnonzero(per_line != 3)
+    if len(bad):
+        raise ExportFormatError(f"{path} line {linenos[bad[0]]}: expected 3 columns, "
+                                f"got {per_line[bad[0]]}")
+    x, y, v = rows.reshape(-1, 3).T
     dx = (axis_x[-1] - axis_x[0]) / (len(axis_x) - 1)
     dy = (axis_y[-1] - axis_y[0]) / (len(axis_y) - 1)
-    for lineno, line in enumerate(raw[body_start:], start=body_start + 1):
-        if not line.strip():
-            continue
-        tok = line.split()
-        if len(tok) != 3:
-            raise ExportFormatError(
-                f"{path} line {lineno}: expected 3 columns, got {len(tok)}")
-        try:
-            x, y, v = (float(t) for t in tok)
-            i = int(round((x - axis_x[0]) / dx))
-            j = int(round((y - axis_y[0]) / dy))
-        except (ValueError, OverflowError):
-            raise ExportFormatError(
-                f"{path} line {lineno}: non-numeric or non-finite row") from None
-        if not (0 <= i < len(axis_x) and 0 <= j < len(axis_y)):
-            raise ExportFormatError(
-                f"{path} line {lineno}: sample off the declared raster")
-        if not 0 <= v < math.inf:
-            raise ExportFormatError(
-                f"{path} line {lineno}: value {v} is not a finite probability >= 0")
-        values[i, j] = v
+    i, j = np.rint((x - axis_x[0]) / dx), np.rint((y - axis_y[0]) / dy)
+    bad = np.flatnonzero(~((0 <= i) & (i < nx) & (0 <= j) & (j < ny)))
+    if len(bad):
+        raise ExportFormatError(f"{path} line {linenos[bad[0]]}: sample off the "
+                                "declared raster")
+    bad = np.flatnonzero(v < 0)
+    if len(bad):
+        raise ExportFormatError(f"{path} line {linenos[bad[0]]}: value {v[bad[0]]} is "
+                                "not a finite probability >= 0")
+    values = np.zeros((nx, ny))
+    values[i.astype(np.intp), j.astype(np.intp)] = v
     metadata = {"tau_fs": 0.0, "omega_in_ev": 0.0, "mode": meta.get("mode", "short")}
     for key, count in (("tau_fs", 1), ("omega_in_ev", 1), ("polarization", 3),
                        ("q_disc_inv_angstrom", 1)):
@@ -1035,35 +1036,26 @@ def export_spectra(path, spectra, digest=None):
 
 def read_spectra(path):
     path = Path(path)
-    raw = path.read_text(encoding="utf-8").splitlines()
-    meta, lines, body_start = _parse_headers(raw, path)
-    if meta.get("format") != "attopmm-spectrum-1":
-        raise ExportFormatError(f"{path}: not an attopmm spectrum export")
-    rows = []
-    for lineno, line in enumerate(raw[body_start:], start=body_start + 1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(t) for t in line.split()])
-        except ValueError:
-            raise ExportFormatError(
-                f"{path} line {lineno}: non-numeric row") from None
-        energy, *values = rows[-1]
-        if len(rows[-1]) != len(rows[0]) or not values:
-            raise ExportFormatError(f"{path} line {lineno}: inconsistent column count")
-        if not (math.isfinite(energy) and all(0 <= v < math.inf for v in values)):
-            raise ExportFormatError(f"{path} line {lineno}: non-finite energy, or a "
-                                    "value that is not a finite non-negative probability")
-    if not rows:
+    raw, meta, lines, body_start = _read_export(path, "attopmm-spectrum-1", "spectrum")
+    values, per_line, linenos = _body(raw, body_start, path, ExportFormatError)
+    if not len(per_line):
         raise ExportFormatError(f"{path}: no data rows")
-    width = len(rows[0])
-    data = np.asarray(rows)
+    bad = np.flatnonzero((per_line != per_line[0]) | (per_line < 2))
+    if len(bad):
+        raise ExportFormatError(f"{path} line {linenos[bad[0]]}: inconsistent column count")
+    width = per_line[0]
+    data = values.reshape(-1, width)
+    bad = np.flatnonzero((data[:, 1:] < 0).any(axis=1))
+    if len(bad):
+        raise ExportFormatError(f"{path} line {linenos[bad[0]]}: a value is not a "
+                                "finite non-negative probability")
     out = []
     for k in range(1, width):
         key = f"column {k + 1}"     # the header line tagging data column k
         parts = meta.get(key, "").split()
         attrs = dict(part.partition("=")[::2] for part in parts if "=" in part)
-        metadata = {name: _finite(attrs[name], f"{path} line {lines[key]}", name)
+        metadata = {name: _numbers(attrs[name], (float,), ExportFormatError,
+                                   f"{path} line {lines[key]}", name)[0]
                     for name in ("t_p_fs", "tau_fs", "omega_in_ev") if name in attrs}
         if "mode" in attrs:
             metadata["mode"] = attrs["mode"]

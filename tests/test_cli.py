@@ -412,14 +412,43 @@ _CONTRACT = {
     "pmm-threads-nan": (_PMM + ["--threads", "nan"], "ConfigError"),
     "pmm-threads-inf": (_PMM + ["--threads", "inf"], "ConfigError"),
     "pmm-threads-huge": (_PMM + ["--threads", "1e308"], "ConfigError"),
+    # the averaging table (10^11 energies: 745 GiB) is refused before the
+    # energies are allocated, from the option or from the config
+    "pmm-average-samples-huge": (_PMM + ["--average", "1", "--average-samples",
+                                         "100000000000"], "ConfigError"),
+    "fig6-average-samples-huge": (["reproduce-figure", "fig6", "--grid", "11", "--config",
+                                   {"outputs": {"average_samples": 10 ** 11}}],
+                                  "ConfigError"),
+    # a config or table that is not UTF-8 text
+    "validate-config-latin-1": (["validate", "--config",
+                                 {"name": "caf\u00e9", "encoding": "latin-1"}],
+                                "ConfigError"),
+    "validate-table-not-utf-8": (["validate", "--config", {"table_tail": b"\xff"}],
+                                 "TableFormatError"),
 }
+
+
+def _staged_config(directory, name=None, outputs=None, encoding="utf-8", table_tail=b""):
+    """A --config value: the bundled config with `name` and `outputs` set,
+    written in `encoding` beside its final-state table, which gains table_tail."""
+    raw = json.loads(json.dumps(load_scenario(default_scenario_path()).raw))
+    if name is not None:
+        raw["name"] = name
+    raw.setdefault("outputs", {}).update(outputs or {})
+    table = default_scenario_path().parent / raw["final_states"]["table"]
+    (directory / table.name).write_bytes(table.read_bytes() + table_tail)
+    config = directory / "staged.json"
+    config.write_bytes(json.dumps(raw, ensure_ascii=False).encode(encoding))
+    return str(config)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, error", list(_CONTRACT.values()), ids=list(_CONTRACT))
 def test_cli_exits_0_or_1_with_one_error_record(tmp_path, capsys, argv, error):
     # a run succeeds, or exits 1 with one JSON record on stderr and writes no
-    # artifact; never a traceback, and no warning on the way
+    # artifact; never a traceback, and no warning on the way (a dict in argv
+    # holds the keyword arguments of a config staged by _staged_config)
+    argv = [_staged_config(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
     out = tmp_path / "out"
     code = main(argv + ["--out", str(out)])
     records = [json.loads(line) for line in capsys.readouterr().err.splitlines()

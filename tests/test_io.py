@@ -69,6 +69,22 @@ def test_cube_density_frame_round_trip(tmp_path, scenario):
     assert abs(net - frame.net_charge) < 1e-7
 
 
+def test_cube_reads_foreign_line_layout(tmp_path):
+    # other programs break the line after every z-run, so lines hold fewer
+    # than 6 values; a blank line is skipped
+    values = np.random.default_rng(5).standard_normal((3, 4, 5))
+    grid = VolumetricGrid(origin=(0.0, 1.0, 2.0), axes=np.eye(3) * 0.4, counts=(3, 4, 5),
+                          values=values)
+    path = write_cube(tmp_path / "a.cube", grid, atoms=[(6, 6.0, (0.0, 0.0, 0.0))])
+    head = path.read_text().splitlines()[:7]
+    runs = [" ".join(repr(v) for v in run) for run in values.reshape(-1, 5).tolist()]
+    path.write_text("\n".join(head + runs[:5] + [""] + runs[5:]) + "\n")
+    back, atoms, _ = read_cube(path)
+    assert atoms == [(6, 6.0, (0.0, 0.0, 0.0))]
+    assert np.array_equal(back.values, values)
+    assert np.array_equal(back.axes, grid.axes) and back.counts == (3, 4, 5)
+
+
 def _cube_error(tmp_path, text, needle):
     path = tmp_path / "bad.cube"
     path.write_text(text)
@@ -93,6 +109,8 @@ def test_cube_error_reporting(tmp_path):
                 "line 3: non-finite")
     atom_head = good_head.replace("    0 0.0", "    1 0.0") + "6 6.0 0.0 NaN 0.0\n"
     _cube_error(tmp_path, atom_head + "1 2 3 4 5 6 7 8\n", "line 7: non-finite")
+    _cube_error(tmp_path, good_head.replace(" 1.0 0.0 0.0", " 0.0 0.0 0.0") + "1\n" * 8,
+                "line 4: grid axes are linearly dependent")
 
 
 # --- final-state tables -------------------------------------------------------
@@ -387,6 +405,8 @@ _READER_DEFECTS = {
     # line; or "value" and the new last field of the last row)
     "map-axis-nan": ("map", "# axis_x:", "# axis_x: nan 1.0 31"),
     "map-axis-one-point": ("map", "# axis_y:", "# axis_y: -1.0 1.0 1"),
+    # hi - lo overflows: the raster spacing would be inf
+    "map-axis-span-overflow": ("map", "# axis_x:", "# axis_x: -1e308 1e308 31"),
     "map-energy-average-two-fields": ("map", "# energy_average:",
                                       "# energy_average: 99.0 1.0"),
     "map-energy-nan": ("map", "# energy_ev:", "# energy_ev: nan"),
@@ -400,6 +420,11 @@ _READER_DEFECTS = {
     "map-value-negative": ("map", "value", "-1.0"),
     "spectra-value-nan": ("spectra", "value", "nan"),
     "spectra-short-row": ("spectra", "last", "96.0"),
+    "map-row-non-numeric": ("map", "value", "1.0x"),
+    "spectra-row-non-numeric": ("spectra", "value", "one"),
+    "map-row-off-raster": ("map", "last", "50.0\t0.0\t1.0"),
+    # a 10^12-point axis is refused before any raster is allocated (7.28 TiB)
+    "map-axis-huge": ("map", "# axis_x:", "# axis_x: -1.0 1.0 1000000000000"),
 }
 
 

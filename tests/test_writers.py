@@ -21,10 +21,19 @@ from attopmm.io import (
     export_density,
     export_pmm,
     export_spectra,
+    read_cube,
+    read_pmm,
+    read_spectra,
     write_cube,
 )
 from attopmm.model import VolumetricGrid
-from attopmm.signal import PMM, angle_integrated_spectrum, energy_average_pmm, pmm_cut
+from attopmm.signal import (
+    PMM,
+    Spectrum,
+    angle_integrated_spectrum,
+    energy_average_pmm,
+    pmm_cut,
+)
 from oracles import reference_export_pmm, reference_export_spectra, reference_write_cube
 
 CUBE = dict(digits=9, upper=True, space_sign=True)      # '% .8E'
@@ -364,3 +373,35 @@ def test_spectra_match_reference_writer(tmp_path, scenario):
     want = reference_export_spectra(tmp_path / "ref.dat", spectra,
                                     digest=scenario.digest)
     _same_file(got, want)
+
+
+def _body_floats(path, skip):
+    """Bit patterns of float() of every token, one row per line: the lines
+    after the first `skip`, '#' lines left out."""
+    lines = [line.split() for line in path.read_text().splitlines()[skip:]
+             if not line.startswith("#")]
+    return np.array([[float(t) for t in line] for line in lines]).view(np.int64)
+
+
+def test_readers_return_float_of_each_written_token(tmp_path, hard_values):
+    # a reader's one numpy conversion gives, bit for bit, float() of each token
+    finite = np.random.default_rng(2).choice(hard_values[np.isfinite(hard_values)], 6000)
+    cube = VolumetricGrid(origin=(0.0, 0.0, 0.0), axes=np.eye(3), counts=(10, 20, 30),
+                          values=finite.reshape(10, 20, 30))
+    back, _, _ = read_cube(write_cube(tmp_path / "a.cube", cube))
+    assert np.array_equal(back.values.reshape(-1, 6).view(np.int64),
+                          _body_floats(tmp_path / "a.cube", 6))
+    pmm = PMM(energy_ev=98.0, t_p_fs=0.0, values=np.abs(finite).reshape(60, 100),
+              axis_x=np.linspace(-2.0, 2.0, 60), axis_y=np.linspace(-1.0, 1.0, 100),
+              metadata={"mode": "short"})
+    back = read_pmm(export_pmm(tmp_path / "m.dat", pmm))
+    assert np.array_equal(back.values.reshape(-1).view(np.int64),
+                          _body_floats(tmp_path / "m.dat", 0)[:, 2])
+    columns = finite.reshape(3, 2000)
+    spectra = [Spectrum(energies_ev=columns[0], values=np.abs(v), scenario=f"s{k}",
+                        metadata={}) for k, v in enumerate(columns[1:])]
+    back = read_spectra(export_spectra(tmp_path / "s.dat", spectra))
+    want = _body_floats(tmp_path / "s.dat", 0)
+    for k, spectrum in enumerate(back, start=1):
+        assert np.array_equal(spectrum.energies_ev.view(np.int64), want[:, 0])
+        assert np.array_equal(spectrum.values.view(np.int64), want[:, k])
