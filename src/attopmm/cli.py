@@ -29,7 +29,7 @@ from . import density as density_mod
 from . import io as io_mod
 from . import signal as signal_mod
 from .algebra import PRUNE_THRESHOLD, AlgebraError, dyson_matrices
-from .model import SPIN_NAMES, ModelError, offset_label, phases_finite, wave_packet_phase
+from .model import SPIN_NAMES, ModelError, offset_label
 from .momentum import _SAMPLE_BLOCK, MomentumError
 
 log = logging.getLogger("attopmm.cli")
@@ -376,10 +376,10 @@ def cmd_dyson(args, scenario):
         raise signal_mod.SignalError(
             f"no final state with index {args.final} in the table")
     wp = scenario.wave_packet
-    if not phases_finite(wp, [t_fs]):
+    z, = wp.phases([t_fs])
+    if not np.all(np.isfinite(z)):
         raise signal_mod.SignalError("probe delay gives a non-finite wave-packet phase")
     offsets, dyson = dyson_matrices(match, wp)
-    z = [wave_packet_phase(wp, i, t_fs) for i in range(wp.n_members)]
     coeffs = np.einsum("i,sip->ps", z, dyson[0])
     print(f"final state {args.final} at t_p = {t_fs:.6f} fs")
     for (k, spin), c in np.ndenumerate(coeffs):

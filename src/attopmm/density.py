@@ -10,8 +10,8 @@ the one-particle density matrix over real orbitals phi_p is
 
 built once per packet by the second-quantization engine
 (algebra.member_pair_matrices), so the delay enters only through the
-bilinear form in z (model.at_delays). Subtracting the closed shell, which
-doubly occupies every orbital with offset <= 0, gives
+bilinear form in z = WavePacket.phases (model.at_delays). Subtracting the
+closed shell, which doubly occupies every orbital with offset <= 0, gives
 
     dgamma_pq(t) = Re sum_IJ z_I*(t) z_J(t) (G_IJ[p, q]
                                              - 2 delta_IJ delta_pq [p occupied]),
@@ -51,7 +51,6 @@ from .model import (
     axis_factors,
     evaluate_orbital,
     occupied_offsets,
-    phases_finite,
     primitive_norm,
 )
 from .momentum import planar_basis
@@ -86,8 +85,8 @@ class DensityFrame(Record):
         full = grid.with_values(np.asarray(values, dtype=float))
         dv = grid.voxel_volume
         flat = full.values.ravel()
-        gained = float(flat[flat > 0].sum() * dv)
-        lost = float(flat[flat < 0].sum() * dv)
+        gained = float(flat.sum(where=flat > 0) * dv)
+        lost = float(flat.sum(where=flat < 0) * dv)
         return cls(grid=full, t_fs=float(t_fs), charge_gained=gained,
                    charge_lost=lost)
 
@@ -132,10 +131,14 @@ def default_density_grid(mos, padding_angstrom=4.0, spacing_angstrom=0.15):
 
 
 def density_matrix_changes(wp, mos, times_fs):
-    """(offsets, [dgamma(t) for t in times_fs], kept): the density-matrix
-    change over the orbitals the packet touches and the molecule's closed
-    shell (module docstring), and the (p, q) index pairs, p <= q, of the
-    entries that are not below the pruning threshold for some member pair."""
+    """(offsets, dgamma, kept): dgamma[k] the density-matrix change at
+    times_fs[k] over the orbitals the packet touches and the molecule's
+    closed shell (module docstring), and the (p, q) index pairs, p <= q, of
+    the entries that are not below the pruning threshold for some member
+    pair. The member phases at times_fs (wp.phases) must all be finite."""
+    phases = wp.phases(times_fs)
+    if not np.all(np.isfinite(phases)):
+        raise DensityError("time gives a non-finite wave-packet phase")
     occupied = occupied_offsets(mos)
     if wp.n_electrons != 2 * len(occupied):
         raise DensityError(
@@ -146,7 +149,7 @@ def density_matrix_changes(wp, mos, times_fs):
     change = g - np.eye(wp.n_members)[:, :, None, None] * reference
     kept = list(zip(*np.nonzero(np.triu(
         np.max(np.abs(change), axis=(0, 1)) >= PRUNE_THRESHOLD))))
-    return offsets, at_delays(change, wp, times_fs), kept
+    return offsets, at_delays(change, phases), kept
 
 
 def _orbital_factors(mos, grid):
@@ -168,8 +171,6 @@ def density_timeseries(wp, mos, grid, times_fs):
     times = [float(t) for t in times_fs]
     if not times:
         raise DensityError("empty time list")
-    if not phases_finite(wp, times):
-        raise DensityError("time gives a non-finite wave-packet phase")
     offsets, changes, kept = density_matrix_changes(wp, mos, times)
     table = {mo.offset: mo for mo in mos}
     needed = sorted({offsets[k] for pq in kept for k in pq})

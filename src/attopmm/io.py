@@ -89,6 +89,7 @@ class ExportFormatError(ValueError):
 # value once and gathers its record per row (_write_map_rows).
 
 _BLOCK_LINES = 8192
+_TABLE_BLOCK_LINES = 2048   # a cube block's temporaries then reuse freed heap
 _TIE_BAND = 16.0 * np.finfo(float).eps
 _POW10_MIN = -170
 # correctly rounded powers of ten (the float parser rounds exactly)
@@ -203,10 +204,10 @@ def _write_table(fh, values, per_line, digits, upper, space_sign, sep):
     """Write `values` (flattened in C order) to the binary file `fh` as lines
     of `per_line` numbers joined by `sep`, each byte-identical to
     '%[ ].{digits-1}{E|e}' % value; a last partial line holds the remainder.
-    Only one block of _BLOCK_LINES lines is held in memory at a time."""
+    Only one block of _TABLE_BLOCK_LINES lines is held in memory at a time."""
     flat = np.asarray(values, dtype=float).ravel()
     full = len(flat) - len(flat) % per_line
-    step = _BLOCK_LINES * per_line
+    step = _TABLE_BLOCK_LINES * per_line
     bounds = [(start, min(start + step, full), per_line)
               for start in range(0, full, step)]
     if full < len(flat):
@@ -364,7 +365,7 @@ class TableRow(Record):
         self._set(index, state, center_ev)
 
 
-def _parse_term(match, occupied, lineno):
+def _parse_term(match, occupied, where):
     coef = float(match.group("coef"))
     if match.group("sign") == "-":
         coef = -coef
@@ -374,10 +375,10 @@ def _parse_term(match, occupied, lineno):
         if particle is not None:
             particle = orbital_offset(particle.strip())
     except ModelError as exc:
-        raise TableFormatError(f"line {lineno}: {exc}") from exc
+        raise TableFormatError(f"{where}: {exc}") from exc
     tag = match.group("tag")
     if tag is not None and tag not in ("udu", "uud"):
-        raise TableFormatError(f"line {lineno}: unknown coupling tag [{tag}]")
+        raise TableFormatError(f"{where}: unknown coupling tag [{tag}]")
     try:
         if len(holes) == 1 and particle is None and tag is None:
             csf = algebra.one_hole_csf(occupied, holes[0])
@@ -385,39 +386,39 @@ def _parse_term(match, occupied, lineno):
             if holes[0] == holes[1]:
                 if tag is not None:
                     raise TableFormatError(
-                        f"line {lineno}: closed two-hole term takes no coupling tag")
+                        f"{where}: closed two-hole term takes no coupling tag")
                 csf = algebra.two_hole_one_particle_csf(
                     occupied, holes[0], holes[1], particle)
             else:
                 if tag is None:
                     raise TableFormatError(
-                        f"line {lineno}: open two-hole term needs [udu] or [uud]")
+                        f"{where}: open two-hole term needs [udu] or [uud]")
                 csf = algebra.two_hole_one_particle_csf(
                     occupied, holes[0], holes[1], particle, coupling=tag)
         else:
             raise TableFormatError(
-                f"line {lineno}: unsupported term shape "
+                f"{where}: unsupported term shape "
                 f"(holes={len(holes)}, particle={'yes' if particle is not None else 'no'})")
     except (ModelError, algebra.AlgebraError) as exc:
-        raise TableFormatError(f"line {lineno}: {exc}") from exc
+        raise TableFormatError(f"{where}: {exc}") from exc
     return coef, csf
 
 
-def _parse_expansion(text, occupied, lineno):
+def _parse_expansion(text, occupied, where):
     terms = []
     pos = 0
     for match in _TERM.finditer(text):
         if text[pos:match.start()].strip():
             raise TableFormatError(
-                f"line {lineno}: could not parse expansion near "
+                f"{where}: could not parse expansion near "
                 f"{text[pos:match.start()].strip()!r}")
-        terms.append(_parse_term(match, occupied, lineno))
+        terms.append(_parse_term(match, occupied, where))
         pos = match.end()
     if text[pos:].strip():
         raise TableFormatError(
-            f"line {lineno}: could not parse expansion near {text[pos:].strip()!r}")
+            f"{where}: could not parse expansion near {text[pos:].strip()!r}")
     if not terms:
-        raise TableFormatError(f"line {lineno}: empty expansion")
+        raise TableFormatError(f"{where}: empty expansion")
     return terms
 
 
@@ -432,18 +433,16 @@ def read_final_state_table(path, occupied, normalize=False):
     path = Path(path)
     rows = []
     seen = set()
-    any_line = False
     for lineno, line in enumerate(_read_text(path, TableFormatError).splitlines(),
                                   start=1):
         body = line.strip()
         if not body or body.startswith("#"):
             continue
-        any_line = True
+        where = f"{path} line {lineno}"
         cols = [c.strip() for c in line.split("\t") if c.strip()]
         if len(cols) not in (3, 4):
             raise TableFormatError(
-                f"line {lineno}: expected 3 or 4 tab-separated columns, got {len(cols)}")
-        where = f"line {lineno}"
+                f"{where}: expected 3 or 4 tab-separated columns, got {len(cols)}")
         index, = _numbers(cols[0], (int,), TableFormatError, where, "index")
         if index in seen:
             raise TableFormatError(f"{where}: duplicate index {index}")
@@ -455,19 +454,18 @@ def read_final_state_table(path, occupied, normalize=False):
         center = None
         if len(cols) == 4:
             center, = _numbers(cols[2], (float,), TableFormatError, where, "energy center")
-        terms = _parse_expansion(cols[-1], occupied, lineno)
+        terms = _parse_expansion(cols[-1], occupied, where)
         norm_sq = sum(c * c for c, _ in terms)
         if norm_sq > 1.0 + 1e-6:
             raise TableFormatError(
-                f"line {lineno}: coefficient norm {math.sqrt(norm_sq):.6f} > 1")
+                f"{where}: coefficient norm {math.sqrt(norm_sq):.6f} > 1")
         if normalize:
             scale = 1.0 / math.sqrt(norm_sq)
             terms = [(c * scale, csf) for c, csf in terms]
         state = ElectronicState(energy_ev=energy, expansion=tuple(terms))
         rows.append(TableRow(index=index, state=state, center_ev=center))
     if not rows:
-        raise TableFormatError(
-            "no data rows" if any_line is False else "no parsable data rows")
+        raise TableFormatError(f"{path}: no data rows")
     return rows
 
 

@@ -13,12 +13,13 @@ Conventions fixed here and relied on everywhere else:
     (permutation signs are tracked when canonicalizing);
   * orbital labels count from the frontier: "H-2" is the second orbital
     below the HOMO (offset -2), "H" the HOMO (0), "L" the LUMO (+1),
-    "L+2" offset +3.
+    "L+2" offset +3;
+  * a delay enters only through WavePacket.phases, one (T, M) array per
+    call, and at_delays is the one contraction of a member-pair array with it.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -489,32 +490,32 @@ class WavePacket(Record):
             raise ModelError("beat period undefined for degenerate members")
         return 2.0 * math.pi / ev_to_hartree(de) * ATOMIC_TIME_FS
 
-
-def wave_packet_phase(wp: WavePacket, member, t_fs):
-    """C_I * exp(-i E_I (t - t0)), everything converted to atomic units."""
-    if not 0 <= member < wp.n_members:
-        raise ModelError(f"wave-packet member {member} out of range")
-    c, e_ev, _ = wp.members[member]
-    tau = fs_to_au(t_fs - wp.t0_fs)
-    return c * cmath.exp(-1j * ev_to_hartree(e_ev) * tau)
-
-
-def phases_finite(wp: WavePacket, times):
-    """Whether the phase angle E_I (t - t0) (atomic units) that
-    wave_packet_phase forms is finite for every member I and delay t."""
-    energies = ev_to_hartree(np.array([e for _, e, _ in wp.members]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        angles = fs_to_au(np.asarray(times, dtype=float)[:, None] - wp.t0_fs) * energies
-    return bool(np.all(np.isfinite(angles)))
+    def phases(self, times_fs):
+        """Member phases z_I(t) = C_I exp(-i E_I (t - t0)) at the 1-D delays
+        times_fs (fs), shape (T, M), formed in atomic units. An angle
+        E_I (t - t0) that overflows gives a non-finite entry, not a warning."""
+        coeffs = np.array([c for c, _, _ in self.members])
+        energies = ev_to_hartree(np.array([e for _, e, _ in self.members]))
+        times = np.asarray(times_fs, dtype=float).reshape(-1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return coeffs * np.exp(-1j * (fs_to_au(times - self.t0_fs) * energies))
 
 
-def at_delays(kernel, wp: WavePacket, times):
-    """Re[z(t)^H K z(t)] for each delay t, with z_I(t) the member phases; K
-    is a member-pair array of shape (M, M, ...)."""
-    out = []
-    for t in times:
-        z = np.array([wave_packet_phase(wp, i, t) for i in range(wp.n_members)])
-        out.append(np.einsum("i,ij...,j->...", z.conj(), kernel, z).real)
+def at_delays(kernel, phases):
+    """Re[z(t)^H K z(t)] at each delay, shape (T, ...): phases (T, M) from
+    WavePacket.phases, K a member-pair array of shape (M, M, ...). The M^2
+    terms Re(w_ij) Re K_ij - Im(w_ij) Im K_ij, w_ij = conj(z_i) z_j, are
+    summed elementwise in one fixed order (i outer, j inner), so no value
+    depends on which delays or trailing entries share the call."""
+    z = phases.T.reshape(phases.shape[::-1] + (1,) * (kernel.ndim - 2))
+    out = np.zeros(phases.shape[:1] + kernel.shape[2:])
+    term, part = np.empty_like(out), np.empty_like(out)   # reused by every pair
+    for i, j in np.ndindex(kernel.shape[:2]):
+        a, b = z[i], z[j]
+        np.multiply(a.real * b.real + a.imag * b.imag, kernel[i, j].real, out=term)
+        np.multiply(a.real * b.imag - a.imag * b.real, kernel[i, j].imag, out=part)
+        term -= part
+        out += term
     return out
 
 

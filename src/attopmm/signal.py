@@ -5,8 +5,8 @@ energy-resolution averaging.
 
 Physics conventions:
   * the probe delay t_p enters only through the wave-packet member phases
-    z_I(t_p) = C_I exp(-i E_I (t_p - t0)), so every probability is the
-    bilinear form
+    z_I(t_p) = C_I exp(-i E_I (t_p - t0)) of WavePacket.phases, formed once
+    per call, so every probability is the bilinear form (model.at_delays)
         P(q, t_p) = sum_IJ Re[z_I*(t_p) z_J(t_p) K_IJ(q)],
         K_IJ(q)   = |eps_in . q|^2 sum_{F,sigma} W_FIJ(eps_e)
                     conj(R_FsigmaI(q)) R_FsigmaJ(q),
@@ -81,7 +81,6 @@ from .model import (
     held,
     occupied_offsets,
     orbital_offset,
-    phases_finite,
     read_only,
 )
 from .momentum import (
@@ -303,14 +302,15 @@ def photoelectron_energies(energies_ev):
 
 
 def _delays(t_p_fs, wp):
-    """Delays as a 1-D float array, and whether a single number was given;
-    every member phase at every delay must be finite."""
+    """Delays as a 1-D float array, their member phases (wp.phases), and
+    whether a single number was given; every phase must be finite."""
     times = np.asarray(t_p_fs, dtype=float)
     if times.ndim > 1 or not times.size:
         raise SignalError("probe delay must be a number or a non-empty 1-D sequence")
-    if not phases_finite(wp, times.reshape(-1)):
+    phases = wp.phases(times)
+    if not np.all(np.isfinite(phases)):
         raise SignalError("probe delay gives a non-finite wave-packet phase")
-    return times.reshape(-1), times.ndim == 0
+    return times.reshape(-1), phases, times.ndim == 0
 
 
 def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short"):
@@ -321,7 +321,7 @@ def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short"):
     q = 0 is a degenerate input (no photoelectron): the polarization
     projection zeroes it and the value is 0.
     """
-    times, single = _delays(t_p_fs, wp)
+    _, phases, single = _delays(t_p_fs, wp)
     q = np.asarray(q, dtype=float)
     samples = q.reshape(-1, 3)
     grid = MomentumGrid(samples=samples, valid=np.ones(len(samples), dtype=bool))
@@ -331,7 +331,7 @@ def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short"):
     weights, _, _ = _weights(channels, eps_ev, pulse, wp, mode, 0.0)
     kernel = _kernel(np.zeros((wp.n_members, wp.n_members, len(samples)), dtype=complex),
                      grid, weights, basis, matrices, pulse.polarization)
-    out = at_delays(kernel, wp, times)
+    out = list(at_delays(kernel, phases))
     if q.ndim == 1:
         out = [float(v[0]) for v in out]
     return out[0] if single else out
@@ -388,7 +388,7 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
     are those of the last energy.
     """
     energies = photoelectron_energies(energies)
-    times, single = _delays(t_p_fs, wp)
+    times, phases, single = _delays(t_p_fs, wp)
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
     weights, peaks, skips = _weights(channels, energies, pulse, wp, mode, min_envelope)
@@ -424,7 +424,7 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
     }
     if average is not None:
         meta["energy_average"] = average
-    values = at_delays(total, wp, times)
+    values = at_delays(total, phases)
     maps = [PMM(energy_ev=float(energy_ev), t_p_fs=float(t),
                 values=read_only(np.where(valid.reshape(grid.shape),
                                           v.reshape(grid.shape), 0.0)),
@@ -529,7 +529,7 @@ def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
     energies = photoelectron_energies(energies_ev)
     if n_polar < 2 or n_azimuth < 4:
         raise MomentumError(f"unsupported quadrature order ({n_polar}, {n_azimuth})")
-    times, single = _delays(t_p_fs, wp)
+    times, phases, single = _delays(t_p_fs, wp)
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
     weights, _, _ = _weights(channels, energies, pulse, wp, mode, channel_min_envelope)
@@ -545,7 +545,7 @@ def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
         "angular": angular,
         "channels": channel_records(channels),
     }
-    values = at_delays(integrated, wp, times)
+    values = at_delays(integrated, phases)
     spectra = [Spectrum(energies_ev=energies, values=v, scenario=scenario,
                         metadata=dict(meta, t_p_fs=float(t)))
                for t, v in zip(times, values)]

@@ -14,12 +14,14 @@ at a time instead of member-pair kernels, so agreement is evidence rather
 than tautology.
 """
 
+import cmath
 import math
 
 import numpy as np
 
 from attopmm import momentum, signal
 from attopmm.model import (
+    ATOMIC_TIME_FS,
     DOWN,
     HARTREE_EV,
     UP,
@@ -30,7 +32,6 @@ from attopmm.model import (
     _double_factorial,
     at_delays,
     evaluate_orbital,
-    wave_packet_phase,
 )
 from attopmm.momentum import MomentumGrid, build_sphere, sphere_quadrature
 from attopmm.signal import SignalError, envelope_long, envelope_short
@@ -366,7 +367,9 @@ class ReferenceAmplitudes:
 
 
 def _member_phases(wp: WavePacket, t_p_fs):
-    return [wave_packet_phase(wp, i, t_p_fs) for i in range(wp.n_members)]
+    """z_I = C_I e^{-i E_I (t - t0)} of each member, in complex scalars."""
+    tau = (t_p_fs - wp.t0_fs) / ATOMIC_TIME_FS
+    return [c * cmath.exp(-1j * (e / HARTREE_EV) * tau) for c, e, _ in wp.members]
 
 
 def reference_probability(channels, amps: ReferenceAmplitudes, samples, wp, pulse,
@@ -432,7 +435,7 @@ def quadrature_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos, n_polar,
             weights[..., k:k + 1], basis, matrices, pulse.polarization)
         q_au = np.sqrt(2.0 * e / HARTREE_EV)
         integrated[..., k] = q_au * (kernel * grid.weights).sum(axis=-1)
-    return at_delays(integrated, wp, np.asarray(t_p_fs, dtype=float))
+    return at_delays(integrated, wp.phases(t_p_fs))
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +460,7 @@ def two_state_density(wp: WavePacket, mos, grid, times_fs):
     orb = {o: evaluate_orbital(table[o], grid) for o in (h0, p0, p1, h1)}
     out = []
     for t in times_fs:
-        z1 = np.conj(wave_packet_phase(wp, 0, t))
-        z2 = np.conj(wave_packet_phase(wp, 1, t))
+        z1, z2 = np.conj(_member_phases(wp, t))
         particle = np.abs(a * z1 * orb[p0] + b1 * z2 * orb[p1]) ** 2
         hole = np.abs(a * z1 * orb[h0] + b2 * z2 * orb[h1]) ** 2
         out.append(particle + b2 ** 2 * abs(c2) ** 2 * orb[p0] ** 2

@@ -23,7 +23,6 @@ from attopmm.model import (
     SlaterDeterminant,
     WavePacket,
     canonical_determinant,
-    wave_packet_phase,
 )
 
 from oracles import (
@@ -191,7 +190,7 @@ def _scenario_dyson(scenario):
 
 def _phased(wp, d, t_fs):
     """Dyson coefficients sum_I z_I(t) D[sigma, I, p], shape (2, n)."""
-    z = [wave_packet_phase(wp, i, t_fs) for i in range(wp.n_members)]
+    z, = wp.phases([t_fs])
     return np.einsum("i,sip->sp", z, d)
 
 

@@ -217,12 +217,17 @@ def test_oscillating_part_quadrant_pattern(frames, scenario):
 
 
 def test_timeseries(scenario, coarse_grid):
-    series = density_timeseries(scenario.wave_packet, scenario.mos,
-                                coarse_grid, [0.7, 1.1])
-    alone = density_timeseries(scenario.wave_packet, scenario.mos,
-                               coarse_grid, [1.1])
-    assert np.array_equal(series[1].grid.values, alone[0].grid.values)
-    assert [f.t_fs for f in series] == [0.7, 1.1]
+    # a frame has the same bits alone and inside series of other lengths
+    times = [0.7, 1.1, 1.3, 2.7, 4.1]
+    series = density_timeseries(scenario.wave_packet, scenario.mos, coarse_grid, times)
+    assert [f.t_fs for f in series] == times
+    for batch in [[t] for t in times] + [times[:2], times[1:4]]:
+        for frame in density_timeseries(scenario.wave_packet, scenario.mos,
+                                        coarse_grid, batch):
+            same = series[times.index(frame.t_fs)]
+            assert frame.grid.values.tobytes() == same.grid.values.tobytes()
+            assert (frame.charge_gained, frame.charge_lost) == \
+                (same.charge_gained, same.charge_lost)
     with pytest.raises(DensityError):
         density_timeseries(scenario.wave_packet, scenario.mos, coarse_grid, [])
 

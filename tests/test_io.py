@@ -136,6 +136,7 @@ def _table_error(tmp_path, body, needle):
     with pytest.raises(TableFormatError) as err:
         read_final_state_table(path, OCCUPIED)
     assert needle in str(err.value)
+    assert str(path) in str(err.value)
 
 
 def test_table_error_reporting(tmp_path):

@@ -28,7 +28,6 @@ from attopmm.model import (
     orbital_offset,
     offset_label,
     pz_overlap,
-    wave_packet_phase,
 )
 from attopmm.algebra import closed_shell_state, singlet_excitation_csf
 
@@ -205,13 +204,12 @@ def test_wave_packet_invariants():
     wp = _two_state_packet()
     assert wp.mean_energy_ev == pytest.approx(3.9, abs=1e-12)
     assert wp.beat_period_fs() == pytest.approx(5.730055, abs=1e-4)
-    # phase at t0 is the bare coefficient
-    assert wave_packet_phase(wp, 0, 0.0) == pytest.approx(1 / math.sqrt(2))
-    # one full period restores both phases
     T = wp.beat_period_fs()
-    rel0 = wave_packet_phase(wp, 1, 0.0) / wave_packet_phase(wp, 0, 0.0)
-    rel1 = wave_packet_phase(wp, 1, T) / wave_packet_phase(wp, 0, T)
-    assert rel1 == pytest.approx(rel0, abs=1e-12)
+    z0, z1 = wp.phases([0.0, T])
+    # phase at t0 is the bare coefficient
+    assert z0[0] == pytest.approx(1 / math.sqrt(2))
+    # one full period restores the relative phase
+    assert z1[1] / z1[0] == pytest.approx(z0[1] / z0[0], abs=1e-12)
 
 
 def test_wave_packet_norm_enforced():

@@ -428,26 +428,23 @@ def test_closed_form_spectrum_exactly_delay_invariant(ctx, scenario):
 @pytest.mark.parametrize("state", ["excited", "s0"])
 def test_blocked_spectrum_equals_one_energy_per_call(ctx, scenario, state, mode):
     # the closed form takes energies in blocks, and 67 is not a multiple of
-    # the block size. Compared are the angle-integrated kernels: the delay
-    # contraction (model.at_delays) rounds differently with the number of
-    # energies.
+    # the block size; no value depends on which energies or delays share
+    # the call
     wp, finals = _states(ctx, scenario, state, ctx["mos"])
-    channels = build_channels(wp, finals, ctx["pulse"])
-    basis, matrices = signal._dyson_matrices(channels, ctx["mos"])
+    delays = [0.0, 1.3, 2.7]
 
-    def kernels(energies):
-        weights, _, _ = signal._weights(channels, energies, ctx["pulse"], wp, mode,
-                                        signal.DEFAULT_CHANNEL_MIN_ENVELOPE)
-        integrated = np.zeros((wp.n_members, wp.n_members, len(energies)), dtype=complex)
-        angular = signal._sphere_kernels(integrated, energies, weights, basis, matrices,
-                                         ctx["pulse"].polarization, 48, 96)
-        assert angular == "closed-form"
-        return integrated
+    def spectra(energies, times):
+        out = angle_integrated_spectrum(energies, times, ctx["pulse"], wp, finals,
+                                        ctx["mos"], mode=mode)
+        assert out[0].metadata["angular"] == "closed-form"
+        return np.array([s.values for s in out])
 
     lo, hi, n = scenario.outputs["spectrum_window_ev"]
     for energies in (np.linspace(lo, hi, n), np.linspace(85.0, 105.0, 67)):
-        single = [kernels(energies[k:k + 1]) for k in range(len(energies))]
-        assert kernels(energies).tobytes() == np.concatenate(single, axis=-1).tobytes()
+        batch = spectra(energies, delays)
+        single = [spectra(energies[k:k + 1], delays) for k in range(len(energies))]
+        assert batch.tobytes() == np.concatenate(single, axis=1).tobytes()
+        assert spectra(energies, delays[1:2]).tobytes() == batch[1:2].tobytes()
 
 
 def _count_bessel_calls(monkeypatch):
@@ -672,7 +669,7 @@ def _per_energy_mean(ctx, energies, delays, pulse, mode, resolution, q_max, mos)
         kernel = signal._kernel(
             np.zeros((wp.n_members, wp.n_members, grid.n_samples), dtype=complex), grid,
             weights[..., k:k + 1], basis, matrices, pulse.polarization)
-        total = total + np.array(at_delays(kernel, wp, delays))
+        total = total + at_delays(kernel, wp.phases(delays))
     return [m.reshape(grid.shape) for m in total / len(energies)]
 
 
