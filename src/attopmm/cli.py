@@ -21,6 +21,7 @@ import math
 import re
 import sys
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -198,8 +199,9 @@ def _default(value, fallback):
 
 def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
                 mode="short", average=None):
-    """One map file per (row, delay), one signal call per row; every row's
-    energies, down to the lowest averaged one, are checked before the first.
+    """One map file per (row, delay), one signal call per run of rows that
+    share an energy (and so one raster's transforms, as fig6's durations);
+    every row's energies, down to the lowest averaged one, are checked first.
 
     rows: (file tag, energy eV, pulse); average: (width eV, samples) for
     energy-averaged maps, None for plain cuts.
@@ -208,37 +210,42 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
     delays = [t for _, t in times]
     wp, finals, mos = scenario.wave_packet, scenario.finals, scenario.mos
     signal_mod.photoelectron_energies([energy for _, energy, _ in rows])
+    groups = [list(group) for _, group in groupby(rows, key=lambda row: row[1])]
+    n_pulses = max(map(len, groups))
     ceiling = io_mod._MAX_MAP_BYTES
-    size = max(16 * wp.n_members ** 2, 8 * len(delays)) * resolution ** 2
+    # per pulse of a group: its (M, M) kernels and its maps at all delays
+    size = n_pulses * max(16 * wp.n_members ** 2, 8 * len(delays)) * resolution ** 2
     if size > ceiling:
         raise io_mod.ConfigError(f"--grid: {resolution}^2 samples need {size:.3g} bytes, "
                                  f"more than {ceiling}")
     if average is not None:
-        # per averaged energy: a row of the folded kernel's (E, block) table
-        # and the (F, M, M) pair weights
-        size = 8 * average[1] * max(min(resolution ** 2, _SAMPLE_BLOCK),
-                                    len(finals) * wp.n_members ** 2)
+        # per averaged energy: a row of the folded kernel's two (E, block)
+        # tables and each pulse's (F, M, M) pair weights
+        size = 8 * average[1] * max(2 * min(resolution ** 2, _SAMPLE_BLOCK),
+                                    n_pulses * len(finals) * wp.n_members ** 2)
         if size > ceiling:
             raise io_mod.ConfigError(f"average samples: {average[1]} energies need "
                                      f"{size:.3g} bytes, more than {ceiling}")
         for _, energy, _ in rows:
             signal_mod.average_energies(energy, *average)
     written = []
-    for tag, energy, pulse in rows:
+    for group in groups:
+        energy, pulses = group[0][1], [pulse for _, _, pulse in group]
         if average is None:
-            maps = signal_mod.pmm_cut(energy, delays, pulse, wp, finals, mos,
-                                      resolution, q_max, mode)
+            results = signal_mod.pmm_cut(energy, delays, pulses, wp, finals, mos,
+                                         resolution, q_max, mode)
         else:
-            maps = signal_mod.energy_average_pmm(
-                energy, average[0], average[1], delays, pulse, wp, finals, mos,
+            results = signal_mod.energy_average_pmm(
+                energy, average[0], average[1], delays, pulses, wp, finals, mos,
                 resolution, q_max, mode)
         if not written:
-            _channel_table(scenario, maps[0].metadata["channels"], log.info)
+            _channel_table(scenario, results[0][0].metadata["channels"], log.info)
             out.mkdir(parents=True, exist_ok=True)
-        for (token, _), pmm in zip(times, maps):
-            written.append(io_mod.export_pmm(
-                out / f"pmm_{tag}_tp{time_label(token)}.dat", pmm,
-                digest=scenario.digest))
+        for (tag, _, _), maps in zip(group, results):
+            for (token, _), pmm in zip(times, maps):
+                written.append(io_mod.export_pmm(
+                    out / f"pmm_{tag}_tp{time_label(token)}.dat", pmm,
+                    digest=scenario.digest))
     return written
 
 

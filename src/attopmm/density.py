@@ -39,6 +39,7 @@ energy differences.
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -96,7 +97,8 @@ class DensityFrame(Record):
 
 
 def default_density_grid(mos, padding_angstrom=4.0, spacing_angstrom=0.15):
-    """Cubic-voxel grid covering every primitive center plus padding.
+    """Cubic-voxel grid covering every primitive center plus padding, and
+    the corners of a grid-backed orbital's own grid (zero outside it).
 
     Grid point coordinates are (i - (n-1)/2) * spacing on each axis, so the
     raster is symmetric under all coordinate reflections — density-symmetry
@@ -107,20 +109,20 @@ def default_density_grid(mos, padding_angstrom=4.0, spacing_angstrom=0.15):
     for name, value in (("--padding", padding_angstrom), ("--spacing", spacing_angstrom)):
         if not 0 < value < np.inf:
             raise DensityError(f"{name} must be positive and finite, got {value}")
-    centers = []
-    for mo in mos:
-        if mo.primitives:
-            centers.extend(p.center for p in mo.primitives)
-    if not centers:
-        raise DensityError("no primitive centers to bound the grid")
     # Python floats: an overflow gives inf, never a warning
     pad = float(angstrom_to_bohr(padding_angstrom))
     step = float(angstrom_to_bohr(spacing_angstrom))
     if not step * step * step < np.inf:
         raise DensityError(f"--spacing {spacing_angstrom} gives a non-finite voxel volume")
+    reach = [np.abs(p.center) + pad for mo in mos for p in mo.primitives or ()]
+    reach += [np.abs(mo.grid.origin + np.array(corner) @ mo.grid.axes)
+              for mo in mos if not mo.is_lcao
+              for corner in product(*((0, n - 1) for n in mo.grid.counts))]
+    if not reach:
+        raise DensityError("no primitive centers or orbital grids to bound the grid")
     # an axis longer than the whole ceiling never reaches half / step
     counts = [2 * math.ceil(half / step) + 1 if half <= _MAX_VOXELS * step else math.inf
-              for half in (float(h) + pad for h in np.max(np.abs(centers), axis=0))]
+              for half in map(float, np.max(reach, axis=0))]
     if math.prod(counts) > _MAX_VOXELS:
         raise DensityError(
             f"--padding {padding_angstrom} with --spacing {spacing_angstrom} needs "

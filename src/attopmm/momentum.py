@@ -23,7 +23,7 @@ Determinism: samples are split into fixed-size blocks, and each block is
 one fixed sequence of vector operations and small matrix products, so
 results are byte-identical from run to run and for any BLAS thread count.
 A grid-backed orbital's block size depends only on its grid, never on how
-many samples share a call.
+many samples share a call, and a block of one sample rounds like any other.
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ from .model import (
 
 # Samples are transformed in fixed blocks: the (block, P) phase matrix stays
 # small, and each sample's arithmetic never depends on the grid size. For a
-# grid-backed orbital a block holds at most _GRID_ELEMENTS partial sums.
+# grid-backed orbital a block holds at most _GRID_ELEMENTS partial sums, and
+# the pass of structure_factors over all energies _PASS_ELEMENTS values.
 _SAMPLE_BLOCK = 4096
 _GRID_ELEMENTS = 1 << 18
+_PASS_ELEMENTS = 1 << 13
 
 
 class MomentumError(ValueError):
@@ -155,13 +157,18 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
 def lift(e_au, qx, qy):
     """Raster points (q_x, q_y) lifted to q_z = +sqrt(2 eps - q_x^2 - q_y^2)
     at energy e_au (hartree): read-only samples (n, 3) and disc mask."""
+    qz, valid = _lifted_qz(e_au, qx, qy)
+    return read_only(np.stack([qx, qy, qz], axis=1)), read_only(valid)
+
+
+def _lifted_qz(e_au, qx, qy):
+    """q_z of lift and its disc mask, broadcast over energies and points."""
     qz_sq = 2.0 * e_au - qx ** 2 - qy ** 2
     # Relative tolerance keeps raster points that land on the kinematic
     # circle only up to float rounding (axis extremes, Pythagorean index
     # pairs) deterministically inside; mirrors the exporter's predicate.
     valid = qz_sq >= -2.0 * e_au * 1e-12
-    qz = np.sqrt(np.clip(qz_sq, 0.0, None))
-    return read_only(np.stack([qx, qy, qz], axis=1)), read_only(valid)
+    return np.sqrt(np.clip(qz_sq, 0.0, None)), valid
 
 
 def sphere_quadrature(n_polar=48, n_azimuth=96):
@@ -251,24 +258,50 @@ def planar_basis(mos):
     return centers, coeffs, exponent, powers
 
 
-def structure_factors(grid: MomentumGrid, centers, coeffs):
-    """In-plane structure factors S[n, m] = sum_a C[a, m] exp(-i (q_x X_a +
-    q_y Y_a)) over the raster points of a hemisphere grid, block by block:
-    yields (start, stop, S) with S of shape (stop - start, M).
-
-    The phase separates as exp(-i q_x X_a) exp(-i q_y Y_a): one exponential
-    per raster line and column instead of one per sample.
-    """
+def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
+    """A planar basis (planar_basis) on a hemisphere raster's disc (the
+    samples it flags valid), block by block: yields (index, S, T) with the
+    block's raster indices, S[n, m] = sum_a C[a, m] exp(-i (q_x X_a +
+    q_y Y_a)), shape (n, M), and T[e, n] = |eps . q_e|^2 |shape_factor(q_e)|^2
+    valid_e at each of the energies_ev (q_e lifted as by lift), shape (E, n).
+    Both go per axis: the phases and c X(q_x), Y(q_y) of shape_factor =
+    c X Y Z(q_z) once per raster line and column; q_z, Z, eps . q_e and the
+    disc masks in one pass over all energies, multiplied in shape_factor's
+    order, so T holds its |shape_factor|^2 bit for bit."""
+    centers, coeffs, exponent, powers = planar
+    px, py, pz = polarization
     q = grid.samples
     ny = grid.shape[1]
-    ex = _phases(np.outer(q[::ny, 0], centers[:, 0]))
-    ey = _phases(np.outer(q[:ny, 1], centers[:, 1]))
-    for start in range(0, len(q), _SAMPLE_BLOCK):
-        stop = min(start + _SAMPLE_BLOCK, len(q))
-        i, j = np.divmod(np.arange(start, stop), ny)
+    qx, qy = q[::ny, 0], q[:ny, 1]
+    ex = _phases(np.outer(qx, centers[:, 0]))
+    ey = _phases(np.outer(qy, centers[:, 1]))
+    c = primitive_norm(exponent, powers) * (2.0 * math.pi) ** -1.5
+    fx = np.full(len(qx), c, dtype=complex) * _axis_factor(powers[0], qx, exponent)
+    fy = _axis_factor(powers[1], qy, exponent)
+    e_au = ev_to_hartree(np.asarray(energies_ev, dtype=float))[:, None]
+    step = max(1, _PASS_ELEMENTS // max(1, len(e_au)))
+    disc = np.flatnonzero(grid.valid)
+    for start in range(0, len(disc), _SAMPLE_BLOCK):
+        index = disc[start:start + _SAMPLE_BLOCK]
+        i, j = np.divmod(index, ny)
         phases = ex[i]
         phases *= ey[j]
-        yield start, stop, phases @ coeffs
+        table = np.empty((len(e_au), len(index)))
+        for lo in range(0, len(index), step):
+            ii, jj = i[lo:lo + step], j[lo:lo + step]
+            qz, inside = _lifted_qz(e_au, qx[ii], qy[jj])
+            shape = fx[ii] * fy[jj] * _axis_factor(powers[2], qz, exponent)
+            proj = (px * qx[ii] + py * qy[jj] + pz * qz) ** 2 * inside
+            table[:, lo:lo + step] = (shape.real ** 2 + shape.imag ** 2) * proj
+        yield index, phases @ coeffs, table
+
+
+def _blocks(q, size):
+    """(start, stop, block) over q in fixed blocks of `size`; a block of one
+    sample holds two copies, as BLAS would round a single row another way."""
+    for start in range(0, len(q), size):
+        block = q[start:start + size]
+        yield start, start + len(block), block if len(block) > 1 else np.repeat(block, 2, 0)
 
 
 def orbital_ft(mos, grid: MomentumGrid):
@@ -287,25 +320,23 @@ def orbital_ft(mos, grid: MomentumGrid):
     out = np.empty((len(mos), len(q)), dtype=complex)
     lcao = [m for m, mo in enumerate(mos) if mo.is_lcao]
     centers, coeffs, shapes = _lcao_basis([mos[m] for m in lcao])
-    for start in range(0, len(q) if lcao else 0, _SAMPLE_BLOCK):
-        block = q[start:start + _SAMPLE_BLOCK]
+    for start, stop, block in _blocks(q, _SAMPLE_BLOCK) if lcao else ():
         e = _phases(block @ centers.T)
         amp = sum(shape_factor(exponent, powers, block)[:, None]
                   * (e[:, rows] @ coeffs[rows]) for exponent, powers, rows in shapes)
-        out[lcao, start:start + _SAMPLE_BLOCK] = amp.T
+        out[lcao, start:stop] = amp[:stop - start].T
     for m, g in ((m, mo.grid) for m, mo in enumerate(mos) if not mo.is_lcao):
         n0, n1, n2 = g.counts
         values = g.values.reshape(n0, -1) * complex(g.voxel_volume * (2.0 * math.pi) ** -1.5)
-        size = max(1, _GRID_ELEMENTS // (n0 + n1 * n2))
-        for start in range(0, len(q), size):
-            block = q[start:start + size]
+        for start, stop, block in _blocks(q, max(1, _GRID_ELEMENTS // (n0 + n1 * n2))):
             p0, p1, p2 = (_phases(np.outer(t, np.arange(n)))
                           for t, n in zip((block @ g.axes.T).T, g.counts))
             partial = (p0 @ values).reshape(-1, n1, n2)
             partial *= p2[:, None, :]
-            out[m, start:start + size] = (_phases(block @ g.origin)
-                                          * (partial.sum(axis=2) * p1).sum(axis=1))
+            out[m, start:stop] = (_phases(block @ g.origin)
+                                  * (partial.sum(axis=2) * p1).sum(axis=1))[:stop - start]
     return out
+
 
 
 # ---------------------------------------------------------------------------

@@ -23,19 +23,22 @@ Physics conventions:
     in-plane structure factor S the same at every energy of the shared
     raster, the z0 phase cancels in conj(R_I) R_J, and
         K_IJ = sum_{F,sigma} conj(D S)_I (D S)_J P_FIJ,
-        P_FIJ = sum_e W_FIJ(e) |eps_in . q_e|^2 |shape_factor(q_e)|^2,
+        P_FIJ = sum_e W_FIJ(e) T_e,
+        T_e = |eps_in . q_e|^2 |shape_factor(q_e)|^2,
     so a cut (one energy) or an energy average forms S once per sample
-    block and its member-pair products once per channel and spin. Other
-    orbital sets build one kernel per energy from momentum.orbital_ft;
+    block of the raster's disc, T per axis (momentum.structure_factors) and
+    its member-pair products once per channel and spin. Other orbital sets
+    build one kernel per energy from momentum.orbital_ft;
   * pair weights: short pulse (sudden limit) W_FIJ = envelope_short, the
     probability-level window exp(-(Omega_F - eps_e)^2 tau^2 / (4 ln2)) with
     Omega_F = omega_in + <E> - E_F, for every member pair; finite-duration
     probe W_FIJ = g_FI g_FJ with the amplitude-level member envelope
     g_FI = envelope_long = exp(-(omega_in + E_I - E_F - eps_e)^2 tau^2
     / (8 ln2)), i.e. the envelopes sit inside the coherent member sum.
-    One _weights call forms W for all channels and energies as one array
-    W[F, I, J, e] (one shared pair in short mode); the kernels take W, not
-    the pulse;
+    One _weights call forms W for all pulses, channels and energies as one
+    array W[p, F, I, J, e] (one shared pair in short mode); the kernels take
+    W, not the pulse, so pulses that differ only in duration (fig6's rows)
+    share every transform and member row;
   * a channel whose largest diagonal weight max_I W_FII at the map or
     spectrum energy is below the threshold gets W_F = 0 there, and a
     channel whose weight profile is all zero is left out of a kernel;
@@ -110,20 +113,20 @@ class SignalError(ValueError):
 # spectral envelopes
 
 def envelope_short(omega_ev, energy_ev, tau_fs):
-    """Gaussian energy window exp(-(Omega_F - eps)^2 tau^2 / (4 ln2))."""
-    if not tau_fs > 0:
+    """Gaussian energy window exp(-(Omega_F - eps)^2 tau^2 / (4 ln2)), broadcast."""
+    if not np.all(np.greater(tau_fs, 0)):
         raise SignalError("pulse duration must be positive")
     delta = ev_to_hartree(np.asarray(energy_ev, dtype=float) - omega_ev)
     tau = fs_to_au(tau_fs)
     with np.errstate(over="ignore"):      # an overflowing detuning gives 0
         out = np.exp(-(delta * delta) * tau * tau / FOUR_LN2)
-    return float(out) if np.ndim(energy_ev) == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def envelope_long(omega_in_ev, e_member_ev, e_final_ev, energy_ev, tau_fs):
     """Amplitude-level member envelope with the 8 ln2 denominator; member
-    and photoelectron energies broadcast against each other."""
-    if not tau_fs > 0:
+    and photoelectron energies and durations broadcast against each other."""
+    if not np.all(np.greater(tau_fs, 0)):
         raise SignalError("pulse duration must be positive")
     delta = ev_to_hartree(
         np.asarray(energy_ev, dtype=float) - (omega_in_ev + e_member_ev - e_final_ev))
@@ -184,29 +187,29 @@ def channel_records(channels):
 # ---------------------------------------------------------------------------
 # member-pair coherence kernels
 
-def _weights(channels, energies_ev, pulse, wp, mode, min_envelope):
-    """Pair weights at the photoelectron energies energies_ev (1-D, eV),
-    from one envelope call over a leading channel axis: W of shape
-    (F, M, M, E), or (F, 1, 1, E) in short mode where all pairs share the
-    window, zero where a channel is skipped; peaks[e, F] = max_I W_FII; and
-    skip[e, F] = peaks[e, F] < min_envelope.
-    """
-    tau = pulse.duration_fwhm_fs
+def _weights(channels, energies_ev, pulses, wp, mode, min_envelope):
+    """Pair weights of pulses that differ only in duration at the
+    photoelectron energies energies_ev (1-D, eV), from one envelope call over
+    leading pulse and channel axes: W of shape (P, F, M, M, E), or
+    (P, F, 1, 1, E) in short mode where all pairs share the window, zero
+    where a channel is skipped; peaks[p, e, F] = max_I W_pFII; and
+    skip[p, e, F] = peaks[p, e, F] < min_envelope."""
+    tau = np.array([p.duration_fwhm_fs for p in pulses])
     if mode == "short":
         omegas = np.array([ch.omega_ev for ch in channels])
-        env = envelope_short(omegas[:, None], energies_ev, tau)
-        w = env[:, None, None, :]
+        env = envelope_short(omegas[:, None], energies_ev, tau[:, None, None])
+        w = env[:, :, None, None, :]
     elif mode == "long":
         members = np.array([e_i for _, e_i, _ in wp.members])
         finals = np.array([ch.final_energy_ev for ch in channels])
-        env = envelope_long(pulse.photon_energy_ev, members[None, :, None],
-                            finals[:, None, None], energies_ev, tau)
-        w = env[:, :, None] * env[:, None, :]
+        env = envelope_long(pulses[0].photon_energy_ev, members[None, :, None],
+                            finals[:, None, None], energies_ev, tau[:, None, None, None])
+        w = env[:, :, :, None] * env[:, :, None, :]
     else:
         raise SignalError(f"unknown probe mode {mode!r}")
-    peaks = np.max(np.diagonal(w, axis1=1, axis2=2), axis=-1).T
+    peaks = np.max(np.diagonal(w, axis1=2, axis2=3), axis=-1).swapaxes(1, 2)
     skip = peaks < min_envelope
-    return w * ~skip.T[:, None, None, :], peaks, skip
+    return w * ~skip.swapaxes(1, 2)[:, :, None, None, :], peaks, skip
 
 
 def _dyson_matrices(channels, mos):
@@ -224,68 +227,63 @@ def _dyson_matrices(channels, mos):
 
 
 def _accumulate(out, matrices, transforms, profiles):
-    """out[I, J] += sum_{F,sigma} conj(R_I) R_J profile_FIJ with the member
-    rows R = D_Fsigma @ transforms, over the channels whose profile is not
-    all zero (a profile broadcasts to out's shape). One member pair of one
-    channel-spin term is held at a time."""
+    """out[p, I, J] += sum_{F,sigma} conj(R_I) R_J profile_pFIJ with the
+    member rows R = D_Fsigma @ transforms, for each pulse p and channel
+    whose profile is not all zero (it broadcasts to out's shape). One member
+    pair of one channel-spin term is held at a time."""
     for mats, profile in zip(matrices, profiles):
-        if not profile.any():
+        live = [p for p, w in enumerate(profile) if w.any()]
+        if not live:
             continue
         profile = np.broadcast_to(profile, out.shape)
         for d in mats:
             rows = d @ transforms
-            for i, j in np.ndindex(out.shape[:2]):
-                out[i, j] += rows[i].conj() * (rows[j] * profile[i, j])
+            for p in live:
+                for i, j in np.ndindex(out.shape[1:3]):
+                    out[p, i, j] += rows[i].conj() * (rows[j] * profile[p, i, j])
 
 
 def _kernel(out, grid: MomentumGrid, weights, basis, matrices, polarization):
-    """Add K[I, J, n] at the grid samples (module docstring) to `out`, shape
-    (M, M, n_samples), and return it. weights: W at the grid's nominal
-    energy (a length-1 energy axis), or per sample for free samples; a
-    channel whose W is zero adds nothing, and so do invalid samples."""
+    """Add K[p, I, J, n] at the grid samples (module docstring) to `out`,
+    shape (P, M, M, n_samples), and return it. weights: W at the grid's
+    nominal energy (a length-1 energy axis), or per sample for free samples;
+    a channel whose W is zero adds nothing, and so do invalid samples."""
     if not weights.any():
         return out
     ft = momentum.orbital_ft(basis, grid)
     scale = (grid.samples @ polarization) ** 2 * grid.valid
-    _accumulate(out, matrices, ft, (w * scale for w in weights))
+    _accumulate(out, matrices, ft, (w * scale for w in weights.swapaxes(0, 1)))
     return out
 
 
 def _folded_kernel(out, raster: MomentumGrid, planar, energies, weights, matrices,
                    polarization):
-    """Add to `out`, shape (M, M, n_samples), the sum over `energies` of the
-    hemisphere kernels on one (q_x, q_y) raster for a planar basis
-    (momentum.planar_basis); return the union of the energies' kinematic
-    discs.
+    """Add to `out`, shape (P, M, M, n_samples), the sum over `energies` of
+    the hemisphere kernels of each pulse on one (q_x, q_y) raster for a
+    planar basis (momentum.planar_basis), inside the raster's disc: outside
+    it every energy's T is zero, and the maps are zero there.
 
     Each transform is shape_factor(q) exp(-i q_z z0) S(q_x, q_y), and the z0
     phase cancels in conj(R_I) R_J, so with the energy-independent
     structure factors S
 
-        sum_e K_IJ = sum_{F,sigma} conj(D S)_I (D S)_J P_FIJ,
-        P_FIJ = sum_e W_FIJ(e) T_e,
+        sum_e K_pIJ = sum_{F,sigma} conj(D S)_I (D S)_J P_pFIJ,
+        P_pFIJ = sum_e W_pFIJ(e) T_e,
         T_e = |eps_in . q_e|^2 |shape_factor(q_e)|^2 valid_e,
 
-    with q_e the raster point lifted to energy e, so each block's profile
-    is one product W_F @ T, and the member-pair products run once per
-    channel and spin. Only the kernel is held at full size.
+    with q_e the raster point lifted to energy e (S and T per axis from
+    momentum.structure_factors), so each block's profiles are one product
+    W_F @ T, and its member rows D S run once per channel and spin for all
+    pulses. Only the kernels are held at full size.
     """
-    centers, coeffs, exponent, powers = planar
-    live = weights.any(axis=(0, 1, 2))
-    valid = np.zeros(raster.n_samples, dtype=bool)
-    for start, stop, factors in momentum.structure_factors(raster, centers, coeffs):
-        table = np.zeros((len(energies), stop - start))
-        qx, qy = raster.samples[start:stop, 0], raster.samples[start:stop, 1]
-        for e, row, k in zip(energies, table, live):
-            q, inside = momentum.lift(ev_to_hartree(e), qx, qy)
-            valid[start:stop] |= inside
-            if k:
-                shape = momentum.shape_factor(exponent, powers, q)
-                row[:] = (q @ polarization) ** 2 * inside \
-                    * (shape.real ** 2 + shape.imag ** 2)
-        _accumulate(out[:, :, start:stop], matrices, factors.T,
-                    (w @ table for w in weights))
-    return valid
+    live = weights.any(axis=(0, 1, 2, 3))     # energies where some W is not 0
+    for index, factors, kinematic in momentum.structure_factors(
+            raster, planar, energies[live], polarization):
+        table = np.zeros((len(energies), len(index)))
+        table[live] = kinematic
+        part = np.zeros(out.shape[:3] + (len(index),), dtype=complex)
+        _accumulate(part, matrices, factors.T, (w @ table for w in weights.swapaxes(0, 1)))
+        out[..., index] += part
 
 
 def photoelectron_energies(energies_ev):
@@ -328,9 +326,9 @@ def probability(q, t_p_fs, pulse, wp, finals, mos, mode="short"):
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
     eps_ev = 0.5 * np.einsum("ij,ij->i", samples, samples) * HARTREE_EV
-    weights, _, _ = _weights(channels, eps_ev, pulse, wp, mode, 0.0)
-    kernel = _kernel(np.zeros((wp.n_members, wp.n_members, len(samples)), dtype=complex),
-                     grid, weights, basis, matrices, pulse.polarization)
+    weights, _, _ = _weights(channels, eps_ev, [pulse], wp, mode, 0.0)
+    kernel, = _kernel(np.zeros((1, wp.n_members, wp.n_members, len(samples)), complex),
+                      grid, weights, basis, matrices, pulse.polarization)
     out = list(at_delays(kernel, phases))
     if q.ndim == 1:
         out = [float(v[0]) for v in out]
@@ -379,65 +377,66 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
                      resolution, q_max_inv_angstrom, mode, min_envelope,
                      average=None):
     """Maps labeled energy_ev, averaged uniformly over the hemisphere cuts
-    at `energies` (one energy: a plain cut), one per delay.
+    at `energies` (one energy: a plain cut), one per delay; for a sequence
+    of pulses that differ only in duration, one such result per pulse.
 
     The cuts share one (q_x, q_y) raster; a raster sample outside a given
-    energy's kinematic disc contributes zero at that energy. A planar basis
+    energy's kinematic disc contributes zero at that energy, so the maps
+    are zero outside the disc of the last, highest energy. A planar basis
     takes the folded kernel (one structure factor per raster), any other
     orbital set one _kernel per energy. Channel records and the disc radius
     are those of the last energy.
     """
     energies = photoelectron_energies(energies)
     times, phases, single = _delays(t_p_fs, wp)
-    channels = build_channels(wp, finals, pulse)
+    pulses = [pulse] if isinstance(pulse, ProbePulse) else list(pulse)
+    if not pulses or len({(p.photon_energy_ev, *p.polarization) for p in pulses}) > 1:
+        raise SignalError("the pulses of a map call may differ only in duration")
+    channels = build_channels(wp, finals, pulses[0])
     basis, matrices = _dyson_matrices(channels, mos)
-    weights, peaks, skips = _weights(channels, energies, pulse, wp, mode, min_envelope)
-    for e, skip in zip(energies, skips):
-        skipped = [ch.index for ch, s in zip(channels, skip) if s]
-        if skipped:
-            log.info("map at %.3f eV skips channels %s (envelope < %g)",
-                     e, skipped, min_envelope)
+    weights, peaks, skips = _weights(channels, energies, pulses, wp, mode, min_envelope)
     grid = build_hemisphere(energies[-1], resolution, resolution, q_max_inv_angstrom)
-    total = np.zeros((wp.n_members, wp.n_members, grid.n_samples), dtype=complex)
+    total = np.zeros((len(pulses), wp.n_members, wp.n_members, grid.n_samples), complex)
     planar = momentum.planar_basis(basis)
     if planar is None:
-        valid = False
         for k, e in enumerate(energies):
             cut = grid if k == len(energies) - 1 else build_hemisphere(
                 e, resolution, resolution, q_max_inv_angstrom)
-            valid = valid | cut.valid
             _kernel(total, cut, weights[..., k:k + 1], basis, matrices,
-                    pulse.polarization)
+                    pulses[0].polarization)
     else:
-        valid = _folded_kernel(total, grid, planar, energies, weights, matrices,
-                               pulse.polarization)
+        _folded_kernel(total, grid, planar, energies, weights, matrices,
+                       pulses[0].polarization)
     total /= float(len(energies))
-    records = [dict(rec, envelope=float(peak), skipped=bool(s))
-               for rec, peak, s in zip(channel_records(channels), peaks[-1], skips[-1])]
-    meta = {
-        "tau_fs": pulse.duration_fwhm_fs,
-        "omega_in_ev": pulse.photon_energy_ev,
-        "polarization": tuple(pulse.polarization),
-        "mode": mode,
-        "q_disc_inv_angstrom": math.sqrt(2.0 * ev_to_hartree(energies[-1])) / BOHR_ANGSTROM,
-        "channels": records,
-    }
-    if average is not None:
-        meta["energy_average"] = average
-    values = at_delays(total, phases)
-    maps = [PMM(energy_ev=float(energy_ev), t_p_fs=float(t),
-                values=read_only(np.where(valid.reshape(grid.shape),
-                                          v.reshape(grid.shape), 0.0)),
-                axis_x=grid.axis_x, axis_y=grid.axis_y, metadata=dict(meta))
-            for t, v in zip(times, values)]
-    return maps[0] if single else maps
+    disc = math.sqrt(2.0 * ev_to_hartree(energies[-1])) / BOHR_ANGSTROM
+    results = []
+    for p, kernel, peak, skip in zip(pulses, total, peaks, skips):
+        for e, skipped in zip(energies, skip):
+            if skipped.any():
+                log.info("map at %.3f eV skips channels %s (envelope < %g)", e,
+                         [ch.index for ch, s in zip(channels, skipped) if s], min_envelope)
+        meta = {"tau_fs": p.duration_fwhm_fs, "omega_in_ev": p.photon_energy_ev,
+                "polarization": tuple(p.polarization), "mode": mode,
+                "q_disc_inv_angstrom": disc,
+                "channels": [dict(rec, envelope=float(pk), skipped=bool(s)) for rec, pk, s
+                             in zip(channel_records(channels), peak[-1], skip[-1])]}
+        if average is not None:
+            meta["energy_average"] = average
+        maps = [PMM(energy_ev=float(energy_ev), t_p_fs=float(t),
+                    values=read_only(np.where(grid.valid.reshape(grid.shape),
+                                              v.reshape(grid.shape), 0.0)),
+                    axis_x=grid.axis_x, axis_y=grid.axis_y, metadata=dict(meta))
+                for t, v in zip(times, at_delays(kernel, phases))]
+        results.append(maps[0] if single else maps)
+    return results[0] if isinstance(pulse, ProbePulse) else results
 
 
 def pmm_cut(energy_ev, t_p_fs, pulse, wp, finals, mos, resolution=201,
             q_max_inv_angstrom=None, mode="short",
             channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
     """Hemispherical constant-energy cut at photoelectron energy eps (eV):
-    a PMM for one delay t_p_fs, a list of PMMs for a 1-D delay sequence."""
+    a PMM for one delay t_p_fs, a list of PMMs for a 1-D delay sequence;
+    for pulses that differ only in duration, one such result per pulse."""
     return _hemisphere_maps(energy_ev, [float(energy_ev)], t_p_fs, pulse, wp,
                             finals, mos, resolution, q_max_inv_angstrom, mode,
                             channel_min_envelope)
@@ -459,7 +458,8 @@ def average_energies(center_ev, width_ev, n_energies):
 def energy_average_pmm(energy_center_ev, width_ev, n_energies, t_p_fs, pulse,
                        wp, finals, mos, resolution=201, q_max_inv_angstrom=None,
                        mode="short", channel_min_envelope=DEFAULT_CHANNEL_MIN_ENVELOPE):
-    """Uniform average of pmm_cut over [center - w/2, center + w/2].
+    """Uniform average of pmm_cut over [center - w/2, center + w/2], with
+    pmm_cut's results for one pulse or a sequence of them.
 
     Every energy keeps its own hemisphere (its own q_z), all sharing one
     (q_x, q_y) raster; raster samples outside a given energy's kinematic
@@ -491,14 +491,14 @@ def _sphere_kernels(out, energies, weights, basis, matrices, polarization, n_pol
     at a time: one pair_matrix call per block, and per channel and spin one
     batched product. Energies at which every W is zero stay 0.
     """
-    live = np.flatnonzero(weights.any(axis=(0, 1, 2)))
+    live = np.flatnonzero(weights.any(axis=(0, 1, 2, 3)))
     closed = momentum.sphere_pair_matrices(basis, polarization)
     if closed is None:
         quadrature = sphere_quadrature(n_polar, n_azimuth)
         for k in live:
             grid = build_sphere(energies[k], n_polar, n_azimuth, quadrature)
-            kernel = _kernel(np.zeros(out.shape[:2] + (grid.n_samples,), dtype=complex),
-                             grid, weights[..., k:k + 1], basis, matrices, polarization)
+            kernel, = _kernel(np.zeros((1,) + out.shape[:2] + (grid.n_samples,), complex),
+                              grid, weights[..., k:k + 1], basis, matrices, polarization)
             out[..., k] = (kernel * grid.weights).sum(axis=-1)
         return (int(n_polar), int(n_azimuth))
     coeffs, pair_matrix = closed
@@ -506,7 +506,7 @@ def _sphere_kernels(out, energies, weights, basis, matrices, polarization, n_pol
     for start in range(0, len(live), _ENERGY_BLOCK):
         block = live[start:start + _ENERGY_BLOCK]
         a = pair_matrix(energies[block])
-        for w, chrows in zip(weights, rows):
+        for w, chrows in zip(weights[0], rows):
             if w[..., block].any():
                 for g in chrows:
                     term = np.moveaxis(g.conj() @ a @ g.T, 0, -1)
@@ -532,7 +532,7 @@ def angle_integrated_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos,
     times, phases, single = _delays(t_p_fs, wp)
     channels = build_channels(wp, finals, pulse)
     basis, matrices = _dyson_matrices(channels, mos)
-    weights, _, _ = _weights(channels, energies, pulse, wp, mode, channel_min_envelope)
+    weights = _weights(channels, energies, [pulse], wp, mode, channel_min_envelope)[0]
     integrated = np.zeros((wp.n_members, wp.n_members, len(energies)), dtype=complex)
     angular = _sphere_kernels(integrated, energies, weights, basis, matrices,
                               pulse.polarization, n_polar, n_azimuth)

@@ -9,9 +9,10 @@ spin-orbital tuples, the general pairwise primitive overlap instead of the
 closed-form p_z overlap matrix, the two-state density change expanded by
 hand instead of contracted from member-pair density matrices, text writers
 that call '%' once per value instead of formatting blocks of digits with
-numpy, and probabilities squared from phased member amplitudes one delay
-at a time instead of member-pair kernels, so agreement is evidence rather
-than tautology.
+numpy, probabilities squared from phased member amplitudes one delay at a
+time instead of member-pair kernels, and the folded map kernel's kinematic
+factor from one lift and one shape_factor per energy instead of per-axis
+factors, so agreement is evidence rather than tautology.
 """
 
 import cmath
@@ -413,6 +414,27 @@ def reference_probability(channels, amps: ReferenceAmplitudes, samples, wp, puls
 
 
 # ---------------------------------------------------------------------------
+# the folded map kernel's kinematic factor, one energy at a time
+
+_structure_factors = momentum.structure_factors
+
+
+def per_energy_structure_factors(grid, planar, energies_ev, polarization):
+    """momentum.structure_factors with T formed per energy instead of per
+    axis: for each block and energy one lift of the raster points to an
+    (n, 3) stack, one complex shape_factor and one projection q @ eps."""
+    _, _, exponent, powers = planar
+    for index, s, _ in _structure_factors(grid, planar, energies_ev, polarization):
+        qx, qy = grid.samples[index, 0], grid.samples[index, 1]
+        table = np.zeros((len(energies_ev), len(index)))
+        for e, row in zip(energies_ev, table):
+            q, inside = momentum.lift(e / HARTREE_EV, qx, qy)
+            shape = momentum.shape_factor(exponent, powers, q)
+            row[:] = (q @ polarization) ** 2 * inside * (shape.real ** 2 + shape.imag ** 2)
+        yield index, s, table
+
+
+# ---------------------------------------------------------------------------
 # angle-integrated spectra by sphere quadrature
 
 def quadrature_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos, n_polar,
@@ -427,12 +449,12 @@ def quadrature_spectrum(energies_ev, t_p_fs, pulse, wp, finals, mos, n_polar,
     quadrature = sphere_quadrature(n_polar, n_azimuth)
     integrated = np.zeros((wp.n_members, wp.n_members, len(energies_ev)), dtype=complex)
     weights, _, _ = signal._weights(channels, np.asarray(energies_ev, dtype=float),
-                                    pulse, wp, mode, min_envelope)
+                                    [pulse], wp, mode, min_envelope)
     for k, e in enumerate(energies_ev):
         grid = build_sphere(float(e), n_polar, n_azimuth, quadrature)
-        kernel = signal._kernel(
-            np.zeros((wp.n_members, wp.n_members, grid.n_samples), dtype=complex), grid,
-            weights[..., k:k + 1], basis, matrices, pulse.polarization)
+        kernel, = signal._kernel(
+            np.zeros((1, wp.n_members, wp.n_members, grid.n_samples), dtype=complex),
+            grid, weights[..., k:k + 1], basis, matrices, pulse.polarization)
         q_au = np.sqrt(2.0 * e / HARTREE_EV)
         integrated[..., k] = q_au * (kernel * grid.weights).sum(axis=-1)
     return at_delays(integrated, wp.phases(t_p_fs))

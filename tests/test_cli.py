@@ -15,6 +15,7 @@ from attopmm.io import (
     ConfigError,
     default_scenario_path,
     load_scenario,
+    read_cube,
     read_pmm,
     write_cube,
 )
@@ -150,10 +151,10 @@ def test_non_finite_config_value_exits_1(tmp_path, capsys, field):
     assert not out.exists()
 
 
-def _cube_files_scenario(tmp_path):
+def _cube_files_scenario(tmp_path, spacing_angstrom=1.0):
     """The bundled scenario with every orbital read from a coarse cube file."""
     scenario = load_scenario(default_scenario_path())
-    grid = default_density_grid(scenario.mos, spacing_angstrom=1.0)
+    grid = default_density_grid(scenario.mos, spacing_angstrom=spacing_angstrom)
     orbitals = {}
     for mo in scenario.mos:
         orbitals[mo.label] = f"{mo.label}.cube"
@@ -199,6 +200,25 @@ def test_cube_orbitals_make_maps_and_spectra(tmp_path, capsys):
         assert len(files) == count and all(str(p) in printed for p in files)
     a, b = (read_pmm(p).values for p in sorted((tmp_path / "pmm").iterdir()))
     assert np.max(np.abs(b - a[::-1, :])) <= 1e-10 * np.max(a)
+
+
+def test_density_of_cube_files_scenario(tmp_path):
+    # grid-backed orbitals bound the density box by their own grid's
+    # corners; on that grid's lattice the orbitals are their cube values,
+    # and the frames carry no net charge (test_density's 1e-4 e)
+    config = _cube_files_scenario(tmp_path, spacing_angstrom=0.3)
+    out = tmp_path / "out"
+    assert main(["density", "--config", str(config), "--spacing", "0.3",
+                 "--tp", "0", "T/4", "--out", str(out)]) == 0
+    orbital, _, _ = read_cube(tmp_path / "H.cube")
+    cubes = sorted(out.glob("density_tp*.cube"))
+    assert [p.name for p in cubes] == ["density_tp0.cube", "density_tpT4.cube"]
+    for path in cubes:
+        grid, _, _ = read_cube(path)
+        assert np.all(grid.origin <= orbital.origin + 1e-5)
+        assert np.array_equal(grid.axes, orbital.axes)
+        assert np.any(grid.values)
+        assert abs(grid.values.sum() * grid.voxel_volume) < 1e-4
 
 
 def _artifacts_with_blas_threads(tmp_path, blas_threads, argv):
@@ -383,6 +403,10 @@ _CONTRACT = {
                               "ConfigError"),
     "fig4-grid-huge": (["reproduce-figure", "fig4", "--grid", "100000"], "ConfigError"),
     "fig6-grid-huge": (["reproduce-figure", "fig6", "--grid", "100000"], "ConfigError"),
+    # fig6's durations share one call, so the preflight counts every one:
+    # one needs 2.7e8 bytes at --grid 2049, eight 2.1e9
+    "fig6-taus-grid-huge": (["reproduce-figure", "fig6", "--grid", "2049", "--tau",
+                             *["0.5"] * 8], "ConfigError"),
     "pmm-grid-4097": (["pmm", "--energy", "99", "--grid", "4097"], "ConfigError"),
     "pmm-delays-huge": (["pmm", "--energy", "99", "--grid", "2049", "--tp", *["0"] * 40],
                         "ConfigError"),
@@ -466,6 +490,7 @@ def test_cli_exits_0_or_1_with_one_error_record(tmp_path, capsys, argv, error):
     ("fig2-energy", "--energy"), ("fig3-tp-two", "--tp"), ("fig4-tau", "--tau"),
     ("fig5-tau", "--tau"), ("fig6-energy-two", "--energy"), ("pmm-grid-huge", "--grid"),
     ("fig4-grid-huge", "--grid"), ("pmm-delays-huge", "--grid"),
+    ("fig6-taus-grid-huge", "--grid"),
     *((f"pmm-threads-{v}", "--threads") for v in ("0", "negative", "nan", "inf", "huge"))])
 def test_figure_refusal_names_the_option(tmp_path, capsys, case, option):
     argv, _ = _CONTRACT[case]

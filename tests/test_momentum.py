@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -17,6 +18,8 @@ from attopmm.model import (
     evaluate_orbital,
 )
 from attopmm.momentum import (
+    _GRID_ELEMENTS,
+    _SAMPLE_BLOCK,
     MomentumError,
     MomentumGrid,
     _axis_factor,
@@ -213,6 +216,38 @@ def test_grid_transform_memory_is_bounded():
     ref = (sampling.voxel_volume * (2.0 * math.pi) ** -1.5
            * (np.exp(-1j * (q @ sampling.points().T)) @ values))
     assert np.max(np.abs(got[::37] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _free(q):
+    return MomentumGrid(samples=q, valid=np.ones(len(q), dtype=bool))
+
+
+def test_one_sample_transforms_like_a_block():
+    # BLAS takes another route for a single row: a free momentum transformed
+    # alone, or alone in the last block of a call, keeps the bits it gets
+    # inside a larger call, for LCAO orbitals and for cube orbitals on
+    # diagonal and sheared axes
+    mos = huckel_orbitals()
+    homo = next(mo for mo in mos if mo.label == "H")
+    cubes = [VolumetricGrid(origin=(-14.25, -5.25, -0.75), axes=np.eye(3) * 1.5,
+                            counts=(20, 8, 2)),
+             VolumetricGrid(origin=(-10.0, -5.0, -1.0),
+                            axes=[[1.2, 0.1, 0.0], [0.2, 1.1, 0.0], [0.0, 0.1, 1.0]],
+                            counts=(17, 9, 3))]
+    voxels = [[dataclasses.replace(homo, coefficients=None, primitives=None,
+                                   grid=g.with_values(evaluate_orbital(homo, g)))]
+              for g in cubes]
+    rng = np.random.default_rng(4)
+    q = rng.normal(size=(700, 3)) * 1.5
+    for orbitals in (mos, *voxels):
+        block = orbital_ft(orbitals, _free(q))
+        for n in range(0, len(q), 7):
+            assert np.array_equal(orbital_ft(orbitals, _free(q[n:n + 1]))[:, 0], block[:, n])
+    # a call one sample longer than a block ends in a block of one sample
+    for orbitals, size in ((mos, _SAMPLE_BLOCK), (voxels[0], _GRID_ELEMENTS // (20 + 8 * 2))):
+        long = rng.normal(size=(size + 1, 3))
+        assert np.array_equal(orbital_ft(orbitals, _free(long))[:, -1],
+                              orbital_ft(orbitals, _free(long[-3:]))[:, -1])
 
 
 _TRANSFORM_BYTES = """

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import dataclasses
 import math
 import tracemalloc
@@ -40,6 +41,7 @@ from oracles import (
     ReferenceAmplitudes,
     dense_annihilation_map,
     gaussian_ft,
+    per_energy_structure_factors,
     quadrature_spectrum,
     reference_probability,
 )
@@ -65,8 +67,14 @@ def test_envelope_short_values():
     # channel centered at 98.9 eV probed at 99 eV barely decays
     assert envelope_short(98.9, 99.0, 0.5) == pytest.approx(0.99792, abs=1e-4)
     assert envelope_short(99.0, 99.0, 0.5) == 1.0
-    with pytest.raises(SignalError):
-        envelope_short(99.0, 99.0, 0.0)
+    # centers, energies and durations broadcast: one call per grid of them
+    grid = envelope_short(np.array([98.9, 99.0]), 99.0, np.array([[0.5], [0.25]]))
+    assert grid.shape == (2, 2) and grid[0, 1] == 1.0
+    assert grid[0, 0] == envelope_short(98.9, 99.0, 0.5)
+    assert grid[1, 0] == envelope_short(98.9, 99.0, 0.25)
+    for bad in (0.0, [0.5, 0.0], [0.5, np.nan]):
+        with pytest.raises(SignalError):
+            envelope_short(99.0, 99.0, bad)
 
 
 def test_envelope_short_frozen_channel_values(ctx):
@@ -596,6 +604,19 @@ def test_three_channel_manual_reconstruction(ctx, mode):
     assert np.max(np.abs(got - manual)) <= 1e-12 * got.max()
 
 
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_probability_at_one_momentum_equals_it_in_a_block(ctx, mode):
+    # a free momentum alone takes the products it takes inside a larger
+    # call, so its probability keeps every bit, for LCAO and cube orbitals
+    q = np.random.default_rng(11).normal(size=(300, 3)) * 1.2 + [0.0, 0.0, 2.5]
+    delays = [0.0, 0.3 * ctx["period"]]
+    args = (delays, _probe(ctx, mode), ctx["wp"], ctx["finals"])
+    for mos in (ctx["mos"], _voxel_homo(ctx["mos"])):
+        block = probability(q, *args, mos, mode=mode)
+        for n in range(0, len(q), 6):
+            assert probability(q[n], *args, mos, mode=mode) == [b[n] for b in block]
+
+
 # --- member-pair kernels against the per-delay reference -----------------------
 
 @pytest.mark.parametrize("mode", ["short", "long"])
@@ -662,13 +683,13 @@ def _per_energy_mean(ctx, energies, delays, pulse, mode, resolution, q_max, mos)
     channels = build_channels(wp, ctx["finals"], pulse)
     basis, matrices = signal._dyson_matrices(channels, mos)
     total = 0.0
-    weights, _, _ = signal._weights(channels, np.asarray(energies, dtype=float), pulse,
+    weights, _, _ = signal._weights(channels, np.asarray(energies, dtype=float), [pulse],
                                     wp, mode, signal.DEFAULT_CHANNEL_MIN_ENVELOPE)
     for k, e in enumerate(energies):
         grid = build_hemisphere(e, resolution, resolution, q_max)
-        kernel = signal._kernel(
-            np.zeros((wp.n_members, wp.n_members, grid.n_samples), dtype=complex), grid,
-            weights[..., k:k + 1], basis, matrices, pulse.polarization)
+        kernel, = signal._kernel(
+            np.zeros((1, wp.n_members, wp.n_members, grid.n_samples), dtype=complex),
+            grid, weights[..., k:k + 1], basis, matrices, pulse.polarization)
         total = total + at_delays(kernel, wp.phases(delays))
     return [m.reshape(grid.shape) for m in total / len(energies)]
 
@@ -770,10 +791,140 @@ def test_non_planar_or_mixed_basis_takes_per_energy_path(ctx, monkeypatch, basis
             assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), (mode, t)
 
 
+# --- the folded kernel's per-axis kinematic factor and pulse axis ----------------
+
+_PLANAR_SHAPES = {"s": (0, 0, 0), "p_x": (1, 0, 0), "d_xz": (1, 0, 1)}
+
+
+@pytest.mark.parametrize("polarization", ["z", "oblique"])
+@pytest.mark.parametrize("shape", sorted(_PLANAR_SHAPES))
+def test_folded_maps_of_planar_shapes_match_per_delay_reference(ctx, shape, polarization):
+    # single-shape planar bases other than p_z take the folded kernel with
+    # every axis factor and projection term in play; cuts and an average
+    # against the per-delay oracle, in both modes
+    wp, finals = ctx["wp"], ctx["finals"]
+    mos = _remap_primitives(ctx["mos"], lambda p: dataclasses.replace(
+        p, powers=_PLANAR_SHAPES[shape]))
+    assert momentum.planar_basis(mos) is not None
+    delays = [0.0, 0.37 * ctx["period"]]
+    for mode in ("short", "long"):
+        pulse = dataclasses.replace(_probe(ctx, mode), polarization=_AXES[polarization])
+        channels = build_channels(wp, finals, pulse)
+        for energy in (95.6, 99.0):
+            maps = pmm_cut(energy, delays, pulse, wp, finals, mos, resolution=61, mode=mode)
+            skip = [r["skipped"] for r in maps[0].metadata["channels"]]
+            grid = build_hemisphere(energy, 61, 61)
+            amps = ReferenceAmplitudes(channels, mos, grid)
+            for t, m in zip(delays, maps):
+                ref = reference_probability(channels, amps, grid.samples, wp, pulse, t,
+                                            mode, skip=skip, energy_ev=energy)
+                ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
+                assert ref.max() > 0
+                assert np.max(np.abs(m.values - ref)) <= 2e-15 * ref.max(), (mode, energy)
+        avg = energy_average_pmm(99.0, 1.0, 3, delays, pulse, wp, finals, mos,
+                                 resolution=61, mode=mode, channel_min_envelope=0.0)
+        grids = {e: build_hemisphere(e, 61, 61, avg[0].axis_x[-1]) for e in (98.5, 99.0, 99.5)}
+        for t, m in zip(delays, avg):
+            ref = sum(np.where(g.valid, reference_probability(
+                channels, ReferenceAmplitudes(channels, mos, g), g.samples, wp, pulse, t,
+                mode, energy_ev=e), 0.0) for e, g in grids.items()) / 3.0
+            ref = ref.reshape(m.values.shape)
+            assert np.max(np.abs(m.values - ref)) <= 2e-15 * ref.max(), (mode, t)
+
+
+@pytest.mark.filterwarnings("error")
+def test_folded_map_far_from_every_channel_is_zero(ctx):
+    # at 1e308 eV every channel is skipped, so no kinematic factor is formed:
+    # an f_z^3 basis, whose z factor overflows there, still gives zero maps
+    mos = _remap_primitives(ctx["mos"], lambda p: dataclasses.replace(p, powers=(0, 0, 3)))
+    for mode in ("short", "long"):
+        cut = pmm_cut(1e308, 0.0, _probe(ctx, mode), ctx["wp"], ctx["finals"], mos,
+                      resolution=11, mode=mode)
+        assert not cut.values.any()
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_per_axis_kinematic_factor_is_bit_identical(ctx, monkeypatch, mode):
+    # the bundled p_z basis with eps along z: the default-raster cut and
+    # average keep every bit of the maps whose T comes from one lift and
+    # one shape_factor per energy (the oracle)
+    args = ([0.0, 0.3 * ctx["period"]], _probe(ctx, mode), ctx["wp"], ctx["finals"],
+            ctx["mos"])
+    calls = [lambda: pmm_cut(97.7, *args, mode=mode),
+             lambda: energy_average_pmm(99.0, 1.0, 11, *args, mode=mode)]
+    got = [call() for call in calls]
+    monkeypatch.setattr(momentum, "structure_factors", per_energy_structure_factors)
+    for maps, call in zip(got, calls):
+        for m, r in zip(maps, call()):
+            assert m.values.shape == (201, 201) and r.values.max() > 0
+            assert np.array_equal(m.values, r.values)
+
+
+def _durations(ctx, pulse):
+    return [dataclasses.replace(pulse, duration_fwhm_fs=tau)
+            for tau in (0.5, ctx["period"] / 4.0, ctx["period"] / 2.0)]
+
+
+@pytest.mark.parametrize("mode", ["short", "long"])
+def test_pulse_sequence_maps_equal_one_call_per_pulse(ctx, mode):
+    # a sequence of durations shares one raster's transforms, and each of
+    # its results is, bit for bit and record for record, the one-pulse call
+    pulses = _durations(ctx, _probe(ctx, mode))
+    rest = (ctx["wp"], ctx["finals"], ctx["mos"])
+    for delays in ([0.0, 0.3 * ctx["period"]], 0.7):
+        for call in (lambda p: pmm_cut(97.7, delays, p, *rest, resolution=41, mode=mode),
+                     lambda p: energy_average_pmm(99.0, 1.0, 5, delays, p, *rest,
+                                                  resolution=41, mode=mode)):
+            for result, pulse in zip(call(pulses), pulses):
+                one = call(pulse)
+                if not isinstance(one, list):
+                    result, one = [result], [one]
+                for m, r in zip(result, one):
+                    assert np.array_equal(m.values, r.values)
+                    assert m.metadata == r.metadata and m.t_p_fs == r.t_p_fs
+    other = dataclasses.replace(pulses[0], photon_energy_ev=101.0)
+    for bad in ([], [pulses[0], other]):
+        with pytest.raises(SignalError, match="pulses"):
+            pmm_cut(97.7, 0.0, bad, *rest, resolution=11, mode=mode)
+
+
+def test_folded_maps_call_no_per_energy_lift_or_shape_factor(ctx, monkeypatch, tmp_path):
+    # a folded cut or average lifts only its raster (build_hemisphere) and
+    # never calls shape_factor; fig6's three durations share one raster and
+    # so one structure_factors call
+    calls = collections.Counter()
+
+    def counting(name):
+        original = getattr(momentum, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(momentum, name, wrapped)
+
+    for name in ("lift", "shape_factor", "structure_factors"):
+        counting(name)
+    pulse = _probe(ctx, "long")
+    args = ([0.0, 0.3 * ctx["period"]], ctx["wp"], ctx["finals"], ctx["mos"])
+    observables = [
+        lambda: pmm_cut(97.7, args[0], pulse, *args[1:], resolution=71, mode="long"),
+        lambda: energy_average_pmm(99.0, 1.0, 11, args[0], pulse, *args[1:],
+                                   resolution=71, mode="long"),
+        lambda: energy_average_pmm(99.0, 1.0, 11, args[0], _durations(ctx, pulse),
+                                   *args[1:], resolution=71, mode="long"),
+        lambda: main(["reproduce-figure", "fig6", "--grid", "41", "--tp", "0",
+                      "--out", str(tmp_path)]),
+    ]
+    for call in observables:
+        calls.clear()
+        call()
+        assert calls == {"lift": 1, "structure_factors": 1}
+
+
 def test_map_memory_peak(ctx):
     # one 201^2 cut holds the (M, M, N) kernel, the raster and one block of
-    # structure factors: 8.2 MB traced, against 10.4 MB when every energy
-    # built its full (orbital, sample) transform
+    # structure and kinematic factors: 7.8 MB traced, against 10.4 MB when
+    # every energy built its full (orbital, sample) transform
     _map(ctx, 0.0, resolution=11)
     tracemalloc.start()
     try:
