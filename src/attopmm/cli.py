@@ -271,7 +271,7 @@ def _write_spectra(scenario, out, names, tokens, energies, pulse, mode, states):
 
 
 def _write_density(scenario, out, tokens, padding, spacing):
-    """One cube per time, all frames sharing one orbital evaluation."""
+    """One cube per time; the frames share one orbital evaluation, a planar one is never 3-D."""
     times = _resolve_times(tokens, scenario.period_fs)
     grid = density_mod.default_density_grid(scenario.mos, padding, spacing)
     frames = density_mod.density_timeseries(

@@ -24,16 +24,16 @@ untouched spectators, for instance) is left out of every frame.
 For a planar basis (momentum.planar_basis: one primitive shape, every
 center at one height) on a grid with diagonal axes, phi_m(x, y, z) =
 Psi_m(x, y) Z(z), with Psi_m = (X N C[:, m]) Y^T over per-axis factor
-tables (model.axis_factors) and Z the shared z-factor, so only the frame
+tables (model.axis_factors) and Z the shared z-factor, so each frame
 
     drho(t) = drho2(t) (x) Z^2,  drho2 = sum_{p <= q} (2 - delta_pq) dgamma_pq Psi_p Psi_q
 
-is ever 3-D. Any other orbital set (grid-backed orbitals, a sheared grid,
-several primitive shapes or heights) is evaluated on every voxel
-(model.evaluate_orbital), each orbital of a kept entry once for all frames.
-For orthonormal members tr dgamma = 0 at every instant, so the density
-change carries no net charge; the beat terms oscillate with the member
-energy differences.
+is kept as its plane drho2 and the shared Z^2; nothing 3-D is formed. Any
+other orbital set (grid-backed orbitals, a sheared grid, several primitive
+shapes or heights) is evaluated on every voxel (model.evaluate_orbital),
+each orbital of a kept entry once for all frames. For orthonormal members
+tr dgamma = 0 at every instant, so the density change carries no net
+charge; the beat terms oscillate with the member energy differences.
 """
 
 from __future__ import annotations
@@ -51,13 +51,15 @@ from .model import (
     at_delays,
     axis_factors,
     evaluate_orbital,
+    held,
     occupied_offsets,
     primitive_norm,
+    read_only,
 )
 from .momentum import planar_basis
 
-# A density grid holds at most this many voxels (8 bytes each per frame);
-# default_density_grid refuses larger ones before allocating anything.
+# A density grid holds at most this many voxels (8 bytes each in a 3-D frame;
+# a planar one holds drho2 and Z^2); default_density_grid refuses more.
 _MAX_VOXELS = 30_000_000
 
 
@@ -69,31 +71,48 @@ class DensityError(ValueError):
 
 
 class DensityFrame(Record):
-    """Density change on a grid at one instant, with signed charge integrals
-    (electrons; gained + lost sums to ~0 by charge conservation)."""
+    """Density change at one instant, with signed charge integrals
+    (electrons; gained + lost sums to ~0 by charge conservation). values is
+    the 3-D array on the grid, or for a planar basis the pair (plane,
+    profile) = (drho2, Z^2), whose charges are sum+ drho2 * sum Z^2 * dV;
+    grid forms the 3-D values on request (frame_values)."""
 
-    __slots__ = ("grid", "t_fs", "charge_gained", "charge_lost")
+    __slots__ = ("raster", "values", "t_fs", "charge_gained", "charge_lost")
 
-    def __init__(self, grid, t_fs, charge_gained, charge_lost):
-        if not np.all(np.isfinite(grid.values)):
+    def __init__(self, grid, values, t_fs):
+        raster = VolumetricGrid(grid.origin, grid.axes, grid.counts)
+        dv = raster.voxel_volume
+        if isinstance(values, tuple):
+            plane, profile = values = tuple(held(np.asarray(v, dtype=float)) for v in values)
+            if plane.shape + profile.shape != raster.counts or profile.min() < 0.0:
+                raise DensityError(f"factors do not fit {raster.counts} or the profile is < 0")
+            # Python floats: an overflowing product is inf, never a warning
+            finite = math.isfinite(float(np.abs(plane).max()) * float(np.abs(profile).max()))
+            dv = float(profile.sum()) * dv
+        else:
+            plane = values = raster.with_values(np.asarray(values, dtype=float)).values
+            finite = np.all(np.isfinite(values))
+        if not finite:
             raise DensityError("non-finite value in density change")
-        self._set(grid, t_fs, charge_gained, charge_lost)
+        gained, lost = (float(plane.sum(where=side) * dv) for side in (plane > 0, plane < 0))
+        self._set(raster, values, float(t_fs), gained, lost)
 
-    @classmethod
-    def from_values(cls, grid, values, t_fs):
-        """Frame of `values` on grid; a read-only float array that owns its
-        memory becomes the frame's array without a copy."""
-        full = grid.with_values(np.asarray(values, dtype=float))
-        dv = grid.voxel_volume
-        flat = full.values.ravel()
-        gained = float(flat.sum(where=flat > 0) * dv)
-        lost = float(flat.sum(where=flat < 0) * dv)
-        return cls(grid=full, t_fs=float(t_fs), charge_gained=gained,
-                   charge_lost=lost)
+    @property
+    def grid(self):
+        """The frame's grid with its 3-D values, formed here for a pair."""
+        v = self.values
+        return self.raster.with_values(frame_values(*v) if isinstance(v, tuple) else v)
 
     @property
     def net_charge(self):
         return self.charge_gained + self.charge_lost
+
+
+def frame_values(plane, profile, out=None):
+    """plane (x) profile + 0.0, read-only: the values of a planar frame; + 0.0
+    turns the -0.0 of a negative plane value on a zero of Z^2 into 0.0."""
+    values = np.multiply.outer(plane, profile, out=out)
+    return read_only(np.add(values, 0.0, out=values))
 
 
 def default_density_grid(mos, padding_angstrom=4.0, spacing_angstrom=0.15):
@@ -165,7 +184,7 @@ def _orbital_factors(mos, grid):
     x, y, z = (axis_factors(grid, axis, centers[:, axis], powers[axis], exponent)
                for axis in range(3))
     scaled = coeffs * primitive_norm(exponent, powers)
-    return [(x * c) @ y.T for c in scaled.T], z[:, 0] ** 2
+    return [(x * c) @ y.T for c in scaled.T], read_only(z[:, 0] ** 2)
 
 
 def density_timeseries(wp, mos, grid, times_fs):
@@ -191,9 +210,6 @@ def density_timeseries(wp, mos, grid, times_fs):
             np.multiply(phi[offsets[p]], phi[offsets[q]], out=term)
             term *= weight
             values += term
-        if profile is not None:
-            values = np.multiply.outer(values, profile)
-            values += 0.0  # a negative plane value on a node of Z gave -0.0
         values.flags.writeable = False
-        frames.append(DensityFrame.from_values(grid, values, t))
+        frames.append(DensityFrame(grid, values if profile is None else (values, profile), t))
     return frames

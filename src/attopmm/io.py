@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, signal
-from .density import DensityFrame
+from .density import DensityFrame, frame_values
 from .huckel import huckel_orbitals, pentacene_atoms
 from .model import (
     ElectronicState,
@@ -86,14 +86,15 @@ class ExportFormatError(ValueError):
 # its exact residual decide; true ties, other k, subnormals and non-finite
 # values go through '%' itself (_percent).
 # Cubes and spectra format every cell (_write_table); a map formats each axis
-# value once and gathers its record per row (_write_map_rows).
+# value once and gathers its record per row (_write_map_rows). Each call
+# allocates its block buffers once (_Buffers) and reuses them for every block.
 
 _BLOCK_LINES = 8192
-_TABLE_BLOCK_LINES = 2048   # a cube block's temporaries then reuse freed heap
+_TABLE_BLOCK_LINES = 2048   # a cube block's buffers hold ~100 bytes per value
 _TIE_BAND = 16.0 * np.finfo(float).eps
-_POW10_MIN = -170
-# correctly rounded powers of ten (the float parser rounds exactly)
-_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, -_POW10_MIN + 1)])
+# correctly rounded powers of ten (the float parser rounds exactly):
+# _POW10[k] = 10^k for |k| <= 170, a negative k counting from the end
+_POW10 = np.array([float(f"1e{k}") for k in (*range(171), *range(-170, 0))])
 _EXP10 = np.arange(-308, 309)           # decimal exponents of the normal doubles
 # four ASCII bytes in one uint32 (uint16 arithmetic keeps temporaries small):
 # '%04d' % k for k < 10^4, and the text after the 'e' or 'E' of each _EXP10
@@ -107,13 +108,26 @@ _EXPONENTS_2 = _EXPONENTS[:, [1, 0, 2, 3]].copy().view(np.uint32)[:, 0]
 _EXPONENTS = _EXPONENTS.view(np.uint32)[:, 0]
 
 
+class _Buffers(dict):
+    """The block buffers of one writer call: arrays by name, allocated once and
+    reused from the front by every later block, and a bytearray per size."""
+
+    def __call__(self, n, dtype, names):
+        for name in names.split():
+            if name not in self or len(self[name]) < n:
+                self[name] = np.empty(n, dtype)
+        return [self[name][:n] for name in names.split()]
+
+    def text(self, size):
+        return self[size] if size in self else self.setdefault(size, bytearray(size))
+
+
 def _exact_ties(a, y, k, redo, bad):
-    """Of the near-ties `redo`, those only '%' can round. At the others y
-    becomes p = fl(a 10^k), on a 10^k's side of a half-integer or on it,
-    and then half a unit toward the exact residual's sign (Dekker; no fma)."""
-    k = k[redo]
-    exact = (k >= 0) & (k <= 22) & ~bad[redo]
-    near, b = redo[exact], _POW10[k[exact] - _POW10_MIN]
+    """Of the near-ties `redo`, with their k and bad flags, those only '%' can
+    round. At the others y becomes p = fl(a 10^k), on a 10^k's side of a
+    half-integer or on it, then half a unit toward the exact residual's sign (Dekker)."""
+    exact = (k >= 0) & (k <= 22) & ~bad
+    near, b = redo[exact], _POW10[k[exact]]
     a = a[near]
     p = a * b
     ah, bh = (x * 134217729.0 - (x * 134217729.0 - x) for x in (a, b))   # 2^27 + 1
@@ -129,91 +143,107 @@ def _percent(values, digits, upper, space_sign):
     return [(fmt % v).encode("ascii") for v in values.tolist()]
 
 
-def _records(flat, digits, upper, space_sign, lead=0):
+def _records(flat, digits, upper, space_sign, buf, lead=0):
     """'%[ ].{digits-1}{E|e}' % v of every value in `flat`, in columns
-    lead:lead + width of a new (len(flat), lead + width + 1) uint8 array.
-    width is digits + 5, plus a sign slot if space_sign or a value is
-    negative and an exponent-hundreds slot if an exponent has three digits
-    (zero bytes where a record leaves a slot empty); near-ties are decided
-    exactly where 10^k is exact (_exact_ties), the rest by '%' (_percent)."""
-    a = np.abs(flat)
-    bad = ~np.isfinite(a) | ((a < np.finfo(float).tiny) & (a != 0.0))
-    zero = a == 0.0
-    safe = np.where(bad | zero, 1.0, a)
-    exp10 = np.floor(np.log10(safe)).astype(np.int64)
-    y = _scaled(safe, digits - 1 - exp10)
+    lead:lead + width of a (len(flat), lead + width + 1) uint8 array. width is
+    digits + 5, plus a sign slot if space_sign or a value is negative and an
+    exponent-hundreds slot if an exponent has three digits (zero bytes where a
+    record leaves a slot empty); near-ties are decided exactly where 10^k is
+    exact (_exact_ties), the rest by '%' (_percent). Its arrays are buf's."""
+    n = len(flat)
+    a, safe, y, frac = buf(n, float, "a safe y frac")
+    zero, bad, test, test2 = buf(n, bool, "zero bad test test2")
+    exp10, k, half, mant = buf(n, np.int64, "exp10 k half mant")
+    np.equal(np.abs(flat, out=a), 0.0, out=zero)
+    np.isfinite(a, out=bad)
+    bad &= np.greater_equal(a, np.finfo(float).tiny, out=test)   # normal: from the tables
+    safe.fill(1.0)
+    np.copyto(safe, a, where=bad)
+    np.logical_not(np.logical_or(bad, zero, out=bad), out=bad)   # non-finite or subnormal
+    exp10[...] = np.floor(np.log10(safe, out=y), out=y)
+    # y = safe 10^(digits - 1 - exp10) as two products of table powers, none
+    # over- or underflowing (take's mode "wrap" writes to out directly)
+    np.floor_divide(np.subtract(digits - 1, exp10, out=k), 2, out=half)
+    np.multiply(safe, _POW10.take(half, out=frac, mode="wrap"), out=y)
+    y *= _POW10.take(np.subtract(k, half, out=half), out=frac, mode="wrap")
     # log10 can miss the decade by one next to a power of ten
-    shift = (y >= 10.0 ** digits).astype(np.int64) - (y < 10.0 ** (digits - 1))
-    moved = np.flatnonzero(shift)
-    exp10[moved] += shift[moved]
-    y[moved] = _scaled(safe[moved], digits - 1 - exp10[moved])
-    frac = y - np.floor(y)
-    redo = np.flatnonzero(bad | (~zero & (np.abs(frac - 0.5) <= _TIE_BAND * y)))
+    moved = np.greater_equal(y, 10.0 ** digits, out=test)
+    moved |= np.less(y, 10.0 ** (digits - 1), out=test2)
+    moved = np.flatnonzero(moved)
+    exp10[moved] += np.where(test2[moved], -1, 1)
+    km = digits - 1 - exp10[moved]
+    y[moved] = safe[moved] * _POW10[km // 2] * _POW10[km - km // 2]
+    np.subtract(y, np.floor(y, out=frac), out=frac)
+    frac -= 0.5
+    near = np.less_equal(np.abs(frac, out=frac), np.multiply(y, _TIE_BAND, out=safe), out=test)
+    near &= np.logical_not(zero, out=test2)
+    redo = np.flatnonzero(np.logical_or(near, bad, out=near))
     if len(redo):
-        redo = _exact_ties(a, y, digits - 1 - exp10, redo, bad)
-    mant = np.rint(y).astype(np.int64)
-    carry = mant == 10 ** digits            # 9.99...95 rounds up a decade
+        redo = _exact_ties(a, y, digits - 1 - exp10[redo], redo, bad[redo])
+    mant[...] = np.rint(y, out=y)
+    carry = np.equal(mant, 10 ** digits, out=test)   # 9.99...95 rounds up a decade
     mant[carry] = 10 ** (digits - 1)
     exp10 += carry
-    mant[zero] = 0
-    exp10[zero] = 0
+    mant[zero] = exp10[zero] = 0
 
     texts = _percent(flat[redo], digits, upper, space_sign)
-    sign = int(space_sign or np.signbit(flat).any())
+    negative = np.signbit(flat, out=test)
+    sign = int(space_sign or negative.any())
     wide = int(exp10.max(initial=0) >= 100 or exp10.min(initial=0) <= -100
                or any(len(t) > digits + 5 + sign for t in texts))
     width = digits + 5 + sign + wide        # [s] d . ddd E s [h] t o
-    del a, bad, zero, safe, y, shift, frac   # spent: the records need not share their peak
-    out = np.empty((len(flat), lead + width + 1), dtype=np.uint8)
+    out = np.frombuffer(buf.text(n * (lead + width + 1)), np.uint8).reshape(n, lead + width + 1)
     rec = out[:, lead:lead + width]
     if sign:
-        blank = ord(" ") if space_sign else 0
-        rec[:, 0] = np.signbit(flat) * np.uint8(ord("-") - blank) + np.uint8(blank)
+        rec[:, 0] = ord(" ") if space_sign else 0
+        np.copyto(rec[:, 0], ord("-"), where=negative)
+    (group,) = buf(n, np.uint32, "group")
     for col in range(sign + digits - 3, sign + 1, -4):   # four digits after the point
-        quot = mant // 10 ** 4
-        rec[:, col:col + 4].view(np.uint32)[:, 0] = _DIGIT_GROUPS[mant - 10 ** 4 * quot]
-        mant = quot
-    rec[:, sign] = mant + ord("0")
+        np.floor_divide(mant, 10 ** 4, out=half)
+        np.subtract(mant, np.multiply(half, 10 ** 4, out=k), out=k)
+        rec[:, col:col + 4].view(np.uint32)[:, 0] = _DIGIT_GROUPS.take(k, out=group, mode="wrap")
+        mant, half = half, mant
+    np.add(mant, ord("0"), out=rec[:, sign], casting="unsafe")
     rec[:, sign + 1] = ord(".")
     e = sign + digits + 1                   # the exponent letter's column
+    exp10 -= _EXP10[0]
     rec[:, e + wide:e + wide + 4].view(np.uint32)[:, 0] = \
-        (_EXPONENTS if wide else _EXPONENTS_2)[exp10 - _EXP10[0]]
+        (_EXPONENTS if wide else _EXPONENTS_2).take(exp10, out=group, mode="wrap")
     rec[:, e] = ord("E" if upper else "e")
     rec[redo] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return out
 
 
-def _lines(fields, per_line, sep):
-    """Bytes of the lines of `fields`, (n_lines * per_line, width + 1) uint8
-    rows in line order whose first `width` bytes hold one record each: the
-    last byte of a field becomes `sep`, or LF at the end of a line, and the
-    zero bytes are dropped."""
+def _lines(fields, per_line, sep, buf):
+    """Bytes of the lines of `fields`, the uint8 rows in line order that
+    _records placed in buf, whose first `width` bytes hold one record each:
+    the last byte of a field becomes `sep`, or LF at the end of a line of
+    per_line fields and of the last line, and the zero bytes are dropped."""
     fields[:, -1] = ord(sep)
-    fields.reshape(-1, per_line, fields.shape[1])[:, -1, -1] = ord("\n")
-    return fields.tobytes().replace(b"\0", b"")
-
-
-def _scaled(a, k):
-    """a * 10^k as two products of table powers; no intermediate over- or
-    underflows for normal a and |k| <= 2 * 170."""
-    half = k // 2
-    return a * _POW10[half - _POW10_MIN] * _POW10[k - half - _POW10_MIN]
+    fields[per_line - 1::per_line, -1] = fields[-1:, -1] = ord("\n")
+    return buf.text(fields.size).replace(b"\0", b"")
 
 
 def _write_table(fh, values, per_line, digits, upper, space_sign, sep):
     """Write `values` (flattened in C order) to the binary file `fh` as lines
     of `per_line` numbers joined by `sep`, each byte-identical to
     '%[ ].{digits-1}{E|e}' % value; a last partial line holds the remainder.
-    Only one block of _TABLE_BLOCK_LINES lines is held in memory at a time."""
-    flat = np.asarray(values, dtype=float).ravel()
-    full = len(flat) - len(flat) % per_line
-    step = _TABLE_BLOCK_LINES * per_line
-    bounds = [(start, min(start + step, full), per_line)
-              for start in range(0, full, step)]
-    if full < len(flat):
-        bounds.append((full, len(flat), len(flat) - full))   # short last line
-    for start, stop, n in bounds:
-        fh.write(_lines(_records(flat[start:stop], digits, upper, space_sign), n, sep))
+    values is an array or a planar density frame's pair (plane, profile),
+    whose values density.frame_values forms for the rows a block touches.
+    One block of _TABLE_BLOCK_LINES lines is formed at a time, in buffers
+    allocated for the first block and reused by the others."""
+    rows, profile = values if isinstance(values, tuple) else (np.asarray(values, float), None)
+    rows, nz = rows.ravel(), (1 if profile is None else len(profile))
+    buf, step = _Buffers(), _TABLE_BLOCK_LINES * per_line
+    for start in range(0, len(rows) * nz, step):
+        stop = min(start + step, len(rows) * nz)
+        r0, r1 = start // nz, -(-stop // nz)    # the rows the block touches
+        flat = rows[r0:r1]
+        if profile is not None:
+            (block,) = buf((r1 - r0) * nz, float, "values")
+            flat = frame_values(flat, profile, block.reshape(r1 - r0, nz)).ravel()
+        block = _records(flat[start - r0 * nz:stop - r0 * nz], digits, upper, space_sign, buf=buf)
+        fh.write(_lines(block, per_line, sep, buf))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +307,13 @@ def _body(raw, first, path, error):
 # ---------------------------------------------------------------------------
 # Gaussian cube
 
-def write_cube(path, grid: VolumetricGrid, atoms=(), comments=("", "")):
+def write_cube(path, grid: VolumetricGrid, atoms=(), comments=("", ""), values=None):
     """Standard cube layout: 2 comment lines, natoms+origin, three axis
     lines (count + step vector, bohr), atom lines (Z, charge, position
-    bohr), values z-fastest, six per line as '% .8E'."""
-    if grid.values is None:
+    bohr), values z-fastest, six per line as '% .8E'. values (default
+    grid.values) may also be a planar density frame's (plane, profile)."""
+    values = grid.values if values is None else values
+    if values is None:
         raise CubeFormatError("grid carries no values to write")
     path = Path(path)
     lines = []
@@ -296,7 +328,7 @@ def write_cube(path, grid: VolumetricGrid, atoms=(), comments=("", "")):
                      % (int(z), float(charge), pos[0], pos[1], pos[2]))
     with path.open("wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        _write_table(fh, grid.values, per_line=6, digits=9, upper=True,
+        _write_table(fh, values, per_line=6, digits=9, upper=True,
                      space_sign=True, sep=" ")
     return path
 
@@ -897,19 +929,20 @@ def _write_map_rows(fh, axis_x, axis_y, inside, values):
     """One 'q_x q_y value' line per raster sample (i, j) in `inside`, in C
     order. Each axis value is formatted once and its record gathered by
     index; only the values are formatted per line, a block at a time."""
-    qx, qy = (_records(axis, **_EXPORT)[:, :-1] for axis in (axis_x, axis_y))
+    qx, qy = (_records(axis, **_EXPORT, buf=_Buffers())[:, :-1] for axis in (axis_x, axis_y))
     wx, wy = qx.shape[1], qy.shape[1]
     rx, ry = np.dtype((np.void, wx)), np.dtype((np.void, wy))   # a record as one item
     qx, qy = qx.view(rx)[:, 0], qy.view(ry)[:, 0]
     rows_i, rows_j = np.nonzero(inside)
+    buf = _Buffers()
     for start in range(0, len(rows_i), _BLOCK_LINES):
         i = rows_i[start:start + _BLOCK_LINES]
         j = rows_j[start:start + _BLOCK_LINES]
-        line = _records(values[i, j], **_EXPORT, lead=wx + wy + 2)
+        line = _records(values[i, j], **_EXPORT, lead=wx + wy + 2, buf=buf)
         line[:, :wx].view(rx)[:, 0] = qx[i]
         line[:, wx + 1:wx + wy + 1].view(ry)[:, 0] = qy[j]
         line[:, [wx, wx + wy + 1]] = ord("\t")
-        fh.write(_lines(line, 1, "\n"))
+        fh.write(_lines(line, 1, "\n", buf))
 
 
 def _write_export(path, header_lines, write_rows):
@@ -1071,4 +1104,5 @@ def export_density(path, frame: DensityFrame, atoms=(), digest=None):
         "attopmm electron-density change (1/bohr^3)",
         f"t_fs={_NUM % frame.t_fs} gained={_NUM % frame.charge_gained} "
         f"lost={_NUM % frame.charge_lost} {tag}")
-    return write_cube(path, frame.grid, atoms=atoms, comments=comments)
+    return write_cube(path, frame.raster, atoms=atoms, comments=comments,
+                      values=frame.values)

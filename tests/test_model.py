@@ -265,7 +265,7 @@ def records(scenario):
     csf = state.expansion[0][1]
     raster = momentum.build_hemisphere(99.0, 3, 3)
     cube = VolumetricGrid(origin=np.zeros(3), axes=np.eye(3), counts=(2, 2, 2))
-    frame = density.DensityFrame.from_values(cube, np.zeros((2, 2, 2)), 0.0)
+    frame = density.DensityFrame(cube, np.zeros((2, 2, 2)), 0.0)
     made = [mo.primitives[0], frame.grid, mo, pulse, csf.expansion[0][1], csf, state, wp,
             raster, signal.build_channels(wp, scenario.finals, pulse)[0],
             signal.PMM(99.0, 0.0, np.ones((3, 3)), raster.axis_x, raster.axis_y, {}),

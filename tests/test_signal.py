@@ -935,6 +935,24 @@ def test_map_memory_peak(ctx):
     assert peak < 9.0e6, peak
 
 
+def test_density_memory_peak(tmp_path):
+    # a planar frame is its plane and Z^2, and the cube writer streams it
+    # through buffers it holds for the call: the `density` command on the
+    # default grid traces ~2 MiB for 2 or 8 frames, where each 3-D frame
+    # would add 4.2 MiB
+    peaks = []
+    for n in (2, 8):
+        tracemalloc.start()
+        try:
+            assert main(["density", "--tp", *(f"{k / 8}T" for k in range(n)),
+                         "--out", str(tmp_path / str(n))]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 * 2**20, peaks
+    assert peaks[1] - peaks[0] < 2**20, peaks
+
+
 def test_delay_sequence_results(ctx):
     period = ctx["period"]
     delays = (0.0, period / 2.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from attopmm import io as attopmm_io
-from attopmm.density import default_density_grid, density_timeseries
+from attopmm.density import DensityFrame, default_density_grid, density_timeseries
 from attopmm.io import (
     _BLOCK_LINES,
     _DIGIT_GROUPS,
@@ -274,6 +274,30 @@ def test_density_frame_matches_reference_writer(tmp_path, scenario):
     want = reference_write_cube(tmp_path / "ref.cube", frame.grid, atoms=atoms,
                                 comments=comments)
     _same_file(got, want)
+    # a hand-built planar frame, written from (plane, profile) and from its
+    # 3-D values: 23 * 29 * 37 values, not a multiple of 6, in more than two
+    # blocks that nz = 37 does not divide; negative plane values on zeros of
+    # Z^2 (-0.0 but for frame_values' + 0.0); exponents of three digits
+    counts = (23, 29, 37)
+    block = 6 * attopmm_io._TABLE_BLOCK_LINES
+    assert math.prod(counts) % 6 and math.prod(counts) > 2 * block and block % counts[2]
+    rng = np.random.default_rng(5)
+    plane = rng.standard_normal(counts[:2]) * 10.0 ** rng.integers(-150, 120, counts[:2])
+    profile = rng.random(counts[2]) * 10.0 ** rng.integers(-140, 3, counts[2])
+    profile[[0, 18]] = 0.0
+    assert np.signbit(np.multiply.outer(plane, profile[[0, 18]])).any()
+    grid = VolumetricGrid(origin=(-1.5, 2.0, -3.25), axes=np.diag((0.5, 0.4, 0.3)),
+                          counts=counts)
+    frame = DensityFrame(grid, (plane, profile), 1.5)
+    values = np.abs(frame.grid.values)
+    assert not np.signbit(frame.grid.values[:, :, [0, 18]]).any()
+    assert values.max() >= 1e100 and values[values > 0].min() < 1e-99
+    got = export_density(tmp_path / "planar.cube", frame, atoms=atoms)
+    comments = tuple(got.read_text(encoding="utf-8").split("\n", 2)[:2])
+    _same_file(got, write_cube(tmp_path / "full.cube", frame.grid, atoms=atoms,
+                               comments=comments))
+    _same_file(got, reference_write_cube(tmp_path / "ref_planar.cube", frame.grid,
+                                         atoms=atoms, comments=comments))
 
 
 def _same_pmm(tmp_path, pmm, digest=None):
