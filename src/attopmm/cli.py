@@ -213,7 +213,7 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
     groups = [list(group) for _, group in groupby(rows, key=lambda row: row[1])]
     n_pulses = max(map(len, groups))
     ceiling = io_mod._MAX_MAP_BYTES
-    # per pulse of a group: its (M, M) kernels and its maps at all delays
+    # per pulse of a group: its maps at all delays, or a non-planar basis's kernels
     size = n_pulses * max(16 * wp.n_members ** 2, 8 * len(delays)) * resolution ** 2
     if size > ceiling:
         raise io_mod.ConfigError(f"--grid: {resolution}^2 samples need {size:.3g} bytes, "
@@ -241,11 +241,11 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
         if not written:
             _channel_table(scenario, results[0][0].metadata["channels"], log.info)
             out.mkdir(parents=True, exist_ok=True)
-        for (tag, _, _), maps in zip(group, results):
-            for (token, _), pmm in zip(times, maps):
-                written.append(io_mod.export_pmm(
-                    out / f"pmm_{tag}_tp{time_label(token)}.dat", pmm,
-                    digest=scenario.digest))
+        written += [io_mod.export_pmm(out / f"pmm_{tag}_tp{time_label(token)}.dat", pmm,
+                                      digest=scenario.digest)
+                    for (tag, _, _), maps in zip(group, results)
+                    for (token, _), pmm in zip(times, maps)]
+        del results        # written: the next group's kernel runs without them
     return written
 
 

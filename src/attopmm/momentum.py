@@ -43,10 +43,10 @@ from .model import (
     read_only,
 )
 
-# Samples are transformed in fixed blocks: the (block, P) phase matrix stays
-# small, and each sample's arithmetic never depends on the grid size. For a
-# grid-backed orbital a block holds at most _GRID_ELEMENTS partial sums, and
-# the pass of structure_factors over all energies _PASS_ELEMENTS values.
+# Samples go in fixed blocks: orbital_ft's (block, P) phases and a folded map
+# kernel's (P, M, M, block) slice stay small, and no sample's arithmetic
+# depends on the grid size. Caps: _GRID_ELEMENTS partial sums per block of a
+# grid-backed orbital, _PASS_ELEMENTS values per structure_factors pass.
 _SAMPLE_BLOCK = 4096
 _GRID_ELEMENTS = 1 << 18
 _PASS_ELEMENTS = 1 << 13
@@ -265,14 +265,14 @@ def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
     q_y Y_a)), shape (n, M), and T[e, n] = |eps . q_e|^2 |shape_factor(q_e)|^2
     valid_e at each of the energies_ev (q_e lifted as by lift), shape (E, n).
     Both go per axis: the phases and c X(q_x), Y(q_y) of shape_factor =
-    c X Y Z(q_z) once per raster line and column; q_z, Z, eps . q_e and the
-    disc masks in one pass over all energies, multiplied in shape_factor's
-    order, so T holds its |shape_factor|^2 bit for bit."""
+    c X Y Z(q_z) once per raster line and column, S per line segment as
+    (ex[i] * ey[js]) @ C (one sample as two copies, as in orbital_ft); q_z,
+    Z, eps . q_e and the disc masks in one pass over all energies, in
+    shape_factor's order, so T holds its |shape_factor|^2 bit for bit."""
     centers, coeffs, exponent, powers = planar
     px, py, pz = polarization
-    q = grid.samples
     ny = grid.shape[1]
-    qx, qy = q[::ny, 0], q[:ny, 1]
+    qx, qy = grid.samples[::ny, 0], grid.samples[:ny, 1]
     ex = _phases(np.outer(qx, centers[:, 0]))
     ey = _phases(np.outer(qy, centers[:, 1]))
     c = primitive_norm(exponent, powers) * (2.0 * math.pi) ** -1.5
@@ -284,8 +284,11 @@ def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
     for start in range(0, len(disc), _SAMPLE_BLOCK):
         index = disc[start:start + _SAMPLE_BLOCK]
         i, j = np.divmod(index, ny)
-        phases = ex[i]
-        phases *= ey[j]
+        factors = np.empty((len(index), coeffs.shape[1]), dtype=complex)
+        lines = np.flatnonzero(np.diff(i, prepend=-1))
+        for lo, hi in zip(lines, [*lines[1:], len(index)]):
+            js = j[lo:hi] if hi - lo > 1 else np.repeat(j[lo:hi], 2)
+            factors[lo:hi] = ((ex[i[lo]] * ey[js]) @ coeffs)[:hi - lo]
         table = np.empty((len(e_au), len(index)))
         for lo in range(0, len(index), step):
             ii, jj = i[lo:lo + step], j[lo:lo + step]
@@ -293,7 +296,7 @@ def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
             shape = fx[ii] * fy[jj] * _axis_factor(powers[2], qz, exponent)
             proj = (px * qx[ii] + py * qy[jj] + pz * qz) ** 2 * inside
             table[:, lo:lo + step] = (shape.real ** 2 + shape.imag ** 2) * proj
-        yield index, phases @ coeffs, table
+        yield index, factors, table
 
 
 def _blocks(q, size):

@@ -230,7 +230,7 @@ def _accumulate(out, matrices, transforms, profiles):
     """out[p, I, J] += sum_{F,sigma} conj(R_I) R_J profile_pFIJ with the
     member rows R = D_Fsigma @ transforms, for each pulse p and channel
     whose profile is not all zero (it broadcasts to out's shape). One member
-    pair of one channel-spin term is held at a time."""
+    pair of one channel-spin term is held at a time; returns out."""
     for mats, profile in zip(matrices, profiles):
         live = [p for p, w in enumerate(profile) if w.any()]
         if not live:
@@ -241,6 +241,7 @@ def _accumulate(out, matrices, transforms, profiles):
             for p in live:
                 for i, j in np.ndindex(out.shape[1:3]):
                     out[p, i, j] += rows[i].conj() * (rows[j] * profile[p, i, j])
+    return out
 
 
 def _kernel(out, grid: MomentumGrid, weights, basis, matrices, polarization):
@@ -252,38 +253,30 @@ def _kernel(out, grid: MomentumGrid, weights, basis, matrices, polarization):
         return out
     ft = momentum.orbital_ft(basis, grid)
     scale = (grid.samples @ polarization) ** 2 * grid.valid
-    _accumulate(out, matrices, ft, (w * scale for w in weights.swapaxes(0, 1)))
-    return out
+    return _accumulate(out, matrices, ft, (w * scale for w in weights.swapaxes(0, 1)))
 
 
-def _folded_kernel(out, raster: MomentumGrid, planar, energies, weights, matrices,
+def _folded_kernel(shape, raster: MomentumGrid, planar, energies, weights, matrices,
                    polarization):
-    """Add to `out`, shape (P, M, M, n_samples), the sum over `energies` of
-    the hemisphere kernels of each pulse on one (q_x, q_y) raster for a
-    planar basis (momentum.planar_basis), inside the raster's disc: outside
-    it every energy's T is zero, and the maps are zero there.
+    """Yield (index, K) per block of the raster's disc: its raster indices
+    and K, shape + (n,) = (P, M, M, n), the sum over `energies` of each
+    pulse's hemisphere kernels there, for a planar basis
+    (momentum.planar_basis). Off the disc every T, and so every map, is 0.
 
-    Each transform is shape_factor(q) exp(-i q_z z0) S(q_x, q_y), and the z0
-    phase cancels in conj(R_I) R_J, so with the energy-independent
-    structure factors S
-
-        sum_e K_pIJ = sum_{F,sigma} conj(D S)_I (D S)_J P_pFIJ,
-        P_pFIJ = sum_e W_pFIJ(e) T_e,
-        T_e = |eps_in . q_e|^2 |shape_factor(q_e)|^2 valid_e,
-
-    with q_e the raster point lifted to energy e (S and T per axis from
-    momentum.structure_factors), so each block's profiles are one product
-    W_F @ T, and its member rows D S run once per channel and spin for all
-    pulses. Only the kernels are held at full size.
+    K is folded as in the module docstring, sum_e K_pIJ = sum_{F,sigma}
+    conj(D S)_I (D S)_J P_pFIJ with P_pFIJ = sum_e W_pFIJ(e) T_e (S and T
+    per axis from momentum.structure_factors): each block's profiles are
+    one product W_F @ T, and its member rows D S run once per channel and
+    spin for all pulses. Each K is accumulated from zero and yielded before
+    the next block is formed: no kernel is held at full size.
     """
     live = weights.any(axis=(0, 1, 2, 3))     # energies where some W is not 0
     for index, factors, kinematic in momentum.structure_factors(
             raster, planar, energies[live], polarization):
         table = np.zeros((len(energies), len(index)))
         table[live] = kinematic
-        part = np.zeros(out.shape[:3] + (len(index),), dtype=complex)
-        _accumulate(part, matrices, factors.T, (w @ table for w in weights.swapaxes(0, 1)))
-        out[..., index] += part
+        yield index, _accumulate(np.zeros(shape + (len(index),), dtype=complex), matrices,
+                                 factors.T, (w @ table for w in weights.swapaxes(0, 1)))
 
 
 def photoelectron_energies(energies_ev):
@@ -396,21 +389,27 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
     basis, matrices = _dyson_matrices(channels, mos)
     weights, peaks, skips = _weights(channels, energies, pulses, wp, mode, min_envelope)
     grid = build_hemisphere(energies[-1], resolution, resolution, q_max_inv_angstrom)
-    total = np.zeros((len(pulses), wp.n_members, wp.n_members, grid.n_samples), complex)
+    shape, polarization = (len(pulses), wp.n_members, wp.n_members), pulses[0].polarization
     planar = momentum.planar_basis(basis)
     if planar is None:
+        kernel = np.zeros(shape + (grid.n_samples,), complex)   # one block, 0 off the disc
         for k, e in enumerate(energies):
             cut = grid if k == len(energies) - 1 else build_hemisphere(
                 e, resolution, resolution, q_max_inv_angstrom)
-            _kernel(total, cut, weights[..., k:k + 1], basis, matrices,
-                    pulses[0].polarization)
+            _kernel(kernel, cut, weights[..., k:k + 1], basis, matrices, polarization)
+        blocks = [(slice(None), kernel)]
     else:
-        _folded_kernel(total, grid, planar, energies, weights, matrices,
-                       pulses[0].polarization)
-    total /= float(len(energies))
+        blocks = _folded_kernel(shape, grid, planar, energies, weights, matrices,
+                                polarization)
+    values = [[np.zeros(grid.shape) for _ in times] for _ in pulses]
+    for index, kernel in blocks:
+        kernel /= float(len(energies))
+        for rasters, pulse_kernel in zip(values, kernel):
+            for raster, v in zip(rasters, at_delays(pulse_kernel, phases)):
+                raster.reshape(-1)[index] = v
     disc = math.sqrt(2.0 * ev_to_hartree(energies[-1])) / BOHR_ANGSTROM
     results = []
-    for p, kernel, peak, skip in zip(pulses, total, peaks, skips):
+    for p, rasters, peak, skip in zip(pulses, values, peaks, skips):
         for e, skipped in zip(energies, skip):
             if skipped.any():
                 log.info("map at %.3f eV skips channels %s (envelope < %g)", e,
@@ -422,11 +421,9 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
                              in zip(channel_records(channels), peak[-1], skip[-1])]}
         if average is not None:
             meta["energy_average"] = average
-        maps = [PMM(energy_ev=float(energy_ev), t_p_fs=float(t),
-                    values=read_only(np.where(grid.valid.reshape(grid.shape),
-                                              v.reshape(grid.shape), 0.0)),
+        maps = [PMM(energy_ev=float(energy_ev), t_p_fs=float(t), values=read_only(v),
                     axis_x=grid.axis_x, axis_y=grid.axis_y, metadata=dict(meta))
-                for t, v in zip(times, at_delays(kernel, phases))]
+                for t, v in zip(times, rasters)]
         results.append(maps[0] if single else maps)
     return results[0] if isinstance(pulse, ProbePulse) else results
 

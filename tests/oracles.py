@@ -488,3 +488,21 @@ def two_state_density(wp: WavePacket, mos, grid, times_fs):
         out.append(particle + b2 ** 2 * abs(c2) ** 2 * orb[p0] ** 2
                    - b1 ** 2 * abs(c2) ** 2 * orb[h0] ** 2 - hole)
     return out
+
+
+def block_gather_structure_factors(grid, planar):
+    """S of momentum.structure_factors by the block-gather formula: per
+    block of the disc, ex[i] and ey[j] gathered into two (n, P) arrays,
+    multiplied elementwise, then by C; yields (index, S)."""
+    centers, coeffs, _, _ = planar
+    ny = grid.shape[1]
+    qx, qy = grid.samples[::ny, 0], grid.samples[:ny, 1]
+    ex = momentum._phases(np.outer(qx, centers[:, 0]))
+    ey = momentum._phases(np.outer(qy, centers[:, 1]))
+    disc = np.flatnonzero(grid.valid)
+    for start in range(0, len(disc), momentum._SAMPLE_BLOCK):
+        index = disc[start:start + momentum._SAMPLE_BLOCK]
+        i, j = np.divmod(index, ny)
+        phases = ex[i]
+        phases *= ey[j]
+        yield index, phases @ coeffs

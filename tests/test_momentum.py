@@ -26,12 +26,14 @@ from attopmm.momentum import (
     build_hemisphere,
     build_sphere,
     orbital_ft,
+    planar_basis,
     spherical_bessel,
     sphere_pair_matrices,
     sphere_quadrature,
+    structure_factors,
 )
 
-from oracles import gaussian_ft, quadrature_ft
+from oracles import block_gather_structure_factors, gaussian_ft, quadrature_ft
 
 
 def test_s_type_at_zero_momentum():
@@ -248,6 +250,28 @@ def test_one_sample_transforms_like_a_block():
         long = rng.normal(size=(size + 1, 3))
         assert np.array_equal(orbital_ft(orbitals, _free(long))[:, -1],
                               orbital_ft(orbitals, _free(long[-3:]))[:, -1])
+
+
+def test_structure_factors_match_block_gather():
+    # S is formed one raster line segment at a time, a one-sample segment
+    # as two copies, and keeps every bit of the block-gather formula: on a
+    # disc line that holds one sample, on a line split across two blocks,
+    # with nx != ny either way, for all orbitals and for two
+    mos = huckel_orbitals()
+    for orbitals in (mos, mos[10:12]):
+        planar = planar_basis(orbitals)
+        for nx, ny in ((201, 151), (151, 201)):
+            grid = build_hemisphere(99.0, nx, ny)
+            line = np.flatnonzero(grid.valid) // ny
+            assert np.count_nonzero(line == line[0]) == 1
+            assert line[_SAMPLE_BLOCK - 1] == line[_SAMPLE_BLOCK]
+            assert len(line) % _SAMPLE_BLOCK > 1     # no one-sample block
+            got = list(structure_factors(grid, planar, [99.0], (0.0, 0.0, 1.0)))
+            ref = list(block_gather_structure_factors(grid, planar))
+            assert len(got) == len(ref) > 1
+            for (index, s, _), (ref_index, ref_s) in zip(got, ref):
+                assert np.array_equal(index, ref_index)
+                assert s.shape == (len(index), len(orbitals)) and np.array_equal(s, ref_s)
 
 
 _TRANSFORM_BYTES = """

@@ -882,6 +882,16 @@ def test_pulse_sequence_maps_equal_one_call_per_pulse(ctx, mode):
                 for m, r in zip(result, one):
                     assert np.array_equal(m.values, r.values)
                     assert m.metadata == r.metadata and m.t_p_fs == r.t_p_fs
+    if mode == "long":
+        # 16 delays x 3 durations over two disc blocks: each map is the call
+        # for its one pulse and one delay
+        delays = [k * ctx["period"] / 16 for k in range(16)]
+        maps = pmm_cut(97.7, delays, pulses, *rest, resolution=81, mode=mode)
+        for result, pulse in zip(maps, pulses):
+            assert len(result) == len(delays)
+            for m, t in zip(result, delays):
+                one = pmm_cut(97.7, t, pulse, *rest, resolution=81, mode=mode)
+                assert np.array_equal(m.values, one.values) and m.metadata == one.metadata
     other = dataclasses.replace(pulses[0], photon_energy_ev=101.0)
     for bad in ([], [pulses[0], other]):
         with pytest.raises(SignalError, match="pulses"):
@@ -922,8 +932,9 @@ def test_folded_maps_call_no_per_energy_lift_or_shape_factor(ctx, monkeypatch, t
 
 
 def test_map_memory_peak(ctx):
-    # one 201^2 cut holds the (M, M, N) kernel, the raster and one block of
-    # structure and kinematic factors: 7.8 MB traced, against 10.4 MB when
+    # one 201^2 cut holds the raster, its map and one disc block of the
+    # kernel, structure and kinematic factors and delay values: 3.3 MB
+    # traced, against 7.8 MB with the whole (M, M, N) kernel and 10.4 MB when
     # every energy built its full (orbital, sample) transform
     _map(ctx, 0.0, resolution=11)
     tracemalloc.start()
@@ -933,6 +944,26 @@ def test_map_memory_peak(ctx):
     finally:
         tracemalloc.stop()
     assert peak < 9.0e6, peak
+
+
+def test_map_memory_grows_by_the_maps_alone(ctx):
+    # each disc block's kernel becomes every delay's map values before the
+    # next block is formed, written straight into the maps' own arrays: at
+    # 201^2 one delay traces 3.3 MB and four 4.4 MB (7.8 MB each with the
+    # whole kernel, full-raster delay work arrays and a copy of every map),
+    # and each further delay adds about its 0.32 MB map
+    period = ctx["period"]
+    _map(ctx, 0.0, resolution=11)
+    peaks = {}
+    for n in (1, 4, 16):
+        tracemalloc.start()
+        try:
+            _map(ctx, [k * period / n for k in range(n)] if n > 1 else 0.0, resolution=201)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 3.5e6 and peaks[4] < 4.5e6, peaks
+    assert peaks[16] - peaks[4] <= 12 * 0.5e6, peaks
 
 
 def test_density_memory_peak(tmp_path):
