@@ -31,7 +31,7 @@ from . import io as io_mod
 from . import signal as signal_mod
 from .algebra import PRUNE_THRESHOLD, AlgebraError, dyson_matrices
 from .model import SPIN_NAMES, ModelError, offset_label
-from .momentum import _SAMPLE_BLOCK, MomentumError
+from .momentum import _SAMPLE_BLOCK, MomentumError, planar_basis
 
 log = logging.getLogger("attopmm.cli")
 
@@ -213,16 +213,21 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
     groups = [list(group) for _, group in groupby(rows, key=lambda row: row[1])]
     n_pulses = max(map(len, groups))
     ceiling = io_mod._MAX_MAP_BYTES
-    # per pulse of a group: its maps at all delays, or a non-planar basis's kernels
-    size = n_pulses * max(16 * wp.n_members ** 2, 8 * len(delays)) * resolution ** 2
+    # per pulse of a group: its maps at all delays and the kernel of one block
+    # of whole raster lines; orbitals that are not planar as a whole also
+    # hold their whole kernels and the raster's lifted (N, 3) samples
+    n, kernel = resolution ** 2, 16 * wp.n_members ** 2
+    block = min(n, max(resolution, _SAMPLE_BLOCK))
+    size = n_pulses * (8 * len(delays) * n + kernel * block)
+    if planar_basis(mos) is None:
+        size += (n_pulses * kernel + 24) * n
     if size > ceiling:
         raise io_mod.ConfigError(f"--grid: {resolution}^2 samples need {size:.3g} bytes, "
                                  f"more than {ceiling}")
     if average is not None:
         # per averaged energy: a row of the folded kernel's two (E, block)
         # tables and each pulse's (F, M, M) pair weights
-        size = 8 * average[1] * max(2 * min(resolution ** 2, _SAMPLE_BLOCK),
-                                    n_pulses * len(finals) * wp.n_members ** 2)
+        size = 8 * average[1] * max(2 * block, n_pulses * len(finals) * wp.n_members ** 2)
         if size > ceiling:
             raise io_mod.ConfigError(f"average samples: {average[1]} energies need "
                                      f"{size:.3g} bytes, more than {ceiling}")

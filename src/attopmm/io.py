@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import algebra, signal
+from . import algebra, momentum, signal
 from .density import DensityFrame, frame_values
 from .huckel import huckel_orbitals, pentacene_atoms
 from .model import (
@@ -221,7 +221,7 @@ def _lines(fields, per_line, sep, buf):
     per_line fields and of the last line, and the zero bytes are dropped."""
     fields[:, -1] = ord(sep)
     fields[per_line - 1::per_line, -1] = fields[-1:, -1] = ord("\n")
-    return buf.text(fields.size).replace(b"\0", b"")
+    return buf.text(fields.size).translate(None, b"\0")
 
 
 def _write_table(fh, values, per_line, digits, upper, space_sign, sep):
@@ -919,30 +919,29 @@ def export_pmm(path, pmm: PMM, digest=None):
     limit_sq = limit * limit * (1.0 + 1e-12)
     axis_x = np.asarray(pmm.axis_x, dtype=float)
     axis_y = np.asarray(pmm.axis_y, dtype=float)
-    inside = (axis_x * axis_x)[:, None] + (axis_y * axis_y)[None, :] <= limit_sq
+    x2, y2 = axis_x * axis_x, axis_y * axis_y
+    spans = momentum.line_spans(lambda s: x2[s, None] + y2 <= limit_sq, *pmm.values.shape)
     _write_export(path, lines, lambda fh: _write_map_rows(
-        fh, axis_x, axis_y, inside, np.asarray(pmm.values, dtype=float)))
+        fh, axis_x, axis_y, spans, np.asarray(pmm.values, dtype=float)))
     return path
 
 
-def _write_map_rows(fh, axis_x, axis_y, inside, values):
-    """One 'q_x q_y value' line per raster sample (i, j) in `inside`, in C
-    order. Each axis value is formatted once and its record gathered by
-    index; only the values are formatted per line, a block at a time."""
+def _write_map_rows(fh, axis_x, axis_y, spans, values):
+    """One 'q_x q_y value' line per sample of `spans`, in C order, a block
+    at a time; each axis value is formatted once, its record repeated along
+    a line (q_x) or sliced (q_y)."""
     qx, qy = (_records(axis, **_EXPORT, buf=_Buffers())[:, :-1] for axis in (axis_x, axis_y))
     wx, wy = qx.shape[1], qy.shape[1]
-    rx, ry = np.dtype((np.void, wx)), np.dtype((np.void, wy))   # a record as one item
-    qx, qy = qx.view(rx)[:, 0], qy.view(ry)[:, 0]
-    rows_i, rows_j = np.nonzero(inside)
     buf = _Buffers()
-    for start in range(0, len(rows_i), _BLOCK_LINES):
-        i = rows_i[start:start + _BLOCK_LINES]
-        j = rows_j[start:start + _BLOCK_LINES]
-        line = _records(values[i, j], **_EXPORT, lead=wx + wy + 2, buf=buf)
-        line[:, :wx].view(rx)[:, 0] = qx[i]
-        line[:, wx + 1:wx + wy + 1].view(ry)[:, 0] = qy[j]
-        line[:, [wx, wx + wy + 1]] = ord("\t")
-        fh.write(_lines(line, 1, "\n", buf))
+    blocks = ((start, start + _BLOCK_LINES) for start in range(0, spans[2].sum(), _BLOCK_LINES))
+    for runs in momentum.line_runs(spans, blocks):
+        line = _records(np.concatenate([values[i, cols] for i, cols, _ in runs]), **_EXPORT,
+                        lead=wx + wy + 2, buf=buf)
+        for i, cols, part in runs:
+            line[part, :wx], line[part, wx + 1:wx + wy + 1] = qx[i], qy[cols]
+        line[:, [wx, wx + wy + 1, -1]] = [ord("\t"), ord("\t"), ord("\n")]
+        # one zero byte a row or less: faster to replace than to translate
+        fh.write(buf.text(line.size).replace(b"\0", b""))
 
 
 def _write_export(path, header_lines, write_rows):

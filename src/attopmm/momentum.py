@@ -28,6 +28,7 @@ many samples share a call, and a block of one sample rounds like any other.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -44,9 +45,11 @@ from .model import (
 )
 
 # Samples go in fixed blocks: orbital_ft's (block, P) phases and a folded map
-# kernel's (P, M, M, block) slice stay small, and no sample's arithmetic
-# depends on the grid size. Caps: _GRID_ELEMENTS partial sums per block of a
-# grid-backed orbital, _PASS_ELEMENTS values per structure_factors pass.
+# kernel's (P, M, M, block) slice (whole raster lines, so a block holds more
+# only when one line does) stay small, and no sample's arithmetic depends on
+# the grid size. Caps: _GRID_ELEMENTS partial sums per block of a grid-backed
+# orbital and mask values per line_spans pass, _PASS_ELEMENTS values per
+# structure_factors pass.
 _SAMPLE_BLOCK = 4096
 _GRID_ELEMENTS = 1 << 18
 _PASS_ELEMENTS = 1 << 13
@@ -100,32 +103,104 @@ def _phases(angles):
 
 class MomentumGrid(Record):
     """Sample set in momentum space: samples (N, 3) in a.u. and their (N,)
-    bool valid mask.
+    bool valid mask, held as points and mask.
 
     A constant-energy hemisphere (build_hemisphere) is a raster of the given
     shape over in-plane (q_x, q_y), with 1D coordinates axis_x, axis_y in
     1/Angstrom and q_z = +sqrt(2 eps - q_x^2 - q_y^2), samples outside the
-    kinematic disc flagged invalid; a full sphere (build_sphere) carries
-    quadrature weights (sum = 4 pi) for angle integration.
+    kinematic disc flagged invalid. It holds no points or mask, only its
+    axes, its energy e_au (hartree) and its disc as spans (line_spans), and
+    forms samples and valid anew on each request; a full sphere
+    (build_sphere) carries quadrature weights (sum = 4 pi) for angle
+    integration.
     """
 
-    __slots__ = ("samples", "valid", "shape", "axis_x", "axis_y", "weights")
+    __slots__ = ("points", "mask", "shape", "axis_x", "axis_y", "weights", "e_au", "spans")
 
     def __init__(self, samples, valid, shape=None, axis_x=None, axis_y=None,
-                 weights=None):
-        samples = np.ascontiguousarray(samples, dtype=float)
-        valid = np.asarray(valid, dtype=bool)
-        samples = samples if samples.shape[1:] == (3,) else samples.reshape(-1, 3)
-        valid = valid if valid.ndim == 1 else valid.reshape(-1)
-        if len(valid) != len(samples):
-            raise ModelError("valid mask length does not match samples")
-        self._set(held(samples), held(valid), shape,
+                 weights=None, e_au=None, spans=None):
+        if spans is None:
+            samples = np.ascontiguousarray(samples, dtype=float)
+            valid = np.asarray(valid, dtype=bool)
+            samples = samples if samples.shape[1:] == (3,) else samples.reshape(-1, 3)
+            valid = valid if valid.ndim == 1 else valid.reshape(-1)
+            if len(valid) != len(samples):
+                raise ModelError("valid mask length does not match samples")
+            samples, valid = held(samples), held(valid)
+        self._set(samples, valid, shape,
                   *(None if a is None else held(np.asarray(a, dtype=float))
-                    for a in (axis_x, axis_y, weights)))
+                    for a in (axis_x, axis_y, weights)),
+                  e_au, None if spans is None else held(spans))
+
+    @property
+    def samples(self):
+        """The samples; a raster's are lifted anew, as lift on its C-order points."""
+        if self.spans is None:
+            return self.points
+        nx, ny = self.shape
+        return lift(self.e_au, np.repeat(inv_angstrom_to_au(self.axis_x), ny),
+                    np.tile(inv_angstrom_to_au(self.axis_y), nx))[0]
+
+    @property
+    def valid(self):
+        """The valid mask; a raster's is formed anew from its spans."""
+        if self.spans is None:
+            return self.mask
+        mask = np.zeros(self.shape, dtype=bool)
+        for i, first, count in self.spans.T.tolist():
+            mask[i, first:first + count] = True
+        return read_only(mask.reshape(-1))
 
     @property
     def n_samples(self):
-        return len(self.samples)
+        return len(self.points) if self.spans is None else self.shape[0] * self.shape[1]
+
+
+def line_spans(inside, n_lines, n_columns):
+    """Spans (3, n) of the samples of a raster where inside(lines), the
+    (len, n_columns) mask of a slice of lines, holds: the line, first column
+    and count of each run of them, in C order. The mask is formed a few
+    lines at a time; a disc of a raster (monotone axes) is one span a line."""
+    parts = [np.zeros((3, 0), dtype=np.intp)]
+    step = max(1, _GRID_ELEMENTS // n_columns)
+    for lo in range(0, n_lines, step):
+        line, col = np.nonzero(np.diff(inside(slice(lo, lo + step)), axis=1,
+                                       prepend=False, append=False))
+        parts.append(np.array([line[::2] + lo, col[::2], col[1::2] - col[::2]]))
+    return read_only(np.concatenate(parts, axis=1))
+
+
+def line_blocks(count, size):
+    """Ranges (start, stop) of the samples of spans of count[k] samples in
+    order, each of whole spans and at most `size` samples; a span holding
+    more is a range of its own."""
+    ends = np.cumsum(count).tolist()
+    k = 0                               # spans before the range
+    while k < len(ends):
+        start = ends[k - 1] if k else 0
+        k = max(k + 1, bisect.bisect_right(ends, start + size))
+        yield start, ends[k - 1]
+
+
+def line_runs(spans, blocks):
+    """Per range (start, stop) of `blocks`, in order, of the samples of
+    `spans` (line_spans): a list of (i, cols, part) per span that holds some
+    of them, with i its line, cols their columns and part their slice of
+    start:stop."""
+    lines, firsts, counts = spans.tolist()
+    k = at = 0                          # span k starts at sample `at`
+    for start, stop in blocks:
+        runs = []
+        while k < len(counts) and at < stop:
+            lo, hi = max(start, at), min(stop, at + counts[k])
+            if hi > lo:
+                runs.append((lines[k], slice(firsts[k] + lo - at, firsts[k] + hi - at),
+                             slice(lo - start, hi - start)))
+            if at + counts[k] > stop:
+                break                   # span k goes on in the next range
+            at += counts[k]
+            k += 1
+        yield runs
 
 
 def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
@@ -133,6 +208,7 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
 
     Uniform (q_x, q_y) raster spanning +-q_max (1/Angstrom; defaults to the
     kinematic disc radius sqrt(2 eps)), with q_z = +sqrt(2 eps - q_x^2 - q_y^2).
+    Its disc is lift's mask, in spans.
     """
     if not 0 < energy_ev < math.inf:
         raise MomentumError(
@@ -147,11 +223,10 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
             f"raster half-width must be positive with a finite square, got {q_max}")
     axis_x = np.linspace(-q_max, q_max, int(nx))
     axis_y = np.linspace(-q_max, q_max, int(ny))
-    qx = inv_angstrom_to_au(axis_x)[:, None] * np.ones(int(ny))[None, :]
-    qy = np.ones(int(nx))[:, None] * inv_angstrom_to_au(axis_y)[None, :]
-    samples, valid = lift(e_au, qx.ravel(), qy.ravel())
-    return MomentumGrid(samples=samples, valid=valid, shape=(int(nx), int(ny)),
-                        axis_x=read_only(axis_x), axis_y=read_only(axis_y))
+    qx, qy = inv_angstrom_to_au(axis_x)[:, None], inv_angstrom_to_au(axis_y)[None, :]
+    spans = line_spans(lambda lines: _lifted_qz(e_au, qx[lines], qy)[1], int(nx), int(ny))
+    return MomentumGrid(None, None, shape=(int(nx), int(ny)), axis_x=read_only(axis_x),
+                        axis_y=read_only(axis_y), e_au=e_au, spans=spans)
 
 
 def lift(e_au, qx, qy):
@@ -259,20 +334,20 @@ def planar_basis(mos):
 
 
 def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
-    """A planar basis (planar_basis) on a hemisphere raster's disc (the
-    samples it flags valid), block by block: yields (index, S, T) with the
-    block's raster indices, S[n, m] = sum_a C[a, m] exp(-i (q_x X_a +
-    q_y Y_a)), shape (n, M), and T[e, n] = |eps . q_e|^2 |shape_factor(q_e)|^2
-    valid_e at each of the energies_ev (q_e lifted as by lift), shape (E, n).
-    Both go per axis: the phases and c X(q_x), Y(q_y) of shape_factor =
-    c X Y Z(q_z) once per raster line and column, S per line segment as
-    (ex[i] * ey[js]) @ C (one sample as two copies, as in orbital_ft); q_z,
-    Z, eps . q_e and the disc masks in one pass over all energies, in
-    shape_factor's order, so T holds its |shape_factor|^2 bit for bit."""
+    """A planar basis (planar_basis) on a hemisphere raster's disc (its
+    spans), block by block of whole raster lines (line_blocks): yields
+    (runs, S, T) with the block's line_runs, S[n, m] = sum_a C[a, m]
+    exp(-i (q_x X_a + q_y Y_a)), shape (n, M), and T[e, n] = |eps . q_e|^2
+    |shape_factor(q_e)|^2 valid_e at each of the energies_ev (q_e lifted as
+    by lift), shape (E, n), over the block's n samples in C order. Both go
+    per axis: the phases and c X(q_x), Y(q_y) of shape_factor = c X Y Z(q_z)
+    once per raster line and column, S per line as (ex[i] * ey[cols]) @ C
+    (one sample as two copies, as in orbital_ft); q_z, Z, eps . q_e and the
+    disc masks in one pass over all energies, in shape_factor's order, so T
+    holds its |shape_factor|^2 bit for bit."""
     centers, coeffs, exponent, powers = planar
     px, py, pz = polarization
-    ny = grid.shape[1]
-    qx, qy = grid.samples[::ny, 0], grid.samples[:ny, 1]
+    qx, qy = inv_angstrom_to_au(grid.axis_x), inv_angstrom_to_au(grid.axis_y)
     ex = _phases(np.outer(qx, centers[:, 0]))
     ey = _phases(np.outer(qy, centers[:, 1]))
     c = primitive_norm(exponent, powers) * (2.0 * math.pi) ** -1.5
@@ -280,23 +355,22 @@ def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
     fy = _axis_factor(powers[1], qy, exponent)
     e_au = ev_to_hartree(np.asarray(energies_ev, dtype=float))[:, None]
     step = max(1, _PASS_ELEMENTS // max(1, len(e_au)))
-    disc = np.flatnonzero(grid.valid)
-    for start in range(0, len(disc), _SAMPLE_BLOCK):
-        index = disc[start:start + _SAMPLE_BLOCK]
-        i, j = np.divmod(index, ny)
-        factors = np.empty((len(index), coeffs.shape[1]), dtype=complex)
-        lines = np.flatnonzero(np.diff(i, prepend=-1))
-        for lo, hi in zip(lines, [*lines[1:], len(index)]):
-            js = j[lo:hi] if hi - lo > 1 else np.repeat(j[lo:hi], 2)
-            factors[lo:hi] = ((ex[i[lo]] * ey[js]) @ coeffs)[:hi - lo]
-        table = np.empty((len(e_au), len(index)))
-        for lo in range(0, len(index), step):
+    for runs in line_runs(grid.spans, line_blocks(grid.spans[2], _SAMPLE_BLOCK)):
+        n = runs[-1][2].stop
+        i, j = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+        factors = np.empty((n, coeffs.shape[1]), dtype=complex)
+        for line, cols, part in runs:
+            i[part], j[part] = line, np.arange(cols.start, cols.stop)
+            row = ey[cols] if cols.stop - cols.start > 1 else np.repeat(ey[cols], 2, 0)
+            factors[part] = ((ex[line] * row) @ coeffs)[:cols.stop - cols.start]
+        table = np.empty((len(e_au), n))
+        for lo in range(0, n, step):
             ii, jj = i[lo:lo + step], j[lo:lo + step]
             qz, inside = _lifted_qz(e_au, qx[ii], qy[jj])
             shape = fx[ii] * fy[jj] * _axis_factor(powers[2], qz, exponent)
             proj = (px * qx[ii] + py * qy[jj] + pz * qz) ** 2 * inside
             table[:, lo:lo + step] = (shape.real ** 2 + shape.imag ** 2) * proj
-        yield index, factors, table
+        yield runs, factors, table
 
 
 def _blocks(q, size):

@@ -258,9 +258,9 @@ def _kernel(out, grid: MomentumGrid, weights, basis, matrices, polarization):
 
 def _folded_kernel(shape, raster: MomentumGrid, planar, energies, weights, matrices,
                    polarization):
-    """Yield (index, K) per block of the raster's disc: its raster indices
-    and K, shape + (n,) = (P, M, M, n), the sum over `energies` of each
-    pulse's hemisphere kernels there, for a planar basis
+    """Yield (runs, K) per block of the raster's disc: its raster line runs
+    (momentum.line_runs) and K, shape + (n,) = (P, M, M, n), the sum over
+    `energies` of each pulse's hemisphere kernels there, for a planar basis
     (momentum.planar_basis). Off the disc every T, and so every map, is 0.
 
     K is folded as in the module docstring, sum_e K_pIJ = sum_{F,sigma}
@@ -268,15 +268,17 @@ def _folded_kernel(shape, raster: MomentumGrid, planar, energies, weights, matri
     per axis from momentum.structure_factors): each block's profiles are
     one product W_F @ T, and its member rows D S run once per channel and
     spin for all pulses. Each K is accumulated from zero and yielded before
-    the next block is formed: no kernel is held at full size.
+    the next block is formed, so a planar run holds its maps and one block.
     """
     live = weights.any(axis=(0, 1, 2, 3))     # energies where some W is not 0
-    for index, factors, kinematic in momentum.structure_factors(
+    for runs, factors, kinematic in momentum.structure_factors(
             raster, planar, energies[live], polarization):
-        table = np.zeros((len(energies), len(index)))
-        table[live] = kinematic
-        yield index, _accumulate(np.zeros(shape + (len(index),), dtype=complex), matrices,
-                                 factors.T, (w @ table for w in weights.swapaxes(0, 1)))
+        table = kinematic
+        if not live.all():
+            table = np.zeros((len(energies), kinematic.shape[1]))
+            table[live] = kinematic
+        yield runs, _accumulate(np.zeros(shape + (table.shape[1],), dtype=complex), matrices,
+                                factors.T, (w @ table for w in weights.swapaxes(0, 1)))
 
 
 def photoelectron_energies(energies_ev):
@@ -397,16 +399,19 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
             cut = grid if k == len(energies) - 1 else build_hemisphere(
                 e, resolution, resolution, q_max_inv_angstrom)
             _kernel(kernel, cut, weights[..., k:k + 1], basis, matrices, polarization)
-        blocks = [(slice(None), kernel)]
+        every_line = [(i, slice(None), slice(i * resolution, (i + 1) * resolution))
+                      for i in range(resolution)]
+        blocks = [(every_line, kernel)]
     else:
         blocks = _folded_kernel(shape, grid, planar, energies, weights, matrices,
                                 polarization)
     values = [[np.zeros(grid.shape) for _ in times] for _ in pulses]
-    for index, kernel in blocks:
+    for runs, kernel in blocks:
         kernel /= float(len(energies))
         for rasters, pulse_kernel in zip(values, kernel):
             for raster, v in zip(rasters, at_delays(pulse_kernel, phases)):
-                raster.reshape(-1)[index] = v
+                for i, cols, part in runs:
+                    raster[i, cols] = v[part]
     disc = math.sqrt(2.0 * ev_to_hartree(energies[-1])) / BOHR_ANGSTROM
     results = []
     for p, rasters, peak, skip in zip(pulses, values, peaks, skips):

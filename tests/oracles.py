@@ -424,14 +424,22 @@ def per_energy_structure_factors(grid, planar, energies_ev, polarization):
     axis: for each block and energy one lift of the raster points to an
     (n, 3) stack, one complex shape_factor and one projection q @ eps."""
     _, _, exponent, powers = planar
-    for index, s, _ in _structure_factors(grid, planar, energies_ev, polarization):
-        qx, qy = grid.samples[index, 0], grid.samples[index, 1]
+    samples = grid.samples
+    for runs, s, _ in _structure_factors(grid, planar, energies_ev, polarization):
+        index = run_index(runs, grid.shape[1])
+        qx, qy = samples[index, 0], samples[index, 1]
         table = np.zeros((len(energies_ev), len(index)))
         for e, row in zip(energies_ev, table):
             q, inside = momentum.lift(e / HARTREE_EV, qx, qy)
             shape = momentum.shape_factor(exponent, powers, q)
             row[:] = (q @ polarization) ** 2 * inside * (shape.real ** 2 + shape.imag ** 2)
-        yield index, s, table
+        yield runs, s, table
+
+
+def run_index(runs, ny):
+    """The C-order raster indices of the samples of line runs (i, cols, part),
+    as momentum.line_runs gives them."""
+    return np.concatenate([i * ny + np.arange(cols.start, cols.stop) for i, cols, _ in runs])
 
 
 # ---------------------------------------------------------------------------

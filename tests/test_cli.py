@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attopmm import signal as signal_mod
 from attopmm.cli import main, parse_time_token, time_label
 from attopmm.density import default_density_grid
 from attopmm.io import (
@@ -404,10 +405,9 @@ _CONTRACT = {
     "fig4-grid-huge": (["reproduce-figure", "fig4", "--grid", "100000"], "ConfigError"),
     "fig6-grid-huge": (["reproduce-figure", "fig6", "--grid", "100000"], "ConfigError"),
     # fig6's durations share one call, so the preflight counts every one:
-    # one needs 2.7e8 bytes at --grid 2049, eight 2.1e9
+    # one needs 1.35e8 bytes at --grid 2049, eight 1.08e9
     "fig6-taus-grid-huge": (["reproduce-figure", "fig6", "--grid", "2049", "--tau",
                              *["0.5"] * 8], "ConfigError"),
-    "pmm-grid-4097": (["pmm", "--energy", "99", "--grid", "4097"], "ConfigError"),
     "pmm-delays-huge": (["pmm", "--energy", "99", "--grid", "2049", "--tp", *["0"] * 40],
                         "ConfigError"),
     "pmm-average-samples-1": (_PMM + ["--average", "1", "--average-samples", "1"],
@@ -484,6 +484,31 @@ def test_cli_exits_0_or_1_with_one_error_record(tmp_path, capsys, argv, error):
     assert [r["error"] for r in records] == [error]
     assert records[0]["message"]
     assert not out.exists() or not any(out.iterdir())
+
+
+class _Reached(Exception):
+    """Raised by a stubbed map call: the run got past its preflight."""
+
+
+@pytest.mark.parametrize("basis", ["planar", "non-planar"])
+def test_map_preflight_counts_what_a_run_holds(tmp_path, capsys, monkeypatch, basis):
+    # at --grid 4097 a planar run holds its 134 MB map and one kernel block,
+    # so it passes the 2^30-byte preflight and reaches the (stubbed) cut;
+    # orbitals read from cube files also hold their whole kernels (1.07e9
+    # bytes) and the raster's samples (403 MB), and are refused first
+    def reached(*args, **kwargs):
+        raise _Reached
+    monkeypatch.setattr(signal_mod, "pmm_cut", reached)
+    argv = ["pmm", "--energy", "99", "--tp", "0", "--grid", "4097",
+            "--out", str(tmp_path / "out")]
+    if basis == "planar":
+        with pytest.raises(_Reached):
+            main(argv)
+        return
+    assert main(argv + ["--config", str(_cube_files_scenario(tmp_path))]) == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ConfigError" and record["message"].startswith("--grid: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case, option", [

@@ -9,13 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attopmm import io
 from attopmm.huckel import huckel_orbitals
 from attopmm.model import (
+    BOHR_ANGSTROM,
     GaussianPrimitive,
     MolecularOrbital,
     VolumetricGrid,
     ev_to_hartree,
     evaluate_orbital,
+    inv_angstrom_to_au,
 )
 from attopmm.momentum import (
     _GRID_ELEMENTS,
@@ -25,6 +28,7 @@ from attopmm.momentum import (
     _axis_factor,
     build_hemisphere,
     build_sphere,
+    lift,
     orbital_ft,
     planar_basis,
     spherical_bessel,
@@ -33,7 +37,9 @@ from attopmm.momentum import (
     structure_factors,
 )
 
-from oracles import block_gather_structure_factors, gaussian_ft, quadrature_ft
+from attopmm.signal import PMM
+
+from oracles import block_gather_structure_factors, gaussian_ft, quadrature_ft, run_index
 
 
 def test_s_type_at_zero_momentum():
@@ -123,6 +129,52 @@ def test_hemisphere_geometry_at_99ev():
     # frozen count: tolerance keeps boundary lattice points deterministic
     assert int(np.sum(grid.valid)) == 31417
     assert int(np.sum(build_hemisphere(99.0, 31, 31).valid)) == 709
+
+
+# rasters: odd, even, non-square either way (lines holding one sample),
+# --qmax inside the disc (full lines) and beyond it (empty lines), grid 2
+# with no sample on the disc and with every sample on it, and a raster
+# whose middle column touches the disc at the two rim lines only
+_RASTERS = [(99.0, 201, 201, None), (99.0, 200, 200, None), (99.0, 201, 151, None),
+            (99.0, 151, 201, None), (97.0, 101, 101, 3.0), (97.0, 101, 64, 8.0),
+            (99.0, 2, 2, None), (99.0, 2, 2, 3.0), (99.0, 2, 3, None)]
+
+
+def _span_points(spans):
+    """(rows, columns) of the samples of line spans, in C order."""
+    line, first, count = spans
+    columns = [np.arange(f, f + c) for f, c in zip(first, count)]
+    return np.repeat(line, count), np.concatenate(columns or [np.zeros(0, int)])
+
+
+@pytest.mark.parametrize("raster", _RASTERS, ids=lambda r: "x".join(map(str, r[1:])))
+def test_raster_spans_are_the_disc_masks(raster, monkeypatch):
+    # a raster's disc (the kernel) and an exported map's rows each keep the
+    # mask they replace: lift's on the C-order points and the exporter's
+    # |q|^2 <= limit^2 (1 + 1e-12) test; and the samples a raster forms on
+    # request are lift's, bit for bit
+    energy, nx, ny, q_max = raster
+    grid = build_hemisphere(energy, nx, ny, q_max)
+    e_au = ev_to_hartree(energy)
+    qx = inv_angstrom_to_au(grid.axis_x)[:, None] * np.ones(ny)[None, :]
+    qy = np.ones(nx)[:, None] * inv_angstrom_to_au(grid.axis_y)[None, :]
+    samples, valid = lift(e_au, qx.ravel(), qy.ravel())
+    for got, want in zip(_span_points(grid.spans), np.nonzero(valid.reshape(nx, ny))):
+        assert np.array_equal(got, want)
+    assert grid.samples.tobytes() == samples.tobytes()
+    assert np.array_equal(grid.valid, valid) and grid.n_samples == nx * ny
+    disc = math.sqrt(2.0 * e_au) / BOHR_ANGSTROM
+    limit_sq = disc * disc * (1.0 + 1e-12)
+    inside = ((grid.axis_x * grid.axis_x)[:, None] + (grid.axis_y * grid.axis_y)[None, :]
+              <= limit_sq)
+    written = []
+    monkeypatch.setattr(io, "_write_map_rows", lambda fh, ax, ay, spans, v: written.append(spans))
+    pmm = PMM(energy, 0.0, np.zeros((nx, ny)), grid.axis_x, grid.axis_y,
+              {"q_disc_inv_angstrom": disc})
+    io.export_pmm(Path(os.devnull), pmm)
+    for got, want in zip(_span_points(written[0]), np.nonzero(inside)):
+        assert np.array_equal(got, want)
+    assert np.count_nonzero(valid) == grid.spans[2].sum() <= nx * ny
 
 
 def test_hemisphere_boundary_tolerance():
@@ -253,25 +305,36 @@ def test_one_sample_transforms_like_a_block():
 
 
 def test_structure_factors_match_block_gather():
-    # S is formed one raster line segment at a time, a one-sample segment
-    # as two copies, and keeps every bit of the block-gather formula: on a
-    # disc line that holds one sample, on a line split across two blocks,
-    # with nx != ny either way, for all orbitals and for two
+    # S is formed one whole raster line at a time, a one-sample line as two
+    # copies, and keeps every bit of the block-gather formula: on a disc line
+    # that holds one sample, on a line the 4096-sample blocks would split, on
+    # a line longer than a block, with nx != ny either way, for all orbitals
+    # and for two
     mos = huckel_orbitals()
     for orbitals in (mos, mos[10:12]):
         planar = planar_basis(orbitals)
-        for nx, ny in ((201, 151), (151, 201)):
+        for nx, ny in ((201, 151), (151, 201), (5, 5000)):
             grid = build_hemisphere(99.0, nx, ny)
-            line = np.flatnonzero(grid.valid) // ny
-            assert np.count_nonzero(line == line[0]) == 1
-            assert line[_SAMPLE_BLOCK - 1] == line[_SAMPLE_BLOCK]
-            assert len(line) % _SAMPLE_BLOCK > 1     # no one-sample block
+            disc = np.flatnonzero(grid.valid)
+            line = disc // ny
+            if nx > 5:
+                assert np.count_nonzero(line == line[0]) == 1
+                assert line[_SAMPLE_BLOCK - 1] == line[_SAMPLE_BLOCK]
+            else:
+                assert np.count_nonzero(line == 1) > _SAMPLE_BLOCK
             got = list(structure_factors(grid, planar, [99.0], (0.0, 0.0, 1.0)))
             ref = list(block_gather_structure_factors(grid, planar))
-            assert len(got) == len(ref) > 1
-            for (index, s, _), (ref_index, ref_s) in zip(got, ref):
-                assert np.array_equal(index, ref_index)
-                assert s.shape == (len(index), len(orbitals)) and np.array_equal(s, ref_s)
+            assert len(got) > 1 and len(ref) > 1
+            spans = set(map(tuple, grid.spans.T.tolist()))
+            for runs, s, _ in got:
+                # whole lines, at most one block's samples unless a line holds more
+                assert {(i, c.start, c.stop - c.start) for i, c, _ in runs} <= spans
+                assert len(s) <= _SAMPLE_BLOCK or len(runs) == 1
+                assert s.shape == (runs[-1][2].stop, len(orbitals))
+            index = np.concatenate([run_index(runs, ny) for runs, _, _ in got])
+            assert np.array_equal(index, disc)
+            assert np.array_equal(np.concatenate([s for _, s, _ in got]),
+                                  np.concatenate([s for _, s in ref]))
 
 
 _TRANSFORM_BYTES = """

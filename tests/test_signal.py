@@ -10,6 +10,7 @@ import pytest
 from attopmm.algebra import closed_shell_state, singlet_excitation_csf
 from attopmm import momentum, signal
 from attopmm.cli import main
+from attopmm.io import export_pmm
 from attopmm.huckel import huckel_orbitals
 from attopmm.model import (
     HARTREE_EV,
@@ -899,9 +900,9 @@ def test_pulse_sequence_maps_equal_one_call_per_pulse(ctx, mode):
 
 
 def test_folded_maps_call_no_per_energy_lift_or_shape_factor(ctx, monkeypatch, tmp_path):
-    # a folded cut or average lifts only its raster (build_hemisphere) and
-    # never calls shape_factor; fig6's three durations share one raster and
-    # so one structure_factors call
+    # a folded cut or average never lifts, not even its raster, whose disc is
+    # its spans, and never calls shape_factor; fig6's three durations share
+    # one raster and so one structure_factors call
     calls = collections.Counter()
 
     def counting(name):
@@ -928,14 +929,15 @@ def test_folded_maps_call_no_per_energy_lift_or_shape_factor(ctx, monkeypatch, t
     for call in observables:
         calls.clear()
         call()
-        assert calls == {"lift": 1, "structure_factors": 1}
+        assert calls == {"structure_factors": 1}
 
 
 def test_map_memory_peak(ctx):
-    # one 201^2 cut holds the raster, its map and one disc block of the
-    # kernel, structure and kinematic factors and delay values: 3.3 MB
-    # traced, against 7.8 MB with the whole (M, M, N) kernel and 10.4 MB when
-    # every energy built its full (orbital, sample) transform
+    # one 201^2 cut holds the raster's axes and disc spans, its map and one
+    # disc block of the kernel, structure and kinematic factors and delay
+    # values: 2.0 MB traced, against 3.3 MB with the raster's (N, 3) samples,
+    # 7.8 MB with the whole (M, M, N) kernel and 10.4 MB when every energy
+    # built its full (orbital, sample) transform
     _map(ctx, 0.0, resolution=11)
     tracemalloc.start()
     try:
@@ -949,7 +951,7 @@ def test_map_memory_peak(ctx):
 def test_map_memory_grows_by_the_maps_alone(ctx):
     # each disc block's kernel becomes every delay's map values before the
     # next block is formed, written straight into the maps' own arrays: at
-    # 201^2 one delay traces 3.3 MB and four 4.4 MB (7.8 MB each with the
+    # 201^2 one delay traces 2.0 MB and four 3.1 MB (7.8 MB each with the
     # whole kernel, full-raster delay work arrays and a copy of every map),
     # and each further delay adds about its 0.32 MB map
     period = ctx["period"]
@@ -964,6 +966,21 @@ def test_map_memory_grows_by_the_maps_alone(ctx):
             tracemalloc.stop()
     assert peaks[1] < 3.5e6 and peaks[4] < 4.5e6, peaks
     assert peaks[16] - peaks[4] <= 12 * 0.5e6, peaks
+
+
+def test_fine_raster_holds_its_map_and_one_block(ctx, tmp_path):
+    # a 1001^2 raster is its axes and disc spans, its map is written into
+    # by line slices and exported from the spans: pmm_cut and export_pmm
+    # trace ~10 MiB with the 8 MiB map, against 47 MiB with the raster's
+    # (N, 3) samples, its masks and the exporter's (row, column) indices
+    _map(ctx, 0.0, resolution=11)
+    tracemalloc.start()
+    try:
+        export_pmm(tmp_path / "map.dat", _map(ctx, 0.0, resolution=1001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_density_memory_peak(tmp_path):
