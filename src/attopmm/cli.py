@@ -31,7 +31,7 @@ from . import io as io_mod
 from . import signal as signal_mod
 from .algebra import PRUNE_THRESHOLD, AlgebraError, dyson_matrices
 from .model import SPIN_NAMES, ModelError, offset_label
-from .momentum import _SAMPLE_BLOCK, MomentumError, planar_basis
+from .momentum import _SAMPLE_BLOCK, MomentumError
 
 log = logging.getLogger("attopmm.cli")
 
@@ -47,25 +47,24 @@ def parse_time_token(token, period_fs):
     """Number in fs, or multiples of the beat period: 'T', 'T/4', '3T/4',
     '0.5T', '3T/8'."""
     text = str(token).strip()
-    try:
-        value = float(text)
-    except ValueError:
-        pass
-    else:
-        if not math.isfinite(value):
-            raise io_mod.ConfigError(f"time {token!r} is not finite")
-        return value
     match = _PERIOD_TOKEN.match(text)
-    if not match:
-        raise io_mod.ConfigError(
-            f"cannot parse time {token!r} (expected fs number or e.g. 'T/4')")
-    if period_fs is None:
+    if match and period_fs is None:
         raise io_mod.ConfigError(
             f"time {token!r} references the beat period, but the wave packet "
             "has a single member")
-    coef = float(match.group("coef")) if match.group("coef") else 1.0
-    div = float(match.group("div")) if match.group("div") else 1.0
-    return coef * period_fs / div
+    try:
+        if match:
+            value = float(match.group("coef") or 1) * period_fs / float(match.group("div") or 1)
+        else:
+            value = float(text)
+    except ValueError:
+        raise io_mod.ConfigError(
+            f"cannot parse time {token!r} (expected fs number or e.g. 'T/4')") from None
+    except ZeroDivisionError:
+        raise io_mod.ConfigError(f"time {token!r} divides the beat period by zero") from None
+    if not math.isfinite(value):
+        raise io_mod.ConfigError(f"time {token!r} is not finite")
+    return value
 
 
 def time_label(token):
@@ -213,14 +212,9 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
     groups = [list(group) for _, group in groupby(rows, key=lambda row: row[1])]
     n_pulses = max(map(len, groups))
     ceiling = io_mod._MAX_MAP_BYTES
-    # per pulse of a group: its maps at all delays and the kernel of one block
-    # of whole raster lines; orbitals that are not planar as a whole also
-    # hold their whole kernels and the raster's lifted (N, 3) samples
-    n, kernel = resolution ** 2, 16 * wp.n_members ** 2
-    block = min(n, max(resolution, _SAMPLE_BLOCK))
-    size = n_pulses * (8 * len(delays) * n + kernel * block)
-    if planar_basis(mos) is None:
-        size += (n_pulses * kernel + 24) * n
+    # per pulse of a group: its maps at all delays and one block's kernel
+    n, block = resolution ** 2, min(resolution ** 2, max(resolution, _SAMPLE_BLOCK))
+    size = n_pulses * (8 * len(delays) * n + 16 * wp.n_members ** 2 * block)
     if size > ceiling:
         raise io_mod.ConfigError(f"--grid: {resolution}^2 samples need {size:.3g} bytes, "
                                  f"more than {ceiling}")

@@ -44,7 +44,7 @@ from .model import (
     read_only,
 )
 
-# Samples go in fixed blocks: orbital_ft's (block, P) phases and a folded map
+# Samples go in fixed blocks: orbital_ft's (block, P) phases and a map
 # kernel's (P, M, M, block) slice (whole raster lines, so a block holds more
 # only when one line does) stay small, and no sample's arithmetic depends on
 # the grid size. Caps: _GRID_ELEMENTS partial sums per block of a grid-backed
@@ -203,6 +203,16 @@ def line_runs(spans, blocks):
         yield runs
 
 
+def raster_blocks(grid: MomentumGrid):
+    """A raster's disc (spans) in blocks of whole lines (line_blocks): each
+    block's line_runs and its samples' line and column indices, C order."""
+    for runs in line_runs(grid.spans, line_blocks(grid.spans[2], _SAMPLE_BLOCK)):
+        i, j = np.empty((2, runs[-1][2].stop), dtype=np.intp)
+        for line, cols, part in runs:
+            i[part], j[part] = line, np.arange(cols.start, cols.stop)
+        yield runs, i, j
+
+
 def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
     """Constant-energy hemisphere raster at photoelectron energy eps (eV).
 
@@ -334,16 +344,15 @@ def planar_basis(mos):
 
 
 def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
-    """A planar basis (planar_basis) on a hemisphere raster's disc (its
-    spans), block by block of whole raster lines (line_blocks): yields
-    (runs, S, T) with the block's line_runs, S[n, m] = sum_a C[a, m]
-    exp(-i (q_x X_a + q_y Y_a)), shape (n, M), and T[e, n] = |eps . q_e|^2
-    |shape_factor(q_e)|^2 valid_e at each of the energies_ev (q_e lifted as
-    by lift), shape (E, n), over the block's n samples in C order. Both go
-    per axis: the phases and c X(q_x), Y(q_y) of shape_factor = c X Y Z(q_z)
-    once per raster line and column, S per line as (ex[i] * ey[cols]) @ C
-    (one sample as two copies, as in orbital_ft); q_z, Z, eps . q_e and the
-    disc masks in one pass over all energies, in shape_factor's order, so T
+    """A planar basis (planar_basis) on a hemisphere raster's disc per
+    raster_blocks block: yields (runs, S, T) with the block's line_runs,
+    S[n, m] = sum_a C[a, m] exp(-i (q_x X_a + q_y Y_a)), shape (n, M), and
+    T[e, n] = |eps . q_e|^2 |shape_factor(q_e)|^2 valid_e at each of the
+    energies_ev (q_e lifted as by lift), shape (E, n). Both go per axis:
+    the phases and c X(q_x), Y(q_y) of shape_factor = c X Y Z(q_z) once per
+    raster line and column, S per line as (ex[i] * ey[cols]) @ C (one
+    sample as two copies, as in orbital_ft); q_z, Z, eps . q_e and the disc
+    masks in one pass over all energies, in shape_factor's order, so T
     holds its |shape_factor|^2 bit for bit."""
     centers, coeffs, exponent, powers = planar
     px, py, pz = polarization
@@ -355,16 +364,13 @@ def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
     fy = _axis_factor(powers[1], qy, exponent)
     e_au = ev_to_hartree(np.asarray(energies_ev, dtype=float))[:, None]
     step = max(1, _PASS_ELEMENTS // max(1, len(e_au)))
-    for runs in line_runs(grid.spans, line_blocks(grid.spans[2], _SAMPLE_BLOCK)):
-        n = runs[-1][2].stop
-        i, j = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-        factors = np.empty((n, coeffs.shape[1]), dtype=complex)
+    for runs, i, j in raster_blocks(grid):
+        factors = np.empty((len(i), coeffs.shape[1]), dtype=complex)
         for line, cols, part in runs:
-            i[part], j[part] = line, np.arange(cols.start, cols.stop)
             row = ey[cols] if cols.stop - cols.start > 1 else np.repeat(ey[cols], 2, 0)
             factors[part] = ((ex[line] * row) @ coeffs)[:cols.stop - cols.start]
-        table = np.empty((len(e_au), n))
-        for lo in range(0, n, step):
+        table = np.empty((len(e_au), len(i)))
+        for lo in range(0, len(i), step):
             ii, jj = i[lo:lo + step], j[lo:lo + step]
             qz, inside = _lifted_qz(e_au, qx[ii], qy[jj])
             shape = fx[ii] * fy[jj] * _axis_factor(powers[2], qz, exponent)

@@ -28,7 +28,7 @@ Physics conventions:
     so a cut (one energy) or an energy average forms S once per sample
     block of the raster's disc, T per axis (momentum.structure_factors) and
     its member-pair products once per channel and spin. Other orbital sets
-    build one kernel per energy from momentum.orbital_ft;
+    add one orbital_ft kernel per energy on each block, lifted to it;
   * pair weights: short pulse (sudden limit) W_FIJ = envelope_short, the
     probability-level window exp(-(Omega_F - eps_e)^2 tau^2 / (4 ln2)) with
     Omega_F = omega_in + <E> - E_F, for every member pair; finite-duration
@@ -82,6 +82,7 @@ from .model import (
     ev_to_hartree,
     fs_to_au,
     held,
+    inv_angstrom_to_au,
     occupied_offsets,
     orbital_offset,
     read_only,
@@ -261,15 +262,10 @@ def _folded_kernel(shape, raster: MomentumGrid, planar, energies, weights, matri
     """Yield (runs, K) per block of the raster's disc: its raster line runs
     (momentum.line_runs) and K, shape + (n,) = (P, M, M, n), the sum over
     `energies` of each pulse's hemisphere kernels there, for a planar basis
-    (momentum.planar_basis). Off the disc every T, and so every map, is 0.
-
-    K is folded as in the module docstring, sum_e K_pIJ = sum_{F,sigma}
-    conj(D S)_I (D S)_J P_pFIJ with P_pFIJ = sum_e W_pFIJ(e) T_e (S and T
-    per axis from momentum.structure_factors): each block's profiles are
-    one product W_F @ T, and its member rows D S run once per channel and
-    spin for all pulses. Each K is accumulated from zero and yielded before
-    the next block is formed, so a planar run holds its maps and one block.
-    """
+    (momentum.planar_basis), folded as in the module docstring with S and T
+    from momentum.structure_factors: each block's profiles are one product
+    W_F @ T, and its member rows D S run once per channel and spin for all
+    pulses. Off the disc every T, and so every map, is 0."""
     live = weights.any(axis=(0, 1, 2, 3))     # energies where some W is not 0
     for runs, factors, kinematic in momentum.structure_factors(
             raster, planar, energies[live], polarization):
@@ -279,6 +275,18 @@ def _folded_kernel(shape, raster: MomentumGrid, planar, energies, weights, matri
             table[live] = kinematic
         yield runs, _accumulate(np.zeros(shape + (table.shape[1],), dtype=complex), matrices,
                                 factors.T, (w @ table for w in weights.swapaxes(0, 1)))
+
+
+def _lifted_kernel(shape, raster, energies, weights, basis, matrices, polarization):
+    """_folded_kernel's (runs, K) blocks for any orbital set: the block,
+    lifted to each energy's hemisphere in turn (momentum.lift), adds one _kernel."""
+    qx, qy = inv_angstrom_to_au(raster.axis_x), inv_angstrom_to_au(raster.axis_y)
+    for runs, i, j in momentum.raster_blocks(raster):
+        kernel = np.zeros(shape + (len(i),), dtype=complex)
+        for k, e in enumerate(energies):
+            grid = MomentumGrid(*momentum.lift(ev_to_hartree(e), qx[i], qy[j]))
+            _kernel(kernel, grid, weights[..., k:k + 1], basis, matrices, polarization)
+        yield runs, kernel
 
 
 def photoelectron_energies(energies_ev):
@@ -377,10 +385,10 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
 
     The cuts share one (q_x, q_y) raster; a raster sample outside a given
     energy's kinematic disc contributes zero at that energy, so the maps
-    are zero outside the disc of the last, highest energy. A planar basis
-    takes the folded kernel (one structure factor per raster), any other
-    orbital set one _kernel per energy. Channel records and the disc radius
-    are those of the last energy.
+    are zero outside the disc of the last, highest energy. Each block of its
+    whole raster lines (_folded_kernel for a planar basis, _lifted_kernel
+    otherwise) becomes every delay's map values before the next is formed.
+    Channel records and the disc radius are those of the last energy.
     """
     energies = photoelectron_energies(energies)
     times, phases, single = _delays(t_p_fs, wp)
@@ -394,17 +402,9 @@ def _hemisphere_maps(energy_ev, energies, t_p_fs, pulse, wp, finals, mos,
     shape, polarization = (len(pulses), wp.n_members, wp.n_members), pulses[0].polarization
     planar = momentum.planar_basis(basis)
     if planar is None:
-        kernel = np.zeros(shape + (grid.n_samples,), complex)   # one block, 0 off the disc
-        for k, e in enumerate(energies):
-            cut = grid if k == len(energies) - 1 else build_hemisphere(
-                e, resolution, resolution, q_max_inv_angstrom)
-            _kernel(kernel, cut, weights[..., k:k + 1], basis, matrices, polarization)
-        every_line = [(i, slice(None), slice(i * resolution, (i + 1) * resolution))
-                      for i in range(resolution)]
-        blocks = [(every_line, kernel)]
+        blocks = _lifted_kernel(shape, grid, energies, weights, basis, matrices, polarization)
     else:
-        blocks = _folded_kernel(shape, grid, planar, energies, weights, matrices,
-                                polarization)
+        blocks = _folded_kernel(shape, grid, planar, energies, weights, matrices, polarization)
     values = [[np.zeros(grid.shape) for _ in times] for _ in pulses]
     for runs, kernel in blocks:
         kernel /= float(len(energies))

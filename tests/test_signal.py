@@ -763,7 +763,8 @@ def _lift_one_center(mos):
 def test_non_planar_or_mixed_basis_takes_per_energy_path(ctx, monkeypatch, basis):
     # a lifted center breaks the common height, several shapes the common
     # shape factor: both keep one _kernel per energy, checked against the
-    # per-delay oracle
+    # per-delay oracle on cuts and on 3-energy averages, on the default
+    # raster and on one beyond the disc
     def refuse(*args, **kwargs):
         raise AssertionError("folded kernel on a non-planar or mixed basis")
 
@@ -790,6 +791,35 @@ def test_non_planar_or_mixed_basis_takes_per_energy_path(ctx, monkeypatch, basis
             ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
             assert ref.max() > 0
             assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), (mode, t)
+        for q_max in (None, 7.0):
+            avg = energy_average_pmm(99.0, 1.0, 3, delays, pulse, ctx["wp"], ctx["finals"],
+                                     mos, resolution=41, q_max_inv_angstrom=q_max,
+                                     mode=mode, channel_min_envelope=0.0)
+            grids = {e: build_hemisphere(e, 41, 41, avg[0].axis_x[-1])
+                     for e in (98.5, 99.0, 99.5)}
+            for t, m in zip(delays, avg):
+                ref = sum(np.where(g.valid, reference_probability(
+                    channels, ReferenceAmplitudes(channels, mos, g), g.samples, ctx["wp"],
+                    pulse, t, mode, energy_ev=e), 0.0) for e, g in grids.items()) / 3.0
+                ref = ref.reshape(m.values.shape)
+                assert ref.max() > 0
+                assert np.max(np.abs(m.values - ref)) <= 2e-15 * ref.max(), (mode, q_max, t)
+
+
+def test_non_planar_map_holds_its_map_and_one_block(ctx):
+    # a basis that is not planar goes over the raster's disc block by block
+    # as the folded kernel does: a 401^2 cut traces ~4.5 MiB, against
+    # 34.5 MiB with its whole kernel, transforms and lifted samples
+    mos = _lift_one_center(ctx["mos"])
+    args = (99.0, 0.0, ctx["pulse"], ctx["wp"], ctx["finals"], mos)
+    pmm_cut(*args, resolution=11)
+    tracemalloc.start()
+    try:
+        pmm_cut(*args, resolution=401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 # --- the folded kernel's per-axis kinematic factor and pulse axis ----------------
