@@ -182,8 +182,22 @@ def _channel_table(scenario, records, emit):
              f"{rec['dyson_norm']:.6f}")
 
 
-def _resolve_times(tokens, period_fs):
+def _resolve_times(tokens, period_fs, pattern):
+    """(token, fs) per time token; pattern.format(time_label(token)) is the
+    file a token names, and two tokens may not name one file."""
+    _refuse_repeats((pattern.format(time_label(tok)), "--tp", tok) for tok in tokens)
     return [(tok, parse_time_token(tok, period_fs)) for tok in tokens]
+
+
+def _refuse_repeats(files):
+    """ConfigError at the first file that two (file, option, value) entries
+    name: the second artifact would overwrite the first."""
+    seen = {}
+    for name, option, value in files:
+        if name in seen:
+            raise io_mod.ConfigError(
+                f"{option}: {seen[name]!r} and {value!r} would both write {name}")
+        seen[name] = value
 
 
 def _with_tau(pulse, tau_token, period_fs):
@@ -202,13 +216,16 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
     share an energy (and so one raster's transforms, as fig6's durations);
     every row's energies, down to the lowest averaged one, are checked first.
 
-    rows: (file tag, energy eV, pulse); average: (width eV, samples) for
-    energy-averaged maps, None for plain cuts.
+    rows: (file tag, energy eV, pulse, (option, value) the tag is made of);
+    average: (width eV, samples) for energy-averaged maps, None for plain
+    cuts.
     """
-    times = _resolve_times(tokens, scenario.period_fs)
+    name = "pmm_{}_tp{}.dat".format
+    times = _resolve_times(tokens, scenario.period_fs, name(rows[0][0], "{}"))
+    _refuse_repeats((name(tag, time_label(tokens[0])), *source) for tag, _, _, source in rows)
     delays = [t for _, t in times]
     wp, finals, mos = scenario.wave_packet, scenario.finals, scenario.mos
-    signal_mod.photoelectron_energies([energy for _, energy, _ in rows])
+    signal_mod.photoelectron_energies([energy for _, energy, _, _ in rows])
     groups = [list(group) for _, group in groupby(rows, key=lambda row: row[1])]
     n_pulses = max(map(len, groups))
     ceiling = io_mod._MAX_MAP_BYTES
@@ -225,11 +242,11 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
         if size > ceiling:
             raise io_mod.ConfigError(f"average samples: {average[1]} energies need "
                                      f"{size:.3g} bytes, more than {ceiling}")
-        for _, energy, _ in rows:
+        for _, energy, _, _ in rows:
             signal_mod.average_energies(energy, *average)
     written = []
     for group in groups:
-        energy, pulses = group[0][1], [pulse for _, _, pulse in group]
+        energy, pulses = group[0][1], [pulse for _, _, pulse, _ in group]
         if average is None:
             results = signal_mod.pmm_cut(energy, delays, pulses, wp, finals, mos,
                                          resolution, q_max, mode)
@@ -240,18 +257,18 @@ def _write_maps(scenario, out, rows, tokens, resolution, q_max=None,
         if not written:
             _channel_table(scenario, results[0][0].metadata["channels"], log.info)
             out.mkdir(parents=True, exist_ok=True)
-        written += [io_mod.export_pmm(out / f"pmm_{tag}_tp{time_label(token)}.dat", pmm,
+        written += [io_mod.export_pmm(out / name(tag, time_label(token)), pmm,
                                       digest=scenario.digest)
-                    for (tag, _, _), maps in zip(group, results)
+                    for (tag, _, _, _), maps in zip(group, results)
                     for (token, _), pmm in zip(times, maps)]
         del results        # written: the next group's kernel runs without them
     return written
 
 
-def _write_spectra(scenario, out, names, tokens, energies, pulse, mode, states):
-    """One spectra file per delay (names[k] for tokens[k]), one column per
-    requested initial state, one signal call per state."""
-    delays = [t for _, t in _resolve_times(tokens, scenario.period_fs)]
+def _write_spectra(scenario, out, pattern, tokens, energies, pulse, mode, states):
+    """One spectra file per delay (pattern.format(time_label(token))), one
+    column per requested initial state, one signal call per state."""
+    delays = [t for _, t in _resolve_times(tokens, scenario.period_fs, pattern)]
     columns = []
     if states in ("excited", "both"):
         columns.append(signal_mod.angle_integrated_spectrum(
@@ -264,14 +281,15 @@ def _write_spectra(scenario, out, names, tokens, energies, pulse, mode, states):
             scenario="s0"))
     _channel_table(scenario, columns[0][0].metadata["channels"], log.info)
     out.mkdir(parents=True, exist_ok=True)
-    return [io_mod.export_spectra(out / name, [column[k] for column in columns],
-                                  digest=scenario.digest)
-            for k, name in enumerate(names)]
+    return [io_mod.export_spectra(out / pattern.format(time_label(token)),
+                                  [column[k] for column in columns], digest=scenario.digest)
+            for k, token in enumerate(tokens)]
 
 
 def _write_density(scenario, out, tokens, padding, spacing):
     """One cube per time; the frames share one orbital evaluation, a planar one is never 3-D."""
-    times = _resolve_times(tokens, scenario.period_fs)
+    name = "density_tp{}.cube"
+    times = _resolve_times(tokens, scenario.period_fs, name)
     grid = density_mod.default_density_grid(scenario.mos, padding, spacing)
     frames = density_mod.density_timeseries(
         scenario.wave_packet, scenario.mos, grid, [t for _, t in times])
@@ -279,7 +297,7 @@ def _write_density(scenario, out, tokens, padding, spacing):
     written = []
     for (token, _), frame in zip(times, frames):
         written.append(io_mod.export_density(
-            out / f"density_tp{time_label(token)}.cube", frame,
+            out / name.format(time_label(token)), frame,
             atoms=scenario.atoms, digest=scenario.digest))
         log.info("t = %s: charge gained %.3e e, lost %.3e e (net %.1e)",
                  token, frame.charge_gained, frame.charge_lost, frame.net_charge)
@@ -295,8 +313,8 @@ def cmd_pmm(args, scenario):
         average = (args.average,
                    _default(args.average_samples, outputs["average_samples"]))
     return _write_maps(
-        scenario, args.out, [(f"e{e:g}", e, pulse) for e in energies], args.tp,
-        _default(args.grid, outputs["map_resolution"]), args.qmax, args.mode,
+        scenario, args.out, [(f"e{e:g}", e, pulse, ("--energy", e)) for e in energies],
+        args.tp, _default(args.grid, outputs["map_resolution"]), args.qmax, args.mode,
         average)
 
 
@@ -312,8 +330,7 @@ def _spectrum_energies(args, scenario):
 
 def cmd_spectrum(args, scenario):
     pulse = _with_tau(scenario.pulse, args.tau, scenario.period_fs)
-    names = [f"spectrum_tp{time_label(tok)}.dat" for tok in args.tp]
-    return _write_spectra(scenario, args.out, names, args.tp,
+    return _write_spectra(scenario, args.out, "spectrum_tp{}.dat", args.tp,
                           _spectrum_energies(args, scenario), pulse, args.mode,
                           args.states)
 
@@ -357,20 +374,20 @@ def cmd_reproduce(args, scenario):
                               outputs["density_padding_angstrom"],
                               outputs["density_spacing_angstrom"])
     if args.target == "fig3":
-        return _write_spectra(scenario, out, ["spectra.dat"], args.tp or ["0"],
+        return _write_spectra(scenario, out, "spectra.dat", args.tp or ["0"],
                               io_mod.window_energies(outputs["spectrum_window_ev"],
                                                      "outputs.spectrum_window_ev"),
                               scenario.pulse, "short", "both")
     if args.target == "fig6":
         energy = float(_default(args.energy, [99.0])[0])
         rows = [(f"tau{time_label(tau)}", energy,
-                 _with_tau(scenario.pulse, tau, scenario.period_fs))
+                 _with_tau(scenario.pulse, tau, scenario.period_fs), ("--tau", tau))
                 for tau in args.tau or ["0.5", "T/4", "T/2"]]
         return _write_maps(scenario, out, rows, tokens, resolution, mode="long",
                            average=(outputs["average_width_ev"],
                                     outputs["average_samples"]))
     default = [99.0] if args.target == "fig4" else [90.0, 93.0, 96.0, 99.0]
-    rows = [(f"e{e:g}", float(e), scenario.pulse)
+    rows = [(f"e{e:g}", float(e), scenario.pulse, ("--energy", e))
             for e in _default(args.energy, default)]
     return _write_maps(scenario, out, rows, tokens, resolution)
 

@@ -87,7 +87,8 @@ class ExportFormatError(ValueError):
 # values go through '%' itself (_percent).
 # Cubes and spectra format every cell (_write_table); a map formats each axis
 # value once and gathers its record per row (_write_map_rows). Each call
-# allocates its block buffers once (_Buffers) and reuses them for every block.
+# allocates its block buffers once (_Buffers) and reuses them for every block,
+# except a map block's text: blocks of whole spans vary in size.
 
 _BLOCK_LINES = 8192
 _TABLE_BLOCK_LINES = 2048   # a cube block's buffers hold ~100 bytes per value
@@ -927,21 +928,20 @@ def export_pmm(path, pmm: PMM, digest=None):
 
 
 def _write_map_rows(fh, axis_x, axis_y, spans, values):
-    """One 'q_x q_y value' line per sample of `spans`, in C order, a block
-    at a time; each axis value is formatted once, its record repeated along
-    a line (q_x) or sliced (q_y)."""
+    """One 'q_x q_y value' line per sample of `spans`, in C order, per
+    momentum.span_blocks block of _BLOCK_LINES rows; each axis value is
+    formatted once, its record repeated along a line (q_x) or sliced (q_y)."""
     qx, qy = (_records(axis, **_EXPORT, buf=_Buffers())[:, :-1] for axis in (axis_x, axis_y))
     wx, wy = qx.shape[1], qy.shape[1]
     buf = _Buffers()
-    blocks = ((start, start + _BLOCK_LINES) for start in range(0, spans[2].sum(), _BLOCK_LINES))
-    for runs in momentum.line_runs(spans, blocks):
+    for runs in momentum.span_blocks(spans, _BLOCK_LINES):
         line = _records(np.concatenate([values[i, cols] for i, cols, _ in runs]), **_EXPORT,
                         lead=wx + wy + 2, buf=buf)
         for i, cols, part in runs:
             line[part, :wx], line[part, wx + 1:wx + wy + 1] = qx[i], qy[cols]
         line[:, [wx, wx + wy + 1, -1]] = [ord("\t"), ord("\t"), ord("\n")]
         # one zero byte a row or less: faster to replace than to translate
-        fh.write(buf.text(line.size).replace(b"\0", b""))
+        fh.write(buf.pop(line.size).replace(b"\0", b""))
 
 
 def _write_export(path, header_lines, write_rows):

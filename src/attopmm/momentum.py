@@ -28,7 +28,6 @@ many samples share a call, and a block of one sample rounds like any other.
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -102,58 +101,41 @@ def _phases(angles):
 # momentum grids
 
 class MomentumGrid(Record):
-    """Sample set in momentum space: samples (N, 3) in a.u. and their (N,)
-    bool valid mask, held as points and mask.
+    """Sample set in momentum space: samples (N, 3) in a.u., their (N,) bool
+    valid mask and, for a full sphere (build_sphere), quadrature weights
+    (sum = 4 pi) for angle integration, else None."""
 
-    A constant-energy hemisphere (build_hemisphere) is a raster of the given
-    shape over in-plane (q_x, q_y), with 1D coordinates axis_x, axis_y in
-    1/Angstrom and q_z = +sqrt(2 eps - q_x^2 - q_y^2), samples outside the
-    kinematic disc flagged invalid. It holds no points or mask, only its
-    axes, its energy e_au (hartree) and its disc as spans (line_spans), and
-    forms samples and valid anew on each request; a full sphere
-    (build_sphere) carries quadrature weights (sum = 4 pi) for angle
-    integration.
-    """
+    __slots__ = ("samples", "valid", "weights")
 
-    __slots__ = ("points", "mask", "shape", "axis_x", "axis_y", "weights", "e_au", "spans")
-
-    def __init__(self, samples, valid, shape=None, axis_x=None, axis_y=None,
-                 weights=None, e_au=None, spans=None):
-        if spans is None:
-            samples = np.ascontiguousarray(samples, dtype=float)
-            valid = np.asarray(valid, dtype=bool)
-            samples = samples if samples.shape[1:] == (3,) else samples.reshape(-1, 3)
-            valid = valid if valid.ndim == 1 else valid.reshape(-1)
-            if len(valid) != len(samples):
-                raise ModelError("valid mask length does not match samples")
-            samples, valid = held(samples), held(valid)
-        self._set(samples, valid, shape,
-                  *(None if a is None else held(np.asarray(a, dtype=float))
-                    for a in (axis_x, axis_y, weights)),
-                  e_au, None if spans is None else held(spans))
-
-    @property
-    def samples(self):
-        """The samples; a raster's are lifted anew, as lift on its C-order points."""
-        if self.spans is None:
-            return self.points
-        nx, ny = self.shape
-        return lift(self.e_au, np.repeat(inv_angstrom_to_au(self.axis_x), ny),
-                    np.tile(inv_angstrom_to_au(self.axis_y), nx))[0]
-
-    @property
-    def valid(self):
-        """The valid mask; a raster's is formed anew from its spans."""
-        if self.spans is None:
-            return self.mask
-        mask = np.zeros(self.shape, dtype=bool)
-        for i, first, count in self.spans.T.tolist():
-            mask[i, first:first + count] = True
-        return read_only(mask.reshape(-1))
+    def __init__(self, samples, valid, weights=None):
+        samples = np.ascontiguousarray(samples, dtype=float)
+        valid = np.asarray(valid, dtype=bool)
+        samples = samples if samples.shape[1:] == (3,) else samples.reshape(-1, 3)
+        valid = valid if valid.ndim == 1 else valid.reshape(-1)
+        if len(valid) != len(samples):
+            raise ModelError("valid mask length does not match samples")
+        self._set(held(samples), held(valid),
+                  None if weights is None else held(np.asarray(weights, dtype=float)))
 
     @property
     def n_samples(self):
-        return len(self.points) if self.spans is None else self.shape[0] * self.shape[1]
+        return len(self.samples)
+
+
+class Raster(Record):
+    """Constant-energy hemisphere raster (build_hemisphere): 1D coordinates
+    axis_x, axis_y in 1/Angstrom of a (q_x, q_y) raster of shape
+    (len(axis_x), len(axis_y)), and its kinematic disc as spans (line_spans);
+    q_z = +sqrt(2 eps - q_x^2 - q_y^2) is lifted per block (lift)."""
+
+    __slots__ = ("axis_x", "axis_y", "spans")
+
+    def __init__(self, axis_x, axis_y, spans):
+        self._set(*(held(np.asarray(a, dtype=float)) for a in (axis_x, axis_y)), held(spans))
+
+    @property
+    def shape(self):
+        return len(self.axis_x), len(self.axis_y)
 
 
 def line_spans(inside, n_lines, n_columns):
@@ -170,43 +152,26 @@ def line_spans(inside, n_lines, n_columns):
     return read_only(np.concatenate(parts, axis=1))
 
 
-def line_blocks(count, size):
-    """Ranges (start, stop) of the samples of spans of count[k] samples in
-    order, each of whole spans and at most `size` samples; a span holding
-    more is a range of its own."""
-    ends = np.cumsum(count).tolist()
-    k = 0                               # spans before the range
-    while k < len(ends):
-        start = ends[k - 1] if k else 0
-        k = max(k + 1, bisect.bisect_right(ends, start + size))
-        yield start, ends[k - 1]
-
-
-def line_runs(spans, blocks):
-    """Per range (start, stop) of `blocks`, in order, of the samples of
-    `spans` (line_spans): a list of (i, cols, part) per span that holds some
-    of them, with i its line, cols their columns and part their slice of
-    start:stop."""
-    lines, firsts, counts = spans.tolist()
-    k = at = 0                          # span k starts at sample `at`
-    for start, stop in blocks:
-        runs = []
-        while k < len(counts) and at < stop:
-            lo, hi = max(start, at), min(stop, at + counts[k])
-            if hi > lo:
-                runs.append((lines[k], slice(firsts[k] + lo - at, firsts[k] + hi - at),
-                             slice(lo - start, hi - start)))
-            if at + counts[k] > stop:
-                break                   # span k goes on in the next range
-            at += counts[k]
-            k += 1
+def span_blocks(spans, size):
+    """The samples of `spans` (line_spans) in blocks of whole spans, in
+    order, each of at most `size` samples unless one span holds more: per
+    block a list of (i, cols, part) per span, with i its line, cols its
+    columns and part its slice of the block's samples."""
+    runs, n = [], 0
+    for line, first, count in spans.T.tolist():
+        if runs and n + count > size:
+            yield runs
+            runs, n = [], 0
+        runs.append((line, slice(first, first + count), slice(n, n + count)))
+        n += count
+    if runs:
         yield runs
 
 
-def raster_blocks(grid: MomentumGrid):
-    """A raster's disc (spans) in blocks of whole lines (line_blocks): each
-    block's line_runs and its samples' line and column indices, C order."""
-    for runs in line_runs(grid.spans, line_blocks(grid.spans[2], _SAMPLE_BLOCK)):
+def raster_blocks(raster: Raster):
+    """A raster's disc in span_blocks of _SAMPLE_BLOCK samples: each block's
+    runs and its samples' line and column indices, C order."""
+    for runs in span_blocks(raster.spans, _SAMPLE_BLOCK):
         i, j = np.empty((2, runs[-1][2].stop), dtype=np.intp)
         for line, cols, part in runs:
             i[part], j[part] = line, np.arange(cols.start, cols.stop)
@@ -214,7 +179,7 @@ def raster_blocks(grid: MomentumGrid):
 
 
 def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
-    """Constant-energy hemisphere raster at photoelectron energy eps (eV).
+    """Constant-energy hemisphere Raster at photoelectron energy eps (eV).
 
     Uniform (q_x, q_y) raster spanning +-q_max (1/Angstrom; defaults to the
     kinematic disc radius sqrt(2 eps)), with q_z = +sqrt(2 eps - q_x^2 - q_y^2).
@@ -235,8 +200,7 @@ def build_hemisphere(energy_ev, nx, ny, q_max_inv_angstrom=None):
     axis_y = np.linspace(-q_max, q_max, int(ny))
     qx, qy = inv_angstrom_to_au(axis_x)[:, None], inv_angstrom_to_au(axis_y)[None, :]
     spans = line_spans(lambda lines: _lifted_qz(e_au, qx[lines], qy)[1], int(nx), int(ny))
-    return MomentumGrid(None, None, shape=(int(nx), int(ny)), axis_x=read_only(axis_x),
-                        axis_y=read_only(axis_y), e_au=e_au, spans=spans)
+    return Raster(read_only(axis_x), read_only(axis_y), spans)
 
 
 def lift(e_au, qx, qy):
@@ -287,8 +251,7 @@ def build_sphere(energy_ev, n_polar=48, n_azimuth=96, quadrature=None):
             f"photoelectron energy must be positive and finite, got {energy_ev}")
     dirs, weights = quadrature or sphere_quadrature(n_polar, n_azimuth)
     q = math.sqrt(2.0 * ev_to_hartree(energy_ev))
-    return MomentumGrid(samples=read_only(q * dirs),
-                        valid=read_only(np.ones(len(dirs), dtype=bool)), weights=weights)
+    return MomentumGrid(read_only(q * dirs), read_only(np.ones(len(dirs), dtype=bool)), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +306,11 @@ def planar_basis(mos):
     return centers, coeffs, exponent, powers
 
 
-def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
+def structure_factors(raster: Raster, planar, energies_ev, polarization):
     """A planar basis (planar_basis) on a hemisphere raster's disc per
-    raster_blocks block: yields (runs, S, T) with the block's line_runs,
-    S[n, m] = sum_a C[a, m] exp(-i (q_x X_a + q_y Y_a)), shape (n, M), and
-    T[e, n] = |eps . q_e|^2 |shape_factor(q_e)|^2 valid_e at each of the
+    raster_blocks block: yields (runs, S, T) with the block's span_blocks
+    runs, S[n, m] = sum_a C[a, m] exp(-i (q_x X_a + q_y Y_a)), shape (n, M),
+    and T[e, n] = |eps . q_e|^2 |shape_factor(q_e)|^2 valid_e at each of the
     energies_ev (q_e lifted as by lift), shape (E, n). Both go per axis:
     the phases and c X(q_x), Y(q_y) of shape_factor = c X Y Z(q_z) once per
     raster line and column, S per line as (ex[i] * ey[cols]) @ C (one
@@ -356,7 +319,7 @@ def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
     holds its |shape_factor|^2 bit for bit."""
     centers, coeffs, exponent, powers = planar
     px, py, pz = polarization
-    qx, qy = inv_angstrom_to_au(grid.axis_x), inv_angstrom_to_au(grid.axis_y)
+    qx, qy = inv_angstrom_to_au(raster.axis_x), inv_angstrom_to_au(raster.axis_y)
     ex = _phases(np.outer(qx, centers[:, 0]))
     ey = _phases(np.outer(qy, centers[:, 1]))
     c = primitive_norm(exponent, powers) * (2.0 * math.pi) ** -1.5
@@ -364,7 +327,7 @@ def structure_factors(grid: MomentumGrid, planar, energies_ev, polarization):
     fy = _axis_factor(powers[1], qy, exponent)
     e_au = ev_to_hartree(np.asarray(energies_ev, dtype=float))[:, None]
     step = max(1, _PASS_ELEMENTS // max(1, len(e_au)))
-    for runs, i, j in raster_blocks(grid):
+    for runs, i, j in raster_blocks(raster):
         factors = np.empty((len(i), coeffs.shape[1]), dtype=complex)
         for line, cols, part in runs:
             row = ey[cols] if cols.stop - cols.start > 1 else np.repeat(ey[cols], 2, 0)

@@ -257,10 +257,10 @@ def _kernel(out, grid: MomentumGrid, weights, basis, matrices, polarization):
     return _accumulate(out, matrices, ft, (w * scale for w in weights.swapaxes(0, 1)))
 
 
-def _folded_kernel(shape, raster: MomentumGrid, planar, energies, weights, matrices,
+def _folded_kernel(shape, raster: momentum.Raster, planar, energies, weights, matrices,
                    polarization):
     """Yield (runs, K) per block of the raster's disc: its raster line runs
-    (momentum.line_runs) and K, shape + (n,) = (P, M, M, n), the sum over
+    (momentum.span_blocks) and K, shape + (n,) = (P, M, M, n), the sum over
     `energies` of each pulse's hemisphere kernels there, for a planar basis
     (momentum.planar_basis), folded as in the module docstring with S and T
     from momentum.structure_factors: each block's profiles are one product
@@ -277,7 +277,8 @@ def _folded_kernel(shape, raster: MomentumGrid, planar, energies, weights, matri
                                 factors.T, (w @ table for w in weights.swapaxes(0, 1)))
 
 
-def _lifted_kernel(shape, raster, energies, weights, basis, matrices, polarization):
+def _lifted_kernel(shape, raster: momentum.Raster, energies, weights, basis, matrices,
+                   polarization):
     """_folded_kernel's (runs, K) blocks for any orbital set: the block,
     lifted to each energy's hemisphere in turn (momentum.lift), adds one _kernel."""
     qx, qy = inv_angstrom_to_au(raster.axis_x), inv_angstrom_to_au(raster.axis_y)

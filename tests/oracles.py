@@ -32,7 +32,9 @@ from attopmm.model import (
     WavePacket,
     _double_factorial,
     at_delays,
+    ev_to_hartree,
     evaluate_orbital,
+    inv_angstrom_to_au,
 )
 from attopmm.momentum import MomentumGrid, build_sphere, sphere_quadrature
 from attopmm.signal import SignalError, envelope_long, envelope_short
@@ -419,16 +421,25 @@ def reference_probability(channels, amps: ReferenceAmplitudes, samples, wp, puls
 _structure_factors = momentum.structure_factors
 
 
-def per_energy_structure_factors(grid, planar, energies_ev, polarization):
+def hemisphere_grid(raster, energy_ev):
+    """The samples of a hemisphere raster (momentum.Raster) at energy_ev
+    (eV): momentum.lift's samples and disc mask on its C-order points."""
+    nx, ny = raster.shape
+    return MomentumGrid(*momentum.lift(ev_to_hartree(energy_ev),
+                                       np.repeat(inv_angstrom_to_au(raster.axis_x), ny),
+                                       np.tile(inv_angstrom_to_au(raster.axis_y), nx)))
+
+
+def per_energy_structure_factors(raster, planar, energies_ev, polarization):
     """momentum.structure_factors with T formed per energy instead of per
     axis: for each block and energy one lift of the raster points to an
     (n, 3) stack, one complex shape_factor and one projection q @ eps."""
     _, _, exponent, powers = planar
-    samples = grid.samples
-    for runs, s, _ in _structure_factors(grid, planar, energies_ev, polarization):
-        index = run_index(runs, grid.shape[1])
-        qx, qy = samples[index, 0], samples[index, 1]
-        table = np.zeros((len(energies_ev), len(index)))
+    ny = raster.shape[1]
+    for runs, s, _ in _structure_factors(raster, planar, energies_ev, polarization):
+        i, j = np.divmod(run_index(runs, ny), ny)
+        qx, qy = inv_angstrom_to_au(raster.axis_x)[i], inv_angstrom_to_au(raster.axis_y)[j]
+        table = np.zeros((len(energies_ev), len(i)))
         for e, row in zip(energies_ev, table):
             q, inside = momentum.lift(e / HARTREE_EV, qx, qy)
             shape = momentum.shape_factor(exponent, powers, q)
@@ -437,8 +448,8 @@ def per_energy_structure_factors(grid, planar, energies_ev, polarization):
 
 
 def run_index(runs, ny):
-    """The C-order raster indices of the samples of line runs (i, cols, part),
-    as momentum.line_runs gives them."""
+    """The C-order raster indices of the samples of span runs (i, cols, part),
+    as momentum.span_blocks gives them."""
     return np.concatenate([i * ny + np.arange(cols.start, cols.stop) for i, cols, _ in runs])
 
 
@@ -498,12 +509,13 @@ def two_state_density(wp: WavePacket, mos, grid, times_fs):
     return out
 
 
-def block_gather_structure_factors(grid, planar):
+def block_gather_structure_factors(raster, planar, energy_ev):
     """S of momentum.structure_factors by the block-gather formula: per
-    block of the disc, ex[i] and ey[j] gathered into two (n, P) arrays,
-    multiplied elementwise, then by C; yields (index, S)."""
+    block of the disc at energy_ev, ex[i] and ey[j] gathered into two (n, P)
+    arrays, multiplied elementwise, then by C; yields (index, S)."""
     centers, coeffs, _, _ = planar
-    ny = grid.shape[1]
+    ny = raster.shape[1]
+    grid = hemisphere_grid(raster, energy_ev)
     qx, qy = grid.samples[::ny, 0], grid.samples[:ny, 1]
     ex = momentum._phases(np.outer(qx, centers[:, 0]))
     ey = momentum._phases(np.outer(qy, centers[:, 1]))

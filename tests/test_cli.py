@@ -339,6 +339,9 @@ _CONTRACT = {
     "pmm-tau-T0": (_PMM + ["--tau", "T/0"], "ConfigError"),
     "density-tp-T0": (["density", "--spacing", "0.6", "--tp", "T/0"], "ConfigError"),
     "dyson-tp-T0": (["dyson", "--final", "1", "--tp", "T/0"], "ConfigError"),
+    # two artifacts would share one file name (time_label's %g, e{energy:g})
+    "pmm-tp-same-label": (_PMM + ["--tp", "0.1234567", "0.1234568"], "ConfigError"),
+    "pmm-energy-same-tag": (["pmm", "--energy", "99", "99.0", "--grid", "11"], "ConfigError"),
     # a bare negative number in exponent form is a value, not an option name
     "pmm-tp-huge-negative-bare": (["pmm", "--energy", "99", "--grid", "11",
                                    "--tp", "-1e308"], "SignalError"),
@@ -412,9 +415,9 @@ _CONTRACT = {
     # fig6's durations share one call, so the preflight counts every one:
     # one needs 1.35e8 bytes at --grid 2049, eight 1.08e9
     "fig6-taus-grid-huge": (["reproduce-figure", "fig6", "--grid", "2049", "--tau",
-                             *["0.5"] * 8], "ConfigError"),
-    "pmm-delays-huge": (["pmm", "--energy", "99", "--grid", "2049", "--tp", *["0"] * 40],
-                        "ConfigError"),
+                             *(f"0.{k}" for k in range(1, 9))], "ConfigError"),
+    "pmm-delays-huge": (["pmm", "--energy", "99", "--grid", "2049", "--tp",
+                         *map(str, range(40))], "ConfigError"),
     "pmm-average-samples-1": (_PMM + ["--average", "1", "--average-samples", "1"],
                               "SignalError"),
     "pmm-average-samples-negative": (_PMM + ["--average", "1", "--average-samples", "-1"],
@@ -515,7 +518,8 @@ def test_map_preflight_counts_what_a_run_holds(tmp_path, monkeypatch, basis):
     ("fig2-energy", "--energy"), ("fig3-tp-two", "--tp"), ("fig4-tau", "--tau"),
     ("fig5-tau", "--tau"), ("fig6-energy-two", "--energy"), ("pmm-grid-huge", "--grid"),
     ("fig4-grid-huge", "--grid"), ("pmm-delays-huge", "--grid"),
-    ("fig6-taus-grid-huge", "--grid"),
+    ("fig6-taus-grid-huge", "--grid"), ("pmm-tp-same-label", "--tp"),
+    ("pmm-energy-same-tag", "--energy"),
     *((f"pmm-threads-{v}", "--threads") for v in ("0", "negative", "nan", "inf", "huge"))])
 def test_figure_refusal_names_the_option(tmp_path, capsys, case, option):
     argv, _ = _CONTRACT[case]

@@ -267,7 +267,7 @@ def records(scenario):
     cube = VolumetricGrid(origin=np.zeros(3), axes=np.eye(3), counts=(2, 2, 2))
     frame = density.DensityFrame(cube, np.zeros((2, 2, 2)), 0.0)
     made = [mo.primitives[0], frame.grid, mo, pulse, csf.expansion[0][1], csf, state, wp,
-            raster, signal.build_channels(wp, scenario.finals, pulse)[0],
+            raster, momentum.build_sphere(99.0, 2, 4), signal.build_channels(wp, scenario.finals, pulse)[0],
             signal.PMM(99.0, 0.0, np.ones((3, 3)), raster.axis_x, raster.axis_y, {}),
             signal.Spectrum(np.array([95.0]), np.array([1.0]), "s", {}),
             scenario.table_rows[0], scenario, frame, huckel.build_pentacene_graph()]
@@ -302,12 +302,16 @@ def test_records_leave_caller_arrays_alone():
         signal.Spectrum(e, v, "s", {})
     cube = VolumetricGrid(origin=np.zeros(3), axes=np.eye(3), counts=(2, 2, 2), values=w)
     q, ok = np.ones((3, 3)), np.ones(3, dtype=bool)
-    grid = momentum.MomentumGrid(samples=q, valid=ok, axis_x=ax, weights=ax)
-    assert all(x.flags.writeable for x in (a, ax, ax2, e, v, w, q, ok))
+    grid = momentum.MomentumGrid(samples=q, valid=ok, weights=ax)
+    spans = np.array([[0], [0], [2]])
+    raster = momentum.Raster(ax, ax2, spans)
+    assert all(x.flags.writeable for x in (a, ax, ax2, e, v, w, q, ok, spans))
     a[0, 0] = w[0, 0, 0] = q[0, 0] = ax[0] = 2.0
     ok[0] = False
+    spans[2, 0] = 1
     assert pmm.values[0, 0] == cube.values[0, 0, 0] == grid.samples[0, 0] == 1.0
-    assert grid.valid[0] and grid.axis_x[0] == grid.weights[0] == -1.0
+    assert grid.valid[0] and raster.axis_x[0] == grid.weights[0] == -1.0
+    assert raster.spans[2, 0] == 2 and raster.shape == (3, 2)
     # a read-only array that owns its memory is held as it is, so a grid
     # built from lift's samples and mask holds them without a copy
     frozen = model.read_only(np.ones((3, 2)))

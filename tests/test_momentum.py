@@ -31,6 +31,7 @@ from attopmm.momentum import (
     lift,
     orbital_ft,
     planar_basis,
+    span_blocks,
     spherical_bessel,
     sphere_pair_matrices,
     sphere_quadrature,
@@ -39,7 +40,13 @@ from attopmm.momentum import (
 
 from attopmm.signal import PMM
 
-from oracles import block_gather_structure_factors, gaussian_ft, quadrature_ft, run_index
+from oracles import (
+    block_gather_structure_factors,
+    gaussian_ft,
+    hemisphere_grid,
+    quadrature_ft,
+    run_index,
+)
 
 
 def test_s_type_at_zero_momentum():
@@ -123,12 +130,13 @@ def test_hemisphere_geometry_at_99ev():
     assert grid.shape == (201, 201)
     # every valid sample is on shell and in the upper half space
     e_au = 99.0 / 27.211386
-    v = grid.samples[grid.valid]
+    samples = hemisphere_grid(grid, 99.0)
+    v = samples.samples[samples.valid]
     assert np.allclose(0.5 * np.sum(v ** 2, axis=1), e_au, atol=1e-12)
     assert np.all(v[:, 2] >= 0.0)
     # frozen count: tolerance keeps boundary lattice points deterministic
-    assert int(np.sum(grid.valid)) == 31417
-    assert int(np.sum(build_hemisphere(99.0, 31, 31).valid)) == 709
+    assert int(np.sum(samples.valid)) == 31417
+    assert int(np.sum(hemisphere_grid(build_hemisphere(99.0, 31, 31), 99.0).valid)) == 709
 
 
 # rasters: odd, even, non-square either way (lines holding one sample),
@@ -151,18 +159,33 @@ def _span_points(spans):
 def test_raster_spans_are_the_disc_masks(raster, monkeypatch):
     # a raster's disc (the kernel) and an exported map's rows each keep the
     # mask they replace: lift's on the C-order points and the exporter's
-    # |q|^2 <= limit^2 (1 + 1e-12) test; and the samples a raster forms on
-    # request are lift's, bit for bit
+    # |q|^2 <= limit^2 (1 + 1e-12) test; span_blocks cuts the disc into
+    # blocks of whole spans that cover it in C order
     energy, nx, ny, q_max = raster
     grid = build_hemisphere(energy, nx, ny, q_max)
+    assert grid.shape == (nx, ny)
     e_au = ev_to_hartree(energy)
     qx = inv_angstrom_to_au(grid.axis_x)[:, None] * np.ones(ny)[None, :]
     qy = np.ones(nx)[:, None] * inv_angstrom_to_au(grid.axis_y)[None, :]
     samples, valid = lift(e_au, qx.ravel(), qy.ravel())
     for got, want in zip(_span_points(grid.spans), np.nonzero(valid.reshape(nx, ny))):
         assert np.array_equal(got, want)
-    assert grid.samples.tobytes() == samples.tobytes()
-    assert np.array_equal(grid.valid, valid) and grid.n_samples == nx * ny
+    spans = list(map(tuple, grid.spans.T.tolist()))
+    for size in (1, ny - 1, ny, 3 * ny + 1, _SAMPLE_BLOCK):
+        blocks = list(span_blocks(grid.spans, size))
+        assert [(i, c.start, c.stop - c.start) for runs in blocks for i, c, _ in runs] == spans
+        for k, runs in enumerate(blocks):
+            # each block is whole spans, packed from sample 0 of the block; it
+            # holds more than `size` samples only as a single span, and the
+            # next span would not have fit
+            assert [p.start for _, _, p in runs] == [0] + [p.stop for _, _, p in runs[:-1]]
+            assert all(p.stop - p.start == c.stop - c.start for _, c, p in runs)
+            n = runs[-1][2].stop
+            assert n <= size or len(runs) == 1
+            if k + 1 < len(blocks):
+                assert n + blocks[k + 1][0][2].stop > size
+        index = np.concatenate([run_index(runs, ny) for runs in blocks] + [np.zeros(0, int)])
+        assert np.array_equal(index, np.flatnonzero(valid))
     disc = math.sqrt(2.0 * e_au) / BOHR_ANGSTROM
     limit_sq = disc * disc * (1.0 + 1e-12)
     inside = ((grid.axis_x * grid.axis_x)[:, None] + (grid.axis_y * grid.axis_y)[None, :]
@@ -180,7 +203,7 @@ def test_raster_spans_are_the_disc_masks(raster, monkeypatch):
 def test_hemisphere_boundary_tolerance():
     # axis extremes land exactly on the kinematic circle and must stay valid
     grid = build_hemisphere(99.0, 201, 201)
-    mask = grid.valid.reshape(grid.shape)
+    mask = hemisphere_grid(grid, 99.0).valid.reshape(grid.shape)
     assert mask[0, 100] and mask[100, 0] and mask[200, 100] and mask[100, 200]
     # Pythagorean lattice pairs (60, 80, 100 sublattice) also sit on the rim
     assert mask[100 + 60, 100 + 80]
@@ -256,7 +279,7 @@ def test_grid_transform_memory_is_bounded():
     values = evaluate_orbital(lcao, sampling.points())
     cube = MolecularOrbital(label="p-grid",
                             grid=sampling.with_values(values.reshape(n, n, n)))
-    grid = build_hemisphere(99.0, 65, 65)
+    grid = hemisphere_grid(build_hemisphere(99.0, 65, 65), 99.0)
     orbital_ft([cube], build_sphere(8.0, n_polar=4, n_azimuth=8))
     tracemalloc.start()
     try:
@@ -315,7 +338,7 @@ def test_structure_factors_match_block_gather():
         planar = planar_basis(orbitals)
         for nx, ny in ((201, 151), (151, 201), (5, 5000)):
             grid = build_hemisphere(99.0, nx, ny)
-            disc = np.flatnonzero(grid.valid)
+            disc = np.flatnonzero(hemisphere_grid(grid, 99.0).valid)
             line = disc // ny
             if nx > 5:
                 assert np.count_nonzero(line == line[0]) == 1
@@ -323,7 +346,7 @@ def test_structure_factors_match_block_gather():
             else:
                 assert np.count_nonzero(line == 1) > _SAMPLE_BLOCK
             got = list(structure_factors(grid, planar, [99.0], (0.0, 0.0, 1.0)))
-            ref = list(block_gather_structure_factors(grid, planar))
+            ref = list(block_gather_structure_factors(grid, planar, 99.0))
             assert len(got) > 1 and len(ref) > 1
             spans = set(map(tuple, grid.spans.T.tolist()))
             for runs, s, _ in got:
@@ -343,12 +366,13 @@ import numpy as np
 from attopmm.huckel import huckel_orbitals
 from attopmm.model import VolumetricGrid, evaluate_orbital
 from attopmm.momentum import build_hemisphere, build_sphere, orbital_ft
+from oracles import hemisphere_grid
 mos = huckel_orbitals()
 cube = VolumetricGrid(origin=(-14.25, -5.25, -0.75), axes=np.eye(3) * 1.5, counts=(20, 8, 2))
 homo = next(mo for mo in mos if mo.label == "H")
 voxel = dataclasses.replace(homo, coefficients=None, primitives=None,
                             grid=cube.with_values(evaluate_orbital(homo, cube)))
-for grid in (build_hemisphere(99.0, 101, 101), build_sphere(97.0)):
+for grid in (hemisphere_grid(build_hemisphere(99.0, 101, 101), 99.0), build_sphere(97.0)):
     for orbitals in (mos, [voxel]):
         sys.stdout.write(hashlib.sha256(orbital_ft(orbitals, grid).tobytes()).hexdigest())
 """
@@ -357,11 +381,12 @@ for grid in (build_hemisphere(99.0, 101, 101), build_sphere(97.0)):
 def test_thread_determinism():
     # the transforms are BLAS products: their bytes must not depend on the
     # number of BLAS threads, which is fixed when the process starts
-    src = Path(__file__).resolve().parents[1] / "src"
+    tests = Path(__file__).resolve().parent
     digests = set()
     for threads in ("1", "2", "4"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests),
+                                               os.environ.get("PYTHONPATH", "")]))
         run = subprocess.run([sys.executable, "-c", _TRANSFORM_BYTES], env=env,
                              check=True, capture_output=True, text=True, timeout=120)
         digests.add(run.stdout)
@@ -374,7 +399,7 @@ def _free_grid(q):
 
 def _grids():
     rng = np.random.default_rng(17)
-    return {"hemisphere": build_hemisphere(99.0, 61, 61),
+    return {"hemisphere": hemisphere_grid(build_hemisphere(99.0, 61, 61), 99.0),
             "sphere": build_sphere(97.0, n_polar=12, n_azimuth=24),
             "free": _free_grid(rng.uniform(-4.0, 4.0, size=(5000, 3)))}
 

@@ -42,6 +42,7 @@ from oracles import (
     ReferenceAmplitudes,
     dense_annihilation_map,
     gaussian_ft,
+    hemisphere_grid,
     per_energy_structure_factors,
     quadrature_spectrum,
     reference_probability,
@@ -635,12 +636,12 @@ def test_kernel_matches_per_delay_reference(ctx, mode):
                        ctx["mos"], resolution=61, mode=mode)
         assert [m.t_p_fs for m in maps] == delays
         skip = [r["skipped"] for r in maps[0].metadata["channels"]]
-        grid = build_hemisphere(energy, 61, 61)
+        grid = hemisphere_grid(build_hemisphere(energy, 61, 61), energy)
         amps = ReferenceAmplitudes(channels, ctx["mos"], grid)
         for t, m in zip(delays, maps):
             ref = reference_probability(channels, amps, grid.samples, ctx["wp"],
                                         pulse, t, mode, skip=skip, energy_ev=energy)
-            ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
+            ref = np.where(grid.valid, ref, 0.0).reshape(m.values.shape)
             assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), (energy, t)
         # a delay series is the same numbers as one call per delay
         single = pmm_cut(energy, delays[3], pulse, ctx["wp"], ctx["finals"],
@@ -651,7 +652,8 @@ def test_kernel_matches_per_delay_reference(ctx, mode):
                              ctx["finals"], ctx["mos"], resolution=61, mode=mode,
                              channel_min_envelope=0.0)
     energies = (98.5, 99.0, 99.5)
-    grids = [build_hemisphere(e, 61, 61, avg[0].axis_x[-1]) for e in energies]
+    grids = [hemisphere_grid(build_hemisphere(e, 61, 61, avg[0].axis_x[-1]), e)
+             for e in energies]
     for t, m in zip(delays[:2], avg):
         ref = sum(np.where(g.valid, reference_probability(
             channels, ReferenceAmplitudes(channels, ctx["mos"], g), g.samples,
@@ -687,12 +689,12 @@ def _per_energy_mean(ctx, energies, delays, pulse, mode, resolution, q_max, mos)
     weights, _, _ = signal._weights(channels, np.asarray(energies, dtype=float), [pulse],
                                     wp, mode, signal.DEFAULT_CHANNEL_MIN_ENVELOPE)
     for k, e in enumerate(energies):
-        grid = build_hemisphere(e, resolution, resolution, q_max)
+        grid = hemisphere_grid(build_hemisphere(e, resolution, resolution, q_max), e)
         kernel, = signal._kernel(
             np.zeros((1, wp.n_members, wp.n_members, grid.n_samples), dtype=complex),
             grid, weights[..., k:k + 1], basis, matrices, pulse.polarization)
         total = total + at_delays(kernel, wp.phases(delays))
-    return [m.reshape(grid.shape) for m in total / len(energies)]
+    return [m.reshape(resolution, resolution) for m in total / len(energies)]
 
 
 @pytest.mark.parametrize("mode", ["short", "long"])
@@ -783,19 +785,19 @@ def test_non_planar_or_mixed_basis_takes_per_energy_path(ctx, monkeypatch, basis
         maps = pmm_cut(97.7, delays, pulse, ctx["wp"], ctx["finals"], mos,
                        resolution=41, mode=mode)
         skip = [r["skipped"] for r in maps[0].metadata["channels"]]
-        grid = build_hemisphere(97.7, 41, 41)
+        grid = hemisphere_grid(build_hemisphere(97.7, 41, 41), 97.7)
         amps = ReferenceAmplitudes(channels, mos, grid)
         for t, m in zip(delays, maps):
             ref = reference_probability(channels, amps, grid.samples, ctx["wp"],
                                         pulse, t, mode, skip=skip, energy_ev=97.7)
-            ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
+            ref = np.where(grid.valid, ref, 0.0).reshape(m.values.shape)
             assert ref.max() > 0
             assert np.max(np.abs(m.values - ref)) <= 1e-15 * ref.max(), (mode, t)
         for q_max in (None, 7.0):
             avg = energy_average_pmm(99.0, 1.0, 3, delays, pulse, ctx["wp"], ctx["finals"],
                                      mos, resolution=41, q_max_inv_angstrom=q_max,
                                      mode=mode, channel_min_envelope=0.0)
-            grids = {e: build_hemisphere(e, 41, 41, avg[0].axis_x[-1])
+            grids = {e: hemisphere_grid(build_hemisphere(e, 41, 41, avg[0].axis_x[-1]), e)
                      for e in (98.5, 99.0, 99.5)}
             for t, m in zip(delays, avg):
                 ref = sum(np.where(g.valid, reference_probability(
@@ -844,17 +846,18 @@ def test_folded_maps_of_planar_shapes_match_per_delay_reference(ctx, shape, pola
         for energy in (95.6, 99.0):
             maps = pmm_cut(energy, delays, pulse, wp, finals, mos, resolution=61, mode=mode)
             skip = [r["skipped"] for r in maps[0].metadata["channels"]]
-            grid = build_hemisphere(energy, 61, 61)
+            grid = hemisphere_grid(build_hemisphere(energy, 61, 61), energy)
             amps = ReferenceAmplitudes(channels, mos, grid)
             for t, m in zip(delays, maps):
                 ref = reference_probability(channels, amps, grid.samples, wp, pulse, t,
                                             mode, skip=skip, energy_ev=energy)
-                ref = np.where(grid.valid, ref, 0.0).reshape(grid.shape)
+                ref = np.where(grid.valid, ref, 0.0).reshape(m.values.shape)
                 assert ref.max() > 0
                 assert np.max(np.abs(m.values - ref)) <= 2e-15 * ref.max(), (mode, energy)
         avg = energy_average_pmm(99.0, 1.0, 3, delays, pulse, wp, finals, mos,
                                  resolution=61, mode=mode, channel_min_envelope=0.0)
-        grids = {e: build_hemisphere(e, 61, 61, avg[0].axis_x[-1]) for e in (98.5, 99.0, 99.5)}
+        grids = {e: hemisphere_grid(build_hemisphere(e, 61, 61, avg[0].axis_x[-1]), e)
+                 for e in (98.5, 99.0, 99.5)}
         for t, m in zip(delays, avg):
             ref = sum(np.where(g.valid, reference_probability(
                 channels, ReferenceAmplitudes(channels, mos, g), g.samples, wp, pulse, t,

@@ -344,15 +344,23 @@ def _tie_axis(rng, n, q_max):
     return axis
 
 
-@pytest.mark.parametrize("disc", [1.9, None], ids=["disc", "no-disc"])
-def test_hand_built_map_matches_reference_writer(tmp_path, disc):
+@pytest.mark.parametrize("disc, shape", [
+    (1.9, (131, 97)), (None, (131, 97)), (1.9, (3, _BLOCK_LINES + 7)),
+    (None, (3, _BLOCK_LINES + 7))], ids=["disc", "no-disc", "disc-long", "no-disc-long"])
+def test_hand_built_map_matches_reference_writer(tmp_path, disc, shape):
     # nx != ny, more than one block of rows inside the disc, negative
     # coordinates, and values with 3-digit exponents, -0.0 and near-ties of
-    # their own (a PMM holds no negative probability)
+    # their own (a PMM holds no negative probability); on the long raster
+    # each line holding rows is an export block of its own, and a whole line
+    # is longer than a block (with the disc: one line cut by it, one inside
+    # it whole, one outside)
     rng = np.random.default_rng(11)
-    axis_x, axis_y = _tie_axis(rng, 131, 2.0), _tie_axis(rng, 97, 2.0)
-    values = np.abs(rng.standard_normal((131, 97))
-                    * 10.0 ** rng.integers(-150, 150, (131, 97)))
+    nx, ny = shape
+    if nx > 3:
+        axis_x, axis_y = _tie_axis(rng, nx, 2.0), _tie_axis(rng, ny, 2.0)
+    else:
+        axis_x, axis_y = np.array([-1.0, 0.25, 3.0]), np.linspace(-1.7, 1.7, ny)
+    values = np.abs(rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape))
     values.flat[rng.choice(values.size, 60, replace=False)] = np.abs(
         _tie_axis(rng, 60, 1.0))
     values.flat[rng.choice(values.size, 20, replace=False)] = -0.0
@@ -365,7 +373,7 @@ def test_hand_built_map_matches_reference_writer(tmp_path, disc):
     n_rows = sum(1 for line in (tmp_path / "new.dat").read_text().splitlines()
                  if not line.startswith("#"))
     assert n_rows > _BLOCK_LINES
-    assert (n_rows == 131 * 97) == (disc is None)
+    assert (n_rows == nx * ny) == (disc is None)
 
 
 def test_map_export_formats_each_axis_value_once(tmp_path, scenario, monkeypatch):
